@@ -19,7 +19,9 @@ still an upper bound, and since the recurrence is monotone in f'(g, s-1)
 the floored table remains valid inductively.  Without this floor several
 reported values would be non-integral rationals (first at g=13, s=3, where
 the raw minimum is 242/5); the steps where flooring strictly reduced the
-value are reported, never silent.
+value are reported, never silent.  The recurrence therefore runs on plain
+integers: f' values are ints, and a Fraction appears only where a step
+computed without the floor is non-integral.
 
 The analytic side replaces the c-scan with a fixed schedule driven by the
 series alpha_i = sum_{j>i} 12/((j-7)(j-6)(2j-3)): with beta_i =
@@ -36,7 +38,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .intervals import (
@@ -107,7 +108,7 @@ def f_closed_form(g: int, s: int, c: int) -> Fraction:
 
 class ScheduleResult(NamedTuple):
     c_schedule: tuple  # chosen c for s = 3 .. s_max
-    f_values: tuple  # f'(g, s) for s = 2 .. s_max, as Fractions
+    f_values: tuple  # f'(g, s) for s = 2 .. s_max: int, Fraction if non-integral
     floored_steps: tuple  # s values where flooring strictly reduced
 
 
@@ -116,59 +117,53 @@ def optimal_schedule(
 ) -> ScheduleResult:
     """Optimal c per step and the resulting f' values.
 
-    The c-scan walks upward from 7; the first branch of the recurrence
-    decreases in c and the second increases, so the scan stops at the first
-    crossing and the minimum is one of the two straddling candidates
-    (smaller c on ties).  anchor_delta shifts the s=2 anchor; it exists for
-    sensitivity testing only.
+    f'(g, s-1) is carried as an integer ratio p/q (q = 1 while flooring)
+    and both tests below are cross-multiplied into integers.  The first
+    branch of the recurrence decreases in c and the second increases, so
+    the minimum is one of the two candidates straddling the first crossing
+    (smaller c on ties).  Each step's scan starts at the previous step's
+    crossing and walks down or up to its own.  anchor_delta shifts the s=2
+    anchor, which must stay nonnegative; it exists for sensitivity testing
+    only.
     """
     if g < 1:
         raise BoundsError("g must be >= 1")
     if s_max < 2:
         raise BoundsError("s_max must be >= 2")
-    f2 = f_exact_s2(g) + anchor_delta
-    f_values = [Fraction(f2)]
+    p, q = f_exact_s2(g) + anchor_delta, 1
+    if p < 0:
+        raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")
+    f_values = [p]
     schedule = []
     floored = []
-    f_prev = Fraction(f2)
-    cap = 6 + C_SCAN_CAP_FACTOR * max(1, g)
+    cap = 6 + C_SCAN_CAP_FACTOR * g
     gm2 = g - 2
+
+    def crossed(c):
+        # branch1 <= branch2: 2c(g-2) q <= (c-6)((2c-3) q + p)
+        return 2 * c * gm2 * q <= (c - 6) * ((2 * c - 3) * q + p)
+
+    c = 7
     for s in range(3, s_max + 1):
-        c = 7
-        while True:
-            # branch1 <= branch2 in integers: 2c(g-2) <= (c-6)(2c-3+f_prev)
-            rhs = (Fraction(2 * c - 3) + f_prev) * (c - 6)
-            if 2 * c * gm2 <= rhs:
-                break
+        while c > 7 and crossed(c - 1):
+            c -= 1
+        while not crossed(c):
             c += 1
             if c > cap:
                 raise RuntimeError("c scan exceeded its hard cap")
-        cand_b = Fraction(2 * c - 3) + f_prev  # value at the crossing c
-        best_c, best_val = c, cand_b
-        if c > 7:
-            cand_a = Fraction(2 * (c - 1) * gm2, c - 7)  # branch1 at c-1
-            if cand_a < cand_b:
-                best_c, best_val = c - 1, cand_a
-            # tie keeps the larger value's partner? both equal -> smaller c
-            elif cand_a == cand_b:
-                best_c, best_val = c - 1, cand_a
-        if floor_steps and best_val.denominator != 1:
-            best_val = Fraction(best_val.numerator // best_val.denominator)
-            floored.append(s)
+        best_c, num, den = c, (2 * c - 3) * q + p, q  # branch2 at c
+        if c > 7 and 2 * (c - 1) * gm2 * den <= (c - 7) * num:
+            # branch1 at c-1 is no larger: ties go to the smaller c
+            best_c, num, den = c - 1, 2 * (c - 1) * gm2, c - 7
+        if floor_steps:
+            if num % den:
+                floored.append(s)
+            p, q = num // den, 1
+        else:
+            p, q = Fraction(num, den).as_integer_ratio()
         schedule.append(best_c)
-        f_values.append(best_val)
-        f_prev = best_val
+        f_values.append(p if q == 1 else Fraction(p, q))
     return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
-
-
-@lru_cache(maxsize=8192)
-def _final_f_int(g: int) -> int:
-    """f'(g, g+1) as an integer (cached; used by the verification sweeps)."""
-    res = optimal_schedule(g, g + 1)
-    val = res.f_values[-1]
-    if val.denominator != 1:
-        raise RuntimeError(f"floored table value is non-integral at g={g}")
-    return int(val)
 
 
 def impurity_bound(g: int, surface_kind: str) -> int:
@@ -180,7 +175,7 @@ def impurity_bound(g: int, surface_kind: str) -> int:
     if surface_kind == "orientable" and g % 2 != 0:
         raise BoundsError("orientable surfaces have even Euler genus")
     factor = 5 if surface_kind == "nonorientable" else 4
-    return factor * _final_f_int(g) - 1
+    return factor * optimal_schedule(g, g + 1).f_values[-1] - 1
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ class BoundsTableRow:
     g: int
     surface_kind: str
     c_schedule: tuple  # c_3 .. c_{g+1}
-    f_values: tuple  # f'(g, 2) .. f'(g, g+1)
+    f_values: tuple  # f'(g, 2) .. f'(g, g+1), floored ints
     impurity: int
     edge_bound_offset: int  # X in |E| >= 3n - X
 
@@ -212,10 +207,7 @@ def generate_table(
         if surface_kind == "orientable" and g % 2 != 0:
             raise BoundsError("orientable surfaces have even Euler genus")
         res = optimal_schedule(g, g + 1, anchor_delta=anchor_delta)
-        final = res.f_values[-1]
-        if final.denominator != 1:
-            raise RuntimeError(f"non-integral table value at g={g}")
-        impurity = factor * int(final) - 1
+        impurity = factor * res.f_values[-1] - 1
         rows.append(
             BoundsTableRow(
                 g=g,
@@ -253,18 +245,6 @@ def lambda_interval(precision: Optional[int] = None) -> Interval:
     return 25 - 11 * inner
 
 
-def _alpha_map(top: int, tail_bits: int) -> dict:
-    """alpha_i enclosures for i in [7, top] from one alpha_7 enclosure and
-    exact partial sums (alpha_i = alpha_7 - sum_{j=8}^{i} term_j)."""
-    a7 = alpha7_interval(tail_bits)
-    out = {7: a7}
-    partial = Fraction(0)
-    for i in range(8, top + 1):
-        partial += series_term(i)
-        out[i] = a7 - partial
-    return out
-
-
 def analytic_context(g: int, precision: Optional[int] = None) -> AnalyticContext:
     """All quantities of the analytic schedule for genus g, certified.
 
@@ -296,8 +276,9 @@ class _Straddle(Exception):
 
 
 def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
-    # find k scanning upward; certified comparisons only
-    alpha = _alpha_map(7, tail_bits)
+    # find k scanning upward; certified comparisons only.  alpha_i is
+    # alpha_7 minus the exact partial sum of terms 8..i.
+    alpha = {7: alpha7_interval(tail_bits)}
     partial = Fraction(0)
     i = 7
     while True:
@@ -314,7 +295,9 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
         if i > 2 * g + 2 and g >= 3:
             raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
     top = max(k, 2 * g + 2)
-    alpha = _alpha_map(top, tail_bits)
+    for i in range(k + 1, top + 1):
+        partial += series_term(i)
+        alpha[i] = alpha[7] - partial
 
     beta = {}
     gamma = {}
@@ -387,7 +370,7 @@ def analytic_upper_bound(g: int, precision: Optional[int] = None) -> Fraction:
     return (lam * (g - 2) + 2 * t + 33).hi
 
 
-def verify_theorem(which: str, g_max: int = 2000, jobs: Optional[int] = None) -> dict:
+def verify_theorem(which: str, g_max: int = 2000) -> dict:
     """Direct-calculation sweep of the impurity theorems.
 
     nonorientable-84: 5 f'(g, g+1) - 1 <= 84 g for g in [1, 299] by the
@@ -404,6 +387,8 @@ def verify_theorem(which: str, g_max: int = 2000, jobs: Optional[int] = None) ->
     }
     if which not in aliases:
         raise BoundsError(f"unknown theorem {which!r}; use 84 or 67")
+    if g_max < 1:
+        raise BoundsError("g_max must be >= 1")
     name, factor, per_g, dp_top = aliases[which]
     dp_top = min(dp_top, g_max)
     violations = []
@@ -416,16 +401,9 @@ def verify_theorem(which: str, g_max: int = 2000, jobs: Optional[int] = None) ->
         if min_slack is None or slack < min_slack[1]:
             min_slack = (g, slack)
 
-    dp_gs = range(1, dp_top + 1)
-    if jobs and jobs > 1:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            finals = pool.map(_final_f_int, dp_gs)
-    else:
-        finals = [_final_f_int(g) for g in dp_gs]
-    for g, fin in zip(dp_gs, finals):
-        note(g, Fraction(per_g * g - (factor * fin - 1)))
+    for g in range(1, dp_top + 1):
+        fin = optimal_schedule(g, g + 1).f_values[-1]
+        note(g, per_g * g - (factor * fin - 1))
     analytic_range = range(dp_top + 1, g_max + 1)
     for g in analytic_range:
         ub = analytic_upper_bound(g)

@@ -334,7 +334,7 @@ def cmd_bounds_f(args) -> int:
 
 
 def cmd_bounds_verify(args) -> int:
-    report = verify_theorem(args.theorem, g_max=args.gmax, jobs=args.jobs)
+    report = verify_theorem(args.theorem, g_max=args.gmax)
     sys.stdout.write(_dump(report))
     return 0 if report["ok"] else 1
 
@@ -442,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", choices=("84", "67", "nonorientable-84",
                                          "orientable-67"), required=True)
     p.add_argument("--gmax", type=int, default=2000)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_bounds_verify)
 
     p = sub.add_parser("regen-fixture",

@@ -186,6 +186,25 @@ def _tail_interval(K: int) -> Interval:
     return Interval(Fraction(3, (K - 3) ** 2), Fraction(3, (K - 7) ** 2))
 
 
+def _tail_cutoff_start(tail_bits: int) -> int:
+    """First guess at the series cutoff K for alpha7_interval.
+
+    The tail width 3/(K-7)^2 - 3/(K-3)^2 is at most 24(K-5)/((K-7)^2 (K-3)^2),
+    roughly 24/K^3, so K starts at the nearest integer to cbrt(24 * 2^bits)
+    plus 8; the caller nudges K up until the width is certified.
+    """
+    n = 24 << tail_bits
+    r = 1 << -(-n.bit_length() // 3)  # >= cbrt(n); Newton descends to floor
+    while True:
+        nxt = (2 * r + n // (r * r)) // 3
+        if nxt >= r:
+            break
+        r = nxt
+    if 8 * n >= (2 * r + 1) ** 3:  # cbrt(n) >= r + 1/2
+        r += 1
+    return max(16, r + 8)
+
+
 @lru_cache(maxsize=8)
 def alpha7_interval(tail_bits: int = 48) -> Interval:
     """Enclosure of alpha_7 = sum_{j>=8} 12/((j-7)(j-6)(2j-3)).
@@ -204,9 +223,7 @@ def alpha7_interval(tail_bits: int = 48) -> Interval:
             f"series tail cannot be certified below 2^-{tail_bits} "
             "(term count infeasible)"
         )
-    # tail width = 3/(K-7)^2 - 3/(K-3)^2 <= 24(K-5)/((K-7)^2 (K-3)^2);
-    # solve roughly then nudge up until certified.
-    K = max(16, int(round(24 ** (1 / 3) * 2 ** (tail_bits / 3))) + 8)
+    K = _tail_cutoff_start(tail_bits)
     while _tail_interval(K).width > Fraction(1, 1 << tail_bits):
         K += K // 8 + 1
     p = tail_bits + 24

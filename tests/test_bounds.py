@@ -146,22 +146,26 @@ class TestScheduleAgainstNaiveOracle:
             oracle_schedule(g, g + 1)
 
     def test_unfloored_sweep(self):
-        for g in (5, 13, 21):
+        for g in [*range(1, 41), 150]:
             res = optimal_schedule(g, g + 1, floor_steps=False)
             assert (res.c_schedule, res.f_values, res.floored_steps) == \
                 oracle_schedule(g, g + 1, floor_steps=False)
 
     def test_anchor_delta_sweep(self):
-        for delta in (-1, 1, 3):
-            res = optimal_schedule(9, 10, anchor_delta=delta)
-            assert (res.c_schedule, res.f_values, res.floored_steps) == \
-                oracle_schedule(9, 10, anchor_delta=delta)
+        # delta 50 pulls the crossing down to c = 7; g = 1, 2 have g-2 <= 0
+        for g in (1, 2, 3, 9, 40):
+            for delta in (-3, -1, 1, 3, 50):
+                res = optimal_schedule(g, g + 1, anchor_delta=delta)
+                assert (res.c_schedule, res.f_values, res.floored_steps) == \
+                    oracle_schedule(g, g + 1, anchor_delta=delta), (g, delta)
 
     def test_validation(self):
         with pytest.raises(BoundsError):
             optimal_schedule(0, 3)
         with pytest.raises(BoundsError):
             optimal_schedule(3, 1)
+        with pytest.raises(BoundsError, match="anchor"):
+            optimal_schedule(3, 4, anchor_delta=-9)
 
 
 class TestFlooring:
@@ -359,14 +363,11 @@ class TestVerifyTheorem:
         assert rep["analytic_range"] == [300, 320]
         assert rep["ok"] is True
 
-    def test_parallel_jobs_agree(self):
-        a = verify_theorem("84", g_max=40)
-        b = verify_theorem("84", g_max=40, jobs=2)
-        assert a == b
-
     def test_unknown_theorem(self):
         with pytest.raises(BoundsError, match="84 or 67"):
             verify_theorem("109")
+        with pytest.raises(BoundsError, match="g_max"):
+            verify_theorem("84", g_max=0)
 
 
 class TestPrecisionKnob:

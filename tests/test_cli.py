@@ -259,6 +259,15 @@ class TestBoundsTable:
                            "--surface", "nonorientable", "--gmax", "0",
                            "--format", "csv")
         assert code == 2 and "gmax" in err
+        code, _, err = run(capsys, "bounds", "verify", "--theorem", "84",
+                           "--gmax", "0")
+        assert code == 2 and "g_max" in err
+
+    def test_negative_anchor_exits_two(self, capsys):
+        code, out, err = run(capsys, "bounds", "table",
+                             "--surface", "nonorientable", "--gmax", "3",
+                             "--anchor-delta", "-100")
+        assert code == 2 and out == "" and "anchor" in err
 
 
 class TestBoundsF:

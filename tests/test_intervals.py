@@ -14,6 +14,7 @@ import pytest
 from emax.intervals import (
     Interval,
     PrecisionError,
+    _tail_cutoff_start,
     _tail_interval,
     alpha7_interval,
     ceil_sqrt,
@@ -214,6 +215,13 @@ class TestAlpha7:
     def test_cached(self):
         assert alpha7_interval(48) is alpha7_interval(48)
         assert alpha7_interval() == alpha7_interval(48)
+
+    def test_exact_cutoff_matches_float_estimate(self):
+        # the cutoff is an exact nearest cube root; it must pick the same K
+        # as the float estimate it replaced, so enclosures stay unchanged
+        for bits in range(8, 67):
+            rough = int(round(24 ** (1 / 3) * 2 ** (bits / 3)))
+            assert _tail_cutoff_start(bits) == max(16, rough + 8), bits
 
     def test_precision_limits(self):
         with pytest.raises(ValueError):
