@@ -14,7 +14,6 @@ from .graphs import (
     bipartite_genus_lower_bound,
     check_bipartition,
     closed_neighborhood,
-    common_neighbors,
     is_clique,
     is_connected,
     is_k_connected,
@@ -35,7 +34,6 @@ from .embedding import (
     four_distinct_window,
     is_edge_maximal_embedding,
     is_triangulation,
-    min_degree_of_scheme,
     orientability,
     scheme_from_dict,
     scheme_from_json,
@@ -102,87 +100,3 @@ from .intervals import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Bipartition",
-    "Graph",
-    "GraphError",
-    "bipartite_genus_lower_bound",
-    "check_bipartition",
-    "closed_neighborhood",
-    "common_neighbors",
-    "is_clique",
-    "is_connected",
-    "is_k_connected",
-    "is_locally_hamiltonian",
-    "is_planar",
-    "format_edge_list",
-    "min_degree",
-    "parse_edge_list",
-    "Corner",
-    "FacialWalk",
-    "FacialWalkSet",
-    "PseudoEmbedding",
-    "SchemeError",
-    "SurfaceInfo",
-    "edges_short",
-    "four_distinct_window",
-    "is_edge_maximal_embedding",
-    "is_triangulation",
-    "min_degree_of_scheme",
-    "orientability",
-    "scheme_from_dict",
-    "scheme_from_json",
-    "scheme_to_dict",
-    "scheme_to_json",
-    "surface_info",
-    "trace_faces",
-    "walk_corners",
-    "LowerBoundFamily",
-    "complete_bipartite",
-    "complete_graph",
-    "construct_proposition2",
-    "enumerate_small_schemes",
-    "graph_q",
-    "graph_q_scheme",
-    "k8_minus_c5",
-    "lower_bound_family",
-    "paste_block",
-    "regenerate_k8_c5_fixture",
-    "toroidal_embedding_k8_minus_c5",
-    "HypothesisViolation",
-    "SurgeryReport",
-    "bipartite_extract",
-    "chord_faces",
-    "chord_positions",
-    "complete_to_triangulation",
-    "face_split_count",
-    "find_low_interference_vertex",
-    "find_ordered_sequence",
-    "genus_certificate",
-    "insert_apexes",
-    "is_ordered_sequence",
-    "run_lemma5_pipeline",
-    "AnalyticContext",
-    "BoundsError",
-    "BoundsTableRow",
-    "ScheduleResult",
-    "analytic_context",
-    "analytic_upper_bound",
-    "claim1_consistency",
-    "f_closed_form",
-    "f_exact_s2",
-    "f_lower",
-    "generate_table",
-    "impurity_bound",
-    "lambda_interval",
-    "optimal_schedule",
-    "recurrence_step",
-    "verify_theorem",
-    "Interval",
-    "PrecisionError",
-    "alpha7_interval",
-    "certified_ceil",
-    "ceil_sqrt",
-    "ln2_interval",
-]

@@ -6,8 +6,10 @@ pretty format.  Identical invocations print identical bytes; nothing here
 emits timestamps or machine-specific paths.
 
 Exit codes: 0 success, 1 verification failure (an invariant or theorem
-check did not hold, or a search came up empty), 2 input error (bad flags,
-unreadable or malformed files, out-of-domain parameters).
+check did not hold, or `regen-fixture` found no scheme), 2 input error (bad
+flags, unreadable or malformed files, out-of-domain parameters).  An
+`ordered-seq` search that finds nothing is an answer, not a failure: it
+prints `"found": false` and exits 0.
 
 The interval precision used by the bounds subcommands can be overridden
 with the EMAX_PRECISION_BITS environment variable (default 256).

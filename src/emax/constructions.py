@@ -22,6 +22,9 @@ from .graphs import Bipartition, Graph, GraphError
 from .embedding import (
     PseudoEmbedding,
     SchemeError,
+    SurfaceInfo,
+    _link,
+    _state_orbits,
     surface_info,
     trace_faces,
     walk_corners,
@@ -90,35 +93,53 @@ def regenerate_k8_c5_fixture(
     face count does not drop.  15 faces is optimal: 2m/3 = 15.33 caps the
     face count, so f = 15 means Euler genus 2.  Returns None if every
     restart stalls.
+
+    The climb runs on integer darts 2e + end held in successor and
+    predecessor arrays, as a scheme keeps them: a move swaps two darts in
+    place, counts faces as half the state-map cycles, and swaps back when
+    rejected.  Only the result is built as a scheme, and it is audited by
+    a full trace.
     """
     pairs = _k8_c5_pairs()
-    edges = [(u, v, 1) for u, v in pairs]
+    m = len(pairs)
     darts_at = [[] for _ in range(8)]
     for e, (u, v) in enumerate(pairs):
-        darts_at[u].append((e, 0))
-        darts_at[v].append((e, 1))
+        darts_at[u].append(2 * e)
+        darts_at[v].append(2 * e + 1)
+    neg = [0] * m
+    succ = [0] * (2 * m)
+    pred = [0] * (2 * m)
     rng = random.Random(seed)
     for _ in range(max(1, restarts)):
         rot = [list(ds) for ds in darts_at]
         for r in rot:
             rng.shuffle(r)
-        E = PseudoEmbedding(8, edges, rot)
-        best = trace_faces(E).face_count
+            _link(r, succ, pred)
+        best = len(_state_orbits(succ, pred, neg)[0]) // 2
         for _ in range(iters):
             if best == 15:
-                return E
-            v = rng.randrange(8)
-            r = list(rot[v])
+                break
+            r = rot[rng.randrange(8)]
             i, j = rng.randrange(len(r)), rng.randrange(len(r))
             if i == j:
                 continue
             r[i], r[j] = r[j], r[i]
-            cand_rot = rot[:v] + [r] + rot[v + 1 :]
-            cand = PseudoEmbedding(8, edges, cand_rot)
-            f = trace_faces(cand).face_count
+            _link(r, succ, pred)
+            f = len(_state_orbits(succ, pred, neg)[0]) // 2
             if f >= best:
-                rot, E, best = cand_rot, cand, f
+                best = f
+            else:
+                r[i], r[j] = r[j], r[i]
+                _link(r, succ, pred)
         if best == 15:
+            E = PseudoEmbedding(
+                8,
+                [(u, v, 1) for u, v in pairs],
+                [[(d >> 1, d & 1) for d in r] for r in rot],
+            )
+            info = surface_info(E)
+            if trace_faces(E).face_count != 15 or info != SurfaceInfo(2, True):
+                raise RuntimeError("hill-climb result is not a 15-face torus scheme")
             return E
     return None
 

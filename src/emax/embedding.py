@@ -20,6 +20,15 @@ length equals the cycle length and the total over faces is 2m.  This single
 mechanism covers orientable and non-orientable schemes, loops, and parallel
 edges uniformly.
 
+Internally the tracer runs on the permutation form of the scheme (Mohar &
+Thomassen, Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is
+the integer 2e + end, so its opposite is d ^ 1, and state (d, side) is the
+integer 2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its
+rotation as successor and predecessor arrays over the 2m darts, and
+ascending integer order of states is the (edge, end, side +1 first) order
+that fixes the face order.  The face set is computed once per scheme and
+memoised on it, since the scheme is immutable.
+
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
 """
@@ -27,14 +36,12 @@ when its signature can be switched (vertex flips) to all-positive.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import Graph
 
 Dart = tuple  # (edge_id, end)
-State = tuple  # (Dart, side)
 
 
 class SchemeError(ValueError):
@@ -44,7 +51,7 @@ class SchemeError(ValueError):
 class PseudoEmbedding:
     """Immutable signed rotation system for a pseudograph."""
 
-    __slots__ = ("n", "edges", "rotation", "_pos")
+    __slots__ = ("n", "edges", "rotation", "_succ", "_pred", "_faces")
 
     def __init__(
         self,
@@ -52,8 +59,10 @@ class PseudoEmbedding:
         edges: Iterable[tuple[int, int, int]],
         rotation: Iterable[Iterable[Dart]],
     ):
-        edges = tuple((int(u), int(v), int(s)) for (u, v, s) in edges)
-        rotation = tuple(tuple((int(e), int(t)) for (e, t) in rot) for rot in rotation)
+        edges = tuple([(int(u), int(v), int(s)) for u, v, s in edges])
+        rotation = tuple(
+            [tuple([(int(e), int(t)) for e, t in rot]) for rot in rotation]
+        )
         if n < 1:
             raise SchemeError("scheme needs at least one vertex")
         if len(rotation) != n:
@@ -63,34 +72,38 @@ class PseudoEmbedding:
                 raise SchemeError(f"edges[{i}]: endpoint out of range 0..{n-1}")
             if s not in (1, -1):
                 raise SchemeError(f"edges[{i}]: signature must be +1 or -1, got {s}")
-        pos = {}
+        m = len(edges)
+        succ = [-1] * (2 * m)
+        pred = [-1] * (2 * m)
+        seen = bytearray(2 * m)
         for v, rot in enumerate(rotation):
+            ids = []
             for i, d in enumerate(rot):
                 e, end = d
-                if not (0 <= e < len(edges)) or end not in (0, 1):
+                if not (0 <= e < m) or end not in (0, 1):
                     raise SchemeError(f"rotation[{v}][{i}]: invalid dart {d}")
                 home = edges[e][end]
                 if home != v:
                     raise SchemeError(
                         f"rotation[{v}][{i}]: dart {d} belongs at vertex {home}"
                     )
-                if d in pos:
+                x = 2 * e + end
+                if seen[x]:
                     raise SchemeError(
                         f"rotation[{v}][{i}]: dart {d} appears more than once"
                     )
-                pos[d] = (v, i)
-        if len(pos) != 2 * len(edges):
-            missing = [
-                (e, end)
-                for e in range(len(edges))
-                for end in (0, 1)
-                if (e, end) not in pos
-            ]
+                seen[x] = 1
+                ids.append(x)
+            _link(ids, succ, pred)
+        if seen.count(0):
+            missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
+        object.__setattr__(self, "_faces", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoEmbedding is immutable")
@@ -102,9 +115,6 @@ class PseudoEmbedding:
     def m(self) -> int:
         return len(self.edges)
 
-    def signature(self, e: int) -> int:
-        return self.edges[e][2]
-
     def dart_vertex(self, d: Dart) -> int:
         e, end = d
         return self.edges[e][end]
@@ -113,23 +123,6 @@ class PseudoEmbedding:
     def opposite(d: Dart) -> Dart:
         e, end = d
         return (e, 1 - end)
-
-    def next_dart(self, d: Dart, direction: int) -> Dart:
-        """Rotation successor (direction +1) or predecessor (-1) of d."""
-        v, i = self._pos[d]
-        rot = self.rotation[v]
-        return rot[(i + direction) % len(rot)]
-
-    def step(self, state: State) -> State:
-        d, side = state
-        e = d[0]
-        d2 = self.opposite(d)
-        side2 = side * self.signature(e)
-        return (self.next_dart(d2, 1 if side2 > 0 else -1), side2)
-
-    def mirror(self, state: State) -> State:
-        d, side = state
-        return (self.opposite(d), -side * self.signature(d[0]))
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -166,6 +159,16 @@ class PseudoEmbedding:
         return Graph(self.n, [(u, v) for u, v, _ in self.edges])
 
 
+def _link(ids: list, succ: list, pred: list) -> None:
+    """Write one vertex's cyclic dart order into the successor and
+    predecessor arrays."""
+    prev = ids[-1] if ids else None
+    for x in ids:
+        succ[prev] = x
+        pred[x] = prev
+        prev = x
+
+
 @dataclass(frozen=True)
 class FacialWalk:
     steps: tuple  # ((edge_id, end), side) per step
@@ -198,69 +201,98 @@ class SurfaceInfo:
     orientable: bool
 
 
-def _state_key(state: State):
-    (e, end), side = state
-    return (e, end, 0 if side > 0 else 1)
+def _state_orbits(succ: list, pred: list, neg: list) -> tuple:
+    """Cycles of the step map on the integer states 0..4m-1.
+
+    succ and pred are the rotation arrays over darts and neg[e] is 1 for an
+    edge of signature -1.  State s = 2d + sidebit steps across its edge to
+    dart d ^ 1, takes the side bit xor neg[e], and leaves by the successor
+    (sidebit 0) or predecessor (sidebit 1).  Returns (orbits, orbit_of):
+    the cycles listed by their smallest state, each starting there, in
+    ascending order, and the index of each state's cycle.
+    """
+    n_states = 2 * len(succ)
+    # s ^ cross[e] is the arrival t of state s at the far end of its edge e
+    # (dart t >> 1, side bit t & 1), and leave[t] is the state the walk
+    # leaves by after that arrival
+    leave = [0] * n_states
+    leave[0::2] = [2 * x for x in succ]
+    leave[1::2] = [2 * x + 1 for x in pred]
+    cross = [2 | b for b in neg]
+    orbit_of = [-1] * n_states
+    orbits = []
+    for s0 in range(n_states):
+        if orbit_of[s0] >= 0:
+            continue
+        idx = len(orbits)
+        orbit_of[s0] = idx
+        orbit = [s0]
+        s = leave[s0 ^ cross[s0 >> 2]]
+        while s != s0:
+            if orbit_of[s] >= 0:
+                raise RuntimeError("state map failed to close a cycle")
+            orbit_of[s] = idx
+            orbit.append(s)
+            s = leave[s ^ cross[s >> 2]]
+        orbits.append(orbit)
+    return orbits, orbit_of
 
 
 def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
-    """Deterministic complete face set of the scheme.
+    """Deterministic complete face set of the scheme, memoised on it.
 
     Faces are cycle pairs of the state map (see the module docstring).  Of
     each mirror pair we keep the cycle containing the smallest state; walks
     are listed by that smallest state, so face indices are reproducible and
     usable as witnesses.
     """
+    if E._faces is not None:
+        return E._faces
     if E.m == 0:
         raise SchemeError("face tracing needs at least one edge")
     if not E.is_connected():
         raise SchemeError("scheme is disconnected; faces would misreport genus")
-    all_states = [
-        ((e, end), side)
-        for e in range(E.m)
-        for end in (0, 1)
-        for side in (1, -1)
-    ]
-    all_states.sort(key=_state_key)
-    orbit_of = {}
-    orbits = []
-    for s0 in all_states:
-        if s0 in orbit_of:
-            continue
-        orbit = []
-        s = s0
-        while s not in orbit_of:
-            orbit_of[s] = len(orbits)
-            orbit.append(s)
-            s = E.step(s)
-        if s != s0:
-            raise RuntimeError("state map failed to close a cycle")
-        orbits.append(orbit)
+    m = E.m
+    neg = [1 if s < 0 else 0 for _, _, s in E.edges]
+    orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+    # mirror(s) = s ^ flip[e]: the end bit flips, and the side bit too
+    # unless edge e is negative
+    flip = [3 - b for b in neg]
+    darts = [(e, end) for e in range(m) for end in (0, 1)]
+    home = [x for u, v, _ in E.edges for x in (u, v)]
+    per_edge = [0] * m
     walks = []
     for idx, orbit in enumerate(orbits):
-        partner = orbit_of[E.mirror(orbit[0])]
+        s0 = orbit[0]
+        partner = orbit_of[s0 ^ flip[s0 >> 2]]
         if partner == idx:
             raise RuntimeError(
                 "self-mirrored facial cycle; scheme invariants violated"
             )
         if partner < idx:
             continue  # the partner cycle carries this face
-        mirrored = {E.mirror(s) for s in orbit}
-        if mirrored != set(orbits[partner]):
+        # mirror is injective, so equal lengths and every image landing in
+        # the partner cycle mean the two cycles mirror each other exactly
+        if len(orbits[partner]) != len(orbit):
             raise RuntimeError("mirror pairing mismatch between facial cycles")
+        for s in orbit:
+            if orbit_of[s ^ flip[s >> 2]] != partner:
+                raise RuntimeError("mirror pairing mismatch between facial cycles")
+            per_edge[s >> 2] += 1
         walks.append(
             FacialWalk(
-                steps=tuple(orbit),
-                vertices=tuple(E.dart_vertex(d) for d, _ in orbit),
+                steps=tuple([(darts[s >> 1], -1 if s & 1 else 1) for s in orbit]),
+                vertices=tuple([home[s >> 1] for s in orbit]),
             )
         )
-    total = sum(w.length for w in walks)
-    if total != 2 * E.m:
-        raise RuntimeError(f"face sides sum to {total}, expected {2 * E.m}")
-    per_edge = Counter(d[0] for w in walks for d, _ in w.steps)
-    if any(per_edge[e] != 2 for e in range(E.m)):
+    total = sum(per_edge)
+    if total != 2 * m:
+        raise RuntimeError(f"face sides sum to {total}, expected {2 * m}")
+    if any(c != 2 for c in per_edge):
         raise RuntimeError("some edge is not traversed exactly twice")
-    return FacialWalkSet(walks=tuple(walks))
+    faces = FacialWalkSet(walks=tuple(walks))
+    object.__setattr__(E, "_faces", faces)
+    return faces
 
 
 def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
@@ -347,14 +379,6 @@ def four_distinct_window(walk: Union[FacialWalk, Sequence[int]]) -> int:
     raise SchemeError("no four distinct consecutive vertices on this walk")
 
 
-def min_degree_of_scheme(E: PseudoEmbedding) -> int:
-    deg = [0] * E.n
-    for u, v, _ in E.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return min(deg)
-
-
 # Corner bookkeeping shared by the surgery operations.  The walk enters the
 # vertex at position i along in_dart (the arrival end of the previous step's
 # edge) and leaves along out_dart; side is the local orientation there.  A
@@ -417,31 +441,38 @@ def scheme_to_dict(E: PseudoEmbedding) -> dict:
     }
 
 
+def _ints(rec, k: int) -> bool:
+    """rec is a JSON list of k integers (bools and floats rejected)."""
+    return (
+        isinstance(rec, list)
+        and len(rec) == k
+        and all(isinstance(x, int) and not isinstance(x, bool) for x in rec)
+    )
+
+
 def scheme_from_dict(obj) -> PseudoEmbedding:
     if not isinstance(obj, dict):
         raise SchemeError("scheme document must be a JSON object")
     for key in ("n", "edges", "rotation"):
         if key not in obj:
             raise SchemeError(f"scheme document missing '{key}'")
-    n = obj["n"]
-    if not isinstance(n, int):
+    if not _ints([obj["n"]], 1):
         raise SchemeError("'n' must be an integer")
-    edges = []
+    for key in ("edges", "rotation"):
+        if not isinstance(obj[key], list):
+            raise SchemeError(f"'{key}' must be a list")
     for i, rec in enumerate(obj["edges"]):
-        if not (isinstance(rec, list) and len(rec) == 3):
-            raise SchemeError(f"edges[{i}]: expected [u, v, sig]")
-        edges.append(tuple(rec))
-    rotation = []
+        if not _ints(rec, 3):
+            raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")
     for v, rot in enumerate(obj["rotation"]):
         if not isinstance(rot, list):
             raise SchemeError(f"rotation[{v}]: expected a list of darts")
-        darts = []
         for i, d in enumerate(rot):
-            if not (isinstance(d, list) and len(d) == 2):
-                raise SchemeError(f"rotation[{v}][{i}]: expected [edge_id, end]")
-            darts.append(tuple(d))
-        rotation.append(darts)
-    return PseudoEmbedding(n, edges, rotation)
+            if not _ints(d, 2):
+                raise SchemeError(
+                    f"rotation[{v}][{i}]: expected [edge_id, end] integers"
+                )
+    return PseudoEmbedding(obj["n"], obj["edges"], obj["rotation"])
 
 
 def scheme_to_json(E: PseudoEmbedding) -> str:

@@ -82,9 +82,6 @@ class Graph:
         self._check_vertex(v)
         return v in self._adj[u]
 
-    def add_edges(self, new_edges: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, list(self.edges) + list(new_edges))
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -110,12 +107,6 @@ def check_bipartition(G: Graph, P: Bipartition) -> None:
 def closed_neighborhood(G: Graph, v: int) -> frozenset:
     """N[v] = N(v) together with v itself."""
     return G.neighbors(v) | {v}
-
-
-def common_neighbors(G: Graph, u: int, v: int) -> frozenset:
-    if u == v:
-        raise GraphError("common_neighbors needs two distinct vertices")
-    return G.neighbors(u) & G.neighbors(v)
 
 
 def is_clique(G: Graph, S: Iterable[int]) -> bool:

@@ -113,3 +113,51 @@ def random_scheme(rng, n: int, extra: int) -> PseudoEmbedding:
         rot.append(d)
     sigs = [rng.choice((1, -1)) for _ in edges]
     return PseudoEmbedding(n, [(u, v, s) for (u, v), s in zip(edges, sigs)], rot)
+
+
+def reference_faces(E: PseudoEmbedding) -> list:
+    """Face walks of E by the tuple-state tracer, as (steps, vertices) pairs.
+
+    An oracle for `trace_faces` that reads only `E.edges` and `E.rotation`:
+    darts are (edge, end) tuples found through a position dict, states are
+    (dart, side) tuples visited in sorted (edge, end, side +1 first) order,
+    and of each mirror pair of state cycles the one with the smaller first
+    state is kept.
+    """
+    pos = {}
+    for v, rot in enumerate(E.rotation):
+        for i, d in enumerate(rot):
+            pos[d] = (v, i)
+
+    def step(state):
+        (e, end), side = state
+        side2 = side * E.edges[e][2]
+        v, i = pos[(e, 1 - end)]
+        rot = E.rotation[v]
+        return (rot[(i + (1 if side2 > 0 else -1)) % len(rot)], side2)
+
+    def mirror(state):
+        (e, end), side = state
+        return ((e, 1 - end), -side * E.edges[e][2])
+
+    states = sorted(
+        (((e, end), side) for e in range(E.m) for end in (0, 1)
+         for side in (1, -1)),
+        key=lambda st: (st[0][0], st[0][1], 0 if st[1] > 0 else 1),
+    )
+    orbit_of, orbits = {}, []
+    for s0 in states:
+        if s0 in orbit_of:
+            continue
+        orbit, s = [], s0
+        while s not in orbit_of:
+            orbit_of[s] = len(orbits)
+            orbit.append(s)
+            s = step(s)
+        assert s == s0
+        orbits.append(orbit)
+    return [
+        (tuple(orbit), tuple(E.edges[e][end] for (e, end), _ in orbit))
+        for idx, orbit in enumerate(orbits)
+        if orbit_of[mirror(orbit[0])] > idx
+    ]

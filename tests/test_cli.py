@@ -5,6 +5,7 @@ padded text for the table formats) captured through capsys.
 """
 
 import json
+import re
 
 import pytest
 
@@ -97,6 +98,33 @@ class TestAnalyze:
         path.write_text("{\"n\": 1,")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and "position" in err
+
+    # one edge 0-1 and its two darts; each case breaks one field's type
+    @pytest.mark.parametrize("doc, message", [
+        ({"n": 2, "edges": 5, "rotation": []}, "'edges' must be a list"),
+        ({"n": 2, "edges": [[0, 1, 1]], "rotation": {}},
+         "'rotation' must be a list"),
+        ({"n": True, "edges": [], "rotation": [[]]}, "'n' must be an integer"),
+        ({"n": 2.0, "edges": [[0, 1, 1]], "rotation": [[[0, 0]], [[0, 1]]]},
+         "'n' must be an integer"),
+        ({"n": 2, "edges": [[0, 1, 1.5]], "rotation": [[[0, 0]], [[0, 1]]]},
+         "edges\\[0\\]"),
+        ({"n": 2, "edges": [[False, 1, 1]], "rotation": [[[0, 0]], [[0, 1]]]},
+         "edges\\[0\\]"),
+        ({"n": 2, "edges": [[0, 1, 1]], "rotation": [[[0, True]], [[0, 1]]]},
+         "rotation\\[0\\]\\[0\\]"),
+        ({"n": 2, "edges": [[0, 1, 1]], "rotation": [[[0.0, 0]], [[0, 1]]]},
+         "rotation\\[0\\]\\[0\\]"),
+        ({"n": 2, "edges": [[0, 1, 1]], "rotation": [[[0, 0]], 7]},
+         "rotation\\[1\\]"),
+    ])
+    def test_mistyped_scheme_is_an_input_error(self, tmp_path, capsys, doc,
+                                               message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == 2 and out == ""
+        assert re.search("^error: .*" + message, err)
 
 
 class TestPipeline:

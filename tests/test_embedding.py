@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 
 from emax import (
     PseudoEmbedding,
+    complete_graph,
+    enumerate_small_schemes,
     SchemeError,
     SurfaceInfo,
     edges_short,
     four_distinct_window,
     is_edge_maximal_embedding,
     is_triangulation,
-    min_degree_of_scheme,
     orientability,
     scheme_from_dict,
     scheme_from_json,
@@ -31,7 +32,7 @@ from emax import (
 )
 from emax.embedding import insert_dart_at_corner
 
-from conftest import random_scheme
+from conftest import random_scheme, reference_faces
 
 K4_EDGES = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
 K4_ROT = [
@@ -137,7 +138,6 @@ class TestHandTracedSchemes:
         }
         assert surface_info(E) == SurfaceInfo(euler_genus=0, orientable=True)
         assert is_triangulation(E)
-        assert min_degree_of_scheme(E) == 3
 
     def test_face_order_is_deterministic(self):
         a = trace_faces(k4_planar())
@@ -264,6 +264,19 @@ class TestSerialization:
         with pytest.raises(SchemeError, match="must be a JSON object"):
             scheme_from_dict([1, 2])
 
+    @pytest.mark.parametrize("doc", [
+        {"n": 2, "edges": 5, "rotation": []},
+        {"n": 1, "edges": [], "rotation": "x"},
+        {"n": True, "edges": [[0, 0, 1]], "rotation": [[[0, 0], [0, 1]]]},
+        {"n": 1, "edges": [[0, 0, 1.5]], "rotation": [[[0, 0], [0, 1]]]},
+        {"n": 1, "edges": [[0, 0, True]], "rotation": [[[0, 0], [0, 1]]]},
+        {"n": 1, "edges": [[0, 0, 1]], "rotation": [[[0, 0], [0, 1.0]]]},
+        {"n": 1, "edges": [[0, 0, 1]], "rotation": [[[0, 0], ["0", 1]]]},
+    ])
+    def test_types_checked_at_the_json_boundary(self, doc):
+        with pytest.raises(SchemeError):
+            scheme_from_dict(doc)
+
     def test_semantic_validation_still_applies(self):
         doc = {"n": 2, "edges": [[0, 1, 1]], "rotation": [[[0, 1]], [[0, 0]]]}
         with pytest.raises(SchemeError, match="belongs at vertex"):
@@ -286,3 +299,43 @@ def test_random_scheme_invariants(seed):
     again = scheme_from_json(scheme_to_json(E))
     assert scheme_to_dict(again) == scheme_to_dict(E)
     assert surface_info(again) == info
+
+
+@st.composite
+def signed_rotation_systems(draw):
+    """Connected signed rotation systems on up to 6 vertices: a spanning
+    tree plus arbitrary extra edges, so loops and parallel edges occur."""
+    n = draw(st.integers(1, 6))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    vertex = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(vertex, vertex), max_size=8))
+    if not pairs:
+        pairs = [(0, 0)]
+    sigs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(pairs),
+                         max_size=len(pairs)))
+    darts_at = [[] for _ in range(n)]
+    for e, (u, v) in enumerate(pairs):
+        darts_at[u].append((e, 0))
+        darts_at[v].append((e, 1))
+    rotation = [draw(st.permutations(ds)) for ds in darts_at]
+    edges = [(u, v, sig) for (u, v), sig in zip(pairs, sigs)]
+    return PseudoEmbedding(n, edges, rotation)
+
+
+def walks_of(E):
+    return [(w.steps, w.vertices) for w in trace_faces(E).walks]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(signed_rotation_systems())
+def test_trace_faces_matches_reference_tracer(E):
+    assert walks_of(E) == reference_faces(E)
+    assert trace_faces(E) is trace_faces(E)
+
+
+def test_every_k4_scheme_matches_reference_tracer():
+    count = 0
+    for E in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
+        assert walks_of(E) == reference_faces(E)
+        count += 1
+    assert count == 1024

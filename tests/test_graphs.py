@@ -9,7 +9,6 @@ from emax import (
     bipartite_genus_lower_bound,
     check_bipartition,
     closed_neighborhood,
-    common_neighbors,
     complete_bipartite,
     complete_graph,
     format_edge_list,
@@ -58,12 +57,6 @@ class TestGraphBasics:
         with pytest.raises(GraphError):
             G.neighbors(4)
 
-    def test_add_edges_returns_new_graph(self):
-        G = path(3)
-        H = G.add_edges([(0, 2)])
-        assert H.m == 3 and G.m == 2
-        assert H.has_edge(0, 2)
-
     def test_equality_and_hash(self):
         assert path(3) == Graph(3, [(1, 2), (0, 1)])
         assert path(3) != path(4)
@@ -106,12 +99,6 @@ class TestNeighborhoodHelpers:
         G = path(4)
         assert closed_neighborhood(G, 1) == frozenset({0, 1, 2})
         assert closed_neighborhood(G, 0) == frozenset({0, 1})
-
-    def test_common_neighbors(self):
-        G, _ = complete_bipartite(3, 4)
-        assert common_neighbors(G, 3, 4) == frozenset({0, 1, 2})
-        with pytest.raises(GraphError):
-            common_neighbors(G, 3, 3)
 
     def test_is_clique(self):
         G = complete_graph(5)
