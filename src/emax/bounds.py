@@ -52,6 +52,9 @@ from .intervals import (
 
 DEFAULT_PRECISION_BITS = 256
 C_SCAN_CAP_FACTOR = 14
+# optimal_schedule keeps one f' value per step: 10^6 steps take about half a
+# second at g = 13, while an unbounded s_max runs until it is killed
+SCHEDULE_STEP_CAP = 10**6
 TAIL_BITS_START = 48
 TAIL_BITS_CAP = 64
 
@@ -130,6 +133,8 @@ def optimal_schedule(
         raise BoundsError("g must be >= 1")
     if s_max < 2:
         raise BoundsError("s_max must be >= 2")
+    if s_max > SCHEDULE_STEP_CAP:
+        raise BoundsError(f"s_max {s_max} is above the cap of {SCHEDULE_STEP_CAP}")
     p, q = f_exact_s2(g) + anchor_delta, 1
     if p < 0:
         raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")

@@ -11,6 +11,11 @@ flags, unreadable or malformed files, out-of-domain parameters).  An
 `ordered-seq` search that finds nothing is an answer, not a failure: it
 prints `"found": false` and exits 0.
 
+Size caps, sized from their algorithms, refuse runaway inputs up front with
+exit 2: `enumerate` visits at most constructions.ENUMERATION_CAP schemes
+(10^7, `--cap` overrides it), and `bounds f` and `ordered-seq` take an `--s`
+of at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6, about 0.5 s).
+
 The interval precision used by the bounds subcommands can be overridden
 with the EMAX_PRECISION_BITS environment variable (default 256).
 """
@@ -40,6 +45,7 @@ from .embedding import (
     trace_faces,
 )
 from .constructions import (
+    ENUMERATION_CAP,
     complete_bipartite,
     construct_proposition2,
     enumerate_small_schemes,
@@ -74,12 +80,14 @@ def _load_scheme(path: str) -> PseudoEmbedding:
     return scheme_from_json(_read_text(path))
 
 
+def _shape(E: PseudoEmbedding) -> dict:
+    return {"n": E.n, "m": E.m, "faces": sorted(w.length for w in trace_faces(E).walks)}
+
+
 def _analysis(E: PseudoEmbedding) -> dict:
     info = surface_info(E)
     report = {
-        "n": E.n,
-        "m": E.m,
-        "faces": sorted(w.length for w in trace_faces(E).walks),
+        **_shape(E),
         "genus": info.euler_genus,
         "orientable": info.orientable,
         "simple": E.is_simple_graph(),
@@ -157,16 +165,8 @@ def cmd_pipeline(args) -> int:
     payload = {
         "mode": rep.mode,
         "input": _analysis(E),
-        "chorded": {
-            "n": rep.chorded_scheme.n,
-            "m": rep.chorded_scheme.m,
-            "faces": sorted(w.length for w in trace_faces(rep.chorded_scheme).walks),
-        },
-        "apexed": {
-            "n": rep.apexed_scheme.n,
-            "m": rep.apexed_scheme.m,
-            "faces": sorted(w.length for w in trace_faces(rep.apexed_scheme).walks),
-        },
+        "chorded": _shape(rep.chorded_scheme),
+        "apexed": _shape(rep.apexed_scheme),
         "apex_count": b,
         "apex_vertices": list(rep.apex_set),
         "edges_added_to_triangulate": rep.edges_added_to_triangulate,
@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--signature-mode", choices=("orientable-only", "all"),
                    default="orientable-only")
-    p.add_argument("--cap", type=int, default=10 ** 7)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--census", action="store_true",
                    help="group results by (genus, orientability, face vector)")
     p.set_defaults(func=cmd_enumerate)

@@ -283,27 +283,31 @@ def enumerate_small_schemes(
 
 
 # Block pasting: join a new vertex w to the three corners of a triangular
-# face, choosing w's rotation order and the three new signatures so that the
-# local face structure hits a requested target:
-#
-#   planar    adds no genus, splits the triangle into three triangles
-#   crosscap  adds one to the Euler genus, leaves faces {3, 6} at w
-#   handle    adds two, stays orientable, leaves one 9-gon at w
-#
-# Only 16 variants exist (2 orders x 8 signature masks) and each candidate
-# is fully retraced, so the search is its own proof.
+# face so that the faces at w hit a target: planar (three triangles, genus
+# unchanged), crosscap (faces {3, 6}, Euler genus +1) or handle (one 9-gon,
+# +2, orientability kept).  Switching w leaves every face unchanged, so w's
+# rotation is fixed and the faces at w depend only on the corner sides and
+# the new signatures.  With P the mask of corners on side +1, edge j is
+# negative when bit j of P ^ flip is set: flip 0 leaves three triangles, one
+# bit {3, 6}, three bits a 9-gon, and two bits a 9-gon on a nonorientable
+# surface, fit for a handle only when the input is nonorientable already.
+# The smallest admissible mask is the first hit of an exhaustive search over
+# both rotations of w and all 8 masks.  The one scheme built is audited by a
+# full trace (faces at w, genus change, orientability), so every call proves
+# the rule again.
 
 _PASTE_TARGETS = {
-    "planar": (0, (3, 3, 3)),
-    "crosscap": (1, (3, 6)),
-    "handle": (2, (9,)),
+    # target: (Euler genus change, face lengths at w, admissible flips)
+    "planar": (0, (3, 3, 3), (0,)),
+    "crosscap": (1, (3, 6), (1, 2, 4)),
+    "handle": (2, (9,), (7,)),
 }
 
 
 def paste_block(E: PseudoEmbedding, face_index: int, target: str) -> PseudoEmbedding:
     if target not in _PASTE_TARGETS:
         raise SchemeError(f"unknown paste target {target!r}")
-    dg_want, faces_want = _PASTE_TARGETS[target]
+    dg_want, faces_want, flips = _PASTE_TARGETS[target]
     faces = trace_faces(E)
     if not (0 <= face_index < faces.face_count):
         raise SchemeError(f"face index {face_index} out of range")
@@ -311,39 +315,28 @@ def paste_block(E: PseudoEmbedding, face_index: int, target: str) -> PseudoEmbed
     if walk.length != 3 or len(walk.distinct_vertices()) != 3:
         raise SchemeError("paste_block needs a triangular face on three vertices")
     info0 = surface_info(E)
+    if target == "handle" and not info0.orientable:
+        flips = (7, 6, 5, 3)
     corners = walk_corners(E, walk)
-    w = E.n
-    m0 = E.m
-    for reverse in (False, True):
-        for mask in range(8):
-            rot_lists = [list(r) for r in E.rotation] + [[]]
-            new_edges = []
-            for j, corner in enumerate(corners):
-                sig = -1 if mask >> j & 1 else 1
-                new_edges.append((corner.vertex, w, sig))
-                insert_dart_at_corner(rot_lists, corner, (m0 + j, 0))
-            w_rot = [(m0 + j, 1) for j in range(3)]
-            if reverse:
-                w_rot.reverse()
-            rot_lists[w] = w_rot
-            cand = PseudoEmbedding(
-                E.n + 1, list(E.edges) + new_edges, rot_lists
-            )
-            cfaces = trace_faces(cand)
-            got = tuple(
-                sorted(wk.length for wk in cfaces.walks if w in wk.distinct_vertices())
-            )
-            if got != faces_want:
-                continue
-            cinfo = surface_info(cand)
-            if cinfo.euler_genus - info0.euler_genus != dg_want:
-                continue
-            if target in ("planar", "handle") and cinfo.orientable != info0.orientable:
-                continue
-            return cand
-    raise RuntimeError(
-        f"no paste variant achieves target {target!r} on face {face_index}"
-    )
+    sides = sum(1 << j for j, c in enumerate(corners) if c.side > 0)
+    mask = min(sides ^ f for f in flips)
+    w, m0 = E.n, E.m
+    rot_lists = [list(r) for r in E.rotation] + [[(m0 + j, 1) for j in range(3)]]
+    new_edges = []
+    for j, corner in enumerate(corners):
+        new_edges.append((corner.vertex, w, -1 if mask >> j & 1 else 1))
+        insert_dart_at_corner(rot_lists, corner, (m0 + j, 0))
+    out = PseudoEmbedding(w + 1, list(E.edges) + new_edges, rot_lists)
+    got = tuple(sorted(wk.length for wk in trace_faces(out).walks if w in wk.vertices))
+    info = surface_info(out)
+    dg = info.euler_genus - info0.euler_genus
+    kept = info.orientable == info0.orientable or target == "crosscap"
+    if (got, dg, kept) != (faces_want, dg_want, True):
+        raise RuntimeError(
+            f"{target} paste on face {face_index} missed its target: faces "
+            f"{got} at the new vertex, genus change {dg}, orientability kept {kept}"
+        )
+    return out
 
 
 def _k3_scheme() -> PseudoEmbedding:

@@ -460,13 +460,14 @@ class SurgeryReport:
 
 def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:
     """chord_faces -> insert_apexes -> bipartite_extract, plus the
-    triangulation completion of the original scheme.
+    triangulation deficit edges_short(E) of the original scheme (the number
+    of edges complete_to_triangulation adds, read off the surface).
 
     Asserts the pipeline's accounting on the way out: apexes have degree 4
     and their closed neighborhoods induce K5 (the input being edge-maximal
-    makes the four apex neighbors pairwise adjacent), and the triangulation
-    deficit of the input is at most 5|B|-1 (nonorientable) or 4|B|-1
-    (orientable) whenever any apex was needed at all.
+    makes the four apex neighbors pairwise adjacent), and the deficit is at
+    most 5|B|-1 (nonorientable) or 4|B|-1 (orientable) whenever any apex
+    was needed at all.
     """
     if mode not in SURGERY_MODES:
         raise SchemeError(f"mode must be one of {SURGERY_MODES}")
@@ -481,8 +482,7 @@ def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:
     chorded = chord_faces(E, mode)
     apexed, apexes = insert_apexes(chorded)
     H, P = bipartite_extract(apexed, apexes)
-    completed, added = complete_to_triangulation(E)
-    del completed
+    added = edges_short(E)
     adjacency = set()
     for u, v, _ in apexed.edges:
         adjacency.add((u, v) if u < v else (v, u))

@@ -6,7 +6,17 @@ normal pytest output, one line per criterion, so the gate can be read
 off a full run at a glance.
 """
 
-from emax import Bipartition, Graph, PseudoEmbedding, closed_neighborhood
+from emax import (
+    Bipartition,
+    Graph,
+    PseudoEmbedding,
+    SchemeError,
+    closed_neighborhood,
+    surface_info,
+    trace_faces,
+    walk_corners,
+)
+from emax.embedding import insert_dart_at_corner
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -161,3 +171,63 @@ def reference_faces(E: PseudoEmbedding) -> list:
         for idx, orbit in enumerate(orbits)
         if orbit_of[mirror(orbit[0])] > idx
     ]
+
+
+_REFERENCE_PASTE_TARGETS = {
+    "planar": (0, (3, 3, 3)),
+    "crosscap": (1, (3, 6)),
+    "handle": (2, (9,)),
+}
+
+
+def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoEmbedding:
+    """Block pasting by exhaustive search, an oracle for `paste_block`.
+
+    Tries the 16 variants (w's rotation unreversed first, then reversed;
+    signature masks ascending within each), builds and fully retraces each
+    one, and returns the first whose faces at w, genus change and (for
+    planar and handle) orientability meet the target.
+    """
+    if target not in _REFERENCE_PASTE_TARGETS:
+        raise SchemeError(f"unknown paste target {target!r}")
+    dg_want, faces_want = _REFERENCE_PASTE_TARGETS[target]
+    faces = trace_faces(E)
+    if not (0 <= face_index < faces.face_count):
+        raise SchemeError(f"face index {face_index} out of range")
+    walk = faces.walks[face_index]
+    if walk.length != 3 or len(walk.distinct_vertices()) != 3:
+        raise SchemeError("paste_block needs a triangular face on three vertices")
+    info0 = surface_info(E)
+    corners = walk_corners(E, walk)
+    w = E.n
+    m0 = E.m
+    for reverse in (False, True):
+        for mask in range(8):
+            rot_lists = [list(r) for r in E.rotation] + [[]]
+            new_edges = []
+            for j, corner in enumerate(corners):
+                sig = -1 if mask >> j & 1 else 1
+                new_edges.append((corner.vertex, w, sig))
+                insert_dart_at_corner(rot_lists, corner, (m0 + j, 0))
+            w_rot = [(m0 + j, 1) for j in range(3)]
+            if reverse:
+                w_rot.reverse()
+            rot_lists[w] = w_rot
+            cand = PseudoEmbedding(
+                E.n + 1, list(E.edges) + new_edges, rot_lists
+            )
+            cfaces = trace_faces(cand)
+            got = tuple(
+                sorted(wk.length for wk in cfaces.walks if w in wk.distinct_vertices())
+            )
+            if got != faces_want:
+                continue
+            cinfo = surface_info(cand)
+            if cinfo.euler_genus - info0.euler_genus != dg_want:
+                continue
+            if target in ("planar", "handle") and cinfo.orientable != info0.orientable:
+                continue
+            return cand
+    raise RuntimeError(
+        f"no paste variant achieves target {target!r} on face {face_index}"
+    )

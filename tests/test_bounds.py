@@ -29,6 +29,7 @@ from emax import (
     recurrence_step,
     verify_theorem,
 )
+from emax.bounds import SCHEDULE_STEP_CAP
 
 # Published nonorientable table, g -> (schedule csv, impurity, offset)
 TABLE_N = {
@@ -166,6 +167,8 @@ class TestScheduleAgainstNaiveOracle:
             optimal_schedule(3, 1)
         with pytest.raises(BoundsError, match="anchor"):
             optimal_schedule(3, 4, anchor_delta=-9)
+        with pytest.raises(BoundsError, match="cap"):
+            optimal_schedule(13, SCHEDULE_STEP_CAP + 1)
 
 
 class TestFlooring:

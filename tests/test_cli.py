@@ -6,10 +6,12 @@ padded text for the table formats) captured through capsys.
 
 import json
 import re
+import time
 
 import pytest
 
 from emax import cli, scheme_from_json
+from emax.constructions import ENUMERATION_CAP
 from emax.embedding import scheme_to_json
 from test_bounds import TABLE_N, TABLE_S
 
@@ -226,6 +228,10 @@ class TestEnumerate:
                            self.write_k4(tmp_path, capsys), "--cap", "10")
         assert code == 2 and "cap" in err
 
+    def test_default_cap_is_the_library_cap(self):
+        args = cli.build_parser().parse_args(["enumerate", "k4.txt"])
+        assert args.cap == ENUMERATION_CAP
+
 
 class TestBoundsTable:
     def test_nonorientable_csv_matches_published_rows(self, capsys):
@@ -311,6 +317,13 @@ class TestBoundsF:
     def test_s_validation(self, capsys):
         code, _, err = run(capsys, "bounds", "f", "--g", "3", "--s", "1")
         assert code == 2
+
+    def test_s_above_the_step_cap_exits_two_at_once(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "f", "--g", "13",
+                             "--s", "100000000000")
+        assert code == 2 and out == "" and "cap" in err
+        assert time.perf_counter() - t0 < 5.0
 
 
 class TestBoundsVerify:

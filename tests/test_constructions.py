@@ -5,11 +5,16 @@ K8-C5 scheme) are data; every property claimed for them is re-proved
 here from the data alone.
 """
 
+import itertools
+import random
+
 import pytest
 
+import emax.constructions
 from emax import (
     Graph,
     GraphError,
+    PseudoEmbedding,
     SchemeError,
     check_bipartition,
     complete_bipartite,
@@ -30,8 +35,41 @@ from emax import (
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
+    walk_corners,
 )
 from emax.constructions import _k3_scheme
+
+from conftest import reference_paste
+
+PASTE_TARGETS = ("planar", "crosscap", "handle")
+
+
+def switched(E, vs):
+    """E with every vertex in vs switched: rotation reversed and the
+    signatures of edges with one end in vs negated.  Faces are unchanged."""
+    vs = set(vs)
+    edges = [(u, v, -s if (u in vs) != (v in vs) else s) for u, v, s in E.edges]
+    rotation = [r[::-1] if v in vs else r for v, r in enumerate(E.rotation)]
+    return PseudoEmbedding(E.n, edges, rotation)
+
+
+def pasteable_faces(E):
+    return [
+        i for i, wk in enumerate(trace_faces(E).walks)
+        if wk.length == 3 and len(wk.distinct_vertices()) == 3
+    ]
+
+
+def side_pattern(E, face_index):
+    corners = walk_corners(E, trace_faces(E).walks[face_index])
+    return sum(1 << j for j, c in enumerate(corners) if c.side > 0)
+
+
+def assert_paste_matches_reference(E, face_index, target):
+    got = paste_block(E, face_index, target)
+    want = reference_paste(E, face_index, target)
+    assert (got.edges, got.rotation) == (want.edges, want.rotation)
+    return got
 
 
 class TestBasicGraphFactories:
@@ -279,6 +317,71 @@ class TestPasteBlock:
             paste_block(E, 0, "klein")
         with pytest.raises(SchemeError, match="out of range"):
             paste_block(E, 5, "planar")
+
+
+class TestPasteRuleAgainstSearch:
+    """paste_block decides its variant by the corner-side rule; the
+    exhaustive 16-candidate search reference_paste must pick the same one."""
+
+    def test_every_target_side_pattern_and_orientability(self):
+        k3 = _k3_scheme()
+        bases = [k3, paste_block(k3, 0, "planar"), paste_block(k3, 0, "crosscap")]
+        seen = set()
+        for base in bases:
+            for r in range(base.n + 1):
+                for vs in itertools.combinations(range(base.n), r):
+                    E = switched(base, vs)
+                    orientable = surface_info(E).orientable
+                    for i in pasteable_faces(E):
+                        for target in PASTE_TARGETS:
+                            assert_paste_matches_reference(E, i, target)
+                            seen.add((target, side_pattern(E, i), orientable))
+        assert len(seen) == 3 * 8 * 2
+
+    def test_random_paste_sequences(self):
+        sequences = 0
+        for seed in range(1000):
+            rng = random.Random(seed)
+            E = _k3_scheme()
+            for _ in range(rng.randint(1, 5)):
+                E = switched(E, [v for v in range(E.n) if rng.random() < 0.5])
+                faces = pasteable_faces(E)
+                if not faces:
+                    break
+                E = assert_paste_matches_reference(
+                    E, rng.choice(faces), rng.choice(PASTE_TARGETS)
+                )
+            sequences += 1
+        assert sequences == 1000
+
+    @pytest.mark.parametrize("orientable", [False, True])
+    def test_proposition2_outputs_match_the_search(self, orientable, monkeypatch):
+        gs = range(2 if orientable else 1, 41, 2 if orientable else 1)
+        built = {g: construct_proposition2(g, orientable) for g in gs}
+        monkeypatch.setattr(emax.constructions, "paste_block", reference_paste)
+        for g, E in built.items():
+            R = construct_proposition2(g, orientable)
+            assert (E.edges, E.rotation) == (R.edges, R.rotation), g
+
+    def test_one_paste_builds_one_scheme(self, monkeypatch):
+        k4 = paste_block(_k3_scheme(), 0, "planar")
+        inputs = [switched(k4, vs) for vs in itertools.combinations(range(4), 2)]
+        builds = []
+        init = PseudoEmbedding.__init__
+
+        def counting_init(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
+        calls = 0
+        for E in inputs:
+            for i in pasteable_faces(E):
+                for target in PASTE_TARGETS:
+                    paste_block(E, i, target)
+                    calls += 1
+                    assert len(builds) == calls
+        assert calls == 6 * 4 * 3
 
 
 class TestProposition2Construction:

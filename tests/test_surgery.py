@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import emax.surgery
 from emax import (
     Bipartition,
     Graph,
@@ -243,6 +244,19 @@ class TestCompleteToTriangulation:
         assert surface_info(T) == surface_info(E)
         assert T.m == 3 * (T.n + 5 - 2)
 
+    def test_completion_adds_exactly_edges_short(self):
+        # run_lemma5_pipeline reports edges_short(E) in place of running
+        # this completion, which rests on this identity
+        schemes = [toroidal_embedding_k8_minus_c5()] + [
+            construct_proposition2(g, orientable=o)
+            for g in (1, 2, 3, 4)
+            for o in (False, True)
+            if not o or g % 2 == 0
+        ]
+        assert len(schemes) == 7
+        for E in schemes:
+            assert complete_to_triangulation(E)[1] == edges_short(E)
+
     def test_triangulation_needs_nothing(self):
         tri = next(
             s for s in enumerate_small_schemes(complete_graph(4))
@@ -458,6 +472,15 @@ class TestPipeline:
         b = len(rep.apex_set)
         assert b >= 1
         assert rep.edges_added_to_triangulate == 3 * g <= 4 * b - 1
+
+    def test_does_not_build_the_completion(self, monkeypatch):
+        def refuse(E):
+            raise AssertionError("the pipeline ran complete_to_triangulation")
+
+        monkeypatch.setattr(emax.surgery, "complete_to_triangulation", refuse)
+        E = construct_proposition2(4, orientable=True)
+        rep = run_lemma5_pipeline(E, "orientable")
+        assert rep.edges_added_to_triangulate == edges_short(E) == 12
 
     def test_triangulation_passes_through(self):
         tri = next(
