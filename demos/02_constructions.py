@@ -10,9 +10,9 @@ from emax import (
     complete_graph,
     construct_proposition2,
     edges_short,
-    enumerate_small_schemes,
     graph_q_scheme,
     is_edge_maximal_embedding,
+    scheme_census,
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
@@ -48,15 +48,10 @@ for g, orientable in [(1, False), (3, False), (5, False), (2, True),
     print(f"genus {g} ({kind}): n={E.n} m={E.m} "
           f"edges_short={edges_short(E)} (= 3g = {3 * g})")
 
-# Exhaustive enumeration at desk scale: all 1024 signed schemes of K4,
-# grouped by surface.
+# Exhaustive census at desk scale: all 1024 signed schemes of K4, grouped
+# by surface, traced once per switching class.
 print("\nall signed schemes of K4:")
-census = {}
-for E in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
-    info = surface_info(E)
-    lengths = tuple(sorted(w.length for w in trace_faces(E).walks))
-    key = (info.euler_genus, info.orientable, lengths)
-    census[key] = census.get(key, 0) + 1
+census = scheme_census(complete_graph(4), signature_mode="all")
 for (g, orientable, lengths), count in sorted(
     census.items(), key=lambda kv: (kv[0][0], not kv[0][1], kv[0][2])
 ):

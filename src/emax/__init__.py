@@ -55,6 +55,7 @@ from .constructions import (
     lower_bound_family,
     paste_block,
     regenerate_k8_c5_fixture,
+    scheme_census,
     toroidal_embedding_k8_minus_c5,
 )
 from .surgery import (

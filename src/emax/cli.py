@@ -12,9 +12,20 @@ flags, unreadable or malformed files, out-of-domain parameters).  An
 prints `"found": false` and exits 0.
 
 Size caps, sized from their algorithms, refuse runaway inputs up front with
-exit 2: `enumerate` visits at most constructions.ENUMERATION_CAP schemes
-(10^7, `--cap` overrides it), and `bounds f` and `ordered-seq` take an `--s`
-of at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6, about 0.5 s).
+exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
+(10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
+at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6, about 0.5 s), and
+an edge-list file declares at most graphs.EDGE_LIST_VERTEX_CAP vertices
+(10^5, about 45 MB of adjacency sets).
+
+`enumerate` prints the number of schemes with each vertex's first dart
+fixed, from the product formula alone.  With `--census` it groups them by
+(genus, orientability, face vector) without building each signed scheme:
+switching a vertex (reverse its rotation, negate its signatures) changes
+no face, so one signature per switching class, positive on a spanning
+tree, is traced on each rotation system and stands for 2^(n-1) schemes.
+`--cap` counts the schemes covered, not the traces, so a refusal does not
+depend on `--census`.
 
 The interval precision used by the bounds subcommands can be overridden
 with the EMAX_PRECISION_BITS environment variable (default 256).
@@ -46,14 +57,15 @@ from .embedding import (
 )
 from .constructions import (
     ENUMERATION_CAP,
+    _enumeration_total,
     complete_bipartite,
     construct_proposition2,
-    enumerate_small_schemes,
     graph_q,
     graph_q_scheme,
     k8_minus_c5,
     lower_bound_family,
     regenerate_k8_c5_fixture,
+    scheme_census,
     toroidal_embedding_k8_minus_c5,
 )
 from .surgery import run_lemma5_pipeline, complete_to_triangulation, find_ordered_sequence
@@ -218,20 +230,14 @@ def cmd_ordered_seq(args) -> int:
 
 def cmd_enumerate(args) -> int:
     G, _ = parse_edge_list(_read_text(args.graph))
-    classes = {}
-    total = 0
-    for E in enumerate_small_schemes(
-        G, signature_mode=args.signature_mode, cap=args.cap
-    ):
-        total += 1
-        if args.census:
-            info = surface_info(E)
-            lens = tuple(sorted(w.length for w in trace_faces(E).walks))
-            key = (info.euler_genus, info.orientable, lens)
-            classes[key] = classes.get(key, 0) + 1
-    payload = {"total": total}
-    if args.census:
-        payload["classes"] = [
+    if not args.census:
+        total = _enumeration_total(G, args.signature_mode, args.cap)
+        sys.stdout.write(_dump({"total": total}))
+        return 0
+    classes = scheme_census(G, args.signature_mode, args.cap)
+    payload = {
+        "total": sum(classes.values()),
+        "classes": [
             {
                 "genus": g,
                 "orientable": o,
@@ -241,7 +247,8 @@ def cmd_enumerate(args) -> int:
             for g, o, lens in sorted(
                 classes, key=lambda k: (k[0], not k[1], k[2])
             )
-        ]
+        ],
+    }
     sys.stdout.write(_dump(payload))
     return 0
 

@@ -18,12 +18,13 @@ from itertools import combinations, permutations
 from math import factorial
 from typing import Optional
 
-from .graphs import Bipartition, Graph, GraphError
+from .graphs import Bipartition, Graph, GraphError, is_connected
 from .embedding import (
     PseudoEmbedding,
     SchemeError,
     SurfaceInfo,
-    _link,
+    _audited_genus,
+    _paired_faces,
     _state_orbits,
     surface_info,
     trace_faces,
@@ -84,6 +85,38 @@ def toroidal_embedding_k8_minus_c5() -> PseudoEmbedding:
     return PseudoEmbedding(8, edges, _K8_C5_ROTATION)
 
 
+def _relink_states(rot: list, nxt: list) -> None:
+    """Write one vertex's cyclic dart order into the all-positive state map.
+
+    State 2d + sidebit crosses to dart d ^ 1 and leaves by that dart's
+    rotation successor (sidebit 0) or predecessor (sidebit 1), so a vertex's
+    rotation fixes nxt at exactly the states whose opposite dart is there.
+    """
+    prev = rot[-1]
+    for x in rot:
+        nxt[2 * (prev ^ 1)] = 2 * x
+        nxt[2 * (x ^ 1) + 1] = 2 * prev + 1
+        prev = x
+
+
+def _count_cycles(nxt: list) -> int:
+    """Number of cycles of the state map nxt, which must be a permutation."""
+    seen = bytearray(len(nxt))
+    count = 0
+    for s0 in range(len(nxt)):
+        if seen[s0]:
+            continue
+        count += 1
+        seen[s0] = 1
+        s = nxt[s0]
+        while s != s0:
+            if seen[s]:
+                raise RuntimeError("state map failed to close a cycle")
+            seen[s] = 1
+            s = nxt[s]
+    return count
+
+
 def regenerate_k8_c5_fixture(
     seed: int, restarts: int = 40, iters: int = 30000
 ) -> Optional[PseudoEmbedding]:
@@ -94,28 +127,25 @@ def regenerate_k8_c5_fixture(
     face count, so f = 15 means Euler genus 2.  Returns None if every
     restart stalls.
 
-    The climb runs on integer darts 2e + end held in successor and
-    predecessor arrays, as a scheme keeps them: a move swaps two darts in
-    place, counts faces as half the state-map cycles, and swaps back when
-    rejected.  Only the result is built as a scheme, and it is audited by
-    a full trace.
+    The climb runs on integer darts 2e + end and keeps the composed state
+    map of the all-positive scheme in one array: a move swaps two darts in
+    place, rewrites the map at the swapped vertex only, counts faces as
+    half the map's cycles, and swaps back when rejected.  Only the result
+    is built as a scheme, and it is audited by a full trace.
     """
     pairs = _k8_c5_pairs()
-    m = len(pairs)
     darts_at = [[] for _ in range(8)]
     for e, (u, v) in enumerate(pairs):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
-    neg = [0] * m
-    succ = [0] * (2 * m)
-    pred = [0] * (2 * m)
+    nxt = [0] * (4 * len(pairs))
     rng = random.Random(seed)
     for _ in range(max(1, restarts)):
         rot = [list(ds) for ds in darts_at]
         for r in rot:
             rng.shuffle(r)
-            _link(r, succ, pred)
-        best = len(_state_orbits(succ, pred, neg)[0]) // 2
+            _relink_states(r, nxt)
+        best = _count_cycles(nxt) // 2
         for _ in range(iters):
             if best == 15:
                 break
@@ -124,13 +154,13 @@ def regenerate_k8_c5_fixture(
             if i == j:
                 continue
             r[i], r[j] = r[j], r[i]
-            _link(r, succ, pred)
-            f = len(_state_orbits(succ, pred, neg)[0]) // 2
+            _relink_states(r, nxt)
+            f = _count_cycles(nxt) // 2
             if f >= best:
                 best = f
             else:
                 r[i], r[j] = r[j], r[i]
-                _link(r, succ, pred)
+                _relink_states(r, nxt)
         if best == 15:
             E = PseudoEmbedding(
                 8,
@@ -220,6 +250,29 @@ def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
     )
 
 
+def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
+    """How many schemes an enumeration of G covers: prod_v (deg(v)-1)!
+    rotation systems, times 2^m signature vectors in mode "all".  Checks
+    the mode and that G is connected with an edge, and refuses a total
+    above cap."""
+    if signature_mode not in ("orientable-only", "all"):
+        raise GraphError("signature_mode must be 'orientable-only' or 'all'")
+    if G.m == 0:
+        raise GraphError("scheme enumeration needs at least one edge")
+    if not is_connected(G):
+        raise GraphError("scheme enumeration needs a connected graph")
+    total = 1
+    for v in range(G.n):
+        total *= factorial(max(0, G.degree(v) - 1))
+    if signature_mode == "all":
+        total *= 2 ** G.m
+    if total > cap:
+        raise GraphError(
+            f"enumeration would visit {total} schemes, above the cap of {cap}"
+        )
+    return total
+
+
 def enumerate_small_schemes(
     G: Graph, signature_mode: str = "orientable-only", cap: int = ENUMERATION_CAP
 ):
@@ -229,30 +282,16 @@ def enumerate_small_schemes(
     (cyclic orders are what matter) while cutting the count to
     prod_v (deg(v)-1)!.  Mode "all" additionally runs through every
     signature vector, all-positive first.  Refuses to start if the total
-    exceeds cap.
+    exceeds cap.  scheme_census stands for the same schemes with one
+    signature per switching class (switching changes no face) and counts
+    the schemes it stands for against cap, so both refuse the same graphs.
     """
-    if signature_mode not in ("orientable-only", "all"):
-        raise GraphError("signature_mode must be 'orientable-only' or 'all'")
-    if G.m == 0:
-        raise GraphError("scheme enumeration needs at least one edge")
-    from .graphs import is_connected
-
-    if not is_connected(G):
-        raise GraphError("scheme enumeration needs a connected graph")
+    _enumeration_total(G, signature_mode, cap)
     pairs = sorted(G.edges)
     darts_at = [[] for _ in range(G.n)]
     for e, (u, v) in enumerate(pairs):
         darts_at[u].append((e, 0))
         darts_at[v].append((e, 1))
-    total = 1
-    for ds in darts_at:
-        total *= factorial(max(0, len(ds) - 1))
-    if signature_mode == "all":
-        total *= 2 ** G.m
-    if total > cap:
-        raise GraphError(
-            f"enumeration would visit {total} schemes, above the cap of {cap}"
-        )
     masks = range(2 ** G.m if signature_mode == "all" else 1)
 
     def rotations(v):
@@ -280,6 +319,72 @@ def enumerate_small_schemes(
                 for e, (u, v) in enumerate(pairs)
             ]
             yield PseudoEmbedding(G.n, edges, rotation)
+
+
+def _tree_positive_masks(G: Graph) -> list:
+    """The signature vectors of connected G that are positive on its
+    breadth-first spanning tree from vertex 0, as neg lists (neg[e] = 1
+    for signature -1, edges in sorted order): 2^(m-n+1) of them, one per
+    switching class."""
+    pairs = sorted(G.edges)
+    seen = {0}
+    queue = [0]
+    tree = set()
+    for x in queue:
+        for y in sorted(G.neighbors(x)):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+                tree.add((min(x, y), max(x, y)))
+    free = [e for e, p in enumerate(pairs) if p not in tree]
+    masks = []
+    for bits in range(2 ** len(free)):
+        neg = [0] * len(pairs)
+        for j, e in enumerate(free):
+            neg[e] = bits >> j & 1
+        masks.append(neg)
+    return masks
+
+
+def scheme_census(
+    G: Graph, signature_mode: str = "orientable-only", cap: int = ENUMERATION_CAP
+) -> dict:
+    """{(Euler genus, orientable, sorted face lengths): count} over the
+    schemes enumerate_small_schemes(G, signature_mode) visits.
+
+    Switching a vertex reverses its rotation and negates its signatures,
+    and leaves every facial walk, the genus and the orientability as they
+    were (Mohar & Thomassen, Graphs on Surfaces, 2001, ch. 3).  A reversed
+    rotation with its first dart fixed is again an enumerated one, so
+    switching a set of vertices other than 0 maps 2^(n-1) enumerated
+    schemes onto each pair (rotation system, signature positive on a fixed
+    spanning tree).  The census traces those pairs on each rotation
+    system's dart arrays, weighted 2^(n-1) in mode "all"; in mode
+    "orientable-only" the one pair per rotation system is the all-positive
+    scheme itself.  A tree-positive signature is orientable exactly when
+    it is all positive.  Each trace gets the face-pairing audit of
+    trace_faces and the genus audits of surface_info, and the counts must
+    sum to the enumeration total, which is also what cap limits.
+    """
+    total = _enumeration_total(G, signature_mode, cap)
+    if signature_mode == "all":
+        masks, weight = _tree_positive_masks(G), 2 ** (G.n - 1)
+    else:
+        masks, weight = [[0] * G.m], 1
+    classes = {}
+    for E in enumerate_small_schemes(G, cap=cap):
+        for neg in masks:
+            orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+            faces = _paired_faces(orbits, orbit_of, neg)
+            orientable = not any(neg)
+            g = _audited_genus(G.n, G.m, len(faces), orientable)
+            key = (g, orientable, tuple(sorted(len(f) for f in faces)))
+            classes[key] = classes.get(key, 0) + weight
+    if sum(classes.values()) != total:
+        raise RuntimeError(
+            f"census counts {sum(classes.values())} schemes, expected {total}"
+        )
+    return classes
 
 
 # Block pasting: join a new vertex w to the three corners of a triangular

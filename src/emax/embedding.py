@@ -238,30 +238,21 @@ def _state_orbits(succ: list, pred: list, neg: list) -> tuple:
     return orbits, orbit_of
 
 
-def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
-    """Deterministic complete face set of the scheme, memoised on it.
+def _paired_faces(orbits: list, orbit_of: list, neg: list) -> list:
+    """The state cycles that carry the faces, after auditing the pairing.
 
-    Faces are cycle pairs of the state map (see the module docstring).  Of
-    each mirror pair we keep the cycle containing the smallest state; walks
-    are listed by that smallest state, so face indices are reproducible and
-    usable as witnesses.
+    Of each mirror pair of cycles from `_state_orbits` the one listed first
+    is kept, so faces come in the order of their smallest state.  Raises
+    RuntimeError on a self-mirrored cycle, a cycle whose mirror images do
+    not fill its partner, sides that do not sum to 2m, or an edge not
+    traversed exactly twice.
     """
-    if E._faces is not None:
-        return E._faces
-    if E.m == 0:
-        raise SchemeError("face tracing needs at least one edge")
-    if not E.is_connected():
-        raise SchemeError("scheme is disconnected; faces would misreport genus")
-    m = E.m
-    neg = [1 if s < 0 else 0 for _, _, s in E.edges]
-    orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+    m = len(neg)
     # mirror(s) = s ^ flip[e]: the end bit flips, and the side bit too
     # unless edge e is negative
     flip = [3 - b for b in neg]
-    darts = [(e, end) for e in range(m) for end in (0, 1)]
-    home = [x for u, v, _ in E.edges for x in (u, v)]
     per_edge = [0] * m
-    walks = []
+    faces = []
     for idx, orbit in enumerate(orbits):
         s0 = orbit[0]
         partner = orbit_of[s0 ^ flip[s0 >> 2]]
@@ -279,17 +270,41 @@ def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
             if orbit_of[s ^ flip[s >> 2]] != partner:
                 raise RuntimeError("mirror pairing mismatch between facial cycles")
             per_edge[s >> 2] += 1
-        walks.append(
-            FacialWalk(
-                steps=tuple([(darts[s >> 1], -1 if s & 1 else 1) for s in orbit]),
-                vertices=tuple([home[s >> 1] for s in orbit]),
-            )
-        )
+        faces.append(orbit)
     total = sum(per_edge)
     if total != 2 * m:
         raise RuntimeError(f"face sides sum to {total}, expected {2 * m}")
     if any(c != 2 for c in per_edge):
         raise RuntimeError("some edge is not traversed exactly twice")
+    return faces
+
+
+def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
+    """Deterministic complete face set of the scheme, memoised on it.
+
+    Faces are cycle pairs of the state map (see the module docstring).  Of
+    each mirror pair we keep the cycle containing the smallest state; walks
+    are listed by that smallest state, so face indices are reproducible and
+    usable as witnesses.
+    """
+    if E._faces is not None:
+        return E._faces
+    if E.m == 0:
+        raise SchemeError("face tracing needs at least one edge")
+    if not E.is_connected():
+        raise SchemeError("scheme is disconnected; faces would misreport genus")
+    m = E.m
+    neg = [1 if s < 0 else 0 for _, _, s in E.edges]
+    darts = [(e, end) for e in range(m) for end in (0, 1)]
+    home = [x for u, v, _ in E.edges for x in (u, v)]
+    orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+    walks = [
+        FacialWalk(
+            steps=tuple([(darts[s >> 1], -1 if s & 1 else 1) for s in orbit]),
+            vertices=tuple([home[s >> 1] for s in orbit]),
+        )
+        for orbit in _paired_faces(orbits, orbit_of, neg)
+    ]
     faces = FacialWalkSet(walks=tuple(walks))
     object.__setattr__(E, "_faces", faces)
     return faces
@@ -324,14 +339,21 @@ def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
     return (True, None)
 
 
-def surface_info(E: PseudoEmbedding) -> SurfaceInfo:
-    faces = trace_faces(E)
-    g = 2 - E.n + E.m - faces.face_count
+def _audited_genus(n: int, m: int, face_count: int, orientable: bool) -> int:
+    """Euler genus 2 - n + m - f, raising if it is negative, or odd on an
+    orientable surface: either means the tracing is broken."""
+    g = 2 - n + m - face_count
     if g < 0:
         raise RuntimeError(f"negative Euler genus {g}; tracing is broken")
-    orient, _ = orientability(E)
-    if orient and g % 2 != 0:
+    if orientable and g % 2 != 0:
         raise RuntimeError(f"orientable scheme with odd Euler genus {g}")
+    return g
+
+
+def surface_info(E: PseudoEmbedding) -> SurfaceInfo:
+    faces = trace_faces(E)
+    orient, _ = orientability(E)
+    g = _audited_genus(E.n, E.m, faces.face_count, orient)
     return SurfaceInfo(euler_genus=g, orientable=orient)
 
 

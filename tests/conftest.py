@@ -12,6 +12,7 @@ from emax import (
     PseudoEmbedding,
     SchemeError,
     closed_neighborhood,
+    enumerate_small_schemes,
     surface_info,
     trace_faces,
     walk_corners,
@@ -231,3 +232,19 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
     raise RuntimeError(
         f"no paste variant achieves target {target!r} on face {face_index}"
     )
+
+
+def reference_census(G: Graph, mode: str) -> dict:
+    """Census by building every scheme, an oracle for `scheme_census`.
+
+    Builds each scheme `enumerate_small_schemes(G, mode)` visits, traces
+    it in full, runs the orientability test, and counts it under
+    (Euler genus, orientable, sorted face lengths).
+    """
+    classes = {}
+    for E in enumerate_small_schemes(G, signature_mode=mode):
+        info = surface_info(E)
+        lens = tuple(sorted(w.length for w in trace_faces(E).walks))
+        key = (info.euler_genus, info.orientable, lens)
+        classes[key] = classes.get(key, 0) + 1
+    return classes

@@ -10,9 +10,18 @@ import time
 
 import pytest
 
-from emax import cli, scheme_from_json
+from emax import (
+    cli,
+    complete_bipartite,
+    complete_graph,
+    enumerate_small_schemes,
+    format_edge_list,
+    scheme_from_json,
+)
 from emax.constructions import ENUMERATION_CAP
 from emax.embedding import scheme_to_json
+from emax.graphs import EDGE_LIST_VERTEX_CAP
+from conftest import reference_census
 from test_bounds import TABLE_N, TABLE_S
 
 
@@ -231,6 +240,61 @@ class TestEnumerate:
     def test_default_cap_is_the_library_cap(self):
         args = cli.build_parser().parse_args(["enumerate", "k4.txt"])
         assert args.cap == ENUMERATION_CAP
+
+    GRAPHS = {
+        "K4": complete_graph(4),
+        "K23": complete_bipartite(2, 3)[0],
+        "K33": complete_bipartite(3, 3)[0],
+    }
+
+    @pytest.mark.parametrize("name, mode", [
+        ("K4", "orientable-only"), ("K4", "all"),
+        ("K23", "orientable-only"), ("K23", "all"),
+        ("K33", "orientable-only"),
+    ])
+    def test_total_and_census_match_the_enumeration(self, tmp_path, capsys,
+                                                    name, mode):
+        G = self.GRAPHS[name]
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(G))
+        rep = run_json(capsys, "enumerate", str(path), "--signature-mode", mode)
+        assert rep == {"total": sum(1 for _ in enumerate_small_schemes(G, mode))}
+        rep = run_json(capsys, "enumerate", str(path), "--signature-mode", mode,
+                       "--census")
+        classes = {(c["genus"], c["orientable"], tuple(c["faces"])): c["count"]
+                   for c in rep["classes"]}
+        assert classes == reference_census(G, mode)
+        assert rep["total"] == sum(classes.values())
+
+    @pytest.mark.parametrize("extra, total", [
+        ((), 16), (("--census",), 16),
+        (("--signature-mode", "all"), 1024),
+        (("--signature-mode", "all", "--census"), 1024),
+    ])
+    def test_cap_refusal_counts_represented_schemes(self, tmp_path, capsys,
+                                                    extra, total):
+        code, out, err = run(capsys, "enumerate", self.write_k4(tmp_path, capsys),
+                             "--cap", "10", *extra)
+        assert (code, out) == (2, "")
+        assert err == (f"error: enumeration would visit {total} schemes, "
+                       "above the cap of 10\n")
+
+    def test_duplicate_edge_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.txt"
+        path.write_text("3 3\n0 1\n1 0\n1 2\n")
+        code, out, err = run(capsys, "enumerate", str(path), "--census")
+        assert (code, out) == (2, "")
+        assert err == "error: line 3: duplicate edge 1 0\n"
+
+    def test_huge_vertex_count_is_refused_up_front(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("10000000000000 1\n0 1\n")
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "enumerate", str(path))
+        assert time.perf_counter() - t0 < 5.0
+        assert (code, out) == (2, "")
+        assert err == ("error: line 1: 10000000000000 vertices, above the cap "
+                       f"of {EDGE_LIST_VERTEX_CAP}\n")
 
 
 class TestBoundsTable:

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import emax.constructions
 from emax import (
@@ -30,16 +32,26 @@ from emax import (
     is_triangulation,
     k8_minus_c5,
     lower_bound_family,
+    orientability,
     paste_block,
     regenerate_k8_c5_fixture,
+    scheme_census,
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
     walk_corners,
 )
-from emax.constructions import _k3_scheme
+from emax.constructions import (
+    _count_cycles,
+    _enumeration_total,
+    _k3_scheme,
+    _k8_c5_pairs,
+    _relink_states,
+    _tree_positive_masks,
+)
+from emax.embedding import _link, _state_orbits
 
-from conftest import reference_paste
+from conftest import reference_census, reference_paste
 
 PASTE_TARGETS = ("planar", "crosscap", "handle")
 
@@ -265,6 +277,116 @@ class TestEnumeration:
             next(enumerate_small_schemes(Graph(4, [(0, 1), (2, 3)])))
         with pytest.raises(GraphError, match="signature_mode"):
             next(enumerate_small_schemes(complete_graph(3), "sometimes"))
+
+
+CENSUS_GRAPHS = {
+    "K4": complete_graph(4),
+    "K5": complete_graph(5),
+    "K33": complete_bipartite(3, 3)[0],
+    "K23": complete_bipartite(2, 3)[0],
+}
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """Connected simple graphs on 3..6 vertices with a cycle: a random
+    spanning tree plus one to four other edges."""
+    n = draw(st.integers(3, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [p for p in itertools.combinations(range(n), 2) if p not in tree]
+    extra = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4,
+                          unique=True))
+    return Graph(n, tree + extra)
+
+
+class TestSchemeCensus:
+    # K5 in mode "all" is 7,962,624 schemes, out of the oracle's reach in
+    # a test run; every other mode of the four graphs is compared.
+    @pytest.mark.parametrize("name, mode", [
+        ("K4", "orientable-only"), ("K4", "all"),
+        ("K5", "orientable-only"),
+        ("K33", "orientable-only"), ("K33", "all"),
+        ("K23", "orientable-only"), ("K23", "all"),
+    ])
+    def test_matches_per_scheme_census(self, name, mode):
+        G = CENSUS_GRAPHS[name]
+        assert scheme_census(G, mode) == reference_census(G, mode)
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))
+    def test_matches_per_scheme_census_on_random_graphs(self, G, mode):
+        assume(_enumeration_total(G, mode, 10**18) <= 4000)
+        assert scheme_census(G, mode) == reference_census(G, mode)
+
+    def test_one_tree_positive_mask_per_switching_class(self):
+        G = complete_graph(4)
+        pairs = sorted(G.edges)
+        masks = {sum(b << e for e, b in enumerate(neg))
+                 for neg in _tree_positive_masks(G)}
+        assert len(masks) == 2 ** (G.m - G.n + 1)
+        cuts = [
+            sum(1 << e for e, (u, v) in enumerate(pairs)
+                if (u in S) != (v in S))
+            for k in range(G.n)
+            for S in map(set, itertools.combinations(range(1, G.n), k))
+        ]
+        for mask in range(2 ** G.m):
+            assert sum(mask ^ cut in masks for cut in cuts) == 1
+
+    def test_tree_positive_mask_orientable_iff_all_positive(self):
+        G = complete_graph(4)
+        masks = _tree_positive_masks(G)
+        for E in enumerate_small_schemes(G):
+            for neg in masks:
+                edges = [(u, v, -1 if b else 1)
+                         for (u, v, _), b in zip(E.edges, neg)]
+                S = PseudoEmbedding(E.n, edges, E.rotation)
+                assert orientability(S)[0] == (not any(neg))
+
+    def test_input_validation(self):
+        with pytest.raises(GraphError):
+            scheme_census(Graph(1, []))
+        with pytest.raises(GraphError, match="connected"):
+            scheme_census(Graph(4, [(0, 1), (2, 3)]))
+        with pytest.raises(GraphError, match="signature_mode"):
+            scheme_census(complete_graph(3), "sometimes")
+
+    def test_cap_counts_represented_schemes(self):
+        G = complete_graph(4)
+        for mode, total in (("orientable-only", 16), ("all", 1024)):
+            want = (f"enumeration would visit {total} schemes, above the cap "
+                    f"of {total - 1}")
+            with pytest.raises(GraphError) as exc:
+                scheme_census(G, mode, cap=total - 1)
+            assert str(exc.value) == want
+            with pytest.raises(GraphError) as exc:
+                next(enumerate_small_schemes(G, mode, cap=total - 1))
+            assert str(exc.value) == want
+            assert sum(scheme_census(G, mode, cap=total).values()) == total
+
+
+class TestFixtureClimbCounting:
+    def test_cycle_count_matches_state_orbits(self):
+        pairs = _k8_c5_pairs()
+        m = len(pairs)
+        rng = random.Random(5)
+        for _ in range(50):
+            rot = [[] for _ in range(8)]
+            for e, (u, v) in enumerate(pairs):
+                rot[u].append(2 * e)
+                rot[v].append(2 * e + 1)
+            nxt = [0] * (4 * m)
+            succ, pred = [0] * (2 * m), [0] * (2 * m)
+            for r in rot:
+                rng.shuffle(r)
+                _relink_states(r, nxt)
+                _link(r, succ, pred)
+            orbits, _ = _state_orbits(succ, pred, [0] * m)
+            assert _count_cycles(nxt) == len(orbits)
+
+    def test_unclosed_cycle_raises(self):
+        with pytest.raises(RuntimeError, match="failed to close"):
+            _count_cycles([1, 1])
 
 
 class TestPasteBlock:

@@ -20,6 +20,7 @@ from emax import (
     min_degree,
     parse_edge_list,
 )
+from emax.graphs import EDGE_LIST_VERTEX_CAP
 
 
 def path(n):
@@ -227,6 +228,19 @@ class TestEdgeListFormat:
             parse_edge_list("3 1\n0 x\n")
         with pytest.raises(GraphError, match="line 1"):
             parse_edge_list("3\n")
+
+    def test_duplicate_edges_rejected(self):
+        for second in ("0 1", "1 0"):
+            with pytest.raises(GraphError, match=f"line 3: duplicate edge {second}"):
+                parse_edge_list(f"3 3\n0 1\n{second}\n1 2\n")
+
+    def test_vertex_cap_checked_at_the_header(self):
+        with pytest.raises(GraphError, match="line 1: .* above the cap"):
+            parse_edge_list(f"{EDGE_LIST_VERTEX_CAP + 1} 0\n")
+        # at the cap the header passes and the edge count is checked next,
+        # before any adjacency set is allocated
+        with pytest.raises(GraphError, match="promises"):
+            parse_edge_list(f"{EDGE_LIST_VERTEX_CAP} 1\n")
 
     def test_malformed_part_b_comment(self):
         with pytest.raises(GraphError, match="part_b"):
