@@ -55,6 +55,13 @@ C_SCAN_CAP_FACTOR = 14
 # optimal_schedule keeps one f' value per step: 10^6 steps take about half a
 # second at g = 13, while an unbounded s_max runs until it is killed
 SCHEDULE_STEP_CAP = 10**6
+# a table row at Euler genus g carries a g-1 entry schedule, so a table up
+# to genus G costs time and output quadratic in G: G = 3000 takes about 5 s
+# and 300 MB
+TABLE_GENUS_CAP = 3000
+# verify_theorem costs about 0.12 ms per genus past the direct range, in
+# constant memory: 10^5 genera take about 12 s
+VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 TAIL_BITS_CAP = 64
 
@@ -205,6 +212,12 @@ def generate_table(
     if surface_kind not in SURFACE_KINDS:
         raise BoundsError(f"surface_kind must be one of {SURFACE_KINDS}")
     factor = 5 if surface_kind == "nonorientable" else 4
+    g_range = list(g_range)
+    if g_range and max(g_range) > TABLE_GENUS_CAP:
+        raise BoundsError(
+            f"table row at Euler genus {max(g_range)} is above the cap of "
+            f"{TABLE_GENUS_CAP}"
+        )
     rows = []
     for g in g_range:
         if g < 1:
@@ -394,6 +407,8 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
         raise BoundsError(f"unknown theorem {which!r}; use 84 or 67")
     if g_max < 1:
         raise BoundsError("g_max must be >= 1")
+    if g_max > VERIFY_GMAX_CAP:
+        raise BoundsError(f"g_max {g_max} is above the cap of {VERIFY_GMAX_CAP}")
     name, factor, per_g, dp_top = aliases[which]
     dp_top = min(dp_top, g_max)
     violations = []

@@ -16,7 +16,14 @@ exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
 (10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
 at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6, about 0.5 s), and
 an edge-list file declares at most graphs.EDGE_LIST_VERTEX_CAP vertices
-(10^5, about 45 MB of adjacency sets).
+(10^5, about 45 MB of adjacency sets).  `construct prop2` takes a `--genus`
+and `--base-faces` of at most constructions.PROP2_GENUS_CAP (1000: every
+paste rebuilds the scheme, so the time is quadratic, about 30 s at the
+cap).  `bounds table` stops at the row of Euler genus
+bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
+orientable: a row carries a schedule of g-1 entries, so time and output
+are quadratic, about 5 s and 300 MB at the cap).  `bounds verify` takes a
+`--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5: linear, about 12 s).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by

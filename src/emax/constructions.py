@@ -33,6 +33,10 @@ from .embedding import (
 )
 
 ENUMERATION_CAP = 10**7
+# construct_proposition2 makes one paste per face and block, and each paste
+# rebuilds and retraces the whole scheme, so its time is quadratic in the
+# genus: 1.7 s at 240 and 7.2 s at 480, so about 30 s at this cap
+PROP2_GENUS_CAP = 1000
 
 
 def complete_graph(n: int) -> Graph:
@@ -469,6 +473,11 @@ def construct_proposition2(
         raise SchemeError("orientable surfaces have even Euler genus")
     if base_faces is not None and base_faces < g:
         raise SchemeError("base_faces must be at least g")
+    for name, value in (("Euler genus", g), ("base_faces", base_faces or 0)):
+        if value > PROP2_GENUS_CAP:
+            raise SchemeError(
+                f"{name} {value} is above the cap of {PROP2_GENUS_CAP}"
+            )
     target_f = max(g, base_faces or 0)
     E = _k3_scheme()
     while trace_faces(E).face_count < target_f:

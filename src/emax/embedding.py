@@ -26,8 +26,19 @@ the integer 2e + end, so its opposite is d ^ 1, and state (d, side) is the
 integer 2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its
 rotation as successor and predecessor arrays over the 2m darts, and
 ascending integer order of states is the (edge, end, side +1 first) order
-that fixes the face order.  The face set is computed once per scheme and
-memoised on it, since the scheme is immutable.
+that fixes the face order.  The face set and the orientability test are
+computed once per scheme and memoised on it, since the scheme is immutable.
+
+A surgery that adds many edges runs on the private scheme editor instead
+of building a scheme per edge.  The editor holds working copies of the
+dart arrays and an index of the faces, each keyed by the smallest state of
+its mirror pair of cycles, with the long faces in a heap by key.  An edge
+laid at two corners is spliced into the dart arrays exactly as
+`insert_dart_at_corner` splices it into the rotation lists, and only the
+faces of those corners and the four new states are walked again, in time
+linear in the faces' length.  `freeze` then builds one scheme and traces
+it in full; it raises RuntimeError unless the editor's faces equal that
+trace, walk for walk, so every edit is audited once, at the end.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -35,6 +46,7 @@ when its signature can be switched (vertex flips) to all-positive.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
@@ -51,7 +63,7 @@ class SchemeError(ValueError):
 class PseudoEmbedding:
     """Immutable signed rotation system for a pseudograph."""
 
-    __slots__ = ("n", "edges", "rotation", "_succ", "_pred", "_faces")
+    __slots__ = ("n", "edges", "rotation", "_succ", "_pred", "_faces", "_orient")
 
     def __init__(
         self,
@@ -104,6 +116,7 @@ class PseudoEmbedding:
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
         object.__setattr__(self, "_faces", None)
+        object.__setattr__(self, "_orient", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoEmbedding is immutable")
@@ -310,9 +323,20 @@ def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
     return faces
 
 
+def _walk_states(walk: FacialWalk) -> list:
+    """The integer states of a facial walk, in walk order."""
+    return [4 * e + 2 * end + (side < 0) for (e, end), side in walk.steps]
+
+
 def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
     """Switching test: breadth-first vertex flips; returns (orientable,
-    conflicting edge id or None)."""
+    conflicting edge id or None), memoised on the scheme."""
+    if E._orient is None:
+        object.__setattr__(E, "_orient", _switching_test(E))
+    return E._orient
+
+
+def _switching_test(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
     flip = [None] * E.n
     adj = [[] for _ in range(E.n)]
     for e, (u, v, s) in enumerate(E.edges):
@@ -327,8 +351,10 @@ def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
             continue
         flip[root] = 0
         queue = [root]
-        while queue:
-            x = queue.pop(0)
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
             for y, e, s in adj[x]:
                 want = flip[x] ^ (1 if s < 0 else 0)
                 if flip[y] is None:
@@ -447,6 +473,134 @@ def insert_dart_at_corner(rot_lists: list, corner: Corner, dart: Dart) -> None:
         rot.insert(i + 1, dart)
     else:
         rot.insert(i, dart)
+
+
+class _SchemeEditor:
+    """A working copy of a scheme that adds edges and keeps its faces
+    current, in the integer dart and state form of the tracer.
+
+    It holds the dart arrays `succ`/`pred`, each vertex's first dart (so
+    that the rotation lists come back in the order `insert_dart_at_corner`
+    gives), `neg`, `home` and a face index: `faces` maps each face's key,
+    the smallest state of its mirror pair of cycles, to the cycle through
+    that state, listed from it, and `face_of[s]` is the key of the face of
+    state s.  Keys of faces of length >= 4 sit in the heap `long`, where a
+    key that no longer names a long face is skipped.
+    """
+
+    def __init__(self, E: PseudoEmbedding):
+        walks = trace_faces(E).walks
+        self.n = E.n
+        self.edges = list(E.edges)
+        self.succ = list(E._succ)
+        self.pred = list(E._pred)
+        self.first = [2 * r[0][0] + r[0][1] if r else -1 for r in E.rotation]
+        self.neg = [1 if s < 0 else 0 for _, _, s in E.edges]
+        self.home = [x for u, v, _ in E.edges for x in (u, v)]
+        self.faces = {}
+        self.face_of = [-1] * (4 * E.m)
+        self.long = []
+        for w in walks:
+            self._store(_walk_states(w))
+
+    def _store(self, cycle: list) -> None:
+        key = cycle[0]
+        self.faces[key] = cycle
+        neg, face_of = self.neg, self.face_of
+        for s in cycle:
+            face_of[s] = face_of[s ^ (3 - neg[s >> 2])] = key
+        if len(cycle) >= 4:
+            heapq.heappush(self.long, key)
+
+    def long_face(self) -> Optional[int]:
+        """Key of the first face of length >= 4 in face order, or None."""
+        while self.long:
+            face = self.faces.get(self.long[0])
+            if face is not None and len(face) >= 4:
+                return self.long[0]
+            heapq.heappop(self.long)
+        return None
+
+    def insert_edge(self, s0: int, s1: int) -> None:
+        """Add an edge from the corner where state s0 leaves its vertex to
+        the corner of s1, as `insert_dart_at_corner` lays its two darts,
+        with the product of the two corner sides as its signature.  Only
+        the faces of s0 and s1 and the four new states are walked again.
+        """
+        succ, pred = self.succ, self.pred
+        corners = []
+        for s in (s0, s1):
+            d = s >> 1
+            corners.append((self.home[d], succ[d] if s & 1 else pred[d], s & 1))
+        (u, _, bu), (v, _, bv) = corners
+        e = len(self.edges)
+        self.edges.append((u, v, -1 if bu ^ bv else 1))
+        self.neg.append(bu ^ bv)
+        self.home += (u, v)
+        succ += (-1, -1)
+        pred += (-1, -1)
+        for x, (w, a, bit) in zip((2 * e, 2 * e + 1), corners):
+            # side -1 puts x just before a in the rotation, side +1 just after
+            if bit:
+                a, b = pred[a], a
+                if self.first[w] == b:
+                    self.first[w] = x
+            else:
+                b = succ[a]
+            succ[a], pred[x], succ[x], pred[b] = x, a, b, x
+        states = [4 * e, 4 * e + 1, 4 * e + 2, 4 * e + 3]
+        for key in {self.face_of[s0], self.face_of[s1]}:
+            for s in self.faces.pop(key):
+                states += (s, s ^ (3 - self.neg[s >> 2]))
+        self.face_of += (-1, -1, -1, -1)
+        self._retrace(states)
+
+    def _retrace(self, states: list) -> None:
+        """Index the faces of a mirror-closed union of whole state cycles,
+        as `_state_orbits` and `_paired_faces` do for all states."""
+        succ, pred, neg = self.succ, self.pred, self.neg
+        cycle_of = {}
+        cycles = []
+        for s0 in sorted(states):
+            if s0 in cycle_of:
+                continue
+            cycle = []
+            s = s0
+            while s not in cycle_of:
+                cycle_of[s] = len(cycles)
+                cycle.append(s)
+                t = s ^ (2 | neg[s >> 2])
+                s = 2 * pred[t >> 1] + 1 if t & 1 else 2 * succ[t >> 1]
+            if s != s0:
+                raise RuntimeError("state map failed to close a cycle")
+            cycles.append(cycle)
+        for idx, cycle in enumerate(cycles):
+            s0 = cycle[0]
+            if cycle_of[s0 ^ (3 - neg[s0 >> 2])] > idx:
+                self._store(cycle)
+
+    def freeze(self) -> PseudoEmbedding:
+        """The edited scheme, built once and traced in full.  Raises
+        RuntimeError unless the editor's faces equal the trace, walk for
+        walk."""
+        rotation = []
+        for x0 in self.first:
+            rot = []
+            x = x0
+            while x >= 0 and len(rot) <= len(self.succ):
+                rot.append((x >> 1, x & 1))
+                x = self.succ[x]
+                if x == x0:
+                    break
+            rotation.append(rot)
+        E = PseudoEmbedding(self.n, self.edges, rotation)
+        walks = trace_faces(E).walks
+        keys = sorted(self.faces)
+        if len(walks) != len(keys) or any(
+            _walk_states(w) != self.faces[key] for w, key in zip(walks, keys)
+        ):
+            raise RuntimeError("the editor's faces differ from the full trace")
+        return E
 
 
 # Scheme file format: {"n": int, "edges": [[u, v, sig], ...],

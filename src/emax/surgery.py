@@ -8,6 +8,11 @@ degree-4 vertex in every non-triangular face.  bipartite_extract finally
 pulls out the bipartite graph between the apexes and their neighborhoods,
 which is where ordered sequences live.
 
+complete_to_triangulation lays its chords on the scheme editor of
+embedding.py: each chord re-walks only the face it splits, and the result
+is built and traced once, so the completion costs O(m + the sum of the
+split faces' lengths) where a rebuild per edge cost O(m) per edge.
+
 Ordered sequences: v_1..v_s is ordered when each closed neighborhood N[v_i]
 meets the union of the earlier closed neighborhoods in at most 2 vertices.
 find_ordered_sequence implements the greedy recursion over a c-schedule:
@@ -45,6 +50,7 @@ from .embedding import (
     four_distinct_window,
     walk_corners,
     insert_dart_at_corner,
+    _SchemeEditor,
 )
 
 SURGERY_MODES = ("nonorientable", "orientable")
@@ -269,33 +275,30 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     remain.  Parallel edges and loops are fine (pseudograph completion);
     the final scheme has exactly 3(n+g-2) edges on the same surface.
 
+    The chords go in face order: each one crosses the face with the
+    smallest key that still has length >= 4.  They are laid on a scheme
+    editor, which re-walks only the face each chord splits, and the result
+    is built and traced once, so the cost is O(m + the sum of the split
+    faces' lengths) rather than a build and a full trace per edge.
+
     Returns (scheme, number of edges added).
     """
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
     budget = edges_short(E)
-    cur = E
+    editor = _SchemeEditor(E)
     added = 0
     while True:
-        faces = trace_faces(cur)
-        walk = next((w for w in faces.walks if w.length >= 4), None)
-        if walk is None:
+        key = editor.long_face()
+        if key is None:
             break
         if added >= budget:
             raise RuntimeError("completion exceeded its edge budget")
-        corners = walk_corners(cur, walk)
-        c0, c2 = corners[0], corners[2]
-        eid = cur.m
-        rot_lists = [list(r) for r in cur.rotation]
-        insert_dart_at_corner(rot_lists, c0, (eid, 0))
-        insert_dart_at_corner(rot_lists, c2, (eid, 1))
-        cur = PseudoEmbedding(
-            cur.n,
-            list(cur.edges) + [(c0.vertex, c2.vertex, c0.side * c2.side)],
-            rot_lists,
-        )
+        walk = editor.faces[key]
+        editor.insert_edge(walk[0], walk[2])
         added += 1
+    cur = editor.freeze()
     if not is_triangulation(cur):
         raise RuntimeError("completion finished with a non-triangle left")
     info1 = surface_info(cur)

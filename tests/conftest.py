@@ -12,7 +12,9 @@ from emax import (
     PseudoEmbedding,
     SchemeError,
     closed_neighborhood,
+    edges_short,
     enumerate_small_schemes,
+    is_triangulation,
     surface_info,
     trace_faces,
     walk_corners,
@@ -248,3 +250,46 @@ def reference_census(G: Graph, mode: str) -> dict:
         key = (info.euler_genus, info.orientable, lens)
         classes[key] = classes.get(key, 0) + 1
     return classes
+
+
+def reference_completion(E: PseudoEmbedding) -> tuple:
+    """Completion by rebuilding the scheme per edge, an oracle for
+    `complete_to_triangulation`.
+
+    Each round traces the current scheme in full, chords its first face of
+    length >= 4 between walk positions 0 and 2 on copied rotation lists,
+    and builds a new scheme, with the same audits as the library.
+    """
+    info0 = surface_info(E)
+    if E.n + info0.euler_genus < 3:
+        raise SchemeError("completion needs n + g >= 3")
+    budget = edges_short(E)
+    cur = E
+    added = 0
+    while True:
+        faces = trace_faces(cur)
+        walk = next((w for w in faces.walks if w.length >= 4), None)
+        if walk is None:
+            break
+        if added >= budget:
+            raise RuntimeError("completion exceeded its edge budget")
+        corners = walk_corners(cur, walk)
+        c0, c2 = corners[0], corners[2]
+        eid = cur.m
+        rot_lists = [list(r) for r in cur.rotation]
+        insert_dart_at_corner(rot_lists, c0, (eid, 0))
+        insert_dart_at_corner(rot_lists, c2, (eid, 1))
+        cur = PseudoEmbedding(
+            cur.n,
+            list(cur.edges) + [(c0.vertex, c2.vertex, c0.side * c2.side)],
+            rot_lists,
+        )
+        added += 1
+    if not is_triangulation(cur):
+        raise RuntimeError("completion finished with a non-triangle left")
+    info1 = surface_info(cur)
+    if info1 != info0:
+        raise RuntimeError("completion changed the surface")
+    if cur.m != 3 * (cur.n + info0.euler_genus - 2):
+        raise RuntimeError("completed scheme has a wrong edge count")
+    return cur, added

@@ -18,7 +18,8 @@ from emax import (
     format_edge_list,
     scheme_from_json,
 )
-from emax.constructions import ENUMERATION_CAP
+from emax.bounds import TABLE_GENUS_CAP, VERIFY_GMAX_CAP
+from emax.constructions import ENUMERATION_CAP, PROP2_GENUS_CAP
 from emax.embedding import scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 from conftest import reference_census
@@ -397,6 +398,39 @@ class TestBoundsVerify:
         assert rep["ok"] is True
         assert rep["theorem"] == "orientable-67"
         assert rep["violations"] == []
+
+
+class TestSizeCaps:
+    """Runaway sizes exit 2 at once, with the cap named on stderr."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["construct", "prop2", "--genus", str(PROP2_GENUS_CAP + 1)],
+         f"error: Euler genus {PROP2_GENUS_CAP + 1} is above the cap of "
+         f"{PROP2_GENUS_CAP}\n"),
+        (["construct", "prop2", "--genus", "2", "--base-faces", "10000000"],
+         f"error: base_faces 10000000 is above the cap of {PROP2_GENUS_CAP}\n"),
+        (["bounds", "table", "--surface", "nonorientable",
+          "--gmax", str(TABLE_GENUS_CAP + 1)],
+         f"error: table row at Euler genus {TABLE_GENUS_CAP + 1} is above the "
+         f"cap of {TABLE_GENUS_CAP}\n"),
+        (["bounds", "table", "--surface", "orientable",
+          "--gmax", str(TABLE_GENUS_CAP // 2 + 1)],
+         f"error: table row at Euler genus {TABLE_GENUS_CAP + 2} is above the "
+         f"cap of {TABLE_GENUS_CAP}\n"),
+        (["bounds", "verify", "--theorem", "84", "--gmax", "10000000000"],
+         f"error: g_max 10000000000 is above the cap of {VERIFY_GMAX_CAP}\n"),
+    ])
+    def test_above_the_cap_exits_two_at_once(self, capsys, argv, err):
+        t0 = time.perf_counter()
+        assert run(capsys, *argv) == (2, "", err)
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_caps_sit_far_above_the_benchmark_sizes(self):
+        # perfbench runs prop2 at genus 60, tables to Euler genus 300 and
+        # verify to 2000
+        assert PROP2_GENUS_CAP >= 10 * 60
+        assert TABLE_GENUS_CAP >= 10 * 300
+        assert VERIFY_GMAX_CAP >= 10 * 2000
 
 
 class TestRegenFixture:

@@ -4,7 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emax.embedding
 import emax.surgery
 from emax import (
     Bipartition,
@@ -33,13 +36,16 @@ from emax import (
     is_triangulation,
     lower_bound_family,
     run_lemma5_pipeline,
+    scheme_to_json,
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
     walk_corners,
 )
 
-from conftest import brute_force_ordered, random_scheme
+from emax.embedding import _SchemeEditor, insert_dart_at_corner
+
+from conftest import brute_force_ordered, random_scheme, reference_completion
 
 
 def n1_k4_scheme():
@@ -265,6 +271,163 @@ class TestCompleteToTriangulation:
         T, added = complete_to_triangulation(tri)
         assert added == 0
         assert T.edges == tri.edges
+
+
+def completion_outcome(complete, E):
+    """(JSON, edges added) of a completion, or (exception type, message)."""
+    try:
+        T, added = complete(E)
+    except (SchemeError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return scheme_to_json(T), added
+
+
+def relabelled(E, rng):
+    """The same embedding under new vertex and edge numbers, with each
+    edge's ends possibly swapped and each rotation started elsewhere."""
+    vperm = list(range(E.n))
+    rng.shuffle(vperm)
+    eperm = list(range(E.m))
+    rng.shuffle(eperm)
+    swap = [rng.randrange(2) for _ in range(E.m)]
+    edges = [None] * E.m
+    for e, (u, v, s) in enumerate(E.edges):
+        a, b = (v, u) if swap[e] else (u, v)
+        edges[eperm[e]] = (vperm[a], vperm[b], s)
+    rotation = [None] * E.n
+    for v, rot in enumerate(E.rotation):
+        darts = [(eperm[e], end ^ swap[e]) for e, end in rot]
+        k = rng.randrange(len(darts))
+        rotation[vperm[v]] = darts[k:] + darts[:k]
+    return PseudoEmbedding(E.n, edges, rotation)
+
+
+def insert_by_lists(E, corner_pairs):
+    """E plus one edge per (face, position, face, position) quadruple,
+    laid by list insertion at the corners of the current trace."""
+    for fa, pa, fb, pb in corner_pairs:
+        walks = trace_faces(E).walks
+        a = walk_corners(E, walks[fa])[pa]
+        b = walk_corners(E, walks[fb])[pb]
+        rot_lists = [list(r) for r in E.rotation]
+        insert_dart_at_corner(rot_lists, a, (E.m, 0))
+        insert_dart_at_corner(rot_lists, b, (E.m, 1))
+        E = PseudoEmbedding(
+            E.n, list(E.edges) + [(a.vertex, b.vertex, a.side * b.side)],
+            rot_lists,
+        )
+    return E
+
+
+def random_corner_pairs(rng, E, k, same_face):
+    """k random corner pairs for insert_by_lists, each inside one face
+    when same_face is set, else anywhere."""
+    pairs = []
+    for _ in range(k):
+        lengths = trace_faces(insert_by_lists(E, pairs)).lengths
+        fa = rng.randrange(len(lengths))
+        fb = fa if same_face else rng.randrange(len(lengths))
+        pairs.append(
+            (fa, rng.randrange(lengths[fa]), fb, rng.randrange(lengths[fb]))
+        )
+    return pairs
+
+
+class TestCompletionMatchesReference:
+    """complete_to_triangulation against the per-edge rebuild loop."""
+
+    def test_every_k4_scheme(self):
+        count = 0
+        for E in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
+            assert completion_outcome(complete_to_triangulation, E) == (
+                completion_outcome(reference_completion, E)
+            )
+            count += 1
+        assert count == 1024
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_random_pseudographs(self, seed):
+        # random chords inside faces add loops and parallel edges
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(2, 9), rng.randint(0, 8))
+        E = insert_by_lists(E, random_corner_pairs(rng, E, rng.randint(0, 4), True))
+        assert completion_outcome(complete_to_triangulation, E) == (
+            completion_outcome(reference_completion, E)
+        )
+
+    @pytest.mark.parametrize("orientable", [False, True])
+    def test_proposition2_schemes(self, orientable):
+        for g in range(2 if orientable else 1, 41, 2 if orientable else 1):
+            E = construct_proposition2(g, orientable)
+            got = completion_outcome(complete_to_triangulation, E)
+            assert got == completion_outcome(reference_completion, E), g
+            assert got[1] == 3 * g
+
+    @pytest.mark.parametrize("orientable", [False, True])
+    def test_relabelled_genus_60_schemes(self, orientable):
+        E = relabelled(construct_proposition2(60, orientable), random.Random(60))
+        got = completion_outcome(complete_to_triangulation, E)
+        assert got == completion_outcome(reference_completion, E)
+        assert got[1] == 180
+
+    @pytest.mark.parametrize("orientable", [False, True])
+    def test_one_build_and_at_most_two_traces(self, orientable, monkeypatch):
+        E = construct_proposition2(120, orientable)
+        builds, traces = [], []
+        init = PseudoEmbedding.__init__
+        state_orbits = emax.embedding._state_orbits
+
+        def counting_init(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        def counting_orbits(*args):
+            traces.append(1)
+            return state_orbits(*args)
+
+        monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
+        monkeypatch.setattr(emax.embedding, "_state_orbits", counting_orbits)
+        T, added = complete_to_triangulation(E)
+        assert added == 360
+        assert len(builds) == 1
+        assert len(traces) <= 2
+
+
+class TestSchemeEditor:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_insertions_match_list_insertions(self, seed):
+        # corners on different faces merge them, which changes the surface
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(2, 8), rng.randint(0, 6))
+        pairs = random_corner_pairs(rng, E, rng.randint(1, 6), False)
+        editor = _SchemeEditor(E)
+        for fa, pa, fb, pb in pairs:
+            keys = sorted(editor.faces)
+            editor.insert_edge(
+                editor.faces[keys[fa]][pa], editor.faces[keys[fb]][pb]
+            )
+        F = editor.freeze()
+        assert scheme_to_json(F) == scheme_to_json(insert_by_lists(E, pairs))
+
+    def test_freeze_audit_catches_a_bad_cycle_update(self):
+        class Corrupting(_SchemeEditor):
+            def _retrace(self, states):
+                super()._retrace(states)
+                cycle = self.faces[max(self.faces)]
+                cycle[0], cycle[1] = cycle[1], cycle[0]
+
+        E = construct_proposition2(3, orientable=False)
+        for cls in (_SchemeEditor, Corrupting):
+            editor = cls(E)
+            walk = editor.faces[editor.long_face()]
+            editor.insert_edge(walk[0], walk[2])
+            if cls is _SchemeEditor:
+                assert editor.freeze().m == E.m + 1
+            else:
+                with pytest.raises(RuntimeError, match="full trace"):
+                    editor.freeze()
 
 
 class TestIsOrderedSequence:
