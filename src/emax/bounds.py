@@ -29,8 +29,9 @@ ceil(alpha_i (g-2)), the schedule uses c_s = i exactly for s in
 L_i = (beta_i + 1 .. beta_{i-1}).  An error term E_i, a recursion over the
 rows with nonempty L_i, certifies how far the closed form
 2i/(i-6) (g-2) + (z-1)(2i-3) can undershoot the recurrence.  All of this
-is evaluated in certified interval arithmetic (see emax.intervals); every
-reported comparison is a comparison of interval endpoints, never of floats.
+runs on integer endpoints at one scale 2^-p, rounded outward (see
+`_context_at_precision`), in O(2g+2) steps; every reported comparison is a
+comparison of interval endpoints, never of floats.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .intervals import (
@@ -47,7 +50,6 @@ from .intervals import (
     ceil_sqrt,
     certified_ceil,
     ln2_interval,
-    series_term,
 )
 
 DEFAULT_PRECISION_BITS = 256
@@ -56,14 +58,16 @@ C_SCAN_CAP_FACTOR = 14
 # second at g = 13, while an unbounded s_max runs until it is killed
 SCHEDULE_STEP_CAP = 10**6
 # a table row at Euler genus g carries a g-1 entry schedule, so a table up
-# to genus G costs time and output quadratic in G: G = 3000 takes about 5 s
-# and 300 MB
+# to genus G costs time and output quadratic in G: G = 3000 takes about 4 to
+# 5.5 s, and 85 MB in the padded format, which holds every cell (csv and
+# json stream their rows)
 TABLE_GENUS_CAP = 3000
-# verify_theorem costs about 0.12 ms per genus past the direct range, in
-# constant memory: 10^5 genera take about 12 s
+# verify_theorem costs about 0.015 ms per genus past the direct range, in
+# constant memory: 10^5 genera take about 2 s
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 TAIL_BITS_CAP = 64
+GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
 
 SURFACE_KINDS = ("nonorientable", "orientable")
 
@@ -209,34 +213,34 @@ def generate_table(
     genus 2h).  edge_bound_offset is impurity - 3(g-2), the X in the
     edge-count statement |E| >= 3n - X.
     """
+    return list(table_rows(surface_kind, g_range, anchor_delta=anchor_delta))
+
+
+def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
+    """The rows of `generate_table` one at a time, each genus checked first."""
     if surface_kind not in SURFACE_KINDS:
         raise BoundsError(f"surface_kind must be one of {SURFACE_KINDS}")
-    factor = 5 if surface_kind == "nonorientable" else 4
     g_range = list(g_range)
     if g_range and max(g_range) > TABLE_GENUS_CAP:
         raise BoundsError(
             f"table row at Euler genus {max(g_range)} is above the cap of "
             f"{TABLE_GENUS_CAP}"
         )
-    rows = []
     for g in g_range:
         if g < 1:
             raise BoundsError("table rows need g >= 1")
         if surface_kind == "orientable" and g % 2 != 0:
             raise BoundsError("orientable surfaces have even Euler genus")
-        res = optimal_schedule(g, g + 1, anchor_delta=anchor_delta)
-        impurity = factor * res.f_values[-1] - 1
-        rows.append(
-            BoundsTableRow(
-                g=g,
-                surface_kind=surface_kind,
-                c_schedule=res.c_schedule,
-                f_values=res.f_values,
-                impurity=impurity,
-                edge_bound_offset=impurity - 3 * (g - 2),
-            )
-        )
-    return rows
+    factor = 5 if surface_kind == "nonorientable" else 4
+
+    def rows():
+        for g in g_range:
+            res = optimal_schedule(g, g + 1, anchor_delta=anchor_delta)
+            imp = factor * res.f_values[-1] - 1
+            yield BoundsTableRow(g, surface_kind, res.c_schedule, res.f_values,
+                                 imp, imp - 3 * (g - 2))
+
+    return rows()
 
 
 # Analytic side
@@ -244,31 +248,41 @@ def generate_table(
 
 @dataclass(frozen=True)
 class AnalyticContext:
+    # alpha, gamma and E map a row i to (lo, hi): [lo, hi] / 2^scale_bits
     g: int
     lam: Interval  # 25 - 11(48332/114345 + (16/33) log 2)
-    alpha: dict  # i -> Interval
+    alpha: dict  # i -> (lo, hi), alpha_i
     k: int  # least i >= 7 with alpha_i (g-2) <= 2
     beta: dict  # i -> int
-    gamma: dict  # i -> Interval, beta_i - alpha_i (g-2)
-    E: dict  # i -> Interval, the error recursion
+    gamma: dict  # i -> (lo, hi), beta_i - alpha_i (g-2)
+    E: dict  # i -> (lo, hi), the error recursion
     L_lists: dict  # i -> tuple of s values using c_s = i
     ell: dict  # i -> row length
     precision_bits: int
     tail_bits: int
+    scale_bits: int  # p = tail_bits + GRID_GUARD_BITS
+
+
+@lru_cache(maxsize=None)
+def _lambda_at(bits: int) -> Interval:
+    # lambda decreases in log 2, so its low end comes from log 2's high end
+    ln2 = ln2_interval(bits)
+    lam = [25 - 11 * (Fraction(48332, 114345) + Fraction(16, 33) * x)
+           for x in (ln2.hi, ln2.lo)]
+    return Interval(*lam)
 
 
 def lambda_interval(precision: Optional[int] = None) -> Interval:
-    bits = _precision_bits(precision)
-    inner = Fraction(48332, 114345) + Fraction(16, 33) * ln2_interval(bits)
-    return 25 - 11 * inner
+    return _lambda_at(_precision_bits(precision))
 
 
 def analytic_context(g: int, precision: Optional[int] = None) -> AnalyticContext:
     """All quantities of the analytic schedule for genus g, certified.
 
-    Enclosure precision auto-widens (more series terms) whenever a ceiling
-    or a threshold test straddles an integer; if the widening cap cannot
-    separate alpha_i (g-2) from an integer the failure names the index.
+    Enclosure precision auto-widens (more series terms, and the grid with
+    them) whenever a ceiling or a threshold test straddles an integer; if
+    the widening cap cannot separate alpha_i (g-2) from an integer the
+    failure names the index.
     """
     if g < 2:
         raise BoundsError("analytic context needs g >= 2")
@@ -294,47 +308,60 @@ class _Straddle(Exception):
 
 
 def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
-    # find k scanning upward; certified comparisons only.  alpha_i is
-    # alpha_7 minus the exact partial sum of terms 8..i.
-    alpha = {7: alpha7_interval(tail_bits)}
-    partial = Fraction(0)
-    i = 7
-    while True:
-        if i > 7:
-            partial += series_term(i)
-            alpha[i] = alpha[7] - partial
-        test = (alpha[i] * gm2).surely_le(2)
-        if test is None:
-            raise _Straddle(i)
-        if test:
+    """The context on integer endpoints at the scale 2^-p.
+
+    Each rounding only widens an enclosure.  alpha_7: `Interval.outward`
+    floors the low end and ceils the high end.  alpha_i = alpha_7 - S_i,
+    S_i = sum_{j=8..i} 12/((j-7)(j-6)(2j-3)): each term goes into S_lo as
+    its floor and into S_hi as its ceiling, the floor plus one since no
+    term lies on the grid (see `alpha7_interval`), so alpha_i is in
+    [A_lo - S_hi, A_hi - S_lo].  Scaling by g-2 >= 0, subtracting from an
+    integer and the sums and positive multiples of the E recursion are
+    exact, and max{0, x} is monotone, so each E_i encloses the exact one.
+    A decision reads endpoints only (alpha_i (g-2) <= 2 holds when hi <=
+    2^(p+1), fails when lo > 2^(p+1)); anything else is a straddle, and
+    the caller widens.
+    """
+    p = tail_bits + GRID_GUARD_BITS
+    a7_lo, a7_hi = alpha7_interval(tail_bits).outward(p)
+    top = max(7, 2 * g + 2)
+    twelve = 12 << p
+    alpha = {7: (a7_lo, a7_hi)}
+    s_lo = 0
+    for i in range(8, top + 1):
+        s_lo += twelve // ((i - 7) * (i - 6) * (2 * i - 3))
+        alpha[i] = (a7_lo - s_lo - (i - 7), a7_hi - s_lo)
+
+    # k: scan upward with certified comparisons only
+    two = 2 << p
+    for i in range(7, top + 1):
+        lo, hi = alpha[i]
+        if hi * gm2 <= two:
             k = i
             break
-        i += 1
-        if i > 2 * g + 2 and g >= 3:
-            raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
-    top = max(k, 2 * g + 2)
-    for i in range(k + 1, top + 1):
-        partial += series_term(i)
-        alpha[i] = alpha[7] - partial
+        if lo * gm2 <= two:
+            raise _Straddle(i)
+    else:
+        raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
 
     beta = {}
     gamma = {}
     for i in range(7, k + 1):
-        iv = alpha[i] * gm2
-        b = certified_ceil(iv)
+        lo, hi = alpha[i][0] * gm2, alpha[i][1] * gm2
+        b = certified_ceil(lo, hi, p)
         if b is None:
             raise _Straddle(i)
         beta[i] = b
-        gamma[i] = b - iv
-        if not (gamma[i].lo >= 0 and gamma[i].hi < 1):
+        g_lo, g_hi = (b << p) - hi, (b << p) - lo
+        if not (g_lo >= 0 and g_hi < 1 << p):
             raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
+        gamma[i] = (g_lo, g_hi)
     has_anchor = 2 * g + 2 > k
     if has_anchor:
-        for i in range(k + 1, 2 * g + 2):
-            beta[i] = beta[k]
-            gamma[i] = beta[i] - alpha[i] * gm2
-        beta[2 * g + 2] = 1
-        gamma[2 * g + 2] = 1 - alpha[2 * g + 2] * gm2
+        for i in range(k + 1, top + 1):
+            beta[i] = b = 1 if i == top else beta[k]
+            lo, hi = alpha[i]
+            gamma[i] = ((b << p) - hi * gm2, (b << p) - lo * gm2)
 
     ell = {7: g + 1 - beta[7]}
     L_lists = {7: tuple(range(beta[7] + 1, g + 2))}
@@ -342,50 +369,38 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
         ell[i] = beta[i - 1] - beta[i]
         L_lists[i] = tuple(range(beta[i] + 1, beta[i - 1] + 1))
 
-    E = {k: Interval(0)}
-    if has_anchor:
-        E[2 * g + 2] = Interval(0)
-    for i in range(k - 1, 6, -1):
+    # prefix sums: sum_{7<=j<=i} gamma_j is (c_lo[i-6], c_hi[i-6])
+    c_lo = list(accumulate((gamma[i][0] for i in range(7, top + 1)), initial=0))
+    c_hi = list(accumulate((gamma[i][1] for i in range(7, top + 1)), initial=0))
+    E = dict.fromkeys((k, top) if has_anchor else (k,), (0, 0))
+    # one downward sweep; nxt is the lowest nonempty row above i
+    nxt = None
+    for i in range(top, 6, -1):
         if ell[i] <= 0:
             continue
-        istar = next(
-            (j for j in range(i + 1, top + 1) if ell.get(j, 0) > 0), None
-        )
-        if istar is None:
-            # every row above is empty (only possible when beta_k < 2);
-            # the chain then terminates at the zero anchor E_k
-            istar = k
-        mid = sum((2 * gamma[j] for j in range(i + 1, istar)), Interval(0))
-        expr = (
-            mid
-            + (2 * i - 1) * gamma[i]
-            - (2 * istar - 3) * gamma[istar]
-            + E[istar]
-        )
-        # max{0, expr} on intervals
-        E[i] = Interval(max(Fraction(0), expr.lo), max(Fraction(0), expr.hi))
-    return AnalyticContext(
-        g=g,
-        lam=lam,
-        alpha=alpha,
-        k=k,
-        beta=beta,
-        gamma=gamma,
-        E=E,
-        L_lists=L_lists,
-        ell=ell,
-        precision_bits=bits,
-        tail_bits=tail_bits,
-    )
+        if i < k:
+            # with every row above empty (only possible when beta_k < 2)
+            # the chain ends at the zero anchor E_k
+            j = k if nxt is None else nxt
+            (g_lo, g_hi), (gj_lo, gj_hi), (e_lo, e_hi) = gamma[i], gamma[j], E[j]
+            lo = (2 * (c_lo[j - 7] - c_lo[i - 6]) + (2 * i - 1) * g_lo
+                  - (2 * j - 3) * gj_hi + e_lo)
+            hi = (2 * (c_hi[j - 7] - c_hi[i - 6]) + (2 * i - 1) * g_hi
+                  - (2 * j - 3) * gj_lo + e_hi)
+            E[i] = (max(0, lo), max(0, hi))
+        nxt = i
+    return AnalyticContext(g, lam, alpha, k, beta, gamma, E, L_lists, ell,
+                           bits, tail_bits, p)
 
 
 def analytic_upper_bound(g: int, precision: Optional[int] = None) -> Fraction:
     """Certified upper endpoint of lambda (g-2) + 2 ceil(sqrt(3/2 (g-2))) + 33."""
     if g < 2:
         raise BoundsError("analytic bound needs g >= 2")
-    lam = lambda_interval(precision)
+    lam_hi = lambda_interval(precision).hi
     t = ceil_sqrt(3 * (g - 2), 2)
-    return (lam * (g - 2) + 2 * t + 33).hi
+    q = lam_hi.denominator
+    return Fraction(lam_hi.numerator * (g - 2) + (2 * t + 33) * q, q)
 
 
 def verify_theorem(which: str, g_max: int = 2000) -> dict:
@@ -397,12 +412,9 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     direct range [1, 670].  Reports the minimum slack and every violation
     (there must be none).
     """
-    aliases = {
-        "nonorientable-84": ("nonorientable-84", 5, 84, 299),
-        "84": ("nonorientable-84", 5, 84, 299),
-        "orientable-67": ("orientable-67", 4, 67, 670),
-        "67": ("orientable-67", 4, 67, 670),
-    }
+    theorems = {"84": ("nonorientable-84", 5, 84, 299),
+                "67": ("orientable-67", 4, 67, 670)}
+    aliases = {**theorems, **{t[0]: t for t in theorems.values()}}
     if which not in aliases:
         raise BoundsError(f"unknown theorem {which!r}; use 84 or 67")
     if g_max < 1:
@@ -445,23 +457,32 @@ def claim1_consistency(g: int, precision: Optional[int] = None) -> dict:
 
         f'(s) <= 2i/(i-6) (g-2) + (z-1)(2i-3) + E_i,   s = beta_i + z.
 
-    The comparison is against the lower endpoint of the right side's
-    enclosure, so a pass is a proof.  At s=2 the two sides agree exactly
-    (the anchor row), except for g=2 where the right side's row index
-    degenerates and the anchor is checked directly.
+    The comparison is against the lower endpoint of E_i's enclosure, so a
+    pass is a proof.  f'(s) is an integer ratio fp/fq (the first branch at
+    row i has denominator i-6, so fq never grows), and the test is
+    cross-multiplied by the positive fq (i-6) 2^p into integers.  At s=2
+    the two sides agree exactly (the anchor row), except for g=2 where the
+    right side's row index degenerates and the anchor is checked directly.
     """
     ctx = analytic_context(g, precision)
     gm2 = g - 2
+    p = ctx.scale_bits
     # schedule from the L rows
     c_of = {}
     for i, L in ctx.L_lists.items():
         for s in L:
             if s >= 3:
                 c_of[s] = i
-    f = {2: Fraction(f_exact_s2(g))}
+    fp, fq = f_exact_s2(g), 1
+    f = {2: (fp, fq)}
     for s in range(3, g + 2):
         i = c_of[s]
-        f[s] = max(Fraction(2 * i * gm2, i - 6), Fraction(2 * i - 3) + f[s - 1])
+        num = (2 * i - 3) * fq + fp
+        if 2 * i * gm2 * fq >= num * (i - 6):
+            fp, fq = 2 * i * gm2, i - 6
+        else:
+            fp = num
+        f[s] = (fp, fq)
     failures = []
     indeterminate = []
     checked = 0
@@ -477,15 +498,20 @@ def claim1_consistency(g: int, precision: Optional[int] = None) -> dict:
                 continue
             if Ei is None:
                 raise RuntimeError(f"row {i} has no error term but s={s} uses it")
-            rhs = Fraction(2 * i * gm2, i - 6) + (z - 1) * (2 * i - 3) + Ei
+            fp, fq = f[s]
+            den = fq * (i - 6)
+            num = fp * (i - 6) - 2 * i * gm2 * fq - (z - 1) * (2 * i - 3) * den
             checked += 1
-            if f[s] <= rhs.lo:
+            if num << p <= Ei[0] * den:
                 continue
-            if f[s] > rhs.hi:
-                failures.append({"s": s, "i": i, "f": str(f[s]), "rhs_hi": str(rhs.hi)})
+            if num << p > Ei[1] * den:
+                rhs_hi = (Fraction(2 * i * gm2, i - 6) + (z - 1) * (2 * i - 3)
+                          + Fraction(Ei[1], 1 << p))
+                failures.append({"s": s, "i": i, "f": str(Fraction(fp, fq)),
+                                 "rhs_hi": str(rhs_hi)})
             else:
                 indeterminate.append(s)
-    e7 = ctx.E.get(7, Interval(0))
+    e7_hi = ctx.E.get(7, (0, 0))[1]
     report = {
         "g": g,
         "ok": not failures and not indeterminate,
@@ -493,7 +519,7 @@ def claim1_consistency(g: int, precision: Optional[int] = None) -> dict:
         "checked": checked,
         "failures": failures,
         "indeterminate": indeterminate,
-        "E7_hi": str(e7.hi),
-        "E7_le_2k_minus_3": bool(e7.surely_le(2 * ctx.k - 3)),
+        "E7_hi": str(Fraction(e7_hi, 1 << p)),
+        "E7_le_2k_minus_3": e7_hi <= (2 * ctx.k - 3) << p,
     }
     return report

@@ -22,8 +22,10 @@ paste rebuilds the scheme, so the time is quadratic, about 30 s at the
 cap).  `bounds table` stops at the row of Euler genus
 bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
 orientable: a row carries a schedule of g-1 entries, so time and output
-are quadratic, about 5 s and 300 MB at the cap).  `bounds verify` takes a
-`--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5: linear, about 12 s).
+are quadratic, about 5 s at the cap; csv and json rows are written as they
+are made, while the padded format holds every cell, 85 MB at the cap).
+`bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
+linear, about 2 s).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
@@ -79,8 +81,8 @@ from .surgery import run_lemma5_pipeline, complete_to_triangulation, find_ordere
 from .bounds import (
     BoundsError,
     f_exact_s2,
-    generate_table,
     optimal_schedule,
+    table_rows,
     verify_theorem,
 )
 from .intervals import PrecisionError
@@ -275,32 +277,43 @@ def _table_rows(args):
     else:
         # one row per handle count h = 1..gmax (Euler genus 2h)
         g_range = range(2, 2 * args.gmax + 1, 2)
-    return generate_table(args.surface, g_range, anchor_delta=args.anchor_delta)
+    return table_rows(args.surface, g_range, anchor_delta=args.anchor_delta)
 
 
 def cmd_bounds_table(args) -> int:
+    # csv and json rows are written as they are made, the first with the
+    # opening text: the anchor f'(g, 2) ascends with g, so a refused shifted
+    # anchor fails on the first row, before any output
     rows = _table_rows(args)
+    write = sys.stdout.write
     if args.format == "csv":
-        lines = ["g,surface,schedule,impurity,edge_bound_offset"]
+        head = "g,surface,schedule,impurity,edge_bound_offset\n"
         for r in rows:
-            lines.append(
-                f"{r.g},{_surface_name(r.surface_kind, r.g)},"
+            write(
+                f"{head}{r.g},{_surface_name(r.surface_kind, r.g)},"
                 f"{';'.join(str(c) for c in r.c_schedule)},"
-                f"{r.impurity},{r.edge_bound_offset}"
+                f"{r.impurity},{r.edge_bound_offset}\n"
             )
-        sys.stdout.write("\n".join(lines) + "\n")
+            head = ""
+        write(head)
     elif args.format == "json":
-        payload = [
-            {
-                "g": r.g,
-                "surface": _surface_name(r.surface_kind, r.g),
-                "schedule": list(r.c_schedule),
-                "impurity": r.impurity,
-                "edge_bound_offset": r.edge_bound_offset,
-            }
-            for r in rows
-        ]
-        sys.stdout.write(_dump(payload))
+        # the bytes of _dump(list of rows), one row at a time
+        sep = "[\n"
+        for r in rows:
+            item = json.dumps(
+                {
+                    "g": r.g,
+                    "surface": _surface_name(r.surface_kind, r.g),
+                    "schedule": list(r.c_schedule),
+                    "impurity": r.impurity,
+                    "edge_bound_offset": r.edge_bound_offset,
+                },
+                indent=2,
+                sort_keys=True,
+            )
+            write(sep + "  " + item.replace("\n", "\n  "))
+            sep = ",\n"
+        write("[]\n" if sep == "[\n" else "\n]\n")
     else:
         header = ("g", "surface", "schedule", "impurity", "offset")
         cells = [

@@ -1,11 +1,14 @@
-"""Exact interval arithmetic with rational endpoints.
+"""Certified enclosures of the irrational constants.
 
 Everything downstream that touches an irrational quantity (log 2, the tail of
-an infinite series) goes through the small `Interval` type defined here: a
+an infinite series) starts from the small `Interval` type defined here: a
 closed interval [lo, hi] with `Fraction` endpoints that is guaranteed to
-contain the true real value.  All interval arithmetic is exact; outward
-rounding happens only once, at series truncation, where an explicit tail
-enclosure is added.  This is what makes ceilings of near-integer quantities
+contain the true real value.  The series are summed on a dyadic grid, each
+term rounded outward (floor into the low sum, ceiling into the high sum),
+and an explicit enclosure of the truncated tail is added.
+`Interval.outward` moves an enclosure onto a grid 2^-p, rounding outward
+again; the analytic engine in emax.bounds runs on such integer
+endpoints.  This is what makes ceilings of near-integer quantities
 certifiable: either the whole interval sits strictly on one side of an
 integer, or we report that the requested precision cannot separate them.
 
@@ -17,9 +20,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
-
-Rat = Union[int, Fraction]
 
 
 class PrecisionError(ArithmeticError):
@@ -31,7 +31,7 @@ class Interval:
 
     __slots__ = ("lo", "hi")
 
-    def __init__(self, lo: Rat, hi: Rat | None = None):
+    def __init__(self, lo: int | Fraction, hi: int | Fraction | None = None):
         lo = Fraction(lo)
         hi = lo if hi is None else Fraction(hi)
         if hi < lo:
@@ -41,9 +41,6 @@ class Interval:
 
     def __setattr__(self, name, value):
         raise AttributeError("Interval is immutable")
-
-    def __repr__(self):
-        return f"Interval({self.lo}, {self.hi})"
 
     def __eq__(self, other):
         return (
@@ -59,73 +56,28 @@ class Interval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def __add__(self, other) -> "Interval":
-        if isinstance(other, Interval):
-            return Interval(self.lo + other.lo, self.hi + other.hi)
-        return Interval(self.lo + Fraction(other), self.hi + Fraction(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "Interval":
-        return self + (-other if isinstance(other, Interval) else -Fraction(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return (-self) + Fraction(other)
-
-    def __mul__(self, other) -> "Interval":
-        # Scalar multiplication only; interval*interval is not needed here.
-        if isinstance(other, Interval):
-            raise TypeError("interval*interval products are not supported")
-        c = Fraction(other)
-        if c >= 0:
-            return Interval(self.lo * c, self.hi * c)
-        return Interval(self.hi * c, self.lo * c)
-
-    __rmul__ = __mul__
-
-    def contains(self, x: Rat) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
-    # Certified order predicates against a rational threshold.  Each returns
-    # True/False only when the whole interval decides the comparison, and
-    # None when the threshold falls inside (caller must widen precision).
-
-    def surely_le(self, x: Rat):
-        x = Fraction(x)
-        if self.hi <= x:
-            return True
-        if self.lo > x:
-            return False
-        return None
-
-    def surely_lt(self, x: Rat):
-        x = Fraction(x)
-        if self.hi < x:
-            return True
-        if self.lo >= x:
-            return False
-        return None
-
-    def surely_ge(self, x: Rat):
-        r = self.surely_lt(x)
-        return None if r is None else not r
-
     def midpoint(self) -> Fraction:
         return (self.lo + self.hi) / 2
 
+    def outward(self, p: int) -> tuple:
+        """(floor(lo 2^p), ceil(hi 2^p)): the integer endpoints, at scale
+        2^-p, of the narrowest grid interval containing this one.  Floor
+        division rounds toward minus infinity and -((-x) // d) toward plus
+        infinity, so the low end can only move down and the high end only
+        up."""
+        lo, hi = self.lo, self.hi
+        return (
+            (lo.numerator << p) // lo.denominator,
+            -((-hi.numerator << p) // hi.denominator),
+        )
 
-def certified_ceil(iv: Interval):
-    """Ceiling of the real number enclosed by iv, or None if iv straddles an
-    integer boundary (i.e. ceil(lo) != ceil(hi))."""
-    c_lo = -((-iv.lo) // 1)  # ceil for Fractions
-    c_hi = -((-iv.hi) // 1)
-    if c_lo == c_hi:
-        return int(c_lo)
-    return None
+
+def certified_ceil(lo: int, hi: int, p: int):
+    """Ceiling of the real number enclosed by [lo / 2^p, hi / 2^p], or None
+    if the enclosure straddles an integer boundary.  -((-x) >> p) is
+    ceil(x / 2^p), since >> floors."""
+    c = -(-hi >> p)
+    return c if -(-lo >> p) == c else None
 
 
 def ceil_sqrt(num: int, den: int = 1) -> int:
@@ -213,12 +165,17 @@ def alpha7_interval(tail_bits: int = 48) -> Interval:
     the tail is enclosed by `_tail_interval`.  K is chosen so the tail
     enclosure is narrower than 2^-tail_bits; the fixed-point grid uses
     tail_bits + 24 fractional bits so per-term rounding is negligible.
+
+    No term lies on the grid: the odd part of 12 * 2^p is 3, while the
+    odd factor 2j-3 >= 13 of the denominator does not divide 3.  So every
+    ceiling is its floor plus one, and the high sum is the low sum plus
+    K-7.
     """
     if tail_bits < 8:
         raise ValueError("tail_bits must be at least 8")
     if tail_bits > 66:
-        # 2^66 width needs ~ 6e6^... K grows like cbrt(24 * 2^bits); past
-        # this the term count exceeds ~2e7 and the sum stops being cheap.
+        # K grows like cbrt(24 * 2^bits); past 66 bits the term count
+        # exceeds ~2e7 and the sum stops being cheap.
         raise PrecisionError(
             f"series tail cannot be certified below 2^-{tail_bits} "
             "(term count infeasible)"
@@ -227,14 +184,10 @@ def alpha7_interval(tail_bits: int = 48) -> Interval:
     while _tail_interval(K).width > Fraction(1, 1 << tail_bits):
         K += K // 8 + 1
     p = tail_bits + 24
-    one = 1 << p
-    lo_acc = 0
-    hi_acc = 0
-    for j in range(8, K + 1):
-        d = (j - 7) * (j - 6) * (2 * j - 3)
-        q, r = divmod(12 * one, d)
-        lo_acc += q
-        hi_acc += q + (1 if r else 0)
-    scale = Fraction(1, one)
-    partial = Interval(lo_acc * scale, hi_acc * scale)
-    return partial + _tail_interval(K)
+    twelve = 12 << p
+    lo_acc = sum(
+        twelve // ((j - 7) * (j - 6) * (2 * j - 3)) for j in range(8, K + 1)
+    )
+    scale = Fraction(1, 1 << p)
+    tail = _tail_interval(K)
+    return Interval(lo_acc * scale + tail.lo, (lo_acc + K - 7) * scale + tail.hi)

@@ -281,11 +281,17 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     is built and traced once, so the cost is O(m + the sum of the split
     faces' lengths) rather than a build and a full trace per edge.
 
-    Returns (scheme, number of edges added).
+    Raises SchemeError when n + g < 3 or a face is shorter than 3, since
+    neither scheme has a completion.  Returns (scheme, number of edges
+    added).
     """
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
+    shortest = min(trace_faces(E).lengths, default=3)
+    if shortest < 3:  # no chord splits a face of length 1 or 2
+        raise SchemeError("completion needs every face to have length at least "
+                          f"3; the scheme has a face of length {shortest}")
     budget = edges_short(E)
     editor = _SchemeEditor(E)
     added = 0

@@ -6,6 +6,10 @@ normal pytest output, one line per criterion, so the gate can be read
 off a full run at a glance.
 """
 
+from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
+
 from emax import (
     Bipartition,
     Graph,
@@ -14,12 +18,23 @@ from emax import (
     closed_neighborhood,
     edges_short,
     enumerate_small_schemes,
+    f_exact_s2,
     is_triangulation,
     surface_info,
     trace_faces,
     walk_corners,
 )
+import emax.bounds
+from emax.bounds import TAIL_BITS_START, _precision_bits
 from emax.embedding import insert_dart_at_corner
+from emax.intervals import (
+    PrecisionError,
+    _tail_cutoff_start,
+    _tail_interval,
+    ceil_sqrt,
+    ln2_interval,
+    series_term,
+)
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
 
@@ -258,11 +273,18 @@ def reference_completion(E: PseudoEmbedding) -> tuple:
 
     Each round traces the current scheme in full, chords its first face of
     length >= 4 between walk positions 0 and 2 on copied rotation lists,
-    and builds a new scheme, with the same audits as the library.
+    and builds a new scheme, with the same input checks and audits as the
+    library.
     """
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
+    shortest = min((w.length for w in trace_faces(E).walks), default=3)
+    if shortest < 3:
+        raise SchemeError(
+            f"completion needs every face to have length at least 3; "
+            f"the scheme has a face of length {shortest}"
+        )
     budget = edges_short(E)
     cur = E
     added = 0
@@ -293,3 +315,238 @@ def reference_completion(E: PseudoEmbedding) -> tuple:
     if cur.m != 3 * (cur.n + info0.euler_genus - 2):
         raise RuntimeError("completed scheme has a wrong edge count")
     return cur, added
+
+
+class ReferenceInterval:
+    """Closed interval [lo, hi] with Fraction endpoints and exact
+    arithmetic: the operations the reference analytic engine runs on."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi=None):
+        self.lo = Fraction(lo)
+        self.hi = self.lo if hi is None else Fraction(hi)
+        if self.hi < self.lo:
+            raise ValueError(f"empty interval: [{self.lo}, {self.hi}]")
+
+    def __add__(self, other):
+        if isinstance(other, ReferenceInterval):
+            return ReferenceInterval(self.lo + other.lo, self.hi + other.hi)
+        return ReferenceInterval(self.lo + Fraction(other), self.hi + Fraction(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceInterval(-self.hi, -self.lo)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, ReferenceInterval) else -Fraction(other))
+
+    def __rsub__(self, other):
+        return (-self) + Fraction(other)
+
+    def __mul__(self, other):
+        c = Fraction(other)
+        if c >= 0:
+            return ReferenceInterval(self.lo * c, self.hi * c)
+        return ReferenceInterval(self.hi * c, self.lo * c)
+
+    __rmul__ = __mul__
+
+    def surely_le(self, x):
+        x = Fraction(x)
+        if self.hi <= x:
+            return True
+        if self.lo > x:
+            return False
+        return None
+
+
+def reference_certified_ceil(iv: ReferenceInterval):
+    c_lo = -((-iv.lo) // 1)
+    c_hi = -((-iv.hi) // 1)
+    if c_lo == c_hi:
+        return int(c_lo)
+    return None
+
+
+@lru_cache(maxsize=None)
+def reference_alpha7(tail_bits: int) -> tuple:
+    """(lo, hi) of the alpha_7 enclosure by the per-term floor/ceil loop,
+    an oracle for `alpha7_interval`."""
+    K = _tail_cutoff_start(tail_bits)
+    while _tail_interval(K).width > Fraction(1, 1 << tail_bits):
+        K += K // 8 + 1
+    p = tail_bits + 24
+    one = 1 << p
+    lo_acc = 0
+    hi_acc = 0
+    for j in range(8, K + 1):
+        d = (j - 7) * (j - 6) * (2 * j - 3)
+        q, r = divmod(12 * one, d)
+        lo_acc += q
+        hi_acc += q + (1 if r else 0)
+    scale = Fraction(1, one)
+    tail = _tail_interval(K)
+    return lo_acc * scale + tail.lo, hi_acc * scale + tail.hi
+
+
+class _ReferenceStraddle(Exception):
+    def __init__(self, index):
+        self.index = index
+
+
+def reference_analytic_context(g: int, precision=None) -> SimpleNamespace:
+    """The analytic context on exact Fraction intervals, an oracle for
+    `analytic_context`.
+
+    alpha_i is alpha_7 minus the exact partial sum of terms 8..i, every
+    row's middle sum is re-added, and a straddle widens the tail by 8 bits
+    up to the same cap, read from emax.bounds at call time.  Its alpha,
+    gamma and E map rows to ReferenceInterval.
+    """
+    bits = _precision_bits(precision)
+    gm2 = g - 2
+    tail_bits = min(bits, TAIL_BITS_START)
+    while True:
+        try:
+            return _reference_context_at(g, gm2, tail_bits)
+        except _ReferenceStraddle as st:
+            tail_bits += 8
+            cap = emax.bounds.TAIL_BITS_CAP
+            if tail_bits > cap:
+                raise PrecisionError(
+                    f"cannot separate alpha_{st.index}(g-2) from an integer "
+                    f"for g={g} even at tail precision 2^-{cap}"
+                )
+
+
+def _reference_context_at(g, gm2, tail_bits) -> SimpleNamespace:
+    alpha = {7: ReferenceInterval(*reference_alpha7(tail_bits))}
+    partial = Fraction(0)
+    i = 7
+    while True:
+        if i > 7:
+            partial += series_term(i)
+            alpha[i] = alpha[7] - partial
+        test = (alpha[i] * gm2).surely_le(2)
+        if test is None:
+            raise _ReferenceStraddle(i)
+        if test:
+            k = i
+            break
+        i += 1
+        if i > 2 * g + 2 and g >= 3:
+            raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
+    top = max(k, 2 * g + 2)
+    for i in range(k + 1, top + 1):
+        partial += series_term(i)
+        alpha[i] = alpha[7] - partial
+
+    beta = {}
+    gamma = {}
+    for i in range(7, k + 1):
+        iv = alpha[i] * gm2
+        b = reference_certified_ceil(iv)
+        if b is None:
+            raise _ReferenceStraddle(i)
+        beta[i] = b
+        gamma[i] = b - iv
+        if not (gamma[i].lo >= 0 and gamma[i].hi < 1):
+            raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
+    has_anchor = 2 * g + 2 > k
+    if has_anchor:
+        for i in range(k + 1, 2 * g + 2):
+            beta[i] = beta[k]
+            gamma[i] = beta[i] - alpha[i] * gm2
+        beta[2 * g + 2] = 1
+        gamma[2 * g + 2] = 1 - alpha[2 * g + 2] * gm2
+
+    ell = {7: g + 1 - beta[7]}
+    L_lists = {7: tuple(range(beta[7] + 1, g + 2))}
+    for i in range(8, top + 1):
+        ell[i] = beta[i - 1] - beta[i]
+        L_lists[i] = tuple(range(beta[i] + 1, beta[i - 1] + 1))
+
+    E = {k: ReferenceInterval(0)}
+    if has_anchor:
+        E[2 * g + 2] = ReferenceInterval(0)
+    for i in range(k - 1, 6, -1):
+        if ell[i] <= 0:
+            continue
+        istar = next(
+            (j for j in range(i + 1, top + 1) if ell.get(j, 0) > 0), None
+        )
+        if istar is None:
+            istar = k
+        mid = sum((2 * gamma[j] for j in range(i + 1, istar)), ReferenceInterval(0))
+        expr = (
+            mid
+            + (2 * i - 1) * gamma[i]
+            - (2 * istar - 3) * gamma[istar]
+            + E[istar]
+        )
+        E[i] = ReferenceInterval(max(Fraction(0), expr.lo), max(Fraction(0), expr.hi))
+    return SimpleNamespace(
+        g=g, alpha=alpha, k=k, beta=beta, gamma=gamma, E=E,
+        L_lists=L_lists, ell=ell, tail_bits=tail_bits,
+    )
+
+
+def reference_claim1(g: int, precision=None) -> dict:
+    """Claim 1 on Fraction values and the reference context, an oracle
+    for `claim1_consistency`."""
+    ctx = reference_analytic_context(g, precision)
+    gm2 = g - 2
+    c_of = {}
+    for i, L in ctx.L_lists.items():
+        for s in L:
+            if s >= 3:
+                c_of[s] = i
+    f = {2: Fraction(f_exact_s2(g))}
+    for s in range(3, g + 2):
+        i = c_of[s]
+        f[s] = max(Fraction(2 * i * gm2, i - 6), Fraction(2 * i - 3) + f[s - 1])
+    failures = []
+    indeterminate = []
+    checked = 0
+    for i, L in sorted(ctx.L_lists.items()):
+        Ei = ctx.E.get(i)
+        for s in L:
+            if not (2 <= s <= g + 1):
+                continue
+            z = s - ctx.beta[i]
+            if g == 2 and s == 2:
+                checked += 1
+                continue
+            if Ei is None:
+                raise RuntimeError(f"row {i} has no error term but s={s} uses it")
+            rhs = Fraction(2 * i * gm2, i - 6) + (z - 1) * (2 * i - 3) + Ei
+            checked += 1
+            if f[s] <= rhs.lo:
+                continue
+            if f[s] > rhs.hi:
+                failures.append({"s": s, "i": i, "f": str(f[s]), "rhs_hi": str(rhs.hi)})
+            else:
+                indeterminate.append(s)
+    e7 = ctx.E.get(7, ReferenceInterval(0))
+    return {
+        "g": g,
+        "ok": not failures and not indeterminate,
+        "k": ctx.k,
+        "checked": checked,
+        "failures": failures,
+        "indeterminate": indeterminate,
+        "E7_hi": str(e7.hi),
+        "E7_le_2k_minus_3": bool(e7.surely_le(2 * ctx.k - 3)),
+    }
+
+
+def reference_upper_bound(g: int, precision=None) -> Fraction:
+    """lambda (g-2) + 2 ceil(sqrt(3/2 (g-2))) + 33 on a lambda enclosure
+    rebuilt per call, an oracle for `analytic_upper_bound`."""
+    ln2 = ln2_interval(_precision_bits(precision))
+    inner = Fraction(48332, 114345) + Fraction(16, 33) * ReferenceInterval(ln2.lo, ln2.hi)
+    lam = 25 - 11 * inner
+    t = ceil_sqrt(3 * (g - 2), 2)
+    return (lam * (g - 2) + 2 * t + 33).hi

@@ -142,12 +142,12 @@ def test_criterion_4_analytic_constants_and_structure():
         a7 = alpha7_interval()
         a7_lo = Fraction(758757, 10**6) - Fraction(5, 10**7)
         a7_hi = Fraction(758757, 10**6) + Fraction(5, 10**7)
-        a7_ok = bool(a7.surely_ge(a7_lo) and a7.surely_le(a7_hi))
+        a7_ok = a7_lo <= a7.lo and a7.hi <= a7_hi
 
         lam = lambda_interval()
         lam_lo = Fraction(166533, 10**4) - Fraction(5, 10**5)
         lam_hi = Fraction(166533, 10**4) + Fraction(5, 10**5)
-        lam_ok = bool(lam.surely_ge(lam_lo) and lam.surely_le(lam_hi))
+        lam_ok = lam_lo <= lam.lo and lam.hi <= lam_hi
         lam_gap = float(lam.lo - lam_hi)
 
         beta_exceptions = []

@@ -9,9 +9,16 @@ optimal_schedule exactly over a wide sweep.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from conftest import (
+    reference_analytic_context,
+    reference_claim1,
+    reference_upper_bound,
+)
 
+import emax.bounds as bounds
 from emax import (
     BoundsError,
     PrecisionError,
@@ -249,15 +256,15 @@ class TestAnchorSensitivity:
 class TestLambda:
     def test_frozen_digits(self):
         lam = lambda_interval()
-        assert lam.surely_ge(Fraction("16.6536719874705")) is True
-        assert lam.surely_le(Fraction("16.6536719874706")) is True
+        assert lam.lo >= Fraction("16.6536719874705")
+        assert lam.hi <= Fraction("16.6536719874706")
         assert lam.width < Fraction(1, 10**70)
 
     def test_decimal_shorthand_misses_by_four_ulp_of_its_precision(self):
         # the value is 16.65367..., so a 16.6533 +/- 5e-5 window excludes
         # it; the acceptance gate records this as a faithful failure
         lam = lambda_interval()
-        assert lam.surely_ge(Fraction("16.6533") + Fraction(5, 10**5)) is True
+        assert lam.lo >= Fraction("16.6533") + Fraction(5, 10**5)
 
     def test_precision_parameter(self):
         wide = lambda_interval(precision=48)
@@ -343,6 +350,79 @@ class TestClaim1:
         # g=10 accumulates a nonzero error on row 7; g=9 happens not to
         assert Fraction(claim1_consistency(10)["E7_hi"]) > 0
         assert Fraction(claim1_consistency(9)["E7_hi"]) == 0
+
+
+ORACLE_GENERA = list(range(2, 151)) + [250, 600, 1000]
+DECIDED = ("g", "ok", "k", "checked", "failures", "indeterminate",
+           "E7_le_2k_minus_3")
+
+
+@lru_cache(maxsize=None)
+def fraction_engine(g, precision=None):
+    return reference_analytic_context(g, precision), reference_claim1(g, precision)
+
+
+def encloses(pair, p, ref) -> bool:
+    """[lo, hi] / 2^p contains the Fraction interval ref."""
+    lo, hi = pair
+    return (lo * ref.lo.denominator <= ref.lo.numerator << p
+            and ref.hi.numerator << p <= hi * ref.hi.denominator)
+
+
+class TestIntegerEngine:
+    """The integer engine against the exact Fraction engine in conftest."""
+
+    @pytest.mark.parametrize("precision", [None, 8])
+    def test_decided_values_equal_the_fraction_engine(self, precision):
+        # at precision 8 the tail starts at 2^-8 and most genera straddle,
+        # so the widening ladder must retrace the reference's steps
+        genera = ORACLE_GENERA if precision is None else range(2, 151)
+        for g in genera:
+            ctx = analytic_context(g, precision)
+            ref, want = fraction_engine(g, precision)
+            assert (ctx.k, ctx.beta, ctx.L_lists, ctx.ell, ctx.tail_bits) == (
+                ref.k, ref.beta, ref.L_lists, ref.ell, ref.tail_bits), g
+            rep = claim1_consistency(g, precision)
+            assert {key: rep[key] for key in DECIDED} == {
+                key: want[key] for key in DECIDED}, g
+
+    def test_enclosures_contain_the_fraction_ones(self):
+        for g in ORACLE_GENERA:
+            ctx = analytic_context(g)
+            ref, want = fraction_engine(g)
+            p = ctx.scale_bits
+            assert p == ctx.tail_bits + bounds.GRID_GUARD_BITS
+            for name in ("alpha", "gamma", "E"):
+                new, old = getattr(ctx, name), getattr(ref, name)
+                assert set(new) == set(old), (g, name)
+                for i, iv in old.items():
+                    assert encloses(new[i], p, iv), (g, name, i)
+            assert Fraction(claim1_consistency(g)["E7_hi"]) >= Fraction(want["E7_hi"])
+
+    def test_the_ladder_gives_up_where_the_fraction_engine_does(self, monkeypatch):
+        # with the cap at the starting tail, every straddle is final and
+        # the error names the first straddling row of the same scan order
+        widened = [g for g in range(2, 151)
+                   if analytic_context(g, precision=8).tail_bits > 8]
+        assert len(widened) > 50
+        monkeypatch.setattr(bounds, "TAIL_BITS_CAP", 8)
+        for g in widened:
+            with pytest.raises(PrecisionError) as got:
+                analytic_context(g, precision=8)
+            with pytest.raises(PrecisionError) as want:
+                reference_analytic_context(g, precision=8)
+            assert str(got.value) == str(want.value), g
+            assert f"for g={g} even at tail precision 2^-8" in str(got.value)
+
+    def test_upper_bound_equals_the_fraction_engine(self):
+        for g in range(2, 3001):
+            assert analytic_upper_bound(g) == reference_upper_bound(g), g
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    def test_verify_reports_equal_the_fraction_engine(self, which, monkeypatch):
+        got = verify_theorem(which, 2000)
+        monkeypatch.setattr(bounds, "analytic_upper_bound", reference_upper_bound)
+        assert got == verify_theorem(which, 2000)
 
 
 class TestVerifyTheorem:

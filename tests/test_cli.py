@@ -11,6 +11,7 @@ import time
 import pytest
 
 from emax import (
+    PseudoEmbedding,
     cli,
     complete_bipartite,
     complete_graph,
@@ -181,6 +182,23 @@ class TestTriangulate:
         assert rep2["triangulation"] is True
         assert rep2["genus"] == 2
         assert rep2["simple"] is False  # completion duplicated an edge
+
+    def test_face_shorter_than_three_is_an_input_error(self, tmp_path, capsys):
+        # a 4-cycle with one doubled edge: faces of length 4, 2 and 4
+        scheme = PseudoEmbedding(
+            4,
+            [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 1, 1)],
+            [[(0, 0), (4, 0), (3, 1)], [(4, 1), (0, 1), (1, 0)],
+             [(1, 1), (2, 0)], [(2, 1), (3, 0)]],
+        )
+        path = tmp_path / "c4-doubled.json"
+        path.write_text(scheme_to_json(scheme))
+        code, out, err = run(capsys, "triangulate", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: completion needs every face to have length at least 3; "
+            "the scheme has a face of length 2\n"
+        )
 
 
 class TestOrderedSeq:
