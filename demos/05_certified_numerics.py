@@ -1,9 +1,11 @@
 """Certified enclosures: every decimal here comes with a proof.
 
-The analytic bound engine never touches floats.  Series are summed in
-integer fixed point with explicit tail bounds, so each constant is a
-rational interval guaranteed to contain the true value, and ceilings
-are only extracted when the enclosure does not straddle an integer.
+The analytic bound engine never touches floats.  log 2 is summed in
+integer fixed point with an explicit tail bound, and alpha_7 and lambda
+are exact affine images of it (alpha_7 = 48332/114345 + (16/33) log 2),
+so each constant is a rational interval guaranteed to contain the true
+value, and ceilings are only extracted when the enclosure does not
+straddle an integer.
 """
 
 from fractions import Fraction

@@ -62,11 +62,10 @@ SCHEDULE_STEP_CAP = 10**6
 # 5.5 s, and 85 MB in the padded format, which holds every cell (csv and
 # json stream their rows)
 TABLE_GENUS_CAP = 3000
-# verify_theorem costs about 0.015 ms per genus past the direct range, in
-# constant memory: 10^5 genera take about 2 s
+# verify_theorem costs about 0.008 ms per genus past the direct range, in
+# constant memory: 10^5 genera take about 0.8 s
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
-TAIL_BITS_CAP = 64
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
 
 SURFACE_KINDS = ("nonorientable", "orientable")
@@ -279,10 +278,10 @@ def lambda_interval(precision: Optional[int] = None) -> Interval:
 def analytic_context(g: int, precision: Optional[int] = None) -> AnalyticContext:
     """All quantities of the analytic schedule for genus g, certified.
 
-    Enclosure precision auto-widens (more series terms, and the grid with
-    them) whenever a ceiling or a threshold test straddles an integer; if
-    the widening cap cannot separate alpha_i (g-2) from an integer the
-    failure names the index.
+    The alpha_7 enclosure starts at 2^-min(precision, TAIL_BITS_START) and
+    narrows by 8 bits (the grid with it) whenever a ceiling or a threshold
+    test straddles an integer, up to 2^-precision; if that cannot separate
+    alpha_i (g-2) from an integer the failure names the index.
     """
     if g < 2:
         raise BoundsError("analytic context needs g >= 2")
@@ -294,12 +293,12 @@ def analytic_context(g: int, precision: Optional[int] = None) -> AnalyticContext
         try:
             return _context_at_precision(g, gm2, lam, bits, tail_bits)
         except _Straddle as st:
-            tail_bits += 8
-            if tail_bits > TAIL_BITS_CAP:
+            if tail_bits >= bits:
                 raise PrecisionError(
                     f"cannot separate alpha_{st.index}(g-2) from an integer "
-                    f"for g={g} even at tail precision 2^-{TAIL_BITS_CAP}"
+                    f"for g={g} even at tail precision 2^-{bits}"
                 )
+            tail_bits = min(tail_bits + 8, bits)
 
 
 class _Straddle(Exception):
@@ -314,7 +313,8 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     floors the low end and ceils the high end.  alpha_i = alpha_7 - S_i,
     S_i = sum_{j=8..i} 12/((j-7)(j-6)(2j-3)): each term goes into S_lo as
     its floor and into S_hi as its ceiling, the floor plus one since no
-    term lies on the grid (see `alpha7_interval`), so alpha_i is in
+    term lies on the grid (the odd part of 12 2^p is 3, and the odd factor
+    2i-3 >= 13 of the denominator does not divide 3), so alpha_i is in
     [A_lo - S_hi, A_hi - S_lo].  Scaling by g-2 >= 0, subtracting from an
     integer and the sums and positive multiples of the E recursion are
     exact, and max{0, x} is monotone, so each E_i encloses the exact one.
@@ -423,30 +423,32 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
         raise BoundsError(f"g_max {g_max} is above the cap of {VERIFY_GMAX_CAP}")
     name, factor, per_g, dp_top = aliases[which]
     dp_top = min(dp_top, g_max)
+    # each slack is carried as its integer numerator over Q, the
+    # denominator of lambda's upper end, which every analytic bound's divides
+    Q = lambda_interval().hi.denominator if g_max > dp_top else 1
     violations = []
     min_slack = None
 
-    def note(g, slack):
+    def note(g, num):
         nonlocal min_slack
-        if slack < 0:
-            violations.append({"g": g, "slack": str(slack)})
-        if min_slack is None or slack < min_slack[1]:
-            min_slack = (g, slack)
+        if num < 0:
+            violations.append({"g": g, "slack": str(Fraction(num, Q))})
+        if min_slack is None or num < min_slack[1]:
+            min_slack = (g, num)
 
     for g in range(1, dp_top + 1):
         fin = optimal_schedule(g, g + 1).f_values[-1]
-        note(g, per_g * g - (factor * fin - 1))
-    analytic_range = range(dp_top + 1, g_max + 1)
-    for g in analytic_range:
+        note(g, (per_g * g - factor * fin + 1) * Q)
+    for g in range(dp_top + 1, g_max + 1):
         ub = analytic_upper_bound(g)
-        note(g, per_g * g - (factor * ub - 1))
+        note(g, (per_g * g + 1) * Q - factor * ub.numerator * (Q // ub.denominator))
     return {
         "theorem": name,
         "ok": not violations,
         "direct_range": [1, dp_top],
         "analytic_range": [dp_top + 1, g_max] if g_max > dp_top else None,
         "checked": g_max,
-        "min_slack": {"g": min_slack[0], "slack": str(min_slack[1])},
+        "min_slack": {"g": min_slack[0], "slack": str(Fraction(min_slack[1], Q))},
         "violations": violations,
     }
 

@@ -1,16 +1,17 @@
 """Certified enclosures of the irrational constants.
 
-Everything downstream that touches an irrational quantity (log 2, the tail of
-an infinite series) starts from the small `Interval` type defined here: a
-closed interval [lo, hi] with `Fraction` endpoints that is guaranteed to
-contain the true real value.  The series are summed on a dyadic grid, each
-term rounded outward (floor into the low sum, ceiling into the high sum),
-and an explicit enclosure of the truncated tail is added.
-`Interval.outward` moves an enclosure onto a grid 2^-p, rounding outward
-again; the analytic engine in emax.bounds runs on such integer
-endpoints.  This is what makes ceilings of near-integer quantities
-certifiable: either the whole interval sits strictly on one side of an
-integer, or we report that the requested precision cannot separate them.
+Everything downstream that touches an irrational quantity starts from the
+small `Interval` type defined here: a closed interval [lo, hi] with
+`Fraction` endpoints that is guaranteed to contain the true real value.
+log 2 is the one series: it is summed on a dyadic grid, each term rounded
+outward (floor into the low sum, ceiling into the high sum), and an
+explicit enclosure of the truncated tail is added.  alpha_7 is an exact
+affine image of log 2 (see `alpha7_interval`).  `Interval.outward` moves
+an enclosure onto a grid 2^-p, rounding outward again; the analytic
+engine in emax.bounds runs on such integer endpoints.  This is what makes
+ceilings of near-integer quantities certifiable: either the whole interval
+sits strictly on one side of an integer, or we report that the requested
+precision cannot separate them.
 
 No floating point is used anywhere in this module.
 """
@@ -119,75 +120,22 @@ def ln2_interval(bits: int = 256) -> Interval:
     return Interval(lo_acc * scale, hi_acc * scale + tail_hi)
 
 
-def series_term(j: int) -> Fraction:
-    """Term of the interference series: 12/((j-7)(j-6)(2j-3)), j >= 8."""
-    if j < 8:
-        raise ValueError("series terms start at j = 8")
-    return Fraction(12, (j - 7) * (j - 6) * (2 * j - 3))
-
-
-def _tail_interval(K: int) -> Interval:
-    """Enclosure of sum_{j>K} series_term(j) for K >= 8.
-
-    Upper bound 3/(K-7)^2: each term is at most the telescoping difference
-    3/(j-8)^2 - 3/(j-7)^2 ... the standard quadratic tail estimate.  Lower
-    bound 3/(K-3)^2: term(j) > 3/(j-4)^2 - 3/(j-3)^2 for every j >= 8
-    (cross-multiplication; checked exhaustively in the test suite), and the
-    right side telescopes to 3/(K-3)^2.
-    """
-    return Interval(Fraction(3, (K - 3) ** 2), Fraction(3, (K - 7) ** 2))
-
-
-def _tail_cutoff_start(tail_bits: int) -> int:
-    """First guess at the series cutoff K for alpha7_interval.
-
-    The tail width 3/(K-7)^2 - 3/(K-3)^2 is at most 24(K-5)/((K-7)^2 (K-3)^2),
-    roughly 24/K^3, so K starts at the nearest integer to cbrt(24 * 2^bits)
-    plus 8; the caller nudges K up until the width is certified.
-    """
-    n = 24 << tail_bits
-    r = 1 << -(-n.bit_length() // 3)  # >= cbrt(n); Newton descends to floor
-    while True:
-        nxt = (2 * r + n // (r * r)) // 3
-        if nxt >= r:
-            break
-        r = nxt
-    if 8 * n >= (2 * r + 1) ** 3:  # cbrt(n) >= r + 1/2
-        r += 1
-    return max(16, r + 8)
-
-
 @lru_cache(maxsize=8)
 def alpha7_interval(tail_bits: int = 48) -> Interval:
-    """Enclosure of alpha_7 = sum_{j>=8} 12/((j-7)(j-6)(2j-3)).
+    """Enclosure of alpha_7 = sum_{j>=8} 12/((j-7)(j-6)(2j-3)) with width
+    below 2^-tail_bits, from the closed form 48332/114345 + (16/33) log 2.
 
-    The first K-7 terms are summed in fixed point (floor/ceil per term) and
-    the tail is enclosed by `_tail_interval`.  K is chosen so the tail
-    enclosure is narrower than 2^-tail_bits; the fixed-point grid uses
-    tail_bits + 24 fractional bits so per-term rounding is negligible.
-
-    No term lies on the grid: the odd part of 12 * 2^p is 3, while the
-    odd factor 2j-3 >= 13 of the denominator does not divide 3.  So every
-    ceiling is its floor plus one, and the high sum is the low sum plus
-    K-7.
+    With k = j-7 each term is 12/(k(k+1)(2k+11)) = (12/11)/k - (4/3)/(k+1)
+    + (16/33)/(2k+11).  The weights of 1/k, 1/(k+1) and 1/(k+11/2) sum to
+    zero, so the series is 4/3 - (8/33) H_{11/2}, with the harmonic number
+    H_{11/2} = sum_{k>=1} (1/k - 1/(k+11/2)) = 2(1 + 1/3 + ... + 1/11)
+    - 2 log 2.  That is R + (16/33) log 2 with R = 4/3 - (16/33)(1 + 1/3 +
+    ... + 1/11) = 48332/114345.  The map x -> R + (16/33) x increases, so
+    it carries the ends of the log 2 enclosure to ends of an alpha_7 one,
+    of width (16/33) width(log 2) < 2^-tail_bits.
     """
     if tail_bits < 8:
         raise ValueError("tail_bits must be at least 8")
-    if tail_bits > 66:
-        # K grows like cbrt(24 * 2^bits); past 66 bits the term count
-        # exceeds ~2e7 and the sum stops being cheap.
-        raise PrecisionError(
-            f"series tail cannot be certified below 2^-{tail_bits} "
-            "(term count infeasible)"
-        )
-    K = _tail_cutoff_start(tail_bits)
-    while _tail_interval(K).width > Fraction(1, 1 << tail_bits):
-        K += K // 8 + 1
-    p = tail_bits + 24
-    twelve = 12 << p
-    lo_acc = sum(
-        twelve // ((j - 7) * (j - 6) * (2 * j - 3)) for j in range(8, K + 1)
-    )
-    scale = Fraction(1, 1 << p)
-    tail = _tail_interval(K)
-    return Interval(lo_acc * scale + tail.lo, (lo_acc + K - 7) * scale + tail.hi)
+    ln2 = ln2_interval(tail_bits)
+    r, c = Fraction(48332, 114345), Fraction(16, 33)
+    return Interval(r + c * ln2.lo, r + c * ln2.hi)

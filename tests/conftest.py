@@ -25,15 +25,14 @@ from emax import (
     walk_corners,
 )
 import emax.bounds
-from emax.bounds import TAIL_BITS_START, _precision_bits
+from emax.bounds import _precision_bits
 from emax.embedding import insert_dart_at_corner
 from emax.intervals import (
+    Interval,
     PrecisionError,
-    _tail_cutoff_start,
-    _tail_interval,
+    alpha7_interval,
     ceil_sqrt,
     ln2_interval,
-    series_term,
 )
 
 ACCEPTANCE: dict[int, tuple[bool, str]] = {}
@@ -370,10 +369,50 @@ def reference_certified_ceil(iv: ReferenceInterval):
     return None
 
 
+def series_term(j: int) -> Fraction:
+    """Term of the interference series: 12/((j-7)(j-6)(2j-3)), j >= 8."""
+    if j < 8:
+        raise ValueError("series terms start at j = 8")
+    return Fraction(12, (j - 7) * (j - 6) * (2 * j - 3))
+
+
+def _tail_interval(K: int) -> Interval:
+    """Enclosure of sum_{j>K} series_term(j) for K >= 8.
+
+    Upper bound 3/(K-7)^2: each term is at most the telescoping difference
+    3/(j-8)^2 - 3/(j-7)^2 ... the standard quadratic tail estimate.  Lower
+    bound 3/(K-3)^2: term(j) > 3/(j-4)^2 - 3/(j-3)^2 for every j >= 8
+    (cross-multiplication; checked exhaustively in the test suite), and the
+    right side telescopes to 3/(K-3)^2.
+    """
+    return Interval(Fraction(3, (K - 3) ** 2), Fraction(3, (K - 7) ** 2))
+
+
+def _tail_cutoff_start(tail_bits: int) -> int:
+    """First guess at the series cutoff K for reference_alpha7.
+
+    The tail width 3/(K-7)^2 - 3/(K-3)^2 is at most 24(K-5)/((K-7)^2 (K-3)^2),
+    roughly 24/K^3, so K starts at the nearest integer to cbrt(24 * 2^bits)
+    plus 8; the caller nudges K up until the width is certified.
+    """
+    n = 24 << tail_bits
+    r = 1 << -(-n.bit_length() // 3)  # >= cbrt(n); Newton descends to floor
+    while True:
+        nxt = (2 * r + n // (r * r)) // 3
+        if nxt >= r:
+            break
+        r = nxt
+    if 8 * n >= (2 * r + 1) ** 3:  # cbrt(n) >= r + 1/2
+        r += 1
+    return max(16, r + 8)
+
+
 @lru_cache(maxsize=None)
 def reference_alpha7(tail_bits: int) -> tuple:
-    """(lo, hi) of the alpha_7 enclosure by the per-term floor/ceil loop,
-    an oracle for `alpha7_interval`."""
+    """(lo, hi) of an alpha_7 enclosure by summing the series itself with a
+    per-term floor/ceil loop and a proved tail, an oracle for the closed
+    form in `alpha7_interval`.  The term count grows like cbrt(24 2^bits):
+    about 0.8 s at 56 bits and 5 s at 64."""
     K = _tail_cutoff_start(tail_bits)
     while _tail_interval(K).width > Fraction(1, 1 << tail_bits):
         K += K // 8 + 1
@@ -400,29 +439,31 @@ def reference_analytic_context(g: int, precision=None) -> SimpleNamespace:
     """The analytic context on exact Fraction intervals, an oracle for
     `analytic_context`.
 
-    alpha_i is alpha_7 minus the exact partial sum of terms 8..i, every
-    row's middle sum is re-added, and a straddle widens the tail by 8 bits
-    up to the same cap, read from emax.bounds at call time.  Its alpha,
-    gamma and E map rows to ReferenceInterval.
+    alpha_7 is read from `alpha7_interval` (the constant has its own
+    oracle, `reference_alpha7`), alpha_i is alpha_7 minus the exact partial
+    sum of terms 8..i, every row's middle sum is re-added, and a straddle
+    widens the tail by 8 bits, from emax.bounds.TAIL_BITS_START read at
+    call time, up to the resolved precision.  Its alpha, gamma and E map
+    rows to ReferenceInterval.
     """
     bits = _precision_bits(precision)
     gm2 = g - 2
-    tail_bits = min(bits, TAIL_BITS_START)
+    tail_bits = min(bits, emax.bounds.TAIL_BITS_START)
     while True:
         try:
             return _reference_context_at(g, gm2, tail_bits)
         except _ReferenceStraddle as st:
-            tail_bits += 8
-            cap = emax.bounds.TAIL_BITS_CAP
-            if tail_bits > cap:
+            if tail_bits >= bits:
                 raise PrecisionError(
                     f"cannot separate alpha_{st.index}(g-2) from an integer "
-                    f"for g={g} even at tail precision 2^-{cap}"
+                    f"for g={g} even at tail precision 2^-{bits}"
                 )
+            tail_bits = min(tail_bits + 8, bits)
 
 
 def _reference_context_at(g, gm2, tail_bits) -> SimpleNamespace:
-    alpha = {7: ReferenceInterval(*reference_alpha7(tail_bits))}
+    a7 = alpha7_interval(tail_bits)
+    alpha = {7: ReferenceInterval(a7.lo, a7.hi)}
     partial = Fraction(0)
     i = 7
     while True:

@@ -362,6 +362,19 @@ def fraction_engine(g, precision=None):
     return reference_analytic_context(g, precision), reference_claim1(g, precision)
 
 
+@lru_cache(maxsize=None)
+def straddling_at_tail_8() -> dict:
+    """g -> PrecisionError message, for the g in 2..1000 whose context
+    cannot be decided on the 2^-8 alpha_7 enclosure."""
+    failed = {}
+    for g in range(2, 1001):
+        try:
+            analytic_context(g, precision=8)
+        except PrecisionError as err:
+            failed[g] = str(err)
+    return failed
+
+
 def encloses(pair, p, ref) -> bool:
     """[lo, hi] / 2^p contains the Fraction interval ref."""
     lo, hi = pair
@@ -374,12 +387,18 @@ class TestIntegerEngine:
 
     @pytest.mark.parametrize("precision", [None, 8])
     def test_decided_values_equal_the_fraction_engine(self, precision):
-        # at precision 8 the tail starts at 2^-8 and most genera straddle,
-        # so the widening ladder must retrace the reference's steps
+        # at precision 8 the tail starts and ends at 2^-8, so a genus that
+        # straddles there must fail with the reference's message
         genera = ORACLE_GENERA if precision is None else range(2, 151)
         for g in genera:
+            try:
+                ref, want = fraction_engine(g, precision)
+            except PrecisionError as err:
+                with pytest.raises(PrecisionError) as got:
+                    analytic_context(g, precision)
+                assert str(got.value) == str(err), g
+                continue
             ctx = analytic_context(g, precision)
-            ref, want = fraction_engine(g, precision)
             assert (ctx.k, ctx.beta, ctx.L_lists, ctx.ell, ctx.tail_bits) == (
                 ref.k, ref.beta, ref.L_lists, ref.ell, ref.tail_bits), g
             rep = claim1_consistency(g, precision)
@@ -399,20 +418,32 @@ class TestIntegerEngine:
                     assert encloses(new[i], p, iv), (g, name, i)
             assert Fraction(claim1_consistency(g)["E7_hi"]) >= Fraction(want["E7_hi"])
 
-    def test_the_ladder_gives_up_where_the_fraction_engine_does(self, monkeypatch):
-        # with the cap at the starting tail, every straddle is final and
-        # the error names the first straddling row of the same scan order
-        widened = [g for g in range(2, 151)
-                   if analytic_context(g, precision=8).tail_bits > 8]
-        assert len(widened) > 50
-        monkeypatch.setattr(bounds, "TAIL_BITS_CAP", 8)
-        for g in widened:
-            with pytest.raises(PrecisionError) as got:
-                analytic_context(g, precision=8)
+    def test_the_ladder_gives_up_where_the_fraction_engine_does(self):
+        # at precision 8 the ladder has no room to widen, so every straddle
+        # is final and the error names the first straddling row of the
+        # same scan order
+        failed = straddling_at_tail_8()
+        assert len(failed) > 50
+        for g in sorted(failed)[:12]:
             with pytest.raises(PrecisionError) as want:
                 reference_analytic_context(g, precision=8)
-            assert str(got.value) == str(want.value), g
-            assert f"for g={g} even at tail precision 2^-8" in str(got.value)
+            assert failed[g] == str(want.value), g
+            assert f"for g={g} even at tail precision 2^-8" in failed[g]
+
+    def test_the_ladder_climbs_like_the_fraction_engine(self, monkeypatch):
+        # started at 2^-8 below the default precision, the genera that
+        # straddle there widen instead of failing, and decide as the
+        # reference does after the same climb
+        monkeypatch.setattr(bounds, "TAIL_BITS_START", 8)
+        climbed = {g: analytic_context(g) for g in straddling_at_tail_8()}
+        assert all(ctx.tail_bits > 8 for ctx in climbed.values())
+        for g in sorted(climbed)[:12]:
+            ctx, ref = climbed[g], reference_analytic_context(g)
+            assert (ctx.k, ctx.beta, ctx.L_lists, ctx.ell, ctx.tail_bits) == (
+                ref.k, ref.beta, ref.L_lists, ref.ell, ref.tail_bits), g
+            rep, want = claim1_consistency(g), reference_claim1(g)
+            assert {key: rep[key] for key in DECIDED} == {
+                key: want[key] for key in DECIDED}, g
 
     def test_upper_bound_equals_the_fraction_engine(self):
         for g in range(2, 3001):
