@@ -54,16 +54,16 @@ from .intervals import (
 
 DEFAULT_PRECISION_BITS = 256
 C_SCAN_CAP_FACTOR = 14
-# optimal_schedule keeps one f' value per step: 10^6 steps take about half a
-# second at g = 13, while an unbounded s_max runs until it is killed
+# optimal_schedule keeps one f' value per step: 10^6 steps take about 0.1 s
+# at g = 13, while an unbounded s_max runs until it is killed
 SCHEDULE_STEP_CAP = 10**6
 # a table row at Euler genus g carries a g-1 entry schedule, so a table up
-# to genus G costs time and output quadratic in G: G = 3000 takes about 4 to
-# 5.5 s, and 85 MB in the padded format, which holds every cell (csv and
-# json stream their rows)
+# to genus G costs time and output quadratic in G: G = 3000 takes about
+# 1.4 s in csv, 2.9 s in the padded format (two passes) and 4.2 s in json,
+# each in about 18 MB, as every format writes its rows as they are made
 TABLE_GENUS_CAP = 3000
 # verify_theorem costs about 0.008 ms per genus past the direct range, in
-# constant memory: 10^5 genera take about 0.8 s
+# constant memory: 10^5 genera take about 0.8 s for either theorem
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
@@ -134,10 +134,24 @@ def optimal_schedule(
     and both tests below are cross-multiplied into integers.  The first
     branch of the recurrence decreases in c and the second increases, so
     the minimum is one of the two candidates straddling the first crossing
-    (smaller c on ties).  Each step's scan starts at the previous step's
-    crossing and walks down or up to its own.  anchor_delta shifts the s=2
-    anchor, which must stay nonnegative; it exists for sensitivity testing
-    only.
+    c, the least c with crossed(c) (smaller c on ties).  The scan starts at
+    the previous crossing and walks down or up to its own.  anchor_delta
+    shifts the s=2 anchor, which must stay nonnegative; it exists for
+    sensitivity testing only.
+
+    The loop moves a whole run of constant c at once.  With d = (2c-3)q,
+    branch 2 at c wins a step from p when (c-7)(p+d) < 2(c-1)(g-2)q, and
+    moves p to p+d with q unchanged (and gcd(p+d, q) = gcd(p, q)).  Then
+    crossed(c) still holds, as crossed only grows with p, and crossed(c-1)
+    fails as long as branch 2 at c keeps winning, since (c-7)((2c-5)q + p)
+    < (c-7)(p+d).  So the crossing stays at c, and the run is every j >= 1
+    with (c-7)(p + jd) < 2(c-1)(g-2)q: one integer division.  At c = 7
+    there is no c-1 and the run takes every remaining step.  A step that
+    branch 1 at c-1 wins stays a single step, floored as before, and leaves
+    the crossing at c-1 or below.  f' grows with s, so the crossing never
+    rises: the loop makes at most c_3 - 6 runs and as many single steps
+    (the g+1 step schedule has 23 runs of constant c at g = 670, 38 at
+    g = 3000).
     """
     if g < 1:
         raise BoundsError("g must be >= 1")
@@ -158,26 +172,39 @@ def optimal_schedule(
         # branch1 <= branch2: 2c(g-2) q <= (c-6)((2c-3) q + p)
         return 2 * c * gm2 * q <= (c - 6) * ((2 * c - 3) * q + p)
 
-    c = 7
-    for s in range(3, s_max + 1):
+    c, s = 7, 3
+    while s <= s_max:
         while c > 7 and crossed(c - 1):
             c -= 1
         while not crossed(c):
             c += 1
             if c > cap:
                 raise RuntimeError("c scan exceeded its hard cap")
-        best_c, num, den = c, (2 * c - 3) * q + p, q  # branch2 at c
-        if c > 7 and 2 * (c - 1) * gm2 * den <= (c - 7) * num:
-            # branch1 at c-1 is no larger: ties go to the smaller c
-            best_c, num, den = c - 1, 2 * (c - 1) * gm2, c - 7
+        d = (2 * c - 3) * q
+        t = s_max - s + 1
+        if c > 7:
+            t = min(t, (2 * (c - 1) * gm2 * q - (c - 7) * p - 1) // ((c - 7) * d))
+        if t > 0:
+            # a run of branch 2 at c
+            schedule += [c] * t
+            if q == 1:
+                f_values += range(p + d, p + t * d + 1, d)
+            else:
+                f_values += [Fraction(p + j * d, q) for j in range(1, t + 1)]
+            p += t * d
+            s += t
+            continue
+        # branch1 at c-1 is no larger: ties go to the smaller c
+        num, den = 2 * (c - 1) * gm2, c - 7
         if floor_steps:
             if num % den:
                 floored.append(s)
             p, q = num // den, 1
         else:
             p, q = Fraction(num, den).as_integer_ratio()
-        schedule.append(best_c)
+        schedule.append(c - 1)
         f_values.append(p if q == 1 else Fraction(p, q))
+        s += 1
     return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
 
 

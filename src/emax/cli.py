@@ -14,18 +14,19 @@ prints `"found": false` and exits 0.
 Size caps, sized from their algorithms, refuse runaway inputs up front with
 exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
 (10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
-at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6, about 0.5 s), and
-an edge-list file declares at most graphs.EDGE_LIST_VERTEX_CAP vertices
-(10^5, about 45 MB of adjacency sets).  `construct prop2` takes a `--genus`
-and `--base-faces` of at most constructions.PROP2_GENUS_CAP (1000: every
-paste rebuilds the scheme, so the time is quadratic, about 30 s at the
-cap).  `bounds table` stops at the row of Euler genus
-bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
-orientable: a row carries a schedule of g-1 entries, so time and output
-are quadratic, about 5 s at the cap; csv and json rows are written as they
-are made, while the padded format holds every cell, 85 MB at the cap).
+at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` takes
+about 0.9 s, most of it writing the JSON), and an edge-list file declares
+at most graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of
+adjacency sets).  `construct prop2` takes a `--genus` and `--base-faces` of
+at most constructions.PROP2_GENUS_CAP (1000: every paste rebuilds the
+scheme, so the time is quadratic, about 30 s at the cap).  `bounds table`
+stops at the row of Euler genus bounds.TABLE_GENUS_CAP (3000, so `--gmax`
+3000 nonorientable or 1500 orientable: a row carries a schedule of g-1
+entries, so time and output are quadratic, 1.4 to 4.2 s at the cap; every
+format writes its rows as they are made, the padded one after a first pass
+that only takes the column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
-linear, about 2 s).
+linear, about 1 s).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
@@ -315,25 +316,21 @@ def cmd_bounds_table(args) -> int:
             sep = ",\n"
         write("[]\n" if sep == "[\n" else "\n]\n")
     else:
+        def cells(r):
+            return (str(r.g), _surface_name(r.surface_kind, r.g),
+                    ",".join(str(c) for c in r.c_schedule),
+                    str(r.impurity), str(r.edge_bound_offset))
+
+        # a first pass keeps only the column widths and a second writes
+        # each padded line, so no cell is held
         header = ("g", "surface", "schedule", "impurity", "offset")
-        cells = [
-            (
-                str(r.g),
-                _surface_name(r.surface_kind, r.g),
-                ",".join(str(c) for c in r.c_schedule),
-                str(r.impurity),
-                str(r.edge_bound_offset),
-            )
-            for r in rows
-        ]
-        widths = [
-            max(len(header[i]), max(len(c[i]) for c in cells))
-            for i in range(5)
-        ]
-        fmt = "  ".join("{:<%d}" % w for w in widths)
-        out = [fmt.format(*header)]
-        out += [fmt.format(*c) for c in cells]
-        sys.stdout.write("\n".join(out) + "\n")
+        widths = [len(h) for h in header]
+        for r in rows:
+            widths = [max(w, len(x)) for w, x in zip(widths, cells(r))]
+        fmt = "  ".join("{:<%d}" % w for w in widths) + "\n"
+        write(fmt.format(*header))
+        for r in _table_rows(args):
+            write(fmt.format(*cells(r)))
     return 0
 
 

@@ -25,7 +25,13 @@ from emax import (
     walk_corners,
 )
 import emax.bounds
-from emax.bounds import _precision_bits
+from emax.bounds import (
+    C_SCAN_CAP_FACTOR,
+    SCHEDULE_STEP_CAP,
+    BoundsError,
+    ScheduleResult,
+    _precision_bits,
+)
 from emax.embedding import insert_dart_at_corner
 from emax.intervals import (
     Interval,
@@ -591,3 +597,50 @@ def reference_upper_bound(g: int, precision=None) -> Fraction:
     lam = 25 - 11 * inner
     t = ceil_sqrt(3 * (g - 2), 2)
     return (lam * (g - 2) + 2 * t + 33).hi
+
+
+def reference_schedule(
+    g: int, s_max: int, *, floor_steps: bool = True, anchor_delta: int = 0
+) -> ScheduleResult:
+    """The per-step loop that `optimal_schedule` replaced with run jumps:
+    one c-scan and one branch test per step s, an oracle for the jump."""
+    if g < 1:
+        raise BoundsError("g must be >= 1")
+    if s_max < 2:
+        raise BoundsError("s_max must be >= 2")
+    if s_max > SCHEDULE_STEP_CAP:
+        raise BoundsError(f"s_max {s_max} is above the cap of {SCHEDULE_STEP_CAP}")
+    p, q = f_exact_s2(g) + anchor_delta, 1
+    if p < 0:
+        raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")
+    f_values = [p]
+    schedule = []
+    floored = []
+    cap = 6 + C_SCAN_CAP_FACTOR * g
+    gm2 = g - 2
+
+    def crossed(c):
+        # branch1 <= branch2: 2c(g-2) q <= (c-6)((2c-3) q + p)
+        return 2 * c * gm2 * q <= (c - 6) * ((2 * c - 3) * q + p)
+
+    c = 7
+    for s in range(3, s_max + 1):
+        while c > 7 and crossed(c - 1):
+            c -= 1
+        while not crossed(c):
+            c += 1
+            if c > cap:
+                raise RuntimeError("c scan exceeded its hard cap")
+        best_c, num, den = c, (2 * c - 3) * q + p, q  # branch2 at c
+        if c > 7 and 2 * (c - 1) * gm2 * den <= (c - 7) * num:
+            # branch1 at c-1 is no larger: ties go to the smaller c
+            best_c, num, den = c - 1, 2 * (c - 1) * gm2, c - 7
+        if floor_steps:
+            if num % den:
+                floored.append(s)
+            p, q = num // den, 1
+        else:
+            p, q = Fraction(num, den).as_integer_ratio()
+        schedule.append(best_c)
+        f_values.append(p if q == 1 else Fraction(p, q))
+    return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))

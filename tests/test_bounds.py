@@ -5,7 +5,9 @@ g = 1..20, orientable g = 2..40) are frozen below as data and compared
 field by field.  Independently of that, `oracle_schedule` re-derives the
 whole dynamic program from the recurrence definition with a naive scan
 over c (no crossing shortcut, no integer fast path) and must reproduce
-optimal_schedule exactly over a wide sweep.
+optimal_schedule exactly over a wide sweep.  `reference_schedule`, the
+per-step loop that the run jumps replaced, must match it with the types
+of the values.
 """
 
 from fractions import Fraction
@@ -15,6 +17,7 @@ import pytest
 from conftest import (
     reference_analytic_context,
     reference_claim1,
+    reference_schedule,
     reference_upper_bound,
 )
 
@@ -154,18 +157,22 @@ class TestScheduleAgainstNaiveOracle:
             oracle_schedule(g, g + 1)
 
     def test_unfloored_sweep(self):
+        # s_max g/2 + 2 ends inside a run, 3g+5 runs far past g+1
         for g in [*range(1, 41), 150]:
-            res = optimal_schedule(g, g + 1, floor_steps=False)
-            assert (res.c_schedule, res.f_values, res.floored_steps) == \
-                oracle_schedule(g, g + 1, floor_steps=False)
+            for s_max in (g // 2 + 2, g + 1, 3 * g + 5):
+                res = optimal_schedule(g, s_max, floor_steps=False)
+                assert (res.c_schedule, res.f_values, res.floored_steps) == \
+                    oracle_schedule(g, s_max, floor_steps=False), (g, s_max)
 
     def test_anchor_delta_sweep(self):
         # delta 50 pulls the crossing down to c = 7; g = 1, 2 have g-2 <= 0
         for g in (1, 2, 3, 9, 40):
             for delta in (-3, -1, 1, 3, 50):
-                res = optimal_schedule(g, g + 1, anchor_delta=delta)
-                assert (res.c_schedule, res.f_values, res.floored_steps) == \
-                    oracle_schedule(g, g + 1, anchor_delta=delta), (g, delta)
+                for s_max in (g // 2 + 2, g + 1, 3 * g + 5):
+                    res = optimal_schedule(g, s_max, anchor_delta=delta)
+                    assert (res.c_schedule, res.f_values, res.floored_steps) \
+                        == oracle_schedule(g, s_max, anchor_delta=delta), \
+                        (g, delta, s_max)
 
     def test_validation(self):
         with pytest.raises(BoundsError):
@@ -176,6 +183,45 @@ class TestScheduleAgainstNaiveOracle:
             optimal_schedule(3, 4, anchor_delta=-9)
         with pytest.raises(BoundsError, match="cap"):
             optimal_schedule(13, SCHEDULE_STEP_CAP + 1)
+
+
+def assert_same_schedule(res, ref):
+    # == alone would let an integral Fraction stand in for an int
+    assert res == ref
+    for v, w in zip(res.f_values, ref.f_values):
+        assert type(v) is type(w)
+        assert type(v) is int or v.denominator > 1
+
+
+class TestRunJump:
+    """`optimal_schedule` jumps whole runs of constant c; the per-step loop
+    it replaced, `reference_schedule`, must give the same result."""
+
+    def test_equals_the_per_step_loop(self):
+        for g in [*range(1, 701), 1000, 3000]:
+            assert_same_schedule(optimal_schedule(g, g + 1),
+                                 reference_schedule(g, g + 1))
+
+    def test_equals_the_per_step_loop_off_the_diagonal(self):
+        for g in range(1, 121):
+            for s_max in (2, 3, 5, 50, g + 1, 3 * g + 5):
+                for floor_steps in (True, False):
+                    for delta in (0, 1, 3, 50):
+                        kw = {"floor_steps": floor_steps, "anchor_delta": delta}
+                        assert_same_schedule(
+                            optimal_schedule(g, s_max, **kw),
+                            reference_schedule(g, s_max, **kw),
+                        )
+
+    def test_c_never_increases_in_s(self):
+        # the crossing only moves down, which is what lets a run be jumped
+        for g in range(1, 400):
+            for floor_steps in (True, False):
+                for delta in (0, 1, 3, 50):
+                    sched = optimal_schedule(g, 3 * g + 5, floor_steps=floor_steps,
+                                             anchor_delta=delta).c_schedule
+                    assert all(a >= b for a, b in zip(sched, sched[1:])), \
+                        (g, floor_steps, delta)
 
 
 class TestFlooring:

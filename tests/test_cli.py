@@ -4,6 +4,7 @@ Every test drives cli.main(argv) in-process; stdout is JSON (or csv /
 padded text for the table formats) captured through capsys.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -416,6 +417,31 @@ class TestBoundsVerify:
         assert rep["ok"] is True
         assert rep["theorem"] == "orientable-67"
         assert rep["violations"] == []
+
+
+class TestBoundsBytes:
+    """The stdout of the bounds paths, pinned by SHA-256 digest."""
+
+    @pytest.mark.parametrize("argv, digest", [
+        ("table --surface nonorientable --gmax 300 --format csv",
+         "3736c79a162505c3de79b231068ae235d5f200b8c7b235fe4076fdfd74beb795"),
+        ("table --surface orientable --gmax 150 --format json",
+         "11d68f8a61efca2c2ba503367b1f24dc158de6723a8e5c6aaf4d50b06caef4ee"),
+        ("table --surface nonorientable --gmax 300 --format pretty",
+         "725531fa07bd0abec03005c30c6b58a86948555c673c88d1285126bed231d16e"),
+        ("table --surface orientable --gmax 40 --format pretty --anchor-delta 3",
+         "f10514cb8fe24b441f6c0a299ce98c9e38194e066bb070572cadc02d0eb28cdb"),
+        ("verify --theorem 84 --gmax 2000",
+         "ada571fa35d697dcb5cc44bdc4e88fd731efce2b5f3bbaf5804e1b275624e54e"),
+        ("verify --theorem 67 --gmax 2000",
+         "3c8ade86ee9b9299d82d8f8cd5833f3fee808fd3ef0da0234204a9af22196cb1"),
+        ("f --g 13 --s 500",
+         "9baf97f938f1dac925ead025c9f65b6ef25cdda2c6743502649cc6a695c885de"),
+    ])
+    def test_stdout_digest(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "bounds", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestSizeCaps:
