@@ -26,7 +26,10 @@ entries, so time and output are quadratic, 1.4 to 4.2 s at the cap; every
 format writes its rows as they are made, the padded one after a first pass
 that only takes the column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
-linear, about 1 s).
+linear, about 1 s).  `regen-fixture` takes `--restarts` and `--iters` of
+at least 1 and a restarts * (iters + 24) of at most
+constructions.REGEN_MOVE_CAP (10^7: a move costs 1.1-1.8 us and a
+restart's set-up about 24 moves' worth, so at most about 18 s of climbing).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
@@ -56,7 +59,6 @@ from .graphs import (
 )
 from .embedding import (
     PseudoEmbedding,
-    SchemeError,
     edges_short,
     is_edge_maximal_embedding,
     is_triangulation,
@@ -338,23 +340,17 @@ def cmd_bounds_f(args) -> int:
     if args.s < 2:
         raise BoundsError("--s must be at least 2")
     if args.s == 2:
-        payload = {
-            "g": args.g,
-            "s": 2,
-            "f": f_exact_s2(args.g),
-            "c_schedule": [],
-            "floored_steps": [],
-        }
+        final, schedule, floored = f_exact_s2(args.g), (), ()
     else:
         res = optimal_schedule(args.g, args.s)
-        final = res.f_values[-1]
-        payload = {
-            "g": args.g,
-            "s": args.s,
-            "f": int(final) if final.denominator == 1 else str(final),
-            "c_schedule": list(res.c_schedule),
-            "floored_steps": list(res.floored_steps),
-        }
+        final, schedule, floored = res.f_values[-1], res.c_schedule, res.floored_steps
+    payload = {
+        "g": args.g,
+        "s": args.s,
+        "f": int(final) if final.denominator == 1 else str(final),
+        "c_schedule": list(schedule),
+        "floored_steps": list(floored),
+    }
     sys.stdout.write(_dump(payload))
     return 0
 
@@ -485,16 +481,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, SchemeError, BoundsError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError, SchemeError, BoundsError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PrecisionError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (PrecisionError, RuntimeError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,7 @@ from .embedding import (
     SchemeError,
     SurfaceInfo,
     _audited_genus,
+    _leave_table,
     _paired_faces,
     _state_orbits,
     surface_info,
@@ -37,6 +38,9 @@ ENUMERATION_CAP = 10**7
 # rebuilds and retraces the whole scheme, so its time is quadratic in the
 # genus: 1.7 s at 240 and 7.2 s at 480, so about 30 s at this cap
 PROP2_GENUS_CAP = 1000
+# a climb move costs 1.1-1.8 us and a restart's set-up 36 us, 24 moves'
+# worth, so regenerate_k8_c5_fixture stalls for at most about 18 s at this cap
+REGEN_MOVE_CAP = 10**7
 
 
 def complete_graph(n: int) -> Graph:
@@ -89,36 +93,36 @@ def toroidal_embedding_k8_minus_c5() -> PseudoEmbedding:
     return PseudoEmbedding(8, edges, _K8_C5_ROTATION)
 
 
-def _relink_states(rot: list, nxt: list) -> None:
-    """Write one vertex's cyclic dart order into the all-positive state map.
-
-    State 2d + sidebit crosses to dart d ^ 1 and leaves by that dart's
-    rotation successor (sidebit 0) or predecessor (sidebit 1), so a vertex's
-    rotation fixes nxt at exactly the states whose opposite dart is there.
-    """
-    prev = rot[-1]
-    for x in rot:
-        nxt[2 * (prev ^ 1)] = 2 * x
-        nxt[2 * (x ^ 1) + 1] = 2 * prev + 1
-        prev = x
-
-
-def _count_cycles(nxt: list) -> int:
-    """Number of cycles of the state map nxt, which must be a permutation."""
-    seen = bytearray(len(nxt))
-    count = 0
-    for s0 in range(len(nxt)):
-        if seen[s0]:
+def _label_faces(phi: list, lab: list, at: list, face_len: list, darts) -> None:
+    """Give each cycle of phi through the given darts a new face label, from
+    len(face_len) on, and each of its darts its position along it.  Meeting
+    a dart labelled in this pass means phi is not a permutation."""
+    base = len(face_len)
+    for start in darts:
+        if lab[start] >= base:
             continue
-        count += 1
-        seen[s0] = 1
-        s = nxt[s0]
-        while s != s0:
-            if seen[s]:
+        label, d, pos = len(face_len), start, 0
+        while pos == 0 or d != start:
+            if lab[d] >= base:
                 raise RuntimeError("state map failed to close a cycle")
-            seen[s] = 1
-            s = nxt[s]
-    return count
+            lab[d], at[d] = label, pos
+            d, pos = phi[d], pos + 1
+        face_len.append(pos)
+
+
+def _swap_gain(lab: list, at: list, face_len: list, a: int, b: int) -> int:
+    """Face-count change, -2, 0 or 2, when distinct darts a and b trade places
+    in one rotation (the rule is proved in regenerate_k8_c5_fixture)."""
+    x, y = a ^ 1, b ^ 1
+    cx, cy, ca, cb = lab[x], lab[y], lab[a], lab[b]
+    if cx != cy:  # (x y) joins faces cx and cy
+        return 0 if ca == cb or (ca in (cx, cy) and cb in (cx, cy)) else -2
+    if ca != cb or ca != cx:  # (x y) splits cx, and a, b are not both on it
+        return 0 if ca != cb else 2
+    n, py = face_len[cx], at[y]
+    span = (at[x] - py) % n
+    same = (1 <= (at[a] - py) % n <= span) == (1 <= (at[b] - py) % n <= span)
+    return 2 if same else 0
 
 
 def regenerate_k8_c5_fixture(
@@ -129,27 +133,46 @@ def regenerate_k8_c5_fixture(
     Moves swap two darts in one vertex's rotation and are kept when the
     face count does not drop.  15 faces is optimal: 2m/3 = 15.33 caps the
     face count, so f = 15 means Euler genus 2.  Returns None if every
-    restart stalls.
+    restart stalls.  Needs restarts, iters >= 1 and restarts * (iters + 24)
+    at most REGEN_MOVE_CAP.
 
-    The climb runs on integer darts 2e + end and keeps the composed state
-    map of the all-positive scheme in one array: a move swaps two darts in
-    place, rewrites the map at the swapped vertex only, counts faces as
-    half the map's cycles, and swaps back when rejected.  Only the result
-    is built as a scheme, and it is audited by a full trace.
+    The climb keeps, on integer darts 2e + end, the face map p = r x of
+    the all-positive scheme (r the rotation successor, x(d) = d ^ 1), and
+    for each dart its face's label and its place along it.  Swapping darts
+    a and b turns r into t r t with t = (a b), so p into t p (xa xb),
+    conjugate to p (xa xb) (a b), maps applied right to left (Mohar &
+    Thomassen, Graphs on Surfaces, 3.2-3.3).  And q (u v) splits q's cycle
+    through u and v into (u, q v, ...) and (v, q u, ...) if they share it,
+    else joins their cycles: each transposition moves the count by 1.
+    After face c splits at u = xa, v = xb, a dart z of c stays with u iff
+    1 <= (pos z - pos v) mod |c| <= (pos u - pos v) mod |c|; after a join
+    both labels name one cycle.  So _swap_gain prices a move from labels
+    and places alone, and a rejected move touches nothing.  A kept move
+    rewrites p at xa, xb, x pred(a) and x pred(b), the last two now sent
+    to b and a, so only the faces through a, b, xa and xb are labelled
+    again.  The result is built as a scheme and audited by a full trace.
     """
+    if restarts < 1 or iters < 1 or restarts * (iters + 24) > REGEN_MOVE_CAP:
+        raise SchemeError(
+            f"regen-fixture needs restarts >= 1, iters >= 1 and restarts * "
+            f"(iters + 24) at most {REGEN_MOVE_CAP}, got {restarts} and {iters}"
+        )
     pairs = _k8_c5_pairs()
     darts_at = [[] for _ in range(8)]
     for e, (u, v) in enumerate(pairs):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
-    nxt = [0] * (4 * len(pairs))
+    phi = [0] * (2 * len(pairs))
     rng = random.Random(seed)
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         rot = [list(ds) for ds in darts_at]
         for r in rot:
             rng.shuffle(r)
-            _relink_states(r, nxt)
-        best = _count_cycles(nxt) // 2
+            for k in range(len(r)):
+                phi[r[k - 1] ^ 1] = r[k]
+        lab, at, face_len = [-1] * len(phi), [0] * len(phi), []
+        _label_faces(phi, lab, at, face_len, range(len(phi)))
+        best = len(face_len)
         for _ in range(iters):
             if best == 15:
                 break
@@ -157,20 +180,18 @@ def regenerate_k8_c5_fixture(
             i, j = rng.randrange(len(r)), rng.randrange(len(r))
             if i == j:
                 continue
-            r[i], r[j] = r[j], r[i]
-            _relink_states(r, nxt)
-            f = _count_cycles(nxt) // 2
-            if f >= best:
-                best = f
-            else:
-                r[i], r[j] = r[j], r[i]
-                _relink_states(r, nxt)
+            a, b = r[i], r[j]
+            gain = _swap_gain(lab, at, face_len, a, b)
+            if gain < 0:
+                continue
+            best += gain
+            r[i], r[j] = b, a
+            for k in (i, i + 1, j, j + 1):
+                phi[r[k - 1] ^ 1] = r[k % len(r)]
+            _label_faces(phi, lab, at, face_len, (a, b, a ^ 1, b ^ 1))
         if best == 15:
-            E = PseudoEmbedding(
-                8,
-                [(u, v, 1) for u, v in pairs],
-                [[(d >> 1, d & 1) for d in r] for r in rot],
-            )
+            rotation = [[(d >> 1, d & 1) for d in r] for r in rot]
+            E = PseudoEmbedding(8, [(u, v, 1) for u, v in pairs], rotation)
             info = surface_info(E)
             if trace_faces(E).face_count != 15 or info != SurfaceInfo(2, True):
                 raise RuntimeError("hill-climb result is not a 15-face torus scheme")
@@ -299,13 +320,9 @@ def enumerate_small_schemes(
     masks = range(2 ** G.m if signature_mode == "all" else 1)
 
     def rotations(v):
-        ds = darts_at[v]
-        if len(ds) <= 1:
-            yield tuple(ds)
-            return
-        head, rest = ds[0], ds[1:]
+        head, rest = tuple(darts_at[v][:1]), darts_at[v][1:]
         for perm in permutations(rest):
-            yield (head,) + perm
+            yield head + perm
 
     def rec(v, acc):
         if v == G.n:
@@ -377,8 +394,9 @@ def scheme_census(
         masks, weight = [[0] * G.m], 1
     classes = {}
     for E in enumerate_small_schemes(G, cap=cap):
+        leave = _leave_table(E._succ, E._pred)
         for neg in masks:
-            orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+            orbits, orbit_of = _state_orbits(leave, neg)
             faces = _paired_faces(orbits, orbit_of, neg)
             orientable = not any(neg)
             g = _audited_genus(G.n, G.m, len(faces), orientable)

@@ -138,8 +138,6 @@ class PseudoEmbedding:
         return (e, 1 - end)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
         adj = [[] for _ in range(self.n)]
         for u, v, _ in self.edges:
             adj[u].append(v)
@@ -155,15 +153,8 @@ class PseudoEmbedding:
         return len(seen) == self.n
 
     def is_simple_graph(self) -> bool:
-        pairs = set()
-        for u, v, _ in self.edges:
-            if u == v:
-                return False
-            key = (u, v) if u < v else (v, u)
-            if key in pairs:
-                return False
-            pairs.add(key)
-        return True
+        pairs = {(u, v) if u < v else (v, u) for u, v, _ in self.edges if u != v}
+        return len(pairs) == self.m
 
     def simple_graph(self) -> Graph:
         """Underlying graph; raises if the scheme has loops or parallels."""
@@ -214,23 +205,26 @@ class SurfaceInfo:
     orientable: bool
 
 
-def _state_orbits(succ: list, pred: list, neg: list) -> tuple:
-    """Cycles of the step map on the integer states 0..4m-1.
-
-    succ and pred are the rotation arrays over darts and neg[e] is 1 for an
-    edge of signature -1.  State s = 2d + sidebit steps across its edge to
-    dart d ^ 1, takes the side bit xor neg[e], and leaves by the successor
-    (sidebit 0) or predecessor (sidebit 1).  Returns (orbits, orbit_of):
-    the cycles listed by their smallest state, each starting there, in
-    ascending order, and the index of each state's cycle.
-    """
-    n_states = 2 * len(succ)
-    # s ^ cross[e] is the arrival t of state s at the far end of its edge e
-    # (dart t >> 1, side bit t & 1), and leave[t] is the state the walk
-    # leaves by after that arrival
-    leave = [0] * n_states
+def _leave_table(succ: list, pred: list) -> list:
+    """leave[t] is the state a walk leaves by after arriving at state t."""
+    leave = [0] * (2 * len(succ))
     leave[0::2] = [2 * x for x in succ]
     leave[1::2] = [2 * x + 1 for x in pred]
+    return leave
+
+
+def _state_orbits(leave: list, neg: list) -> tuple:
+    """Cycles of the step map on the integer states 0..4m-1.
+
+    leave is the table of `_leave_table` and neg[e] is 1 for an edge of
+    signature -1.  State s = 2d + sidebit steps across its edge to dart
+    d ^ 1, takes the side bit xor neg[e], and leaves as the table says.
+    One table serves every signature of a rotation system.  Returns
+    (orbits, orbit_of): the cycles listed by their smallest state, each
+    starting there, in ascending order, and the index of each state's cycle.
+    """
+    n_states = len(leave)
+    # s ^ cross[e] is the arrival of state s at the far end of its edge e
     cross = [2 | b for b in neg]
     orbit_of = [-1] * n_states
     orbits = []
@@ -310,7 +304,7 @@ def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
     neg = [1 if s < 0 else 0 for _, _, s in E.edges]
     darts = [(e, end) for e in range(m) for end in (0, 1)]
     home = [x for u, v, _ in E.edges for x in (u, v)]
-    orbits, orbit_of = _state_orbits(E._succ, E._pred, neg)
+    orbits, orbit_of = _state_orbits(_leave_table(E._succ, E._pred), neg)
     walks = [
         FacialWalk(
             steps=tuple([(darts[s >> 1], -1 if s & 1 else 1) for s in orbit]),
@@ -351,10 +345,7 @@ def _switching_test(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
             continue
         flip[root] = 0
         queue = [root]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
+        for x in queue:  # the queue grows as the loop runs
             for y, e, s in adj[x]:
                 want = flip[x] ^ (1 if s < 0 else 0)
                 if flip[y] is None:

@@ -6,6 +6,7 @@ normal pytest output, one line per criterion, so the gate can be read
 off a full run at a glance.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -32,6 +33,7 @@ from emax.bounds import (
     ScheduleResult,
     _precision_bits,
 )
+from emax.constructions import _k8_c5_pairs
 from emax.embedding import insert_dart_at_corner
 from emax.intervals import (
     Interval,
@@ -270,6 +272,81 @@ def reference_census(G: Graph, mode: str) -> dict:
         key = (info.euler_genus, info.orientable, lens)
         classes[key] = classes.get(key, 0) + 1
     return classes
+
+
+def _relink_states(rot: list, nxt: list) -> None:
+    """Write one vertex's cyclic dart order into the all-positive state map.
+
+    State 2d + sidebit crosses to dart d ^ 1 and leaves by that dart's
+    rotation successor (sidebit 0) or predecessor (sidebit 1), so a vertex's
+    rotation fixes nxt at exactly the states whose opposite dart is there.
+    """
+    prev = rot[-1]
+    for x in rot:
+        nxt[2 * (prev ^ 1)] = 2 * x
+        nxt[2 * (x ^ 1) + 1] = 2 * prev + 1
+        prev = x
+
+
+def _count_cycles(nxt: list) -> int:
+    """Number of cycles of the state map nxt, which must be a permutation."""
+    seen = bytearray(len(nxt))
+    count = 0
+    for s0 in range(len(nxt)):
+        if seen[s0]:
+            continue
+        count += 1
+        seen[s0] = 1
+        s = nxt[s0]
+        while s != s0:
+            if seen[s]:
+                raise RuntimeError("state map failed to close a cycle")
+            seen[s] = 1
+            s = nxt[s]
+    return count
+
+
+def reference_regen(seed: int, restarts: int, iters: int):
+    """The K8-C5 hill-climb that recounts every state cycle after each
+    move, an oracle for `regenerate_k8_c5_fixture`'s move pricing.
+
+    Same RNG draws and accept rule: a move swaps two darts in place,
+    rewrites the state map at that vertex, counts faces as half its
+    cycles and swaps back when the count drops.  Returns the first
+    15-face rotation as per-vertex lists of integer darts 2e + end, or
+    None when every restart stalls.
+    """
+    pairs = _k8_c5_pairs()
+    darts_at = [[] for _ in range(8)]
+    for e, (u, v) in enumerate(pairs):
+        darts_at[u].append(2 * e)
+        darts_at[v].append(2 * e + 1)
+    nxt = [0] * (4 * len(pairs))
+    rng = random.Random(seed)
+    for _ in range(restarts):
+        rot = [list(ds) for ds in darts_at]
+        for r in rot:
+            rng.shuffle(r)
+            _relink_states(r, nxt)
+        best = _count_cycles(nxt) // 2
+        for _ in range(iters):
+            if best == 15:
+                break
+            r = rot[rng.randrange(8)]
+            i, j = rng.randrange(len(r)), rng.randrange(len(r))
+            if i == j:
+                continue
+            r[i], r[j] = r[j], r[i]
+            _relink_states(r, nxt)
+            f = _count_cycles(nxt) // 2
+            if f >= best:
+                best = f
+            else:
+                r[i], r[j] = r[j], r[i]
+                _relink_states(r, nxt)
+        if best == 15:
+            return rot
+    return None
 
 
 def reference_completion(E: PseudoEmbedding) -> tuple:

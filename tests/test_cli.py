@@ -21,7 +21,7 @@ from emax import (
     scheme_from_json,
 )
 from emax.bounds import TABLE_GENUS_CAP, VERIFY_GMAX_CAP
-from emax.constructions import ENUMERATION_CAP, PROP2_GENUS_CAP
+from emax.constructions import ENUMERATION_CAP, PROP2_GENUS_CAP, REGEN_MOVE_CAP
 from emax.embedding import scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 from conftest import reference_census
@@ -475,6 +475,8 @@ class TestSizeCaps:
         assert PROP2_GENUS_CAP >= 10 * 60
         assert TABLE_GENUS_CAP >= 10 * 300
         assert VERIFY_GMAX_CAP >= 10 * 2000
+        # and regen-fixture with its defaults, 40 restarts of 30000 moves
+        assert REGEN_MOVE_CAP >= 8 * 40 * (30000 + 24)
 
 
 class TestRegenFixture:
@@ -483,6 +485,19 @@ class TestRegenFixture:
                            "--restarts", "1", "--iters", "1")
         assert code == 1
         assert json.loads(out) == {"found": False, "seed": 0}
+
+    @pytest.mark.parametrize("flags, what", [
+        (["--restarts", "0"], "got 0 and 30000"),
+        (["--iters", "-3"], "got 40 and -3"),
+        (["--iters", str(REGEN_MOVE_CAP)], f"got 40 and {REGEN_MOVE_CAP}"),
+        (["--restarts", str(REGEN_MOVE_CAP // 24), "--iters", "1"],
+         f"got {REGEN_MOVE_CAP // 24} and 1"),
+    ])
+    def test_bad_budget_exits_two(self, capsys, flags, what):
+        code, out, err = run(capsys, "regen-fixture", "--seed", "0", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and what in err
 
 
 class TestDeterminism:

@@ -42,16 +42,17 @@ from emax import (
     walk_corners,
 )
 from emax.constructions import (
-    _count_cycles,
+    REGEN_MOVE_CAP,
     _enumeration_total,
     _k3_scheme,
     _k8_c5_pairs,
-    _relink_states,
+    _label_faces,
+    _swap_gain,
     _tree_positive_masks,
 )
-from emax.embedding import _link, _state_orbits
+from emax.embedding import _leave_table, _link, _state_orbits
 
-from conftest import reference_census, reference_paste
+from conftest import reference_census, reference_paste, reference_regen
 
 PASTE_TARGETS = ("planar", "crosscap", "handle")
 
@@ -176,6 +177,30 @@ class TestK8MinusC5:
 
     def test_regeneration_can_fail_cleanly(self):
         assert regenerate_k8_c5_fixture(seed=0, restarts=1, iters=1) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 7, 17, 25])
+    def test_regeneration_equals_the_recounting_climb(self, seed):
+        # stalls, one-move runs and finds alike: the same RNG draws and
+        # accept decisions as the climb that recounts every cycle per move
+        for restarts, iters in ((1, 1), (1, 500), (3, 3000), (1, 20000)):
+            E = regenerate_k8_c5_fixture(seed, restarts=restarts, iters=iters)
+            want = reference_regen(seed, restarts, iters)
+            got = None if E is None else [
+                [2 * e + end for e, end in r] for r in E.rotation
+            ]
+            assert got == want, (seed, restarts, iters)
+
+    @pytest.mark.parametrize("restarts, iters", [(0, 100), (-2, 100), (1, 0), (40, -3)])
+    def test_nonpositive_budget_is_refused(self, restarts, iters):
+        with pytest.raises(SchemeError, match=f"got {restarts} and {iters}$"):
+            regenerate_k8_c5_fixture(0, restarts=restarts, iters=iters)
+
+    def test_budget_above_the_cap_is_refused(self):
+        # a budget at the cap is taken (seed 1 finds within its first restart)
+        assert regenerate_k8_c5_fixture(1, restarts=1, iters=REGEN_MOVE_CAP - 24)
+        for restarts, iters in ((1, REGEN_MOVE_CAP), (REGEN_MOVE_CAP // 24, 1)):
+            with pytest.raises(SchemeError, match=f"at most {REGEN_MOVE_CAP}"):
+                regenerate_k8_c5_fixture(0, restarts=restarts, iters=iters)
 
 
 class TestGadgetQ:
@@ -365,6 +390,12 @@ class TestSchemeCensus:
             assert sum(scheme_census(G, mode, cap=total).values()) == total
 
 
+def _labelled(phi):
+    lab, at, face_len = [-1] * len(phi), [0] * len(phi), []
+    _label_faces(phi, lab, at, face_len, range(len(phi)))
+    return lab, at, face_len
+
+
 class TestFixtureClimbCounting:
     def test_cycle_count_matches_state_orbits(self):
         pairs = _k8_c5_pairs()
@@ -375,18 +406,53 @@ class TestFixtureClimbCounting:
             for e, (u, v) in enumerate(pairs):
                 rot[u].append(2 * e)
                 rot[v].append(2 * e + 1)
-            nxt = [0] * (4 * m)
             succ, pred = [0] * (2 * m), [0] * (2 * m)
             for r in rot:
                 rng.shuffle(r)
-                _relink_states(r, nxt)
                 _link(r, succ, pred)
-            orbits, _ = _state_orbits(succ, pred, [0] * m)
-            assert _count_cycles(nxt) == len(orbits)
+            phi = [succ[d ^ 1] for d in range(2 * m)]
+            lab, at, face_len = _labelled(phi)
+            orbits, _ = _state_orbits(_leave_table(succ, pred), [0] * m)
+            assert 2 * len(face_len) == len(orbits)
+            for d in range(2 * m):  # phi steps one position along the face
+                assert lab[phi[d]] == lab[d]
+                assert at[phi[d]] == (at[d] + 1) % face_len[lab[d]]
 
     def test_unclosed_cycle_raises(self):
         with pytest.raises(RuntimeError, match="failed to close"):
-            _count_cycles([1, 1])
+            _label_faces([1, 1], [-1, -1], [0, 0], [], range(2))
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9), st.integers(1, 9), st.integers(1, 12), st.booleans())
+    def test_swap_gain_equals_a_full_recount(self, seed, n, extra, simple):
+        # a chain of random swaps on the rotations of a random connected
+        # simple graph, or multigraph with loops (where a swap can exchange
+        # the two ends of one edge): each predicted count must equal the
+        # count of the swapped scheme's faces
+        rng = random.Random(seed)
+        pairs = [(v - 1, v) for v in range(1, n)]
+        pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(extra)]
+        if simple:
+            pairs = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+        m = len(pairs)
+        rot = [[] for _ in range(n)]
+        for e, (u, v) in enumerate(pairs):
+            rot[u].append(2 * e)
+            rot[v].append(2 * e + 1)
+        assume(any(len(r) >= 2 for r in rot))
+        succ, pred = [0] * (2 * m), [0] * (2 * m)
+        for r in rot:
+            rng.shuffle(r)
+            _link(r, succ, pred)
+        for _ in range(20):
+            r = rng.choice([r for r in rot if len(r) >= 2])
+            i, j = rng.sample(range(len(r)), 2)
+            lab, at, face_len = _labelled([succ[d ^ 1] for d in range(2 * m)])
+            want = len(face_len) + _swap_gain(lab, at, face_len, r[i], r[j])
+            r[i], r[j] = r[j], r[i]
+            _link(r, succ, pred)
+            orbits, _ = _state_orbits(_leave_table(succ, pred), [0] * m)
+            assert 2 * want == len(orbits)
 
 
 class TestPasteBlock:
