@@ -24,7 +24,6 @@ from .graphs import (
     parse_edge_list,
 )
 from .embedding import (
-    Corner,
     FacialWalk,
     FacialWalkSet,
     PseudoEmbedding,
@@ -41,7 +40,6 @@ from .embedding import (
     scheme_to_json,
     surface_info,
     trace_faces,
-    walk_corners,
 )
 from .constructions import (
     LowerBoundFamily,

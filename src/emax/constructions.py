@@ -26,11 +26,11 @@ from .embedding import (
     _audited_genus,
     _leave_table,
     _paired_faces,
+    _SchemeEditor,
     _state_orbits,
+    _walk_states,
     surface_info,
     trace_faces,
-    walk_corners,
-    insert_dart_at_corner,
 )
 
 ENUMERATION_CAP = 10**7
@@ -444,16 +444,14 @@ def paste_block(E: PseudoEmbedding, face_index: int, target: str) -> PseudoEmbed
     info0 = surface_info(E)
     if target == "handle" and not info0.orientable:
         flips = (7, 6, 5, 3)
-    corners = walk_corners(E, walk)
-    sides = sum(1 << j for j, c in enumerate(corners) if c.side > 0)
+    editor = _SchemeEditor(E)
+    corners = [editor.corner(s) for s in _walk_states(walk)]
+    sides = sum(1 << j for j, c in enumerate(corners) if not c[2])
     mask = min(sides ^ f for f in flips)
-    w, m0 = E.n, E.m
-    rot_lists = [list(r) for r in E.rotation] + [[(m0 + j, 1) for j in range(3)]]
-    new_edges = []
+    w, prev = editor.add_vertex(), -1
     for j, corner in enumerate(corners):
-        new_edges.append((corner.vertex, w, -1 if mask >> j & 1 else 1))
-        insert_dart_at_corner(rot_lists, corner, (m0 + j, 0))
-    out = PseudoEmbedding(w + 1, list(E.edges) + new_edges, rot_lists)
+        prev = 2 * editor.add_edge(corner, (w, prev, 0), mask >> j & 1) + 1
+    out = editor.freeze()
     got = tuple(sorted(wk.length for wk in trace_faces(out).walks if w in wk.vertices))
     info = surface_info(out)
     dg = info.euler_genus - info0.euler_genus

@@ -29,16 +29,19 @@ ascending integer order of states is the (edge, end, side +1 first) order
 that fixes the face order.  The face set and the orientability test are
 computed once per scheme and memoised on it, since the scheme is immutable.
 
-A surgery that adds many edges runs on the private scheme editor instead
-of building a scheme per edge.  The editor holds working copies of the
-dart arrays and an index of the faces, each keyed by the smallest state of
-its mirror pair of cycles, with the long faces in a heap by key.  An edge
-laid at two corners is spliced into the dart arrays exactly as
-`insert_dart_at_corner` splices it into the rotation lists, and only the
-faces of those corners and the four new states are walked again, in time
-linear in the faces' length.  `freeze` then builds one scheme and traces
-it in full; it raises RuntimeError unless the editor's faces equal that
-trace, walk for walk, so every edit is audited once, at the end.
+Every surgery lays its edges on the private scheme editor, which holds
+working copies of the dart arrays.  A new dart goes in at a corner of a
+face, named by the dart the walk arrives along and the side it leaves on,
+and `_splice` is the one rule that places it there.  The editor adds
+vertices and edges and builds one scheme at the end, keeping the input's
+rotation at every vertex that no edit touched.  The completion to a
+triangulation also has the editor index the faces, each keyed by the
+smallest state of its mirror pair of cycles, with the long faces in a heap
+by key; then only the faces of an edge's two corners and its four new
+states are walked again, in time linear in the faces' length.  `freeze`
+traces an indexed editor's scheme in full and raises RuntimeError unless
+the index equals that trace, walk for walk, so every edit is audited once,
+at the end.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -127,15 +130,6 @@ class PseudoEmbedding:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def dart_vertex(self, d: Dart) -> int:
-        e, end = d
-        return self.edges[e][end]
-
-    @staticmethod
-    def opposite(d: Dart) -> Dart:
-        e, end = d
-        return (e, 1 - end)
 
     def is_connected(self) -> bool:
         adj = [[] for _ in range(self.n)]
@@ -418,80 +412,81 @@ def four_distinct_window(walk: Union[FacialWalk, Sequence[int]]) -> int:
     raise SchemeError("no four distinct consecutive vertices on this walk")
 
 
-# Corner bookkeeping shared by the surgery operations.  The walk enters the
-# vertex at position i along in_dart (the arrival end of the previous step's
-# edge) and leaves along out_dart; side is the local orientation there.  A
-# new dart laid inside the face at this corner goes immediately after
-# in_dart in the rotation when side is +1, immediately before it when side
-# is -1.
-
-
-@dataclass(frozen=True)
-class Corner:
-    pos: int
-    vertex: int
-    in_dart: Dart
-    out_dart: Dart
-    side: int
-
-
-def walk_corners(E: PseudoEmbedding, walk: FacialWalk) -> list:
-    corners = []
-    steps = walk.steps
-    t = len(steps)
-    for i in range(t):
-        d, side = steps[i]
-        prev_d, _ = steps[(i - 1) % t]
-        corners.append(
-            Corner(
-                pos=i,
-                vertex=E.dart_vertex(d),
-                in_dart=E.opposite(prev_d),
-                out_dart=d,
-                side=side,
-            )
-        )
-    return corners
-
-
-def insert_dart_at_corner(rot_lists: list, corner: Corner, dart: Dart) -> None:
-    """Mutate rot_lists (lists of darts per vertex) to lay `dart` inside the
-    face at `corner`.  Repeated insertions at one corner stack adjacent to
-    in_dart, which is exactly the nesting chords need."""
-    rot = rot_lists[corner.vertex]
-    i = rot.index(corner.in_dart)
-    if corner.side > 0:
-        rot.insert(i + 1, dart)
+def _splice(succ: list, pred: list, first: list, x: int, corner: tuple) -> None:
+    """Lay dart x at a corner (w, a, bit) of vertex w: the corner where the
+    face walk arrives at w along in-dart a and leaves on side +1 (bit 0) or
+    -1 (bit 1).  Side +1 puts x just after a in the rotation, side -1 just
+    before it, and then x becomes w's first dart if a was.  So repeated
+    darts at one corner stack next to a, a later one nearer, which is the
+    nesting a fan of chords needs.  With a = -1, x is w's only dart."""
+    w, a, bit = corner
+    if a < 0:
+        first[w] = succ[x] = pred[x] = x
+        return
+    if bit:
+        a, b = pred[a], a
+        if first[w] == b:
+            first[w] = x
     else:
-        rot.insert(i, dart)
+        b = succ[a]
+    succ[a], pred[x], succ[x], pred[b] = x, a, b, x
 
 
 class _SchemeEditor:
-    """A working copy of a scheme that adds edges and keeps its faces
-    current, in the integer dart and state form of the tracer.
+    """A working copy of a scheme that adds vertices and edges, in the
+    integer dart and state form of the tracer.
 
     It holds the dart arrays `succ`/`pred`, each vertex's first dart (so
-    that the rotation lists come back in the order `insert_dart_at_corner`
-    gives), `neg`, `home` and a face index: `faces` maps each face's key,
-    the smallest state of its mirror pair of cycles, to the cycle through
-    that state, listed from it, and `face_of[s]` is the key of the face of
-    state s.  Keys of faces of length >= 4 sit in the heap `long`, where a
-    key that no longer names a long face is skipped.
+    that `freeze` lists each rotation from the dart it starts with), and
+    the vertices whose rotation an edit changed.  `index_faces` adds a face
+    index for `insert_edge`: `faces` maps each face's key, the smallest
+    state of its mirror pair of cycles, to the cycle through that state,
+    listed from it, and `face_of[s]` is the key of the face of state s.
+    Keys of faces of length >= 4 sit in the heap `long`, where a key that
+    no longer names a long face is skipped.
     """
 
     def __init__(self, E: PseudoEmbedding):
-        walks = trace_faces(E).walks
+        self.E = E
         self.n = E.n
         self.edges = list(E.edges)
         self.succ = list(E._succ)
         self.pred = list(E._pred)
         self.first = [2 * r[0][0] + r[0][1] if r else -1 for r in E.rotation]
-        self.neg = [1 if s < 0 else 0 for _, _, s in E.edges]
-        self.home = [x for u, v, _ in E.edges for x in (u, v)]
+        self.edited = set()
+        self.faces = None
+
+    def corner(self, s: int) -> tuple:
+        """The corner (vertex, in-dart, side bit) where state s leaves."""
+        d = s >> 1
+        a = self.succ[d] if s & 1 else self.pred[d]
+        return self.edges[d >> 1][d & 1], a, s & 1
+
+    def add_vertex(self) -> int:
+        """A new vertex, without darts until an edge reaches it."""
+        self.first.append(-1)
+        self.n += 1
+        return self.n - 1
+
+    def add_edge(self, c0: tuple, c1: tuple, neg: int) -> int:
+        """Lay a new edge from corner c0 to corner c1, of signature -1 when
+        neg is set, and return its id."""
+        e = len(self.edges)
+        self.edges.append((c0[0], c1[0], -1 if neg else 1))
+        self.succ += (-1, -1)
+        self.pred += (-1, -1)
+        _splice(self.succ, self.pred, self.first, 2 * e, c0)
+        _splice(self.succ, self.pred, self.first, 2 * e + 1, c1)
+        self.edited.update((c0[0], c1[0]))
+        return e
+
+    def index_faces(self) -> None:
+        """Index the faces of the input scheme; call it before any edit."""
+        self.neg = [1 if s < 0 else 0 for _, _, s in self.edges]
         self.faces = {}
-        self.face_of = [-1] * (4 * E.m)
+        self.face_of = [-1] * (4 * len(self.edges))
         self.long = []
-        for w in walks:
+        for w in trace_faces(self.E).walks:
             self._store(_walk_states(w))
 
     def _store(self, cycle: list) -> None:
@@ -513,32 +508,14 @@ class _SchemeEditor:
         return None
 
     def insert_edge(self, s0: int, s1: int) -> None:
-        """Add an edge from the corner where state s0 leaves its vertex to
-        the corner of s1, as `insert_dart_at_corner` lays its two darts,
-        with the product of the two corner sides as its signature.  Only
-        the faces of s0 and s1 and the four new states are walked again.
+        """Add an edge from the corner of state s0 to that of s1, with the
+        product of the two corner sides as its signature, on an indexed
+        editor.  Only the faces of s0 and s1 and the four new states are
+        walked again, in time linear in the faces' length.
         """
-        succ, pred = self.succ, self.pred
-        corners = []
-        for s in (s0, s1):
-            d = s >> 1
-            corners.append((self.home[d], succ[d] if s & 1 else pred[d], s & 1))
-        (u, _, bu), (v, _, bv) = corners
-        e = len(self.edges)
-        self.edges.append((u, v, -1 if bu ^ bv else 1))
-        self.neg.append(bu ^ bv)
-        self.home += (u, v)
-        succ += (-1, -1)
-        pred += (-1, -1)
-        for x, (w, a, bit) in zip((2 * e, 2 * e + 1), corners):
-            # side -1 puts x just before a in the rotation, side +1 just after
-            if bit:
-                a, b = pred[a], a
-                if self.first[w] == b:
-                    self.first[w] = x
-            else:
-                b = succ[a]
-            succ[a], pred[x], succ[x], pred[b] = x, a, b, x
+        neg = (s0 ^ s1) & 1
+        e = self.add_edge(self.corner(s0), self.corner(s1), neg)
+        self.neg.append(neg)
         states = [4 * e, 4 * e + 1, 4 * e + 2, 4 * e + 3]
         for key in {self.face_of[s0], self.face_of[s1]}:
             for s in self.faces.pop(key):
@@ -571,26 +548,27 @@ class _SchemeEditor:
                 self._store(cycle)
 
     def freeze(self) -> PseudoEmbedding:
-        """The edited scheme, built once and traced in full.  Raises
-        RuntimeError unless the editor's faces equal the trace, walk for
-        walk."""
-        rotation = []
-        for x0 in self.first:
-            rot = []
-            x = x0
-            while x >= 0 and len(rot) <= len(self.succ):
+        """The edited scheme, built once, with the input's rotation kept at
+        every vertex no edit touched.  On an indexed editor it is traced in
+        full too, and RuntimeError is raised unless the editor's faces
+        equal the trace, walk for walk."""
+        rotation = list(self.E.rotation) + [()] * (self.n - self.E.n)
+        for w in self.edited:
+            rot, x = [], self.first[w]
+            for _ in range(len(self.succ)):
                 rot.append((x >> 1, x & 1))
                 x = self.succ[x]
-                if x == x0:
+                if x == self.first[w]:
                     break
-            rotation.append(rot)
+            rotation[w] = rot
         E = PseudoEmbedding(self.n, self.edges, rotation)
-        walks = trace_faces(E).walks
-        keys = sorted(self.faces)
-        if len(walks) != len(keys) or any(
-            _walk_states(w) != self.faces[key] for w, key in zip(walks, keys)
-        ):
-            raise RuntimeError("the editor's faces differ from the full trace")
+        if self.faces is not None:
+            walks = trace_faces(E).walks
+            keys = sorted(self.faces)
+            if len(walks) != len(keys) or any(
+                _walk_states(w) != self.faces[key] for w, key in zip(walks, keys)
+            ):
+                raise RuntimeError("the editor's faces differ from the full trace")
         return E
 
 

@@ -8,10 +8,12 @@ degree-4 vertex in every non-triangular face.  bipartite_extract finally
 pulls out the bipartite graph between the apexes and their neighborhoods,
 which is where ordered sequences live.
 
-complete_to_triangulation lays its chords on the scheme editor of
-embedding.py: each chord re-walks only the face it splits, and the result
-is built and traced once, so the completion costs O(m + the sum of the
-split faces' lengths) where a rebuild per edge cost O(m) per edge.
+Every surgery lays its edges on the scheme editor of embedding.py, at face
+corners by its one splice rule, and builds a single scheme at the end.
+complete_to_triangulation also keeps the editor's face index: each chord
+re-walks only the face it splits, and the result is traced once, so the
+completion costs O(m + the sum of the split faces' lengths) where a
+rebuild per edge cost O(m) per edge.
 
 Ordered sequences: v_1..v_s is ordered when each closed neighborhood N[v_i]
 meets the union of the earlier closed neighborhoods in at most 2 vertices.
@@ -48,9 +50,8 @@ from .embedding import (
     is_triangulation,
     edges_short,
     four_distinct_window,
-    walk_corners,
-    insert_dart_at_corner,
     _SchemeEditor,
+    _walk_states,
 )
 
 SURGERY_MODES = ("nonorientable", "orientable")
@@ -105,9 +106,7 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
         raise SchemeError("orientable mode needs an orientable scheme")
     faces = trace_faces(E)
     g0 = 2 - E.n + E.m - faces.face_count
-    rot_lists = [list(r) for r in E.rotation]
-    new_edges = []
-    m0 = E.m
+    editor = _SchemeEditor(E)
     for fi, walk in enumerate(faces.walks):
         t = walk.length
         if t < 4:
@@ -119,8 +118,8 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
                 f"face {fi} (length {t}) has no four distinct consecutive "
                 "vertices; cannot anchor chords"
             )
-        corners = walk_corners(E, walk)
-        anchor = corners[r]
+        states = _walk_states(walk)
+        anchor = editor.corner(states[r])
         spots = chord_positions(t, mode)
         # the count identity below plus the global face/genus audit after
         # the rebuild pin the per-face splits: a chord lives inside its own
@@ -132,16 +131,11 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
                 f"{face_split_count(t, mode)} for face length {t}"
             )
         for i in spots:
-            target = corners[(r + i) % t]
-            eid = m0 + len(new_edges)
-            new_edges.append(
-                (anchor.vertex, target.vertex, anchor.side * target.side)
-            )
-            insert_dart_at_corner(rot_lists, anchor, (eid, 0))
-            insert_dart_at_corner(rot_lists, target, (eid, 1))
-    result = PseudoEmbedding(E.n, list(E.edges) + new_edges, rot_lists)
+            target = editor.corner(states[(r + i) % t])
+            editor.add_edge(anchor, target, anchor[2] ^ target[2])
+    result = editor.freeze()
     rfaces = trace_faces(result)
-    if rfaces.face_count != faces.face_count + len(new_edges):
+    if rfaces.face_count != faces.face_count + result.m - E.m:
         raise RuntimeError("chording lost or gained an unexpected face")
     if 2 - result.n + result.m - rfaces.face_count != g0:
         raise RuntimeError("chording changed the Euler genus")
@@ -172,7 +166,7 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
     """One new degree-4 vertex inside every non-triangular face.
 
     The apex is joined to the first four distinct vertices along the face
-    walk; its rotation lists the four edges in walk order and each edge
+    walk; its rotation lists the four edges against walk order and each edge
     carries the side of the corner it lands in, which makes every apex
     face close up correctly (the face of length t gains 4 edges, 1 vertex
     and splits into 4 faces, so the surface is untouched).
@@ -182,10 +176,8 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
     faces = trace_faces(Gp)
     g0 = 2 - Gp.n + Gp.m - faces.face_count
     orient0, _ = orientability(Gp)
-    rot_lists = [list(r) for r in Gp.rotation]
-    new_edges = []
+    editor = _SchemeEditor(Gp)
     apexes = []
-    m0 = Gp.m
     for fi, walk in enumerate(faces.walks):
         if walk.length == 3:
             continue
@@ -195,25 +187,19 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
                 f"face {fi} (length {walk.length}) is non-triangular but has "
                 "fewer than four distinct vertices; cannot place an apex"
             )
-        corners = walk_corners(Gp, walk)
-        w = Gp.n + len(apexes)
-        w_rot = []
+        states = _walk_states(walk)
+        w, prev = editor.add_vertex(), -1
         for pj in spots:
-            corner = corners[pj]
-            eid = m0 + len(new_edges)
-            new_edges.append((corner.vertex, w, corner.side))
-            insert_dart_at_corner(rot_lists, corner, (eid, 0))
-            w_rot.append((eid, 1))
-        # reversed: face tracing leaves a positive-side vertex by rotation
-        # successor, so the wedge arriving on edge j must find edge j-1 next
-        # for each apex triangle to close
-        rot_lists.append(list(reversed(w_rot)))
+            # each edge goes just before the last one at w, so the wedge
+            # arriving on edge j finds edge j-1 next by rotation successor,
+            # as face tracing leaves a positive-side vertex, and each apex
+            # triangle closes
+            corner = editor.corner(states[pj])
+            prev = 2 * editor.add_edge(corner, (w, prev, 1), corner[2]) + 1
         apexes.append(w)
     if not apexes:
         return Gp, ()
-    result = PseudoEmbedding(
-        Gp.n + len(apexes), list(Gp.edges) + new_edges, rot_lists
-    )
+    result = editor.freeze()
     rfaces = trace_faces(result)
     if rfaces.face_count != faces.face_count + 3 * len(apexes):
         raise RuntimeError("apex insertion produced a wrong face count")
@@ -294,6 +280,7 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
                           f"3; the scheme has a face of length {shortest}")
     budget = edges_short(E)
     editor = _SchemeEditor(E)
+    editor.index_faces()
     added = 0
     while True:
         key = editor.long_face()

@@ -7,6 +7,7 @@ off a full run at a glance.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -23,7 +24,6 @@ from emax import (
     is_triangulation,
     surface_info,
     trace_faces,
-    walk_corners,
 )
 import emax.bounds
 from emax.bounds import (
@@ -34,7 +34,6 @@ from emax.bounds import (
     _precision_bits,
 )
 from emax.constructions import _k8_c5_pairs
-from emax.embedding import insert_dart_at_corner
 from emax.intervals import (
     Interval,
     PrecisionError,
@@ -196,6 +195,55 @@ def reference_faces(E: PseudoEmbedding) -> list:
         for idx, orbit in enumerate(orbits)
         if orbit_of[mirror(orbit[0])] > idx
     ]
+
+
+# The list path, an oracle for the editor's splice: corners of a facial
+# walk as tuple darts, and a new dart inserted into copied rotation lists.
+# The walk enters the vertex at position i along in_dart (the arrival end of
+# the previous step's edge) and leaves along out_dart; side is the local
+# orientation there.  A new dart laid inside the face at this corner goes
+# immediately after in_dart in the rotation when side is +1, immediately
+# before it when side is -1.
+
+
+@dataclass(frozen=True)
+class Corner:
+    pos: int
+    vertex: int
+    in_dart: tuple
+    out_dart: tuple
+    side: int
+
+
+def walk_corners(E: PseudoEmbedding, walk) -> list:
+    corners = []
+    steps = walk.steps
+    t = len(steps)
+    for i in range(t):
+        d, side = steps[i]
+        (pe, pend), _ = steps[(i - 1) % t]
+        corners.append(
+            Corner(
+                pos=i,
+                vertex=E.edges[d[0]][d[1]],
+                in_dart=(pe, 1 - pend),
+                out_dart=d,
+                side=side,
+            )
+        )
+    return corners
+
+
+def insert_dart_at_corner(rot_lists: list, corner: Corner, dart: tuple) -> None:
+    """Mutate rot_lists (lists of darts per vertex) to lay `dart` inside the
+    face at `corner`.  Repeated insertions at one corner stack adjacent to
+    in_dart, which is exactly the nesting chords need."""
+    rot = rot_lists[corner.vertex]
+    i = rot.index(corner.in_dart)
+    if corner.side > 0:
+        rot.insert(i + 1, dart)
+    else:
+        rot.insert(i, dart)
 
 
 _REFERENCE_PASTE_TARGETS = {

@@ -444,6 +444,40 @@ class TestBoundsBytes:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestSchemeBytes:
+    """The stdout of the scheme paths on the genus-60 Proposition 2
+    schemes, pinned by SHA-256 digest."""
+
+    @pytest.mark.parametrize("flags, mode, digests", [
+        ([], "nonorientable", {
+            "construct": "90f17b3e8c16819bdf41df5c44285c7b16c4006b5351ace1f4954aba839927ac",
+            "analyze": "25795138299da21f425c526b2a274980315aa860b3acbd9a0fbf8a660777fe77",
+            "pipeline": "4facef213b4c4556167b18da03c891f5a6cf47226557ce0a530faff8d436d233",
+            "triangulate": "04ea25ac2feb19e7fcfb979f15a2055c77a815fba3d1e724f299956fac5455ed",
+        }),
+        (["--orientable"], "orientable", {
+            "construct": "3805db1a653dea37c8dc5b993fa541dec0a786afd2763ec16c3d2690db76f085",
+            "analyze": "75b4fb79c6a10353ccf31a01c376f67fa3ca3cc33be8e399a06301735807fcd9",
+            "pipeline": "acccd29e8922d3c63de25e919bc71b50d39ded55237396cf9548b474855ea2a4",
+            "triangulate": "5a48c9af115afcd31b6db819cd238d84277eb9267b8546809c1200c0d90048f6",
+        }),
+    ])
+    def test_stdout_digests(self, tmp_path, capsys, flags, mode, digests):
+        path = tmp_path / "prop2.json"
+        runs = {"construct": ["construct", "prop2", "--genus", "60", *flags]}
+        runs["analyze"] = ["analyze", str(path)]
+        runs["pipeline"] = ["pipeline", str(path), "--mode", mode]
+        runs["triangulate"] = ["triangulate", str(path)]
+        got = {}
+        for name, argv in runs.items():
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            if name == "construct":
+                path.write_text(out)
+            got[name] = hashlib.sha256(out.encode()).hexdigest()
+        assert got == digests
+
+
 class TestSizeCaps:
     """Runaway sizes exit 2 at once, with the cap named on stderr."""
 

@@ -39,7 +39,6 @@ from emax import (
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
-    walk_corners,
 )
 from emax.constructions import (
     REGEN_MOVE_CAP,
@@ -52,7 +51,7 @@ from emax.constructions import (
 )
 from emax.embedding import _leave_table, _link, _state_orbits
 
-from conftest import reference_census, reference_paste, reference_regen
+from conftest import reference_census, reference_paste, reference_regen, walk_corners
 
 PASTE_TARGETS = ("planar", "crosscap", "handle")
 

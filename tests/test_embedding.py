@@ -28,11 +28,10 @@ from emax import (
     scheme_to_json,
     surface_info,
     trace_faces,
-    walk_corners,
 )
-from emax.embedding import insert_dart_at_corner
+from emax.embedding import _link, _SchemeEditor, _splice, _walk_states
 
-from conftest import random_scheme, reference_faces
+from conftest import Corner, insert_dart_at_corner, random_scheme, reference_faces
 
 K4_EDGES = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
 K4_ROT = [
@@ -206,42 +205,96 @@ class TestWindowsAndCorners:
             four_distinct_window([0, 1, 0, 1, 0, 1])
 
     def test_corners_follow_the_walk(self):
-        E = k4_planar()
-        for walk in trace_faces(E).walks:
-            corners = walk_corners(E, walk)
-            assert [c.vertex for c in corners] == list(walk.vertices)
-            t = walk.length
-            for i, c in enumerate(corners):
-                assert c.pos == i
-                assert c.out_dart == walk.steps[i][0]
-                assert c.in_dart == E.opposite(walk.steps[(i - 1) % t][0])
-                assert c.side == walk.steps[i][1]
-                # in and out darts live at the corner's vertex
-                assert E.dart_vertex(c.in_dart) == c.vertex
+        for E in (k4_planar(), twisted_triangle()):
+            editor = _SchemeEditor(E)
+            for walk in trace_faces(E).walks:
+                states = _walk_states(walk)
+                t = walk.length
+                for i, s in enumerate(states):
+                    v, a, bit = editor.corner(s)
+                    assert v == walk.vertices[i]
+                    # the walk arrives along the far dart of the last step
+                    assert a == (states[(i - 1) % t] >> 1) ^ 1
+                    assert bit == (walk.steps[i][1] < 0)
+                    # the in-dart lives at the corner's vertex
+                    assert E.edges[a >> 1][a & 1] == v
 
-    def test_insert_dart_at_corner_sides(self):
-        from emax.embedding import Corner
+    @staticmethod
+    def spliced(rot, corners):
+        """Vertex 0's rotation after splicing darts 20, 21, ... at the
+        corners, one each, starting from the integer darts in rot."""
+        succ, pred, first = [-1] * 40, [-1] * 40, [rot[0] if rot else -1]
+        _link(rot, succ, pred)
+        for x, corner in enumerate(corners, 20):
+            _splice(succ, pred, first, x, corner)
+        out, x = [first[0]], succ[first[0]]
+        while x != first[0]:
+            out.append(x)
+            x = succ[x]
+        return out
 
-        base = [(0, 0), (1, 0), (2, 0)]
-        plus = Corner(pos=0, vertex=0, in_dart=(1, 0), out_dart=(2, 0), side=1)
-        rots = [base[:]]
-        insert_dart_at_corner(rots, plus, (9, 0))
-        assert rots[0] == [(0, 0), (1, 0), (9, 0), (2, 0)]
-
-        minus = Corner(pos=0, vertex=0, in_dart=(1, 0), out_dart=(0, 0), side=-1)
-        rots = [base[:]]
-        insert_dart_at_corner(rots, minus, (9, 0))
-        assert rots[0] == [(0, 0), (9, 0), (1, 0), (2, 0)]
+    def test_splice_sides(self):
+        # darts 0, 2, 4 are (0, 0), (1, 0), (2, 0)
+        assert self.spliced([0, 2, 4], [(0, 2, 0)]) == [0, 2, 20, 4]
+        assert self.spliced([0, 2, 4], [(0, 2, 1)]) == [0, 20, 2, 4]
+        # side -1 at the first dart makes the new dart first
+        assert self.spliced([0, 2, 4], [(0, 0, 1)]) == [20, 0, 2, 4]
+        assert self.spliced([0, 2, 4], [(0, 4, 0)]) == [0, 2, 4, 20]
+        # at a vertex without darts the new dart is alone
+        assert self.spliced([], [(0, -1, 0)]) == [20]
+        assert self.spliced([], [(0, -1, 0), (0, 20, 1)]) == [21, 20]
 
     def test_repeated_insertion_stacks_adjacent_to_in_dart(self):
-        from emax.embedding import Corner
+        # later insertions land closer to the in-dart, on either side
+        assert self.spliced([0, 2], [(0, 0, 0)] * 2) == [0, 21, 20, 2]
+        assert self.spliced([0, 2], [(0, 2, 1)] * 2) == [0, 20, 21, 2]
 
-        plus = Corner(pos=0, vertex=0, in_dart=(0, 0), out_dart=(1, 0), side=1)
-        rots = [[(0, 0), (1, 0)]]
-        insert_dart_at_corner(rots, plus, (7, 0))
-        insert_dart_at_corner(rots, plus, (8, 0))
-        # later insertions land closer to in_dart
-        assert rots[0] == [(0, 0), (8, 0), (7, 0), (1, 0)]
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_splice_matches_list_insertion(self, seed):
+        # edges laid by the editor and by the list oracle on a scheme with
+        # a degree-1 vertex and a loop: twice at one corner on each side,
+        # once at each vertex's first dart on side -1, then at random
+        # corners or new vertices
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(1, 6), rng.randint(0, 4))
+        n, m = E.n, E.m
+        u, v = rng.randrange(n), rng.randrange(n)
+        rot = [list(r) for r in E.rotation] + [[(m, 1)]]
+        for x, w in (((m, 0), u), ((m + 1, 0), v), ((m + 1, 1), v)):
+            rot[w].insert(rng.randint(0, len(rot[w])), x)
+        edges = list(E.edges) + [(u, n, 1), (v, v, rng.choice((1, -1)))]
+        E = PseudoEmbedding(n + 1, edges, rot)
+        editor = _SchemeEditor(E)
+        a0 = rng.randrange(2 * E.m)
+        draws = [(a0, 0), (a0, 1)] * 2 + [("first", w) for w in range(E.n)]
+        rng.shuffle(draws)
+        draws += [None] * (len(draws) % 2 + 2 * rng.randint(0, 3))
+        for k in range(0, len(draws), 2):
+            pair = []
+            for draw in draws[k : k + 2]:
+                if draw is None and rng.random() < 0.3:
+                    pair.append((editor.add_vertex(), -1, 0))
+                    rot.append([])
+                    continue
+                if draw is None:
+                    a, bit = rng.randrange(2 * len(editor.edges)), rng.randrange(2)
+                elif draw[0] == "first":
+                    (e, end), bit = rot[draw[1]][0], 1
+                    a = 2 * e + end
+                else:
+                    a, bit = draw
+                pair.append((editor.edges[a >> 1][a & 1], a, bit))
+            e = editor.add_edge(pair[0], pair[1], rng.randrange(2))
+            for x, (w, a, bit) in zip(((e, 0), (e, 1)), pair):
+                if a < 0:
+                    rot[w].append(x)
+                else:
+                    corner = Corner(0, w, (a >> 1, a & 1), None, 1 - 2 * bit)
+                    insert_dart_at_corner(rot, corner, x)
+        F = editor.freeze()
+        want = PseudoEmbedding(editor.n, editor.edges, rot)
+        assert (F.edges, F.rotation) == (want.edges, want.rotation)
 
 
 class TestSerialization:

@@ -40,12 +40,17 @@ from emax import (
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
-    walk_corners,
 )
 
-from emax.embedding import _SchemeEditor, insert_dart_at_corner
+from emax.embedding import _SchemeEditor
 
-from conftest import brute_force_ordered, random_scheme, reference_completion
+from conftest import (
+    brute_force_ordered,
+    insert_dart_at_corner,
+    random_scheme,
+    reference_completion,
+    walk_corners,
+)
 
 
 def n1_k4_scheme():
@@ -220,8 +225,8 @@ class TestBipartiteExtract:
     def test_rejects_adjacent_b_vertices(self):
         out, apexes = self.fixture_apexed()
         apex = apexes[0]
-        neighbor = out.rotation[apex][0]
-        nv = out.dart_vertex(out.opposite(neighbor))
+        e, end = out.rotation[apex][0]
+        nv = out.edges[e][1 - end]
         with pytest.raises(GraphError):
             bipartite_extract(out, [apex, nv])
 
@@ -403,6 +408,7 @@ class TestSchemeEditor:
         E = random_scheme(rng, rng.randint(2, 8), rng.randint(0, 6))
         pairs = random_corner_pairs(rng, E, rng.randint(1, 6), False)
         editor = _SchemeEditor(E)
+        editor.index_faces()
         for fa, pa, fb, pb in pairs:
             keys = sorted(editor.faces)
             editor.insert_edge(
@@ -421,6 +427,7 @@ class TestSchemeEditor:
         E = construct_proposition2(3, orientable=False)
         for cls in (_SchemeEditor, Corrupting):
             editor = cls(E)
+            editor.index_faces()
             walk = editor.faces[editor.long_face()]
             editor.insert_edge(walk[0], walk[2])
             if cls is _SchemeEditor:
