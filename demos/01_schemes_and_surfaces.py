@@ -10,8 +10,7 @@ from emax import PseudoEmbedding, orientability, surface_info, trace_faces
 
 def show(name, E):
     info = surface_info(E)
-    faces = trace_faces(E)
-    lengths = sorted(w.length for w in faces.walks)
+    lengths = sorted(w.length for w in trace_faces(E))
     kind = "orientable" if info.orientable else "nonorientable"
     print(f"{name}: n={E.n} m={E.m} faces={lengths} "
           f"genus={info.euler_genus} ({kind})")
@@ -31,7 +30,7 @@ k4 = PseudoEmbedding(
     ],
 )
 show("planar K4", k4)
-for fi, walk in enumerate(trace_faces(k4).walks):
+for fi, walk in enumerate(trace_faces(k4)):
     print(f"  face {fi}: vertices {list(walk.vertices)}")
 
 # One vertex, one loop.  With signature +1 the loop bounds two monogons

@@ -21,7 +21,7 @@ from emax import (
 
 def describe(name, E):
     info = surface_info(E)
-    lengths = sorted(w.length for w in trace_faces(E).walks)
+    lengths = sorted(w.length for w in trace_faces(E))
     maximal, witness = is_edge_maximal_embedding(E)
     print(f"{name}:")
     print(f"  n={E.n} m={E.m} genus={info.euler_genus} "

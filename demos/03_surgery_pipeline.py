@@ -29,13 +29,13 @@ E = construct_proposition2(6, orientable=True)
 info = surface_info(E)
 print(f"\ninput: edge-maximal scheme, genus {info.euler_genus} orientable, "
       f"n={E.n} m={E.m}, {edges_short(E)} edges short")
-print(f"  face lengths {sorted(w.length for w in trace_faces(E).walks)}")
+print(f"  face lengths {sorted(w.length for w in trace_faces(E))}")
 
 report = run_lemma5_pipeline(E, "orientable")
 chorded, apexed = report.chorded_scheme, report.apexed_scheme
 print(f"after chording: m={chorded.m} "
       f"({chorded.m - E.m} chords), "
-      f"{trace_faces(chorded).face_count} faces")
+      f"{len(trace_faces(chorded))} faces")
 print(f"after apexing:  n={apexed.n} m={apexed.m}, "
       f"apexes B = {list(report.apex_set)}")
 

@@ -25,7 +25,6 @@ from .graphs import (
 )
 from .embedding import (
     FacialWalk,
-    FacialWalkSet,
     PseudoEmbedding,
     SchemeError,
     SurfaceInfo,

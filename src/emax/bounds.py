@@ -59,7 +59,7 @@ C_SCAN_CAP_FACTOR = 14
 SCHEDULE_STEP_CAP = 10**6
 # a table row at Euler genus g carries a g-1 entry schedule, so a table up
 # to genus G costs time and output quadratic in G: G = 3000 takes about
-# 1.4 s in csv, 2.9 s in the padded format (two passes) and 4.2 s in json,
+# 1.0-1.4 s in csv or json and 2.3-2.9 s in the padded format (two passes),
 # each in about 18 MB, as every format writes its rows as they are made
 TABLE_GENUS_CAP = 3000
 # verify_theorem costs about 0.008 ms per genus past the direct range, in
@@ -76,12 +76,21 @@ class BoundsError(ValueError):
 
 
 def _precision_bits(precision: Optional[int]) -> int:
-    if precision is not None:
-        if precision < 8:
-            raise BoundsError("precision must be at least 8 bits")
-        return int(precision)
-    env = os.environ.get("EMAX_PRECISION_BITS")
-    return int(env) if env else DEFAULT_PRECISION_BITS
+    """The precision argument, else EMAX_PRECISION_BITS, else the default;
+    either source must give an integer of at least 8 bits."""
+    name = "precision"
+    if precision is None:
+        env = os.environ.get("EMAX_PRECISION_BITS")
+        if not env:
+            return DEFAULT_PRECISION_BITS
+        name = "EMAX_PRECISION_BITS"
+        try:
+            precision = int(env)
+        except ValueError:
+            raise BoundsError(f"{name} must be an integer, got {env!r}") from None
+    if precision < 8:
+        raise BoundsError(f"{name} must be at least 8 bits")
+    return int(precision)
 
 
 def f_lower(g: int, s: int) -> int:

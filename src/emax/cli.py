@@ -22,7 +22,7 @@ at most constructions.PROP2_GENUS_CAP (1000: every paste rebuilds the
 scheme, so the time is quadratic, about 30 s at the cap).  `bounds table`
 stops at the row of Euler genus bounds.TABLE_GENUS_CAP (3000, so `--gmax`
 3000 nonorientable or 1500 orientable: a row carries a schedule of g-1
-entries, so time and output are quadratic, 1.4 to 4.2 s at the cap; every
+entries, so time and output are quadratic, 1.0 to 2.9 s at the cap; every
 format writes its rows as they are made, the padded one after a first pass
 that only takes the column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
@@ -105,7 +105,7 @@ def _load_scheme(path: str) -> PseudoEmbedding:
 
 
 def _shape(E: PseudoEmbedding) -> dict:
-    return {"n": E.n, "m": E.m, "faces": sorted(w.length for w in trace_faces(E).walks)}
+    return {"n": E.n, "m": E.m, "faces": sorted(w.length for w in trace_faces(E))}
 
 
 def _analysis(E: PseudoEmbedding) -> dict:
@@ -300,21 +300,20 @@ def cmd_bounds_table(args) -> int:
             head = ""
         write(head)
     elif args.format == "json":
-        # the bytes of _dump(list of rows), one row at a time
+        # the bytes of _dump(list of rows), one row at a time from a fixed
+        # template: every field is an int or an N_g/S_h name, so nothing
+        # needs escaping, and json.dumps with indent would run the
+        # pure-Python encoder
         sep = "[\n"
         for r in rows:
-            item = json.dumps(
-                {
-                    "g": r.g,
-                    "surface": _surface_name(r.surface_kind, r.g),
-                    "schedule": list(r.c_schedule),
-                    "impurity": r.impurity,
-                    "edge_bound_offset": r.edge_bound_offset,
-                },
-                indent=2,
-                sort_keys=True,
+            schedule = ",\n      ".join(str(c) for c in r.c_schedule)
+            schedule = f"[\n      {schedule}\n    ]" if schedule else "[]"
+            write(
+                f'{sep}  {{\n    "edge_bound_offset": {r.edge_bound_offset},\n'
+                f'    "g": {r.g},\n    "impurity": {r.impurity},\n'
+                f'    "schedule": {schedule},\n'
+                f'    "surface": "{_surface_name(r.surface_kind, r.g)}"\n  }}'
             )
-            write(sep + "  " + item.replace("\n", "\n  "))
             sep = ",\n"
         write("[]\n" if sep == "[\n" else "\n]\n")
     else:

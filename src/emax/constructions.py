@@ -28,7 +28,6 @@ from .embedding import (
     _paired_faces,
     _SchemeEditor,
     _state_orbits,
-    _walk_states,
     surface_info,
     trace_faces,
 )
@@ -193,7 +192,7 @@ def regenerate_k8_c5_fixture(
             rotation = [[(d >> 1, d & 1) for d in r] for r in rot]
             E = PseudoEmbedding(8, [(u, v, 1) for u, v in pairs], rotation)
             info = surface_info(E)
-            if trace_faces(E).face_count != 15 or info != SurfaceInfo(2, True):
+            if len(trace_faces(E)) != 15 or info != SurfaceInfo(2, True):
                 raise RuntimeError("hill-climb result is not a 15-face torus scheme")
             return E
     return None
@@ -436,23 +435,23 @@ def paste_block(E: PseudoEmbedding, face_index: int, target: str) -> PseudoEmbed
         raise SchemeError(f"unknown paste target {target!r}")
     dg_want, faces_want, flips = _PASTE_TARGETS[target]
     faces = trace_faces(E)
-    if not (0 <= face_index < faces.face_count):
+    if not (0 <= face_index < len(faces)):
         raise SchemeError(f"face index {face_index} out of range")
-    walk = faces.walks[face_index]
+    walk = faces[face_index]
     if walk.length != 3 or len(walk.distinct_vertices()) != 3:
         raise SchemeError("paste_block needs a triangular face on three vertices")
     info0 = surface_info(E)
     if target == "handle" and not info0.orientable:
         flips = (7, 6, 5, 3)
     editor = _SchemeEditor(E)
-    corners = [editor.corner(s) for s in _walk_states(walk)]
+    corners = [editor.corner(s) for s in walk.states]
     sides = sum(1 << j for j, c in enumerate(corners) if not c[2])
     mask = min(sides ^ f for f in flips)
     w, prev = editor.add_vertex(), -1
     for j, corner in enumerate(corners):
         prev = 2 * editor.add_edge(corner, (w, prev, 0), mask >> j & 1) + 1
     out = editor.freeze()
-    got = tuple(sorted(wk.length for wk in trace_faces(out).walks if w in wk.vertices))
+    got = tuple(sorted(wk.length for wk in trace_faces(out) if w in wk.vertices))
     info = surface_info(out)
     dg = info.euler_genus - info0.euler_genus
     kept = info.orientable == info0.orientable or target == "crosscap"
@@ -496,17 +495,16 @@ def construct_proposition2(
             )
     target_f = max(g, base_faces or 0)
     E = _k3_scheme()
-    while trace_faces(E).face_count < target_f:
+    while len(trace_faces(E)) < target_f:
         E = paste_block(E, 0, "planar")
     n0 = E.n
     blocks = g if not orientable else g // 2
     kind = "crosscap" if not orientable else "handle"
     for _ in range(blocks):
-        faces = trace_faces(E)
         idx = next(
             (
                 i
-                for i, wk in enumerate(faces.walks)
+                for i, wk in enumerate(trace_faces(E))
                 if wk.length == 3
                 and len(wk.distinct_vertices()) == 3
                 and all(v < n0 for v in wk.vertices)

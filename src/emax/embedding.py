@@ -20,14 +20,16 @@ length equals the cycle length and the total over faces is 2m.  This single
 mechanism covers orientable and non-orientable schemes, loops, and parallel
 edges uniformly.
 
-Internally the tracer runs on the permutation form of the scheme (Mohar &
-Thomassen, Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is
-the integer 2e + end, so its opposite is d ^ 1, and state (d, side) is the
-integer 2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its
-rotation as successor and predecessor arrays over the 2m darts, and
-ascending integer order of states is the (edge, end, side +1 first) order
-that fixes the face order.  The face set and the orientability test are
-computed once per scheme and memoised on it, since the scheme is immutable.
+The tracer runs on the permutation form of the scheme (Mohar & Thomassen,
+Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is the integer
+2e + end, so its opposite is d ^ 1, and state (d, side) is the integer
+2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its rotation as
+successor and predecessor arrays over the 2m darts, and ascending integer
+order of states is the (edge, end, side +1 first) order that fixes the face
+order.  A facial walk is its cycle of integer states, listed from its
+smallest state, with the vertex each state leaves from.  The face set and
+the orientability test are computed once per scheme and memoised on it,
+since the scheme is immutable.
 
 Every surgery lays its edges on the private scheme editor, which holds
 working copies of the dart arrays.  A new dart goes in at a corner of a
@@ -52,7 +54,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .graphs import Graph
 
@@ -169,28 +171,15 @@ def _link(ids: list, succ: list, pred: list) -> None:
 
 @dataclass(frozen=True)
 class FacialWalk:
-    steps: tuple  # ((edge_id, end), side) per step
+    states: tuple  # the integer state cycle, from its smallest state
     vertices: tuple  # vertex visited at each step
 
     @property
     def length(self) -> int:
-        return len(self.steps)
+        return len(self.states)
 
     def distinct_vertices(self) -> frozenset:
         return frozenset(self.vertices)
-
-
-@dataclass(frozen=True)
-class FacialWalkSet:
-    walks: tuple
-
-    @property
-    def face_count(self) -> int:
-        return len(self.walks)
-
-    @property
-    def lengths(self) -> tuple:
-        return tuple(w.length for w in self.walks)
 
 
 @dataclass(frozen=True)
@@ -280,8 +269,9 @@ def _paired_faces(orbits: list, orbit_of: list, neg: list) -> list:
     return faces
 
 
-def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
-    """Deterministic complete face set of the scheme, memoised on it.
+def trace_faces(E: PseudoEmbedding) -> tuple:
+    """Deterministic complete face set of the scheme, a tuple of walks
+    memoised on it.
 
     Faces are cycle pairs of the state map (see the module docstring).  Of
     each mirror pair we keep the cycle containing the smallest state; walks
@@ -294,26 +284,15 @@ def trace_faces(E: PseudoEmbedding) -> FacialWalkSet:
         raise SchemeError("face tracing needs at least one edge")
     if not E.is_connected():
         raise SchemeError("scheme is disconnected; faces would misreport genus")
-    m = E.m
     neg = [1 if s < 0 else 0 for _, _, s in E.edges]
-    darts = [(e, end) for e in range(m) for end in (0, 1)]
     home = [x for u, v, _ in E.edges for x in (u, v)]
     orbits, orbit_of = _state_orbits(_leave_table(E._succ, E._pred), neg)
-    walks = [
-        FacialWalk(
-            steps=tuple([(darts[s >> 1], -1 if s & 1 else 1) for s in orbit]),
-            vertices=tuple([home[s >> 1] for s in orbit]),
-        )
+    faces = tuple([
+        FacialWalk(tuple(orbit), tuple([home[s >> 1] for s in orbit]))
         for orbit in _paired_faces(orbits, orbit_of, neg)
-    ]
-    faces = FacialWalkSet(walks=tuple(walks))
+    ])
     object.__setattr__(E, "_faces", faces)
     return faces
-
-
-def _walk_states(walk: FacialWalk) -> list:
-    """The integer states of a facial walk, in walk order."""
-    return [4 * e + 2 * end + (side < 0) for (e, end), side in walk.steps]
 
 
 def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
@@ -364,12 +343,12 @@ def _audited_genus(n: int, m: int, face_count: int, orientable: bool) -> int:
 def surface_info(E: PseudoEmbedding) -> SurfaceInfo:
     faces = trace_faces(E)
     orient, _ = orientability(E)
-    g = _audited_genus(E.n, E.m, faces.face_count, orient)
+    g = _audited_genus(E.n, E.m, len(faces), orient)
     return SurfaceInfo(euler_genus=g, orientable=orient)
 
 
 def is_triangulation(E: PseudoEmbedding) -> bool:
-    return all(w.length == 3 for w in trace_faces(E).walks)
+    return all(w.length == 3 for w in trace_faces(E))
 
 
 def is_edge_maximal_embedding(
@@ -379,7 +358,7 @@ def is_edge_maximal_embedding(
     underlying simple graph.  On failure returns (face index, nonadjacent
     pair) as a witness.  Defined only for schemes of simple graphs."""
     G = E.simple_graph()
-    for fi, w in enumerate(trace_faces(E).walks):
+    for fi, w in enumerate(trace_faces(E)):
         vs = sorted(w.distinct_vertices())
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
@@ -397,11 +376,10 @@ def edges_short(E: PseudoEmbedding) -> int:
     return 3 * (E.n + info.euler_genus - 2) - E.m
 
 
-def four_distinct_window(walk: Union[FacialWalk, Sequence[int]]) -> int:
+def four_distinct_window(verts: Sequence[int]) -> int:
     """First offset r such that walk vertices r..r+3 (cyclically) are four
     distinct vertices.  Errors when the walk is shorter than 4 or no window
     exists."""
-    verts = walk.vertices if isinstance(walk, FacialWalk) else tuple(walk)
     t = len(verts)
     if t < 4:
         raise SchemeError("window search needs walk length >= 4")
@@ -486,10 +464,10 @@ class _SchemeEditor:
         self.faces = {}
         self.face_of = [-1] * (4 * len(self.edges))
         self.long = []
-        for w in trace_faces(self.E).walks:
-            self._store(_walk_states(w))
+        for w in trace_faces(self.E):
+            self._store(w.states)
 
-    def _store(self, cycle: list) -> None:
+    def _store(self, cycle: Sequence[int]) -> None:
         key = cycle[0]
         self.faces[key] = cycle
         neg, face_of = self.neg, self.face_of
@@ -562,13 +540,10 @@ class _SchemeEditor:
                     break
             rotation[w] = rot
         E = PseudoEmbedding(self.n, self.edges, rotation)
-        if self.faces is not None:
-            walks = trace_faces(E).walks
-            keys = sorted(self.faces)
-            if len(walks) != len(keys) or any(
-                _walk_states(w) != self.faces[key] for w, key in zip(walks, keys)
-            ):
-                raise RuntimeError("the editor's faces differ from the full trace")
+        if self.faces is not None and [w.states for w in trace_faces(E)] != [
+            tuple(self.faces[key]) for key in sorted(self.faces)
+        ]:
+            raise RuntimeError("the editor's faces differ from the full trace")
         return E
 
 

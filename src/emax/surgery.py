@@ -51,7 +51,6 @@ from .embedding import (
     edges_short,
     four_distinct_window,
     _SchemeEditor,
-    _walk_states,
 )
 
 SURGERY_MODES = ("nonorientable", "orientable")
@@ -105,21 +104,20 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
     if mode == "orientable" and not orient0:
         raise SchemeError("orientable mode needs an orientable scheme")
     faces = trace_faces(E)
-    g0 = 2 - E.n + E.m - faces.face_count
+    g0 = 2 - E.n + E.m - len(faces)
     editor = _SchemeEditor(E)
-    for fi, walk in enumerate(faces.walks):
+    for fi, walk in enumerate(faces):
         t = walk.length
         if t < 4:
             continue
         try:
-            r = four_distinct_window(walk)
+            r = four_distinct_window(walk.vertices)
         except SchemeError:
             raise SchemeError(
                 f"face {fi} (length {t}) has no four distinct consecutive "
                 "vertices; cannot anchor chords"
             )
-        states = _walk_states(walk)
-        anchor = editor.corner(states[r])
+        anchor = editor.corner(walk.states[r])
         spots = chord_positions(t, mode)
         # the count identity below plus the global face/genus audit after
         # the rebuild pin the per-face splits: a chord lives inside its own
@@ -131,17 +129,17 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
                 f"{face_split_count(t, mode)} for face length {t}"
             )
         for i in spots:
-            target = editor.corner(states[(r + i) % t])
+            target = editor.corner(walk.states[(r + i) % t])
             editor.add_edge(anchor, target, anchor[2] ^ target[2])
     result = editor.freeze()
     rfaces = trace_faces(result)
-    if rfaces.face_count != faces.face_count + result.m - E.m:
+    if len(rfaces) != len(faces) + result.m - E.m:
         raise RuntimeError("chording lost or gained an unexpected face")
-    if 2 - result.n + result.m - rfaces.face_count != g0:
+    if 2 - result.n + result.m - len(rfaces) != g0:
         raise RuntimeError("chording changed the Euler genus")
     if orientability(result)[0] != orient0:
         raise RuntimeError("chording changed orientability")
-    for ri, rwalk in enumerate(rfaces.walks):
+    for ri, rwalk in enumerate(rfaces):
         if rwalk.length > 3 and len(rwalk.distinct_vertices()) < 4:
             raise SchemeError(
                 f"chorded face {ri} has fewer than four distinct vertices; "
@@ -174,11 +172,11 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
     Returns (scheme, apex vertex ids).
     """
     faces = trace_faces(Gp)
-    g0 = 2 - Gp.n + Gp.m - faces.face_count
+    g0 = 2 - Gp.n + Gp.m - len(faces)
     orient0, _ = orientability(Gp)
     editor = _SchemeEditor(Gp)
     apexes = []
-    for fi, walk in enumerate(faces.walks):
+    for fi, walk in enumerate(faces):
         if walk.length == 3:
             continue
         spots = _first_four_distinct(walk)
@@ -187,23 +185,22 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
                 f"face {fi} (length {walk.length}) is non-triangular but has "
                 "fewer than four distinct vertices; cannot place an apex"
             )
-        states = _walk_states(walk)
         w, prev = editor.add_vertex(), -1
         for pj in spots:
             # each edge goes just before the last one at w, so the wedge
             # arriving on edge j finds edge j-1 next by rotation successor,
             # as face tracing leaves a positive-side vertex, and each apex
             # triangle closes
-            corner = editor.corner(states[pj])
+            corner = editor.corner(walk.states[pj])
             prev = 2 * editor.add_edge(corner, (w, prev, 1), corner[2]) + 1
         apexes.append(w)
     if not apexes:
         return Gp, ()
     result = editor.freeze()
     rfaces = trace_faces(result)
-    if rfaces.face_count != faces.face_count + 3 * len(apexes):
+    if len(rfaces) != len(faces) + 3 * len(apexes):
         raise RuntimeError("apex insertion produced a wrong face count")
-    if 2 - result.n + result.m - rfaces.face_count != g0:
+    if 2 - result.n + result.m - len(rfaces) != g0:
         raise RuntimeError("apex insertion changed the Euler genus")
     if orientability(result)[0] != orient0:
         raise RuntimeError("apex insertion changed orientability")
@@ -274,7 +271,7 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
-    shortest = min(trace_faces(E).lengths, default=3)
+    shortest = min((w.length for w in trace_faces(E)), default=3)
     if shortest < 3:  # no chord splits a face of length 1 or 2
         raise SchemeError("completion needs every face to have length at least "
                           f"3; the scheme has a face of length {shortest}")

@@ -216,19 +216,21 @@ class Corner:
 
 
 def walk_corners(E: PseudoEmbedding, walk) -> list:
+    """The corners of a walk, decoded from its integer states: state s
+    leaves along dart (s >> 2, s >> 1 & 1) on side -1 when s & 1 is set,
+    and arrives along the opposite dart of the state before it."""
     corners = []
-    steps = walk.steps
-    t = len(steps)
-    for i in range(t):
-        d, side = steps[i]
-        (pe, pend), _ = steps[(i - 1) % t]
+    states = walk.states
+    for i, s in enumerate(states):
+        p = states[i - 1]
+        d = (s >> 2, s >> 1 & 1)
         corners.append(
             Corner(
                 pos=i,
                 vertex=E.edges[d[0]][d[1]],
-                in_dart=(pe, 1 - pend),
+                in_dart=(p >> 2, 1 - (p >> 1 & 1)),
                 out_dart=d,
-                side=side,
+                side=-1 if s & 1 else 1,
             )
         )
     return corners
@@ -265,9 +267,9 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
         raise SchemeError(f"unknown paste target {target!r}")
     dg_want, faces_want = _REFERENCE_PASTE_TARGETS[target]
     faces = trace_faces(E)
-    if not (0 <= face_index < faces.face_count):
+    if not (0 <= face_index < len(faces)):
         raise SchemeError(f"face index {face_index} out of range")
-    walk = faces.walks[face_index]
+    walk = faces[face_index]
     if walk.length != 3 or len(walk.distinct_vertices()) != 3:
         raise SchemeError("paste_block needs a triangular face on three vertices")
     info0 = surface_info(E)
@@ -291,7 +293,7 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
             )
             cfaces = trace_faces(cand)
             got = tuple(
-                sorted(wk.length for wk in cfaces.walks if w in wk.distinct_vertices())
+                sorted(wk.length for wk in cfaces if w in wk.distinct_vertices())
             )
             if got != faces_want:
                 continue
@@ -316,7 +318,7 @@ def reference_census(G: Graph, mode: str) -> dict:
     classes = {}
     for E in enumerate_small_schemes(G, signature_mode=mode):
         info = surface_info(E)
-        lens = tuple(sorted(w.length for w in trace_faces(E).walks))
+        lens = tuple(sorted(w.length for w in trace_faces(E)))
         key = (info.euler_genus, info.orientable, lens)
         classes[key] = classes.get(key, 0) + 1
     return classes
@@ -409,7 +411,7 @@ def reference_completion(E: PseudoEmbedding) -> tuple:
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
-    shortest = min((w.length for w in trace_faces(E).walks), default=3)
+    shortest = min((w.length for w in trace_faces(E)), default=3)
     if shortest < 3:
         raise SchemeError(
             f"completion needs every face to have length at least 3; "
@@ -420,7 +422,7 @@ def reference_completion(E: PseudoEmbedding) -> tuple:
     added = 0
     while True:
         faces = trace_faces(cur)
-        walk = next((w for w in faces.walks if w.length >= 4), None)
+        walk = next((w for w in faces if w.length >= 4), None)
         if walk is None:
             break
         if added >= budget:

@@ -206,7 +206,7 @@ def test_criterion_6_enumeration_and_fixture():
         for E in enumerate_small_schemes(complete_graph(4),
                                          signature_mode="all"):
             info = surface_info(E)
-            lens = tuple(sorted(w.length for w in trace_faces(E).walks))
+            lens = tuple(sorted(w.length for w in trace_faces(E)))
             key = (info.euler_genus, info.orientable, lens)
             classes[key] = classes.get(key, 0) + 1
         assert sum(classes.values()) == 1024
@@ -217,9 +217,9 @@ def test_criterion_6_enumeration_and_fixture():
         info = surface_info(E)
         assert info.euler_genus == 2 and info.orientable is True
         assert is_edge_maximal_embedding(E)[0] is True
-        lens = sorted(w.length for w in trace_faces(E).walks)
+        lens = sorted(w.length for w in trace_faces(E))
         assert lens == [3] * 14 + [4]
-        quad = [w for w in trace_faces(E).walks if w.length == 4][0]
+        quad = [w for w in trace_faces(E) if w.length == 4][0]
         vs = sorted(quad.distinct_vertices())
         assert len(vs) == 4 and is_clique(E.simple_graph(), vs)
         assert edges_short(E) == 1
@@ -281,10 +281,10 @@ def test_criterion_8_surgery():
                 C = chord_faces(E, mode)
                 info = surface_info(C)
                 assert (info.euler_genus, info.orientable) == (0, True)
-                assert trace_faces(C).face_count == 2 * face_split_count(t, mode)
+                assert len(trace_faces(C)) == 2 * face_split_count(t, mode)
                 A, apexes = insert_apexes(C)
                 long_faces = sum(
-                    1 for w in trace_faces(C).walks if w.length > 3
+                    1 for w in trace_faces(C) if w.length > 3
                 )
                 assert len(apexes) == long_faces
                 info2 = surface_info(A)

@@ -418,6 +418,15 @@ class TestBoundsVerify:
         assert rep["theorem"] == "orientable-67"
         assert rep["violations"] == []
 
+    @pytest.mark.parametrize("bits", ["3", "0", "abc"])
+    def test_bad_precision_variable_exits_two(self, capsys, monkeypatch, bits):
+        # 3 bits used to pass the floor unchecked and report spurious
+        # violations from g = 300 on
+        monkeypatch.setenv("EMAX_PRECISION_BITS", bits)
+        code, out, err = run(capsys, "bounds", "verify", "--theorem", "84",
+                             "--gmax", "400")
+        assert code == 2 and out == "" and "EMAX_PRECISION_BITS" in err
+
 
 class TestBoundsBytes:
     """The stdout of the bounds paths, pinned by SHA-256 digest."""

@@ -67,13 +67,13 @@ def switched(E, vs):
 
 def pasteable_faces(E):
     return [
-        i for i, wk in enumerate(trace_faces(E).walks)
+        i for i, wk in enumerate(trace_faces(E))
         if wk.length == 3 and len(wk.distinct_vertices()) == 3
     ]
 
 
 def side_pattern(E, face_index):
-    corners = walk_corners(E, trace_faces(E).walks[face_index])
+    corners = walk_corners(E, trace_faces(E)[face_index])
     return sum(1 << j for j, c in enumerate(corners) if c.side > 0)
 
 
@@ -115,7 +115,7 @@ class TestK8MinusC5:
         assert E.simple_graph() == k8_minus_c5()
         info = surface_info(E)
         assert (info.euler_genus, info.orientable) == (2, True)
-        lengths = sorted(trace_faces(E).lengths)
+        lengths = sorted(w.length for w in trace_faces(E))
         assert lengths == [3] * 14 + [4]
         assert is_edge_maximal_embedding(E) == (True, None)
         assert edges_short(E) == 1
@@ -123,7 +123,7 @@ class TestK8MinusC5:
     def test_quad_face_induces_k4(self):
         E = toroidal_embedding_k8_minus_c5()
         G = E.simple_graph()
-        quad = next(w for w in trace_faces(E).walks if w.length == 4)
+        quad = next(w for w in trace_faces(E) if w.length == 4)
         assert len(quad.distinct_vertices()) == 4
         assert is_clique(G, quad.distinct_vertices())
 
@@ -132,7 +132,7 @@ class TestK8MinusC5:
         assert E is not None
         info = surface_info(E)
         assert (info.euler_genus, info.orientable) == (2, True)
-        assert trace_faces(E).face_count == 15
+        assert len(trace_faces(E)) == 15
         assert E.simple_graph() == k8_minus_c5()
         # the committed fixture's documented provenance is this very run
         F = toroidal_embedding_k8_minus_c5()
@@ -223,7 +223,7 @@ class TestGadgetQ:
         assert E.simple_graph() == graph_q()[0]
         info = surface_info(E)
         assert (info.euler_genus, info.orientable) == (0, True)
-        assert trace_faces(E).lengths == (4,) * 6
+        assert [w.length for w in trace_faces(E)] == [4] * 6
 
 
 class TestLowerBoundFamily:
@@ -264,7 +264,7 @@ class TestEnumeration:
             key = (
                 info.euler_genus,
                 info.orientable,
-                tuple(sorted(trace_faces(E).lengths)),
+                tuple(sorted(w.length for w in trace_faces(E))),
             )
             census[key] = census.get(key, 0) + 1
         # prod_v (deg-1)! = 2^4 = 16 rotation systems
@@ -286,7 +286,7 @@ class TestEnumeration:
         for E in enumerate_small_schemes(G, signature_mode="all"):
             info = surface_info(E)
             if info.euler_genus == 1 and not info.orientable:
-                if sorted(trace_faces(E).lengths) == [3, 3, 6]:
+                if sorted(w.length for w in trace_faces(E)) == [3, 3, 6]:
                     hits += 1
         assert hits == 96
 
@@ -469,7 +469,7 @@ class TestPasteBlock:
         assert info.euler_genus == 1 and not info.orientable
         w = E.n - 1
         at_w = sorted(
-            wk.length for wk in trace_faces(E).walks
+            wk.length for wk in trace_faces(E)
             if w in wk.distinct_vertices()
         )
         assert at_w == [3, 6]
@@ -480,7 +480,7 @@ class TestPasteBlock:
         assert info.euler_genus == 2 and info.orientable
         w = E.n - 1
         at_w = [
-            wk.length for wk in trace_faces(E).walks
+            wk.length for wk in trace_faces(E)
             if w in wk.distinct_vertices()
         ]
         assert at_w == [9]

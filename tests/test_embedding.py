@@ -29,7 +29,7 @@ from emax import (
     surface_info,
     trace_faces,
 )
-from emax.embedding import _link, _SchemeEditor, _splice, _walk_states
+from emax.embedding import _link, _SchemeEditor, _splice
 
 from conftest import Corner, insert_dart_at_corner, random_scheme, reference_faces
 
@@ -102,8 +102,7 @@ class TestConstructionValidation:
 class TestHandTracedSchemes:
     def test_single_edge_is_spherical(self):
         E = single_edge()
-        fs = trace_faces(E)
-        assert fs.lengths == (2,)
+        assert [w.length for w in trace_faces(E)] == [2]
         assert surface_info(E) == SurfaceInfo(euler_genus=0, orientable=True)
 
     def test_twisted_tree_edge_is_switchable(self):
@@ -113,17 +112,17 @@ class TestHandTracedSchemes:
 
     def test_positive_loop_two_monogons(self):
         E = single_loop(+1)
-        assert sorted(trace_faces(E).lengths) == [1, 1]
+        assert [w.length for w in trace_faces(E)] == [1, 1]
         assert surface_info(E) == SurfaceInfo(euler_genus=0, orientable=True)
 
     def test_negative_loop_is_a_crosscap(self):
         E = single_loop(-1)
-        assert trace_faces(E).lengths == (2,)
+        assert [w.length for w in trace_faces(E)] == [2]
         assert surface_info(E) == SurfaceInfo(euler_genus=1, orientable=False)
 
     def test_twisted_triangle_single_hexagonal_walk(self):
         E = twisted_triangle()
-        assert trace_faces(E).lengths == (6,)
+        assert [w.length for w in trace_faces(E)] == [6]
         assert surface_info(E) == SurfaceInfo(euler_genus=1, orientable=False)
         ok, conflict = orientability(E)
         assert not ok and conflict == 1
@@ -131,8 +130,8 @@ class TestHandTracedSchemes:
     def test_k4_planar_four_triangles(self):
         E = k4_planar()
         fs = trace_faces(E)
-        assert sorted(fs.lengths) == [3, 3, 3, 3]
-        assert {w.distinct_vertices() for w in fs.walks} == {
+        assert [w.length for w in fs] == [3, 3, 3, 3]
+        assert {w.distinct_vertices() for w in fs} == {
             frozenset(s) for s in ({0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3})
         }
         assert surface_info(E) == SurfaceInfo(euler_genus=0, orientable=True)
@@ -141,7 +140,7 @@ class TestHandTracedSchemes:
     def test_face_order_is_deterministic(self):
         a = trace_faces(k4_planar())
         b = trace_faces(k4_planar())
-        assert [w.steps for w in a.walks] == [w.steps for w in b.walks]
+        assert a == b
 
 
 class TestTraceFacesPreconditions:
@@ -205,17 +204,17 @@ class TestWindowsAndCorners:
             four_distinct_window([0, 1, 0, 1, 0, 1])
 
     def test_corners_follow_the_walk(self):
+        # the sides and in-darts are read off the tuple tracer's steps
         for E in (k4_planar(), twisted_triangle()):
             editor = _SchemeEditor(E)
-            for walk in trace_faces(E).walks:
-                states = _walk_states(walk)
-                t = walk.length
-                for i, s in enumerate(states):
+            for walk, (steps, _) in zip(trace_faces(E), reference_faces(E)):
+                for i, s in enumerate(walk.states):
                     v, a, bit = editor.corner(s)
                     assert v == walk.vertices[i]
+                    assert bit == (steps[i][1] < 0) == s & 1
                     # the walk arrives along the far dart of the last step
-                    assert a == (states[(i - 1) % t] >> 1) ^ 1
-                    assert bit == (walk.steps[i][1] < 0)
+                    (pe, pend), _ = steps[i - 1]
+                    assert a == 2 * pe + 1 - pend
                     # the in-dart lives at the corner's vertex
                     assert E.edges[a >> 1][a & 1] == v
 
@@ -345,10 +344,10 @@ def test_random_scheme_invariants(seed):
     info = surface_info(E)
     fs = trace_faces(E)
     assert info.euler_genus >= 0
-    assert info.euler_genus == 2 - E.n + E.m - fs.face_count
+    assert info.euler_genus == 2 - E.n + E.m - len(fs)
     if info.orientable:
         assert info.euler_genus % 2 == 0
-    assert sum(fs.lengths) == 2 * E.m
+    assert sum(w.length for w in fs) == 2 * E.m
     again = scheme_from_json(scheme_to_json(E))
     assert scheme_to_dict(again) == scheme_to_dict(E)
     assert surface_info(again) == info
@@ -376,7 +375,14 @@ def signed_rotation_systems(draw):
 
 
 def walks_of(E):
-    return [(w.steps, w.vertices) for w in trace_faces(E).walks]
+    """The walks of trace_faces in the tuple form of reference_faces."""
+    return [
+        (
+            tuple(((s >> 2, s >> 1 & 1), -1 if s & 1 else 1) for s in w.states),
+            w.vertices,
+        )
+        for w in trace_faces(E)
+    ]
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

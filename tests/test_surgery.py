@@ -62,7 +62,7 @@ def n1_k4_scheme():
     for s in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
         info = surface_info(s)
         if info.euler_genus == 1 and not info.orientable:
-            if sorted(trace_faces(s).lengths) == [3, 3, 6]:
+            if sorted(w.length for w in trace_faces(s)) == [3, 3, 6]:
                 return s
     raise AssertionError("projective K4 class missing from enumeration")
 
@@ -122,18 +122,18 @@ class TestChordFaces:
         f0 = trace_faces(E)
         expected_chords = sum(
             len(chord_positions(w.length, "nonorientable"))
-            for w in f0.walks if w.length >= 4
+            for w in f0 if w.length >= 4
         )
         out = chord_faces(E, "nonorientable")
         assert out.m == E.m + expected_chords
         f1 = trace_faces(out)
-        assert f1.face_count == f0.face_count + expected_chords
+        assert len(f1) == len(f0) + expected_chords
         assert surface_info(out) == surface_info(E)
 
     def test_mixed_side_face_chords_preserve_surface(self):
         E = n1_k4_scheme()
         sides = {c.side
-                 for w in trace_faces(E).walks if w.length == 6
+                 for w in trace_faces(E) if w.length == 6
                  for c in walk_corners(E, w)}
         assert sides == {1, -1}
         out = chord_faces(E, "nonorientable")
@@ -171,7 +171,7 @@ class TestInsertApexes:
         assert apexes[0] == E.n  # new vertices appended
         assert out.n == E.n + 1
         assert out.m == E.m + 4
-        f0, f1 = trace_faces(E).face_count, trace_faces(out).face_count
+        f0, f1 = len(trace_faces(E)), len(trace_faces(out))
         assert f1 == f0 + 3  # a 4-gon becomes 4 triangles
         assert surface_info(out) == surface_info(E)
         assert len(out.rotation[apexes[0]]) == 4
@@ -198,8 +198,8 @@ class TestInsertApexes:
         chorded = chord_faces(E, "nonorientable")
         out, apexes = insert_apexes(chorded)
         assert len(apexes) >= 1
-        f0 = trace_faces(chorded).face_count
-        assert trace_faces(out).face_count == f0 + 3 * len(apexes)
+        f0 = len(trace_faces(chorded))
+        assert len(trace_faces(out)) == f0 + 3 * len(apexes)
         T, added = complete_to_triangulation(out)
         assert is_triangulation(T)
         assert added == edges_short(out)
@@ -311,7 +311,7 @@ def insert_by_lists(E, corner_pairs):
     """E plus one edge per (face, position, face, position) quadruple,
     laid by list insertion at the corners of the current trace."""
     for fa, pa, fb, pb in corner_pairs:
-        walks = trace_faces(E).walks
+        walks = trace_faces(E)
         a = walk_corners(E, walks[fa])[pa]
         b = walk_corners(E, walks[fb])[pb]
         rot_lists = [list(r) for r in E.rotation]
@@ -329,7 +329,7 @@ def random_corner_pairs(rng, E, k, same_face):
     when same_face is set, else anywhere."""
     pairs = []
     for _ in range(k):
-        lengths = trace_faces(insert_by_lists(E, pairs)).lengths
+        lengths = [w.length for w in trace_faces(insert_by_lists(E, pairs))]
         fa = rng.randrange(len(lengths))
         fb = fa if same_face else rng.randrange(len(lengths))
         pairs.append(
