@@ -53,6 +53,11 @@ from .intervals import (
 )
 
 DEFAULT_PRECISION_BITS = 256
+# printed numerators have about 0.3 digits per bit: 1250 at this cap, while
+# CPython's 4300-digit limit on int-to-str is passed near 14300 bits.  A
+# bounds verify sweep to VERIFY_GMAX_CAP takes about 7 s at this cap, 20 s
+# at 8192 bits and 50 s at 14000
+PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
 # optimal_schedule keeps one f' value per step: 10^6 steps take about 0.1 s
 # at g = 13, while an unbounded s_max runs until it is killed
@@ -77,7 +82,7 @@ class BoundsError(ValueError):
 
 def _precision_bits(precision: Optional[int]) -> int:
     """The precision argument, else EMAX_PRECISION_BITS, else the default;
-    either source must give an integer of at least 8 bits."""
+    either source must give an integer of 8 to PRECISION_BITS_CAP bits."""
     name = "precision"
     if precision is None:
         env = os.environ.get("EMAX_PRECISION_BITS")
@@ -90,6 +95,10 @@ def _precision_bits(precision: Optional[int]) -> int:
             raise BoundsError(f"{name} must be an integer, got {env!r}") from None
     if precision < 8:
         raise BoundsError(f"{name} must be at least 8 bits")
+    if precision > PRECISION_BITS_CAP:
+        raise BoundsError(
+            f"{name} {precision} is above the cap of {PRECISION_BITS_CAP} bits"
+        )
     return int(precision)
 
 

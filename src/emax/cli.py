@@ -41,7 +41,8 @@ tree, is traced on each rotation system and stands for 2^(n-1) schemes.
 depend on `--census`.
 
 The interval precision used by the bounds subcommands can be overridden
-with the EMAX_PRECISION_BITS environment variable (default 256).
+with the EMAX_PRECISION_BITS environment variable (default 256, at most
+bounds.PRECISION_BITS_CAP = 4096 bits).
 """
 
 from __future__ import annotations
@@ -93,6 +94,19 @@ from .intervals import PrecisionError
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _json_ints(values):
+    """The text _dump gives a list of ints that is the value of a top-level
+    key, 4096 items at a time, so a long list is never held whole."""
+    if not values:
+        yield "[]"
+        return
+    head = "[\n    "
+    for i in range(0, len(values), 4096):
+        yield head + ",\n    ".join(map(str, values[i : i + 4096]))
+        head = ",\n    "
+    yield "\n  ]"
 
 
 def _read_text(path: str) -> str:
@@ -343,14 +357,16 @@ def cmd_bounds_f(args) -> int:
     else:
         res = optimal_schedule(args.g, args.s)
         final, schedule, floored = res.f_values[-1], res.c_schedule, res.floored_steps
-    payload = {
-        "g": args.g,
-        "s": args.s,
-        "f": int(final) if final.denominator == 1 else str(final),
-        "c_schedule": list(schedule),
-        "floored_steps": list(floored),
-    }
-    sys.stdout.write(_dump(payload))
+    # the bytes _dump gives {g, s, f, c_schedule, floored_steps}, with each
+    # list written a piece at a time: at --s 1000000 the whole text built
+    # as one string took 146 MB
+    f = int(final) if final.denominator == 1 else str(final)
+    write = sys.stdout.write
+    write('{\n  "c_schedule": ')
+    sys.stdout.writelines(_json_ints(schedule))
+    write(f',\n  "f": {json.dumps(f)},\n  "floored_steps": ')
+    sys.stdout.writelines(_json_ints(floored))
+    write(f',\n  "g": {args.g},\n  "s": {args.s}\n}}\n')
     return 0
 
 

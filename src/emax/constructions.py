@@ -25,6 +25,7 @@ from .embedding import (
     SurfaceInfo,
     _audited_genus,
     _leave_table,
+    _link,
     _paired_faces,
     _SchemeEditor,
     _state_orbits,
@@ -304,41 +305,56 @@ def enumerate_small_schemes(
 
     Fixing each vertex's first dart removes none of the face structures
     (cyclic orders are what matter) while cutting the count to
-    prod_v (deg(v)-1)!.  Mode "all" additionally runs through every
-    signature vector, all-positive first.  Refuses to start if the total
-    exceeds cap.  scheme_census stands for the same schemes with one
-    signature per switching class (switching changes no face) and counts
-    the schemes it stands for against cap, so both refuse the same graphs.
+    prod_v (deg(v)-1)!.  The order is that of itertools.product over the
+    vertices' orders, each the vertex's first dart (by edge id) and then a
+    permutation of the rest; mode "all" runs through every signature
+    vector for each, all-positive first.  Refuses to start if the total
+    exceeds cap.
+
+    A depth-first walk writes one vertex's order at a time into shared
+    dart arrays, and each leaf yields a scheme on copies of them without
+    the public constructor's validation: each order permutes the vertex's
+    own darts, so every dart is laid once.  scheme_census stands for the
+    same schemes with one signature per switching class (switching
+    changes no face) and counts the schemes it stands for against cap, so
+    both refuse the same graphs.
     """
     _enumeration_total(G, signature_mode, cap)
+    n = G.n
     pairs = sorted(G.edges)
-    darts_at = [[] for _ in range(G.n)]
+    darts_at = [[] for _ in range(n)]
     for e, (u, v) in enumerate(pairs):
-        darts_at[u].append((e, 0))
-        darts_at[v].append((e, 1))
-    masks = range(2 ** G.m if signature_mode == "all" else 1)
+        darts_at[u].append(2 * e)
+        darts_at[v].append(2 * e + 1)
+    # each vertex's orders, as (dart ids, rotation entry) pairs
+    orders = []
+    for darts in darts_at:
+        head = (darts[0],)
+        ids = [head + perm for perm in permutations(darts[1:])]
+        orders.append([(x, tuple([(d >> 1, d & 1) for d in x])) for x in ids])
 
-    def rotations(v):
-        head, rest = tuple(darts_at[v][:1]), darts_at[v][1:]
-        for perm in permutations(rest):
-            yield head + perm
+    def signed(mask):
+        return tuple([(a, b, -1 if mask >> e & 1 else 1)
+                      for e, (a, b) in enumerate(pairs)])
 
-    def rec(v, acc):
-        if v == G.n:
-            yield tuple(acc)
-            return
-        for rot in rotations(v):
-            acc.append(rot)
-            yield from rec(v + 1, acc)
-            acc.pop()
+    positive = (signed(0),)
+    masks = range(2 ** G.m) if signature_mode == "all" else None
+    succ = [-1] * (2 * G.m)
+    pred = [-1] * (2 * G.m)
+    rotation = [None] * n
 
-    for rotation in rec(0, []):
-        for mask in masks:
-            edges = [
-                (u, v, -1 if mask >> e & 1 else 1)
-                for e, (u, v) in enumerate(pairs)
-            ]
-            yield PseudoEmbedding(G.n, edges, rotation)
+    def walk(v):
+        for ids, rot in orders[v]:
+            _link(ids, succ, pred)
+            rotation[v] = rot
+            if v + 1 < n:
+                yield from walk(v + 1)
+                continue
+            leaf = tuple(rotation)
+            for edges in positive if masks is None else map(signed, masks):
+                yield PseudoEmbedding._from_arrays(n, edges, leaf, succ[:], pred[:])
+
+    yield from walk(0)
 
 
 def _tree_positive_masks(G: Graph) -> list:
@@ -378,13 +394,15 @@ def scheme_census(
     rotation with its first dart fixed is again an enumerated one, so
     switching a set of vertices other than 0 maps 2^(n-1) enumerated
     schemes onto each pair (rotation system, signature positive on a fixed
-    spanning tree).  The census traces those pairs on each rotation
-    system's dart arrays, weighted 2^(n-1) in mode "all"; in mode
-    "orientable-only" the one pair per rotation system is the all-positive
-    scheme itself.  A tree-positive signature is orientable exactly when
-    it is all positive.  Each trace gets the face-pairing audit of
-    trace_faces and the genus audits of surface_info, and the counts must
-    sum to the enumeration total, which is also what cap limits.
+    spanning tree).  The rotation systems are the all-positive schemes of
+    enumerate_small_schemes, laid straight onto dart arrays with no
+    validated build, and the census traces those pairs on each one's
+    arrays, weighted 2^(n-1) in mode "all"; in mode "orientable-only" the
+    one pair per rotation system is the all-positive scheme itself.  A
+    tree-positive signature is orientable exactly when it is all positive.
+    Each trace gets the face-pairing audit of trace_faces and the genus
+    audits of surface_info, and the counts must sum to the enumeration
+    total, which is also what cap limits.
     """
     total = _enumeration_total(G, signature_mode, cap)
     if signature_mode == "all":

@@ -31,6 +31,13 @@ smallest state, with the vertex each state leaves from.  The face set and
 the orientability test are computed once per scheme and memoised on it,
 since the scheme is immutable.
 
+The public constructor validates every part and derives the dart arrays
+from the rotation.  The private `PseudoEmbedding._from_arrays` takes
+parts already in that normal form, arrays included, and skips the
+checks: it serves only the scheme enumeration, which lays each vertex's
+order onto shared arrays itself and so places every dart once by
+construction.  Both fill the scheme's slots by one shared step.
+
 Every surgery lays its edges on the private scheme editor, which holds
 working copies of the dart arrays.  A new dart goes in at a corner of a
 face, named by the dart the walk arrives along and the side it leaves on,
@@ -115,13 +122,23 @@ class PseudoEmbedding:
         if seen.count(0):
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "_succ", succ)
-        object.__setattr__(self, "_pred", pred)
-        object.__setattr__(self, "_faces", None)
-        object.__setattr__(self, "_orient", None)
+        self._fill(n, edges, rotation, succ, pred)
+
+    @classmethod
+    def _from_arrays(cls, n, edges, rotation, succ, pred) -> PseudoEmbedding:
+        """A scheme from parts already in its normal form, unvalidated:
+        edges and rotation as tuples of int tuples, and succ and pred the
+        dart arrays of that rotation, owned by the new scheme.  Only a
+        caller that lays every dart once by construction may use it."""
+        E = object.__new__(cls)
+        E._fill(n, edges, rotation, succ, pred)
+        return E
+
+    def _fill(self, n, edges, rotation, succ, pred) -> None:
+        for name, value in (("n", n), ("edges", edges), ("rotation", rotation),
+                            ("_succ", succ), ("_pred", pred), ("_faces", None),
+                            ("_orient", None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PseudoEmbedding is immutable")

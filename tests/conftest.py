@@ -6,6 +6,7 @@ normal pytest output, one line per criterion, so the gate can be read
 off a full run at a glance.
 """
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,6 @@ from emax import (
     SchemeError,
     closed_neighborhood,
     edges_short,
-    enumerate_small_schemes,
     f_exact_s2,
     is_triangulation,
     surface_info,
@@ -308,15 +308,38 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
     )
 
 
+def reference_schemes(G: Graph, mode: str):
+    """Every scheme `enumerate_small_schemes(G, mode)` promises, in its
+    order, each a validated build: the product over the vertices of their
+    orders, each the vertex's first dart (by edge id) followed by a
+    permutation of the rest, and for each rotation system every signature
+    vector in mode "all", all-positive first."""
+    pairs = sorted(G.edges)
+    darts_at = [[] for _ in range(G.n)]
+    for e, (u, v) in enumerate(pairs):
+        darts_at[u].append((e, 0))
+        darts_at[v].append((e, 1))
+    orders = [
+        [(darts[0],) + perm for perm in itertools.permutations(darts[1:])]
+        for darts in darts_at
+    ]
+    masks = range(2 ** len(pairs)) if mode == "all" else [0]
+    for rotation in itertools.product(*orders):
+        for mask in masks:
+            edges = [(u, v, -1 if mask >> e & 1 else 1)
+                     for e, (u, v) in enumerate(pairs)]
+            yield PseudoEmbedding(G.n, edges, rotation)
+
+
 def reference_census(G: Graph, mode: str) -> dict:
     """Census by building every scheme, an oracle for `scheme_census`.
 
-    Builds each scheme `enumerate_small_schemes(G, mode)` visits, traces
-    it in full, runs the orientability test, and counts it under
-    (Euler genus, orientable, sorted face lengths).
+    Builds each scheme of `reference_schemes(G, mode)`, traces it in
+    full, runs the orientability test, and counts it under (Euler genus,
+    orientable, sorted face lengths).
     """
     classes = {}
-    for E in enumerate_small_schemes(G, signature_mode=mode):
+    for E in reference_schemes(G, mode):
         info = surface_info(E)
         lens = tuple(sorted(w.length for w in trace_faces(E)))
         key = (info.euler_genus, info.orientable, lens)

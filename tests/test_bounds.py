@@ -536,6 +536,21 @@ class TestPrecisionKnob:
         lam = lambda_interval(precision=256)
         assert lam.width < Fraction(1, 2**200)
 
+    def test_precision_at_the_cap(self, monkeypatch):
+        lam = lambda_interval(precision=bounds.PRECISION_BITS_CAP)
+        assert lam.width < Fraction(1, 2 ** (bounds.PRECISION_BITS_CAP - 8))
+        monkeypatch.setenv("EMAX_PRECISION_BITS", str(bounds.PRECISION_BITS_CAP))
+        assert lambda_interval() == lam
+
+    def test_precision_above_the_cap(self, monkeypatch):
+        above = bounds.PRECISION_BITS_CAP + 1
+        with pytest.raises(BoundsError, match=f"precision {above} is above"):
+            lambda_interval(precision=above)
+        monkeypatch.setenv("EMAX_PRECISION_BITS", str(above))
+        with pytest.raises(BoundsError,
+                           match=f"EMAX_PRECISION_BITS {above} is above"):
+            analytic_context(5)
+
     def test_analytic_context_precision_error_path(self):
         # the precision ladder caps out; a straddle that survives every
         # widening must raise PrecisionError rather than guess.  No known

@@ -20,7 +20,13 @@ from emax import (
     format_edge_list,
     scheme_from_json,
 )
-from emax.bounds import TABLE_GENUS_CAP, VERIFY_GMAX_CAP
+from emax.bounds import (
+    PRECISION_BITS_CAP,
+    TABLE_GENUS_CAP,
+    VERIFY_GMAX_CAP,
+    f_exact_s2,
+    optimal_schedule,
+)
 from emax.constructions import ENUMERATION_CAP, PROP2_GENUS_CAP, REGEN_MOVE_CAP
 from emax.embedding import scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
@@ -286,6 +292,29 @@ class TestEnumerate:
         assert classes == reference_census(G, mode)
         assert rep["total"] == sum(classes.values())
 
+    # K5 in mode "all" takes about 10 s; CI compares its digest,
+    # 592127ddc7ee12fb057093edfb6c5cfd15a01557e07858acd6d1f6667cab7734
+    @pytest.mark.parametrize("name, mode, digest", [
+        ("K4", "orientable-only",
+         "55dda4e0d0c3ba5d9e31d30ea61c2c3171d9b65873a8762a9b41d9ed2752cd3a"),
+        ("K4", "all",
+         "cb9068dbf99cf5e4d85198bf789bdc2d7f625a4675fb8e85c54310a9e7eebe0b"),
+        ("K5", "orientable-only",
+         "d55a980323bbc5f7825d194ceb063248ee04957eb408501a7cb9205d6ff411a0"),
+        ("K33", "orientable-only",
+         "2d8c80e9f513a974942fdc76e90bca9f2253ae11d6dd9da958050f7d688549fa"),
+        ("K33", "all",
+         "3633b51c2747e8d76717170876c9016a9c2ad8a7253cf5bd46da60e7a411507c"),
+    ])
+    def test_census_stdout_digest(self, tmp_path, capsys, name, mode, digest):
+        G = {**self.GRAPHS, "K5": complete_graph(5)}[name]
+        path = tmp_path / "g.txt"
+        path.write_text(format_edge_list(G))
+        code, out, _ = run(capsys, "enumerate", str(path),
+                           "--signature-mode", mode, "--census")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("extra, total", [
         ((), 16), (("--census",), 16),
         (("--signature-mode", "all"), 1024),
@@ -402,6 +431,25 @@ class TestBoundsF:
         code, _, err = run(capsys, "bounds", "f", "--g", "3", "--s", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("g, s", [
+        (2, 2), (13, 3), (1, 40), (13, 4098), (13, 4099), (300, 9000),
+    ])
+    def test_streamed_bytes_equal_the_whole_dump(self, capsys, g, s):
+        # the lists are written 4096 items at a time; the bytes must be
+        # those of json.dumps over the whole payload
+        code, out, _ = run(capsys, "bounds", "f", "--g", str(g), "--s", str(s))
+        assert code == 0
+        if s == 2:
+            final, schedule, floored = f_exact_s2(g), (), ()
+        else:
+            res = optimal_schedule(g, s)
+            final, schedule, floored = (res.f_values[-1], res.c_schedule,
+                                        res.floored_steps)
+        assert out == json.dumps(
+            {"g": g, "s": s, "f": final, "c_schedule": list(schedule),
+             "floored_steps": list(floored)},
+            indent=2, sort_keys=True) + "\n"
+
     def test_s_above_the_step_cap_exits_two_at_once(self, capsys):
         t0 = time.perf_counter()
         code, out, err = run(capsys, "bounds", "f", "--g", "13",
@@ -426,6 +474,25 @@ class TestBoundsVerify:
         code, out, err = run(capsys, "bounds", "verify", "--theorem", "84",
                              "--gmax", "400")
         assert code == 2 and out == "" and "EMAX_PRECISION_BITS" in err
+
+    def test_precision_variable_at_the_cap(self, capsys, monkeypatch):
+        # the printed slack's numerator and denominator stay far under
+        # CPython's 4300-digit limit on int-to-str
+        monkeypatch.setenv("EMAX_PRECISION_BITS", str(PRECISION_BITS_CAP))
+        rep = run_json(capsys, "bounds", "verify", "--theorem", "84",
+                       "--gmax", "400")
+        assert rep["ok"] is True
+        num, den = rep["min_slack"]["slack"].split("/")
+        assert max(len(num), len(den)) < 4300 // 2
+
+    def test_precision_variable_above_the_cap_exits_two(self, capsys,
+                                                        monkeypatch):
+        monkeypatch.setenv("EMAX_PRECISION_BITS", str(PRECISION_BITS_CAP + 1))
+        code, out, err = run(capsys, "bounds", "verify", "--theorem", "84",
+                             "--gmax", "400")
+        assert (code, out) == (2, "")
+        assert err == (f"error: EMAX_PRECISION_BITS {PRECISION_BITS_CAP + 1} "
+                       f"is above the cap of {PRECISION_BITS_CAP} bits\n")
 
 
 class TestBoundsBytes:

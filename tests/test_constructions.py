@@ -51,7 +51,13 @@ from emax.constructions import (
 )
 from emax.embedding import _leave_table, _link, _state_orbits
 
-from conftest import reference_census, reference_paste, reference_regen, walk_corners
+from conftest import (
+    reference_census,
+    reference_paste,
+    reference_regen,
+    reference_schemes,
+    walk_corners,
+)
 
 PASTE_TARGETS = ("planar", "crosscap", "handle")
 
@@ -321,6 +327,31 @@ def small_connected_graphs(draw):
     extra = draw(st.lists(st.sampled_from(others), min_size=1, max_size=4,
                           unique=True))
     return Graph(n, tree + extra)
+
+
+def scheme_parts(E):
+    return E.n, E.edges, E.rotation, E._succ, E._pred
+
+
+class TestEnumerationMatchesValidatedBuilds:
+    """enumerate_small_schemes lays its schemes on the dart arrays without
+    the public constructor's validation; each must equal the validated
+    build of the same rotation system and signature, in the same order."""
+
+    @pytest.mark.parametrize("name, mode", [
+        ("K4", "orientable-only"), ("K4", "all"), ("K33", "orientable-only"),
+    ])
+    def test_named_graphs(self, name, mode):
+        G = CENSUS_GRAPHS[name]
+        got = [scheme_parts(E) for E in enumerate_small_schemes(G, mode)]
+        assert got == [scheme_parts(E) for E in reference_schemes(G, mode)]
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))
+    def test_random_graphs(self, G, mode):
+        assume(_enumeration_total(G, mode, 10**18) <= 4000)
+        got = [scheme_parts(E) for E in enumerate_small_schemes(G, mode)]
+        assert got == [scheme_parts(E) for E in reference_schemes(G, mode)]
 
 
 class TestSchemeCensus:
