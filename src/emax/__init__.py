@@ -65,7 +65,6 @@ from .surgery import (
     face_split_count,
     find_low_interference_vertex,
     find_ordered_sequence,
-    genus_certificate,
     insert_apexes,
     is_ordered_sequence,
     run_lemma5_pipeline,
@@ -78,14 +77,10 @@ from .bounds import (
     analytic_context,
     analytic_upper_bound,
     claim1_consistency,
-    f_closed_form,
     f_exact_s2,
-    f_lower,
     generate_table,
-    impurity_bound,
     lambda_interval,
     optimal_schedule,
-    recurrence_step,
     verify_theorem,
 )
 from .intervals import (

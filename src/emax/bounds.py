@@ -102,39 +102,11 @@ def _precision_bits(precision: Optional[int]) -> int:
     return int(precision)
 
 
-def f_lower(g: int, s: int) -> int:
-    """Lower bound 2g + 3s - 4 (disjoint spine-plus-gadget family)."""
-    if g < 0 or s < 2:
-        raise BoundsError("f_lower needs g >= 0 and s >= 2")
-    return 2 * g + 3 * s - 4
-
-
 def f_exact_s2(g: int) -> int:
     """Exact value for sequences of length 2: 3 on the sphere, 2g+2 else."""
     if g < 0:
         raise BoundsError("g must be nonnegative")
     return 3 if g == 0 else 2 * g + 2
-
-
-def recurrence_step(g: int, c: int, f_prev) -> Fraction:
-    """One exact step: max{2c/(c-6) (g-2), 2c-3 + f_prev}."""
-    if g < 1:
-        raise BoundsError("g must be >= 1")
-    if c < 7:
-        raise BoundsError("c must be >= 7")
-    branch1 = Fraction(2 * c * (g - 2), c - 6)
-    branch2 = Fraction(2 * c - 3) + Fraction(f_prev)
-    return max(branch1, branch2)
-
-
-def f_closed_form(g: int, s: int, c: int) -> Fraction:
-    """(2c-3)(s-2) + max{2c/(c-6) (g-2), 2c-3}: the one-c closed form."""
-    if c < 7:
-        raise BoundsError("c must be >= 7")
-    if s < 1:
-        raise BoundsError("s must be >= 1")
-    head = max(Fraction(2 * c * (g - 2), c - 6), Fraction(2 * c - 3))
-    return Fraction(2 * c - 3) * (s - 2) + head
 
 
 class ScheduleResult(NamedTuple):
@@ -224,18 +196,6 @@ def optimal_schedule(
         f_values.append(p if q == 1 else Fraction(p, q))
         s += 1
     return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
-
-
-def impurity_bound(g: int, surface_kind: str) -> int:
-    """5 f'(g, g+1) - 1 (nonorientable) or 4 f'(g, g+1) - 1 (orientable)."""
-    if surface_kind not in SURFACE_KINDS:
-        raise BoundsError(f"surface_kind must be one of {SURFACE_KINDS}")
-    if g < 1:
-        raise BoundsError("g must be >= 1")
-    if surface_kind == "orientable" and g % 2 != 0:
-        raise BoundsError("orientable surfaces have even Euler genus")
-    factor = 5 if surface_kind == "nonorientable" else 4
-    return factor * optimal_schedule(g, g + 1).f_values[-1] - 1
 
 
 @dataclass(frozen=True)

@@ -28,15 +28,17 @@ that only takes the column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
 linear, about 1 s).  `regen-fixture` takes `--restarts` and `--iters` of
 at least 1 and a restarts * (iters + 24) of at most
-constructions.REGEN_MOVE_CAP (10^7: a move costs 1.1-1.8 us and a
-restart's set-up about 24 moves' worth, so at most about 18 s of climbing).
+constructions.REGEN_MOVE_CAP (10^7: a move costs 0.6-1.1 us and a
+restart's set-up 31-47 us, so at most about 19 s of climbing).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
 (genus, orientability, face vector) without building each signed scheme:
 switching a vertex (reverse its rotation, negate its signatures) changes
-no face, so one signature per switching class, positive on a spanning
-tree, is traced on each rotation system and stands for 2^(n-1) schemes.
+no face, and switching them all reverses every rotation and keeps the
+signatures.  So one signature per switching class, positive on a
+spanning tree, is traced on one rotation system of each mirror pair and
+stands for 2^n schemes (2^(n-1) if no vertex has degree 3 or more).
 `--cap` counts the schemes covered, not the traces, so a refusal does not
 depend on `--census`.
 

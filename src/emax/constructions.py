@@ -38,8 +38,9 @@ ENUMERATION_CAP = 10**7
 # rebuilds and retraces the whole scheme, so its time is quadratic in the
 # genus: 1.7 s at 240 and 7.2 s at 480, so about 30 s at this cap
 PROP2_GENUS_CAP = 1000
-# a climb move costs 1.1-1.8 us and a restart's set-up 36 us, 24 moves'
-# worth, so regenerate_k8_c5_fixture stalls for at most about 18 s at this cap
+# a climb move costs 0.6-1.1 us and a restart's set-up 31-47 us, so
+# regenerate_k8_c5_fixture stalls for at most about 19 s at this cap, in
+# 400,000 one-move restarts (about 10 s in one restart)
 REGEN_MOVE_CAP = 10**7
 
 
@@ -162,8 +163,10 @@ def regenerate_k8_c5_fixture(
     for e, (u, v) in enumerate(pairs):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
+    widths = [(len(ds), len(ds).bit_length()) for ds in darts_at]
     phi = [0] * (2 * len(pairs))
     rng = random.Random(seed)
+    bits = rng.getrandbits
     for _ in range(restarts):
         rot = [list(ds) for ds in darts_at]
         for r in rot:
@@ -176,8 +179,19 @@ def regenerate_k8_c5_fixture(
         for _ in range(iters):
             if best == 15:
                 break
-            r = rot[rng.randrange(8)]
-            i, j = rng.randrange(len(r)), rng.randrange(len(r))
+            # rng.randrange(n) as CPython draws it: k = n.bit_length() bits,
+            # drawn again while they reach n
+            v = bits(4)
+            while v >= 8:
+                v = bits(4)
+            r = rot[v]
+            size, k = widths[v]
+            i = bits(k)
+            while i >= size:
+                i = bits(k)
+            j = bits(k)
+            while j >= size:
+                j = bits(k)
             if i == j:
                 continue
             a, b = r[i], r[j]
@@ -315,9 +329,9 @@ def enumerate_small_schemes(
     dart arrays, and each leaf yields a scheme on copies of them without
     the public constructor's validation: each order permutes the vertex's
     own darts, so every dart is laid once.  scheme_census stands for the
-    same schemes with one signature per switching class (switching
-    changes no face) and counts the schemes it stands for against cap, so
-    both refuse the same graphs.
+    same schemes with one rotation system per mirror pair and one
+    signature per switching class (switching changes no face), and counts
+    the schemes it stands for against cap, so both refuse the same graphs.
     """
     _enumeration_total(G, signature_mode, cap)
     n = G.n
@@ -391,26 +405,39 @@ def scheme_census(
     Switching a vertex reverses its rotation and negates its signatures,
     and leaves every facial walk, the genus and the orientability as they
     were (Mohar & Thomassen, Graphs on Surfaces, 2001, ch. 3).  A reversed
-    rotation with its first dart fixed is again an enumerated one, so
-    switching a set of vertices other than 0 maps 2^(n-1) enumerated
-    schemes onto each pair (rotation system, signature positive on a fixed
-    spanning tree).  The rotation systems are the all-positive schemes of
-    enumerate_small_schemes, laid straight onto dart arrays with no
-    validated build, and the census traces those pairs on each one's
-    arrays, weighted 2^(n-1) in mode "all"; in mode "orientable-only" the
-    one pair per rotation system is the all-positive scheme itself.  A
-    tree-positive signature is orientable exactly when it is all positive.
-    Each trace gets the face-pairing audit of trace_faces and the genus
-    audits of surface_info, and the counts must sum to the enumeration
-    total, which is also what cap limits.
+    rotation with its first dart fixed is again an enumerated one, so the
+    switchings of vertex sets S act on the enumerated schemes.  S and its
+    complement give the same signature, and their rotation systems are
+    mirror images: switching every vertex reverses every rotation and
+    negates each signature twice.  Let the hub be the least vertex of
+    degree at least 3.  Its order (h, a1..ak) reverses to (h, ak..a1),
+    also enumerated and distinct since a1 != ak, so exactly one rotation
+    system of each mirror pair has a1 < ak.  Each orbit of 2^n schemes
+    therefore holds exactly one pair (rotation system with a1 < ak at the
+    hub, signature positive on a fixed spanning tree).  The census traces
+    those pairs, weighted 2^n in mode "all" and 2 in mode
+    "orientable-only", where the one signature is all positive.  With no
+    hub (G a path or a cycle) there is one rotation system, its own
+    mirror image, and the weights are 2^(n-1) and 1.  A tree-positive
+    signature is orientable exactly when it is all positive.  The rotation
+    systems are the all-positive schemes of enumerate_small_schemes, laid
+    straight onto dart arrays with no validated build, and each pair is
+    traced on those arrays.  Each trace gets the face-pairing audit of
+    trace_faces and the genus audits of surface_info, and the counts must
+    sum to the enumeration total, which is also what cap limits.
     """
     total = _enumeration_total(G, signature_mode, cap)
     if signature_mode == "all":
         masks, weight = _tree_positive_masks(G), 2 ** (G.n - 1)
     else:
         masks, weight = [[0] * G.m], 1
+    hub = next((v for v in range(G.n) if G.degree(v) >= 3), None)
+    if hub is not None:
+        weight *= 2
     classes = {}
     for E in enumerate_small_schemes(G, cap=cap):
+        if hub is not None and E.rotation[hub][1] > E.rotation[hub][-1]:
+            continue  # its mirror image stands for it
         leave = _leave_table(E._succ, E._pred)
         for neg in masks:
             orbits, orbit_of = _state_orbits(leave, neg)

@@ -38,7 +38,6 @@ from .graphs import (
     bipartite_genus_lower_bound,
     check_bipartition,
     closed_neighborhood,
-    is_clique,
 )
 from .embedding import (
     PseudoEmbedding,
@@ -421,23 +420,6 @@ def find_ordered_sequence(
     if not is_ordered_sequence(G, seq):
         return None
     return seq
-
-
-def genus_certificate(G: Graph, seq: Iterable[int]) -> int:
-    """|seq| if seq is an ordered sequence whose closed neighborhoods all
-    induce cliques on >= 5 vertices (each one forces a K5), else 0.  The
-    value is a certified lower bound on the Euler genus of G."""
-    seq = list(seq)
-    try:
-        if not is_ordered_sequence(G, seq):
-            return 0
-        for v in seq:
-            cn = closed_neighborhood(G, v)
-            if len(cn) < 5 or not is_clique(G, cn):
-                return 0
-    except GraphError:
-        return 0
-    return len(seq)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,16 @@ from types import SimpleNamespace
 from emax import (
     Bipartition,
     Graph,
+    GraphError,
     PseudoEmbedding,
     SchemeError,
     closed_neighborhood,
     edges_short,
     f_exact_s2,
+    is_clique,
+    is_ordered_sequence,
     is_triangulation,
+    optimal_schedule,
     surface_info,
     trace_faces,
 )
@@ -29,6 +33,7 @@ import emax.bounds
 from emax.bounds import (
     C_SCAN_CAP_FACTOR,
     SCHEDULE_STEP_CAP,
+    SURFACE_KINDS,
     BoundsError,
     ScheduleResult,
     _precision_bits,
@@ -101,6 +106,23 @@ def brute_force_ordered(G: Graph, part_b, s: int):
         return None
 
     return extend([], set())
+
+
+def genus_certificate(G: Graph, seq) -> int:
+    """|seq| if seq is an ordered sequence whose closed neighborhoods all
+    induce cliques on >= 5 vertices (each one forces a K5), else 0.  The
+    value is a certified lower bound on the Euler genus of G."""
+    seq = list(seq)
+    try:
+        if not is_ordered_sequence(G, seq):
+            return 0
+        for v in seq:
+            cn = closed_neighborhood(G, v)
+            if len(cn) < 5 or not is_clique(G, cn):
+                return 0
+    except GraphError:
+        return 0
+    return len(seq)
 
 
 def random_bipartite_instance(rng):
@@ -794,3 +816,47 @@ def reference_schedule(
         schedule.append(best_c)
         f_values.append(p if q == 1 else Fraction(p, q))
     return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
+
+
+# The one-step and one-c forms of the recurrence, and the impurity bound
+# read off the c-schedule: small oracles for hand-checked values.
+
+
+def f_lower(g: int, s: int) -> int:
+    """Lower bound 2g + 3s - 4 (disjoint spine-plus-gadget family)."""
+    if g < 0 or s < 2:
+        raise BoundsError("f_lower needs g >= 0 and s >= 2")
+    return 2 * g + 3 * s - 4
+
+
+def recurrence_step(g: int, c: int, f_prev) -> Fraction:
+    """One exact step: max{2c/(c-6) (g-2), 2c-3 + f_prev}."""
+    if g < 1:
+        raise BoundsError("g must be >= 1")
+    if c < 7:
+        raise BoundsError("c must be >= 7")
+    branch1 = Fraction(2 * c * (g - 2), c - 6)
+    branch2 = Fraction(2 * c - 3) + Fraction(f_prev)
+    return max(branch1, branch2)
+
+
+def f_closed_form(g: int, s: int, c: int) -> Fraction:
+    """(2c-3)(s-2) + max{2c/(c-6) (g-2), 2c-3}: the one-c closed form."""
+    if c < 7:
+        raise BoundsError("c must be >= 7")
+    if s < 1:
+        raise BoundsError("s must be >= 1")
+    head = max(Fraction(2 * c * (g - 2), c - 6), Fraction(2 * c - 3))
+    return Fraction(2 * c - 3) * (s - 2) + head
+
+
+def impurity_bound(g: int, surface_kind: str) -> int:
+    """5 f'(g, g+1) - 1 (nonorientable) or 4 f'(g, g+1) - 1 (orientable)."""
+    if surface_kind not in SURFACE_KINDS:
+        raise BoundsError(f"surface_kind must be one of {SURFACE_KINDS}")
+    if g < 1:
+        raise BoundsError("g must be >= 1")
+    if surface_kind == "orientable" and g % 2 != 0:
+        raise BoundsError("orientable surfaces have even Euler genus")
+    factor = 5 if surface_kind == "nonorientable" else 4
+    return factor * optimal_schedule(g, g + 1).f_values[-1] - 1

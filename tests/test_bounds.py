@@ -15,6 +15,10 @@ from functools import lru_cache
 
 import pytest
 from conftest import (
+    f_closed_form,
+    f_lower,
+    impurity_bound,
+    recurrence_step,
     reference_analytic_context,
     reference_claim1,
     reference_schedule,
@@ -29,14 +33,10 @@ from emax import (
     analytic_upper_bound,
     ceil_sqrt,
     claim1_consistency,
-    f_closed_form,
     f_exact_s2,
-    f_lower,
     generate_table,
-    impurity_bound,
     lambda_interval,
     optimal_schedule,
-    recurrence_step,
     verify_theorem,
 )
 from emax.bounds import SCHEDULE_STEP_CAP

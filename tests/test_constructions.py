@@ -314,6 +314,13 @@ CENSUS_GRAPHS = {
     "K5": complete_graph(5),
     "K33": complete_bipartite(3, 3)[0],
     "K23": complete_bipartite(2, 3)[0],
+    # no vertex of degree 3 or more: one rotation system, its own mirror
+    "C5": Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "path": Graph(4, [(0, 1), (1, 2), (2, 3)]),
+    # vertex 0 has degree 1 or 2, so the mirror pairs are told apart at 1
+    "pendant K4": Graph(5, [(0, 1)] + [(u, v) for u in range(1, 5)
+                                       for v in range(u + 1, 5)]),
+    "diamond": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
 }
 
 
@@ -362,10 +369,31 @@ class TestSchemeCensus:
         ("K5", "orientable-only"),
         ("K33", "orientable-only"), ("K33", "all"),
         ("K23", "orientable-only"), ("K23", "all"),
+        ("C5", "orientable-only"), ("C5", "all"),
+        ("path", "orientable-only"), ("path", "all"),
+        ("pendant K4", "orientable-only"), ("pendant K4", "all"),
+        ("diamond", "orientable-only"), ("diamond", "all"),
     ])
     def test_matches_per_scheme_census(self, name, mode):
         G = CENSUS_GRAPHS[name]
         assert scheme_census(G, mode) == reference_census(G, mode)
+
+    # one trace per mirror pair and tree-positive mask: K4 has 16 rotation
+    # systems and 8 masks, C5 one rotation system and 2 masks
+    @pytest.mark.parametrize("name, mode, traces", [
+        ("K4", "orientable-only", 8), ("K4", "all", 64),
+        ("C5", "orientable-only", 1), ("C5", "all", 2),
+    ])
+    def test_one_trace_per_mirror_pair(self, monkeypatch, name, mode, traces):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _state_orbits(*args)
+
+        monkeypatch.setattr(emax.constructions, "_state_orbits", counted)
+        scheme_census(CENSUS_GRAPHS[name], mode)
+        assert len(calls) == traces
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))

@@ -28,7 +28,6 @@ from emax import (
     face_split_count,
     find_low_interference_vertex,
     find_ordered_sequence,
-    genus_certificate,
     graph_q,
     insert_apexes,
     is_edge_maximal_embedding,
@@ -46,6 +45,7 @@ from emax.embedding import _SchemeEditor
 
 from conftest import (
     brute_force_ordered,
+    genus_certificate,
     insert_dart_at_corner,
     random_scheme,
     reference_completion,
