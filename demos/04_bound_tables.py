@@ -28,7 +28,6 @@ for row in generate_table("orientable", range(2, 21, 2)):
 res = optimal_schedule(13, 14)
 raw = optimal_schedule(13, 14, floor_steps=False)
 print(f"\ng=13: floored steps at s={list(res.floored_steps)}")
-print(f"  exact value at s=3: {raw.f_values[1]}  "
-      f"floored: {res.f_values[1]}")
-print(f"  final f'(13, 14): floored {res.f_values[-1]} vs "
-      f"unfloored {raw.f_values[-1]}")
+print(f"  exact value at s=3: {optimal_schedule(13, 3, floor_steps=False).f}  "
+      f"floored: {optimal_schedule(13, 3).f}")
+print(f"  final f'(13, 14): floored {res.f} vs unfloored {raw.f}")

@@ -40,7 +40,7 @@ for g in (9, 50):
     rep = claim1_consistency(g)
     print(f"  claim consistency: ok={rep['ok']} over {rep['checked']} "
           f"lengths; E7 <= 2k-3: {rep['E7_le_2k_minus_3']}")
-    final = optimal_schedule(g, g + 1).f_values[-1]
+    final = optimal_schedule(g, g + 1).f
     print(f"  f'({g},{g + 1}) = {final} by the recurrence, below the "
           f"certified analytic ceiling {float(analytic_upper_bound(g)):.2f}")
 

@@ -14,13 +14,8 @@ from .graphs import (
     bipartite_genus_lower_bound,
     check_bipartition,
     closed_neighborhood,
-    is_clique,
     is_connected,
-    is_k_connected,
-    is_locally_hamiltonian,
-    is_planar,
     format_edge_list,
-    min_degree,
     parse_edge_list,
 )
 from .embedding import (

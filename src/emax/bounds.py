@@ -37,11 +37,10 @@ comparison of interval endpoints, never of floats.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Optional
 
 from .intervals import (
     Interval,
@@ -59,8 +58,8 @@ DEFAULT_PRECISION_BITS = 256
 # at 8192 bits and 50 s at 14000
 PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
-# optimal_schedule keeps one f' value per step: 10^6 steps take about 0.1 s
-# at g = 13, while an unbounded s_max runs until it is killed
+# optimal_schedule keeps one c per step: 10^6 steps take about 0.03 s at
+# g = 13, while an unbounded s_max runs until it is killed
 SCHEDULE_STEP_CAP = 10**6
 # a table row at Euler genus g carries a g-1 entry schedule, so a table up
 # to genus G costs time and output quadratic in G: G = 3000 takes about
@@ -80,7 +79,7 @@ class BoundsError(ValueError):
     pass
 
 
-def _precision_bits(precision: Optional[int]) -> int:
+def _precision_bits(precision: int | None) -> int:
     """The precision argument, else EMAX_PRECISION_BITS, else the default;
     either source must give an integer of 8 to PRECISION_BITS_CAP bits."""
     name = "precision"
@@ -109,16 +108,17 @@ def f_exact_s2(g: int) -> int:
     return 3 if g == 0 else 2 * g + 2
 
 
-class ScheduleResult(NamedTuple):
-    c_schedule: tuple  # chosen c for s = 3 .. s_max
-    f_values: tuple  # f'(g, s) for s = 2 .. s_max: int, Fraction if non-integral
-    floored_steps: tuple  # s values where flooring strictly reduced
+ScheduleResult = namedtuple("ScheduleResult", (
+    "c_schedule",  # chosen c for s = 3 .. s_max
+    "f",  # f'(g, s_max): int, Fraction if non-integral
+    "floored_steps",  # s values where flooring strictly reduced
+))
 
 
 def optimal_schedule(
     g: int, s_max: int, *, floor_steps: bool = True, anchor_delta: int = 0
 ) -> ScheduleResult:
-    """Optimal c per step and the resulting f' values.
+    """Optimal c per step and the resulting f'(g, s_max).
 
     f'(g, s-1) is carried as an integer ratio p/q (q = 1 while flooring)
     and both tests below are cross-multiplied into integers.  The first
@@ -152,7 +152,6 @@ def optimal_schedule(
     p, q = f_exact_s2(g) + anchor_delta, 1
     if p < 0:
         raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")
-    f_values = [p]
     schedule = []
     floored = []
     cap = 6 + C_SCAN_CAP_FACTOR * g
@@ -177,10 +176,6 @@ def optimal_schedule(
         if t > 0:
             # a run of branch 2 at c
             schedule += [c] * t
-            if q == 1:
-                f_values += range(p + d, p + t * d + 1, d)
-            else:
-                f_values += [Fraction(p + j * d, q) for j in range(1, t + 1)]
             p += t * d
             s += t
             continue
@@ -193,19 +188,19 @@ def optimal_schedule(
         else:
             p, q = Fraction(num, den).as_integer_ratio()
         schedule.append(c - 1)
-        f_values.append(p if q == 1 else Fraction(p, q))
         s += 1
-    return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
+    return ScheduleResult(tuple(schedule), p if q == 1 else Fraction(p, q),
+                          tuple(floored))
 
 
-@dataclass(frozen=True)
-class BoundsTableRow:
-    g: int
-    surface_kind: str
-    c_schedule: tuple  # c_3 .. c_{g+1}
-    f_values: tuple  # f'(g, 2) .. f'(g, g+1), floored ints
-    impurity: int
-    edge_bound_offset: int  # X in |E| >= 3n - X
+class BoundsTableRow(namedtuple("BoundsTableRow", (
+    "g",
+    "surface_kind",
+    "c_schedule",  # c_3 .. c_{g+1}
+    "impurity",
+    "edge_bound_offset",  # X in |E| >= 3n - X
+))):
+    __slots__ = ()
 
 
 def generate_table(
@@ -240,9 +235,9 @@ def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
     def rows():
         for g in g_range:
             res = optimal_schedule(g, g + 1, anchor_delta=anchor_delta)
-            imp = factor * res.f_values[-1] - 1
-            yield BoundsTableRow(g, surface_kind, res.c_schedule, res.f_values,
-                                 imp, imp - 3 * (g - 2))
+            imp = factor * res.f - 1
+            yield BoundsTableRow(g, surface_kind, res.c_schedule, imp,
+                                 imp - 3 * (g - 2))
 
     return rows()
 
@@ -250,21 +245,22 @@ def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
 # Analytic side
 
 
-@dataclass(frozen=True)
-class AnalyticContext:
-    # alpha, gamma and E map a row i to (lo, hi): [lo, hi] / 2^scale_bits
-    g: int
-    lam: Interval  # 25 - 11(48332/114345 + (16/33) log 2)
-    alpha: dict  # i -> (lo, hi), alpha_i
-    k: int  # least i >= 7 with alpha_i (g-2) <= 2
-    beta: dict  # i -> int
-    gamma: dict  # i -> (lo, hi), beta_i - alpha_i (g-2)
-    E: dict  # i -> (lo, hi), the error recursion
-    L_lists: dict  # i -> tuple of s values using c_s = i
-    ell: dict  # i -> row length
-    precision_bits: int
-    tail_bits: int
-    scale_bits: int  # p = tail_bits + GRID_GUARD_BITS
+# alpha, gamma and E map a row i to (lo, hi): [lo, hi] / 2^scale_bits
+class AnalyticContext(namedtuple("AnalyticContext", (
+    "g",
+    "lam",  # 25 - 11(48332/114345 + (16/33) log 2)
+    "alpha",  # i -> (lo, hi), alpha_i
+    "k",  # least i >= 7 with alpha_i (g-2) <= 2
+    "beta",  # i -> int
+    "gamma",  # i -> (lo, hi), beta_i - alpha_i (g-2)
+    "E",  # i -> (lo, hi), the error recursion
+    "L_lists",  # i -> tuple of s values using c_s = i
+    "ell",  # i -> row length
+    "precision_bits",
+    "tail_bits",
+    "scale_bits",  # p = tail_bits + GRID_GUARD_BITS
+))):
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -276,11 +272,11 @@ def _lambda_at(bits: int) -> Interval:
     return Interval(*lam)
 
 
-def lambda_interval(precision: Optional[int] = None) -> Interval:
+def lambda_interval(precision: int | None = None) -> Interval:
     return _lambda_at(_precision_bits(precision))
 
 
-def analytic_context(g: int, precision: Optional[int] = None) -> AnalyticContext:
+def analytic_context(g: int, precision: int | None = None) -> AnalyticContext:
     """All quantities of the analytic schedule for genus g, certified.
 
     The alpha_7 enclosure starts at 2^-min(precision, TAIL_BITS_START) and
@@ -398,7 +394,7 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
                            bits, tail_bits, p)
 
 
-def analytic_upper_bound(g: int, precision: Optional[int] = None) -> Fraction:
+def analytic_upper_bound(g: int, precision: int | None = None) -> Fraction:
     """Certified upper endpoint of lambda (g-2) + 2 ceil(sqrt(3/2 (g-2))) + 33."""
     if g < 2:
         raise BoundsError("analytic bound needs g >= 2")
@@ -442,7 +438,7 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
             min_slack = (g, num)
 
     for g in range(1, dp_top + 1):
-        fin = optimal_schedule(g, g + 1).f_values[-1]
+        fin = optimal_schedule(g, g + 1).f
         note(g, (per_g * g - factor * fin + 1) * Q)
     for g in range(dp_top + 1, g_max + 1):
         ub = analytic_upper_bound(g)
@@ -458,7 +454,7 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     }
 
 
-def claim1_consistency(g: int, precision: Optional[int] = None) -> dict:
+def claim1_consistency(g: int, precision: int | None = None) -> dict:
     """Recompute f' under the analytic schedule (c_s = i for s in L_i; no
     flooring) and certify, for every s in [2, g+1]:
 

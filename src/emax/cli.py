@@ -15,9 +15,10 @@ Size caps, sized from their algorithms, refuse runaway inputs up front with
 exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
 (10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
 at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` takes
-about 0.9 s, most of it writing the JSON), and an edge-list file declares
-at most graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of
-adjacency sets).  `construct prop2` takes a `--genus` and `--base-faces` of
+about 0.3 s and 31 MB, 16 MB of it the schedule's list and tuple of 10^6
+c values), and an edge-list file declares at most
+graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
+sets).  `construct prop2` takes a `--genus` and `--base-faces` of
 at most constructions.PROP2_GENUS_CAP (1000: every paste rebuilds the
 scheme, so the time is quadratic, about 30 s at the cap).  `bounds table`
 stops at the row of Euler genus bounds.TABLE_GENUS_CAP (3000, so `--gmax`
@@ -27,9 +28,9 @@ format writes its rows as they are made, the padded one after a first pass
 that only takes the column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
 linear, about 1 s).  `regen-fixture` takes `--restarts` and `--iters` of
-at least 1 and a restarts * (iters + 24) of at most
-constructions.REGEN_MOVE_CAP (10^7: a move costs 0.6-1.1 us and a
-restart's set-up 31-47 us, so at most about 19 s of climbing).
+at least 1 and a restarts * (iters + constructions.REGEN_SETUP_MOVES) of
+at most constructions.REGEN_MOVE_CAP (10^7 and 64: a move costs 0.6-1.1 us
+and a restart's set-up 31-47 us, so at most about 11 s of climbing).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
@@ -358,7 +359,7 @@ def cmd_bounds_f(args) -> int:
         final, schedule, floored = f_exact_s2(args.g), (), ()
     else:
         res = optimal_schedule(args.g, args.s)
-        final, schedule, floored = res.f_values[-1], res.c_schedule, res.floored_steps
+        final, schedule, floored = res.f, res.c_schedule, res.floored_steps
     # the bytes _dump gives {g, s, f, c_schedule, floored_steps}, with each
     # list written a piece at a time: at --s 1000000 the whole text built
     # as one string took 146 MB

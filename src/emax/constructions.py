@@ -13,10 +13,9 @@ rediscover a fixture from a fresh seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations, permutations
 from math import factorial
-from typing import Optional
 
 from .graphs import Bipartition, Graph, GraphError, is_connected
 from .embedding import (
@@ -38,10 +37,12 @@ ENUMERATION_CAP = 10**7
 # rebuilds and retraces the whole scheme, so its time is quadratic in the
 # genus: 1.7 s at 240 and 7.2 s at 480, so about 30 s at this cap
 PROP2_GENUS_CAP = 1000
-# a climb move costs 0.6-1.1 us and a restart's set-up 31-47 us, so
-# regenerate_k8_c5_fixture stalls for at most about 19 s at this cap, in
-# 400,000 one-move restarts (about 10 s in one restart)
+# a climb move costs 0.6-1.1 us and a restart's set-up 31-47 us, so a
+# restart is priced at REGEN_SETUP_MOVES moves more than its climb, and
+# regenerate_k8_c5_fixture stalls for at most about 11 s at this cap, the
+# same in one restart as in 150,000 one-move restarts
 REGEN_MOVE_CAP = 10**7
+REGEN_SETUP_MOVES = 64
 
 
 def complete_graph(n: int) -> Graph:
@@ -128,14 +129,14 @@ def _swap_gain(lab: list, at: list, face_len: list, a: int, b: int) -> int:
 
 def regenerate_k8_c5_fixture(
     seed: int, restarts: int = 40, iters: int = 30000
-) -> Optional[PseudoEmbedding]:
+) -> PseudoEmbedding | None:
     """Hill-climb for a 15-face (genus 2) orientable scheme of K8-C5.
 
     Moves swap two darts in one vertex's rotation and are kept when the
     face count does not drop.  15 faces is optimal: 2m/3 = 15.33 caps the
     face count, so f = 15 means Euler genus 2.  Returns None if every
-    restart stalls.  Needs restarts, iters >= 1 and restarts * (iters + 24)
-    at most REGEN_MOVE_CAP.
+    restart stalls.  Needs restarts, iters >= 1 and restarts * (iters +
+    REGEN_SETUP_MOVES) at most REGEN_MOVE_CAP.
 
     The climb keeps, on integer darts 2e + end, the face map p = r x of
     the all-positive scheme (r the rotation successor, x(d) = d ^ 1), and
@@ -153,10 +154,12 @@ def regenerate_k8_c5_fixture(
     to b and a, so only the faces through a, b, xa and xb are labelled
     again.  The result is built as a scheme and audited by a full trace.
     """
-    if restarts < 1 or iters < 1 or restarts * (iters + 24) > REGEN_MOVE_CAP:
+    if (restarts < 1 or iters < 1
+            or restarts * (iters + REGEN_SETUP_MOVES) > REGEN_MOVE_CAP):
         raise SchemeError(
             f"regen-fixture needs restarts >= 1, iters >= 1 and restarts * "
-            f"(iters + 24) at most {REGEN_MOVE_CAP}, got {restarts} and {iters}"
+            f"(iters + {REGEN_SETUP_MOVES}) at most {REGEN_MOVE_CAP}, got "
+            f"{restarts} and {iters}"
         )
     pairs = _k8_c5_pairs()
     darts_at = [[] for _ in range(8)]
@@ -248,12 +251,8 @@ def graph_q_scheme() -> PseudoEmbedding:
     return PseudoEmbedding(8, edges, _Q_ROTATION)
 
 
-@dataclass(frozen=True)
-class LowerBoundFamily:
-    graph: Graph
-    bipartition: Bipartition
-    g: int
-    s: int
+class LowerBoundFamily(namedtuple("LowerBoundFamily", "graph bipartition g s")):
+    __slots__ = ()
 
 
 def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
@@ -515,7 +514,7 @@ def _k3_scheme() -> PseudoEmbedding:
 
 
 def construct_proposition2(
-    g: int, orientable: bool, base_faces: Optional[int] = None
+    g: int, orientable: bool, base_faces: int | None = None
 ) -> PseudoEmbedding:
     """Edge-maximal embedding of a planar graph in the surface of Euler
     genus g, exactly 3g edges short of a triangulation.

@@ -60,8 +60,8 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .graphs import Graph
 
@@ -186,10 +186,11 @@ def _link(ids: list, succ: list, pred: list) -> None:
         prev = x
 
 
-@dataclass(frozen=True)
-class FacialWalk:
-    states: tuple  # the integer state cycle, from its smallest state
-    vertices: tuple  # vertex visited at each step
+class FacialWalk(namedtuple("FacialWalk", (
+    "states",  # the integer state cycle, from its smallest state
+    "vertices",  # vertex visited at each step
+))):
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -199,10 +200,8 @@ class FacialWalk:
         return frozenset(self.vertices)
 
 
-@dataclass(frozen=True)
-class SurfaceInfo:
-    euler_genus: int
-    orientable: bool
+class SurfaceInfo(namedtuple("SurfaceInfo", "euler_genus orientable")):
+    __slots__ = ()
 
 
 def _leave_table(succ: list, pred: list) -> list:
@@ -312,7 +311,7 @@ def trace_faces(E: PseudoEmbedding) -> tuple:
     return faces
 
 
-def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
+def orientability(E: PseudoEmbedding) -> tuple[bool, int | None]:
     """Switching test: breadth-first vertex flips; returns (orientable,
     conflicting edge id or None), memoised on the scheme."""
     if E._orient is None:
@@ -320,7 +319,7 @@ def orientability(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
     return E._orient
 
 
-def _switching_test(E: PseudoEmbedding) -> tuple[bool, Optional[int]]:
+def _switching_test(E: PseudoEmbedding) -> tuple[bool, int | None]:
     flip = [None] * E.n
     adj = [[] for _ in range(E.n)]
     for e, (u, v, s) in enumerate(E.edges):
@@ -370,7 +369,7 @@ def is_triangulation(E: PseudoEmbedding) -> bool:
 
 def is_edge_maximal_embedding(
     E: PseudoEmbedding,
-) -> tuple[bool, Optional[tuple[int, tuple[int, int]]]]:
+) -> tuple[bool, tuple[int, tuple[int, int]] | None]:
     """True iff every face's distinct vertex set induces a clique in the
     underlying simple graph.  On failure returns (face index, nonadjacent
     pair) as a witness.  Defined only for schemes of simple graphs."""
@@ -493,7 +492,7 @@ class _SchemeEditor:
         if len(cycle) >= 4:
             heapq.heappush(self.long, key)
 
-    def long_face(self) -> Optional[int]:
+    def long_face(self) -> int | None:
         """Key of the first face of length >= 4 in face order, or None."""
         while self.long:
             face = self.faces.get(self.long[0])

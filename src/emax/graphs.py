@@ -4,19 +4,13 @@ Vertices are dense integer indices 0..n-1.  Edges are unordered pairs stored
 in canonical (min, max) form; loops and parallel edges are rejected (the
 pseudograph machinery lives in `emax.embedding`).  Everything is immutable
 after construction, so adjacency is built once and all queries are pure.
-
-Connectivity and local-Hamiltonicity checks are deliberately brute force:
-these run on desk-scale graphs where an obviously correct search beats a
-clever one.  Size caps make the intended scale explicit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
-CONNECTIVITY_VERTEX_CAP = 64
-HAMILTON_DEGREE_CAP = 10
 # An edge-list header "n m" makes Graph allocate n adjacency sets, about
 # 450 bytes per vertex at peak: 10^5 vertices take 45 MB and 0.15 s.
 EDGE_LIST_VERTEX_CAP = 10**5
@@ -86,14 +80,11 @@ class Graph:
         return v in self._adj[u]
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    part_a: frozenset
-    part_b: frozenset
+class Bipartition(namedtuple("Bipartition", "part_a part_b")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "part_a", frozenset(self.part_a))
-        object.__setattr__(self, "part_b", frozenset(self.part_b))
+    def __new__(cls, part_a, part_b):
+        return super().__new__(cls, frozenset(part_a), frozenset(part_b))
 
 
 def check_bipartition(G: Graph, P: Bipartition) -> None:
@@ -110,23 +101,6 @@ def check_bipartition(G: Graph, P: Bipartition) -> None:
 def closed_neighborhood(G: Graph, v: int) -> frozenset:
     """N[v] = N(v) together with v itself."""
     return G.neighbors(v) | {v}
-
-
-def is_clique(G: Graph, S: Iterable[int]) -> bool:
-    vs = list(set(S))
-    for v in vs:
-        G._check_vertex(v)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if not G.has_edge(u, v):
-                return False
-    return True
-
-
-def min_degree(G: Graph) -> int:
-    if G.n < 1:
-        raise GraphError("min_degree needs at least one vertex")
-    return min(G.degree(v) for v in range(G.n))
 
 
 def _components(n: int, adj: Sequence[Iterable[int]], alive) -> int:
@@ -154,74 +128,6 @@ def is_connected(G: Graph) -> bool:
     return _components(G.n, G._adj, range(G.n)) == 1
 
 
-def is_k_connected(G: Graph, k: int) -> bool:
-    """Vertex connectivity >= k for k in {1,2,3}, by removing every vertex
-    subset of size < k and checking connectivity.  Brute force; capped at
-    n <= 64 vertices."""
-    if k not in (1, 2, 3):
-        raise GraphError("k must be 1, 2 or 3")
-    if G.n > CONNECTIVITY_VERTEX_CAP:
-        raise GraphError(
-            f"connectivity check capped at n <= {CONNECTIVITY_VERTEX_CAP}"
-        )
-    if G.n <= k:
-        return False
-    import itertools
-
-    verts = range(G.n)
-    for size in range(k):
-        for removed in itertools.combinations(verts, size):
-            alive = [v for v in verts if v not in removed]
-            if _components(G.n, G._adj, alive) != 1:
-                return False
-    return True
-
-
-def _has_hamilton_cycle(vertices: list, adj_ok) -> bool:
-    """Backtracking Hamilton-cycle search on a small vertex set.
-
-    adj_ok(u, v) tests adjacency.  Fixes the first vertex to kill cyclic
-    symmetry; the path extends only along edges, so dead branches prune
-    early.
-    """
-    k = len(vertices)
-    if k < 3:
-        return False
-    first = vertices[0]
-    rest = vertices[1:]
-    used = [False] * len(rest)
-
-    def extend(last, count):
-        if count == k:
-            return adj_ok(last, first)
-        for i, w in enumerate(rest):
-            if not used[i] and adj_ok(last, w):
-                used[i] = True
-                if extend(w, count + 1):
-                    return True
-                used[i] = False
-        return False
-
-    return extend(first, 1)
-
-
-def is_locally_hamiltonian(G: Graph) -> bool:
-    """True iff every open neighborhood induces a subgraph with a Hamilton
-    cycle.  A vertex of degree < 3 makes this false outright (a cycle needs
-    three vertices).  Degrees are capped at 10 for the permutation search."""
-    for v in range(G.n):
-        nb = sorted(G.neighbors(v))
-        if len(nb) < 3:
-            return False
-        if len(nb) > HAMILTON_DEGREE_CAP:
-            raise GraphError(
-                f"local Hamilton search capped at degree <= {HAMILTON_DEGREE_CAP}"
-            )
-        if not _has_hamilton_cycle(nb, G.has_edge):
-            return False
-    return True
-
-
 def bipartite_genus_lower_bound(G: Graph, P: Bipartition) -> int:
     """max(0, ceil(m/2) - n + 2): a lower bound on the Euler genus of a
     bipartite graph, from the bipartite edge bound m <= 2(n+g-2)."""
@@ -231,16 +137,6 @@ def bipartite_genus_lower_bound(G: Graph, P: Bipartition) -> int:
     return max(0, (G.m + 1) // 2 - G.n + 2)
 
 
-def is_planar(G: Graph) -> bool:
-    import networkx as nx
-
-    H = nx.Graph()
-    H.add_nodes_from(range(G.n))
-    H.add_edges_from(G.edges)
-    ok, _ = nx.check_planarity(H)
-    return ok
-
-
 # Edge-list text format: first line "n m", then m lines "u v" (0-based).
 # Blank lines and '#' comments are ignored.  A writer may embed the B side
 # of a bipartition as a "# part_b: ..." comment; the parser exposes it
@@ -248,7 +144,7 @@ def is_planar(G: Graph) -> bool:
 # EDGE_LIST_VERTEX_CAP and an edge listed twice (in either orientation).
 
 
-def parse_edge_list(text: str) -> tuple[Graph, Optional[frozenset]]:
+def parse_edge_list(text: str) -> tuple[Graph, frozenset | None]:
     header = None
     edges = []
     seen = set()
@@ -298,7 +194,7 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[frozenset]]:
     return Graph(n, edges), part_b
 
 
-def format_edge_list(G: Graph, part_b: Optional[Iterable[int]] = None) -> str:
+def format_edge_list(G: Graph, part_b: Iterable[int] | None = None) -> str:
     lines = [f"{G.n} {G.m}"]
     if part_b is not None:
         lines.append("# part_b: " + " ".join(str(v) for v in sorted(part_b)))

@@ -27,8 +27,8 @@ the test suite relies on success implying existence, never the reverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .bounds import optimal_schedule
 from .graphs import (
@@ -318,7 +318,7 @@ def find_low_interference_vertex(
     P: Bipartition,
     c: int,
     *,
-    alive: Optional[frozenset] = None,
+    alive: frozenset | None = None,
     exclude: Iterable[int] = (),
 ) -> int:
     """Lowest part_b vertex with at most two neighbors of degree >= c.
@@ -348,7 +348,7 @@ def find_low_interference_vertex(
 
 
 def find_ordered_sequence(
-    G: Graph, P: Bipartition, s: int, c_schedule: Optional[Iterable[int]] = None
+    G: Graph, P: Bipartition, s: int, c_schedule: Iterable[int] | None = None
 ):
     """Greedy search for an ordered sequence of s part_b vertices.
 
@@ -422,15 +422,16 @@ def find_ordered_sequence(
     return seq
 
 
-@dataclass(frozen=True)
-class SurgeryReport:
-    input_scheme: PseudoEmbedding
-    chorded_scheme: PseudoEmbedding
-    apexed_scheme: PseudoEmbedding
-    apex_set: tuple
-    bipartite_extract: tuple  # (Graph, Bipartition)
-    edges_added_to_triangulate: int
-    mode: str
+class SurgeryReport(namedtuple("SurgeryReport", (
+    "input_scheme",
+    "chorded_scheme",
+    "apexed_scheme",
+    "apex_set",
+    "bipartite_extract",  # (Graph, Bipartition)
+    "edges_added_to_triangulate",
+    "mode",
+))):
+    __slots__ = ()
 
 
 def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:

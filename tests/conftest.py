@@ -8,10 +8,13 @@ off a full run at a glance.
 
 import itertools
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
+
+import pytest
 
 from emax import (
     Bipartition,
@@ -22,7 +25,6 @@ from emax import (
     closed_neighborhood,
     edges_short,
     f_exact_s2,
-    is_clique,
     is_ordered_sequence,
     is_triangulation,
     optimal_schedule,
@@ -39,6 +41,7 @@ from emax.bounds import (
     _precision_bits,
 )
 from emax.constructions import _k8_c5_pairs
+from emax.graphs import _components
 from emax.intervals import (
     Interval,
     PrecisionError,
@@ -80,6 +83,123 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(
             f"ACCEPTANCE {num}: {verdict} - {CRITERIA[num]}: {detail}"
         )
+
+
+def assert_frozen_record(rec, fields, text, hashable=True):
+    """rec is an immutable record with these fields in this order and repr
+    text, equal to a copy rebuilt from its fields by keyword (and of the
+    same hash, when hashable), and refusing to set any attribute."""
+    cls = type(rec)
+    assert cls._fields == fields
+    assert repr(rec) == text
+    copy = cls(**{f: getattr(rec, f) for f in fields})
+    assert copy == rec and copy is not rec
+    if hashable:
+        assert hash(copy) == hash(rec)
+    for name in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, None)
+
+
+# Graph predicates the paper's claims are checked with, brute force on
+# desk-scale graphs where an obviously correct search beats a clever one;
+# the caps make that scale explicit.
+
+CONNECTIVITY_VERTEX_CAP = 64
+HAMILTON_DEGREE_CAP = 10
+
+
+def is_clique(G: Graph, S: Iterable[int]) -> bool:
+    vs = list(set(S))
+    for v in vs:
+        G._check_vertex(v)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1 :]:
+            if not G.has_edge(u, v):
+                return False
+    return True
+
+
+def min_degree(G: Graph) -> int:
+    if G.n < 1:
+        raise GraphError("min_degree needs at least one vertex")
+    return min(G.degree(v) for v in range(G.n))
+
+
+def is_k_connected(G: Graph, k: int) -> bool:
+    """Vertex connectivity >= k for k in {1,2,3}, by removing every vertex
+    subset of size < k and checking connectivity.  Brute force; capped at
+    n <= 64 vertices."""
+    if k not in (1, 2, 3):
+        raise GraphError("k must be 1, 2 or 3")
+    if G.n > CONNECTIVITY_VERTEX_CAP:
+        raise GraphError(
+            f"connectivity check capped at n <= {CONNECTIVITY_VERTEX_CAP}"
+        )
+    if G.n <= k:
+        return False
+    verts = range(G.n)
+    for size in range(k):
+        for removed in itertools.combinations(verts, size):
+            alive = [v for v in verts if v not in removed]
+            if _components(G.n, G._adj, alive) != 1:
+                return False
+    return True
+
+
+def _has_hamilton_cycle(vertices: list, adj_ok) -> bool:
+    """Backtracking Hamilton-cycle search on a small vertex set.
+
+    adj_ok(u, v) tests adjacency.  Fixes the first vertex to kill cyclic
+    symmetry; the path extends only along edges, so dead branches prune
+    early.
+    """
+    k = len(vertices)
+    if k < 3:
+        return False
+    first = vertices[0]
+    rest = vertices[1:]
+    used = [False] * len(rest)
+
+    def extend(last, count):
+        if count == k:
+            return adj_ok(last, first)
+        for i, w in enumerate(rest):
+            if not used[i] and adj_ok(last, w):
+                used[i] = True
+                if extend(w, count + 1):
+                    return True
+                used[i] = False
+        return False
+
+    return extend(first, 1)
+
+
+def is_locally_hamiltonian(G: Graph) -> bool:
+    """True iff every open neighborhood induces a subgraph with a Hamilton
+    cycle.  A vertex of degree < 3 makes this false outright (a cycle needs
+    three vertices).  Degrees are capped at 10 for the permutation search."""
+    for v in range(G.n):
+        nb = sorted(G.neighbors(v))
+        if len(nb) < 3:
+            return False
+        if len(nb) > HAMILTON_DEGREE_CAP:
+            raise GraphError(
+                f"local Hamilton search capped at degree <= {HAMILTON_DEGREE_CAP}"
+            )
+        if not _has_hamilton_cycle(nb, G.has_edge):
+            return False
+    return True
+
+
+def is_planar(G: Graph) -> bool:
+    import networkx as nx
+
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    ok, _ = nx.check_planarity(H)
+    return ok
 
 
 def brute_force_ordered(G: Graph, part_b, s: int):
@@ -785,7 +905,6 @@ def reference_schedule(
     p, q = f_exact_s2(g) + anchor_delta, 1
     if p < 0:
         raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")
-    f_values = [p]
     schedule = []
     floored = []
     cap = 6 + C_SCAN_CAP_FACTOR * g
@@ -814,8 +933,8 @@ def reference_schedule(
         else:
             p, q = Fraction(num, den).as_integer_ratio()
         schedule.append(best_c)
-        f_values.append(p if q == 1 else Fraction(p, q))
-    return ScheduleResult(tuple(schedule), tuple(f_values), tuple(floored))
+    return ScheduleResult(tuple(schedule), p if q == 1 else Fraction(p, q),
+                          tuple(floored))
 
 
 # The one-step and one-c forms of the recurrence, and the impurity bound
@@ -859,4 +978,4 @@ def impurity_bound(g: int, surface_kind: str) -> int:
     if surface_kind == "orientable" and g % 2 != 0:
         raise BoundsError("orientable surfaces have even Euler genus")
     factor = 5 if surface_kind == "nonorientable" else 4
-    return factor * optimal_schedule(g, g + 1).f_values[-1] - 1
+    return factor * optimal_schedule(g, g + 1).f - 1

@@ -18,6 +18,11 @@ from fractions import Fraction
 from conftest import (
     ACCEPTANCE,
     brute_force_ordered,
+    is_clique,
+    is_k_connected,
+    is_locally_hamiltonian,
+    is_planar,
+    min_degree,
     random_bipartite_instance,
     record,
 )
@@ -42,13 +47,8 @@ from emax import (
     generate_table,
     graph_q,
     insert_apexes,
-    is_clique,
     is_edge_maximal_embedding,
-    is_k_connected,
-    is_locally_hamiltonian,
-    is_planar,
     lambda_interval,
-    min_degree,
     optimal_schedule,
     run_lemma5_pipeline,
     face_split_count,
@@ -182,11 +182,10 @@ def test_criterion_5_sandwich_and_dominance():
     with criterion(5):
         t0 = time.time()
         for g in range(1, 1001):
-            res = optimal_schedule(g, g + 1)
-            fin = res.f_values[-1]
+            fin = optimal_schedule(g, g + 1).f
             if g <= 100:
-                for idx, s in enumerate(range(2, g + 2)):
-                    assert res.f_values[idx] >= 2 * g + 3 * s - 4, (g, s)
+                for s in range(2, g + 2):
+                    assert optimal_schedule(g, s).f >= 2 * g + 3 * s - 4, (g, s)
             if g >= 2:
                 assert fin <= Fraction(10, 3) * (5 * g - 1), g
             if g >= 4:

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import pytest
 from conftest import (
+    assert_frozen_record,
     f_closed_form,
     f_lower,
     impurity_bound,
@@ -143,36 +144,44 @@ class TestAnchorsAndSimpleForms:
             f_closed_form(3, 3, 5)
 
 
+def assert_matches_oracle(g, s_max, every_step=False, **kw):
+    """optimal_schedule(g, s_max) gives the oracle's schedule, last value and
+    floored steps; with every_step, each f'(g, s) for s <= s_max is also the
+    oracle's, an int when integral and a Fraction otherwise."""
+    sched, values, floored = oracle_schedule(g, s_max, **kw)
+    res = optimal_schedule(g, s_max, **kw)
+    assert (res.c_schedule, res.f, res.floored_steps) == \
+        (sched, values[-1], floored), (g, s_max, kw)
+    if every_step:
+        for s, want in enumerate(values, start=2):
+            f = optimal_schedule(g, s, **kw).f
+            assert f == want, (g, s, kw)
+            assert type(f) is int or f.denominator > 1
+
+
 class TestScheduleAgainstNaiveOracle:
     def test_full_sweep_small_genus(self):
         for g in range(1, 61):
-            res = optimal_schedule(g, g + 1)
-            assert (res.c_schedule, res.f_values, res.floored_steps) == \
-                oracle_schedule(g, g + 1), g
+            assert_matches_oracle(g, g + 1, every_step=True)
 
     @pytest.mark.parametrize("g", [80, 100, 150])
     def test_spot_checks_larger_genus(self, g):
-        res = optimal_schedule(g, g + 1)
-        assert (res.c_schedule, res.f_values, res.floored_steps) == \
-            oracle_schedule(g, g + 1)
+        assert_matches_oracle(g, g + 1)
 
     def test_unfloored_sweep(self):
         # s_max g/2 + 2 ends inside a run, 3g+5 runs far past g+1
         for g in [*range(1, 41), 150]:
             for s_max in (g // 2 + 2, g + 1, 3 * g + 5):
-                res = optimal_schedule(g, s_max, floor_steps=False)
-                assert (res.c_schedule, res.f_values, res.floored_steps) == \
-                    oracle_schedule(g, s_max, floor_steps=False), (g, s_max)
+                assert_matches_oracle(g, s_max, every_step=g <= 40,
+                                      floor_steps=False)
 
     def test_anchor_delta_sweep(self):
         # delta 50 pulls the crossing down to c = 7; g = 1, 2 have g-2 <= 0
         for g in (1, 2, 3, 9, 40):
             for delta in (-3, -1, 1, 3, 50):
                 for s_max in (g // 2 + 2, g + 1, 3 * g + 5):
-                    res = optimal_schedule(g, s_max, anchor_delta=delta)
-                    assert (res.c_schedule, res.f_values, res.floored_steps) \
-                        == oracle_schedule(g, s_max, anchor_delta=delta), \
-                        (g, delta, s_max)
+                    assert_matches_oracle(g, s_max, every_step=True,
+                                          anchor_delta=delta)
 
     def test_validation(self):
         with pytest.raises(BoundsError):
@@ -188,9 +197,8 @@ class TestScheduleAgainstNaiveOracle:
 def assert_same_schedule(res, ref):
     # == alone would let an integral Fraction stand in for an int
     assert res == ref
-    for v, w in zip(res.f_values, ref.f_values):
-        assert type(v) is type(w)
-        assert type(v) is int or v.denominator > 1
+    assert type(res.f) is type(ref.f)
+    assert type(res.f) is int or res.f.denominator > 1
 
 
 class TestRunJump:
@@ -233,17 +241,16 @@ class TestFlooring:
 
     def test_g13_s3_value(self):
         raw = optimal_schedule(13, 3, floor_steps=False)
-        assert raw.f_values[-1] == Fraction(242, 5)
+        assert raw.f == Fraction(242, 5)
         floored = optimal_schedule(13, 3)
-        assert floored.f_values[-1] == 48
+        assert floored.f == 48
         assert floored.floored_steps == (3,)
 
     def test_flooring_never_raises_values(self):
         for g in (13, 17, 20):
-            a = optimal_schedule(g, g + 1)
-            b = optimal_schedule(g, g + 1, floor_steps=False)
-            for x, y in zip(a.f_values, b.f_values):
-                assert x <= y
+            for s in range(2, g + 2):
+                assert optimal_schedule(g, s).f <= \
+                    optimal_schedule(g, s, floor_steps=False).f, (g, s)
 
 
 class TestPublishedTables:
@@ -256,8 +263,6 @@ class TestPublishedTables:
             assert r.impurity == impurity, r.g
             assert r.edge_bound_offset == offset, r.g
             assert r.surface_kind == "nonorientable"
-            assert len(r.f_values) == r.g
-            assert r.f_values[0] == f_exact_s2(r.g)
 
     def test_orientable_rows(self):
         rows = generate_table("orientable", range(2, 41, 2))
@@ -285,9 +290,42 @@ class TestPublishedTables:
             impurity_bound(3, "orientable")
 
 
+class TestRecords:
+    def test_schedule_result(self):
+        res = optimal_schedule(13, 4)
+        assert_frozen_record(
+            res, ("c_schedule", "f", "floored_steps"),
+            "ScheduleResult(c_schedule=(11, 10), f=65, floored_steps=(3,))",
+        )
+
+    def test_table_row(self):
+        row = generate_table("nonorientable", [3])[0]
+        assert_frozen_record(
+            row,
+            ("g", "surface_kind", "c_schedule", "impurity", "edge_bound_offset"),
+            "BoundsTableRow(g=3, surface_kind='nonorientable', "
+            "c_schedule=(7, 7), impurity=149, edge_bound_offset=146)",
+        )
+        assert row != generate_table("nonorientable", [4])[0]
+        assert row == (3, "nonorientable", (7, 7), 149, 146)
+
+    def test_analytic_context(self):
+        # its dict fields make it unhashable, as they did the dataclass
+        ctx = analytic_context(9)
+        fields = ("g", "lam", "alpha", "k", "beta", "gamma", "E", "L_lists",
+                  "ell", "precision_bits", "tail_bits", "scale_bits")
+        text = ", ".join(f"{f}={getattr(ctx, f)!r}" for f in fields)
+        assert_frozen_record(ctx, fields, f"AnalyticContext({text})",
+                             hashable=False)
+        assert text.startswith("g=9, lam=<emax.intervals.Interval object")
+        with pytest.raises(TypeError):
+            hash(ctx)
+        assert ctx != analytic_context(10)
+
+
 class TestAnchorSensitivity:
     def test_delta_shifts_the_anchor(self):
-        assert optimal_schedule(1, 2, anchor_delta=1).f_values[0] == 5
+        assert optimal_schedule(1, 2, anchor_delta=1).f == 5
 
     def test_tables_respond_to_delta(self):
         base = generate_table("nonorientable", range(1, 6))
@@ -375,7 +413,7 @@ class TestAnalyticUpperBound:
 
     def test_dominates_the_recurrence(self):
         for g in range(2, 120):
-            fin = optimal_schedule(g, g + 1).f_values[-1]
+            fin = optimal_schedule(g, g + 1).f
             assert fin <= analytic_upper_bound(g), g
 
     def test_validation(self):

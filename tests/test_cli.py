@@ -27,7 +27,12 @@ from emax.bounds import (
     f_exact_s2,
     optimal_schedule,
 )
-from emax.constructions import ENUMERATION_CAP, PROP2_GENUS_CAP, REGEN_MOVE_CAP
+from emax.constructions import (
+    ENUMERATION_CAP,
+    PROP2_GENUS_CAP,
+    REGEN_MOVE_CAP,
+    REGEN_SETUP_MOVES,
+)
 from emax.embedding import scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 from conftest import reference_census
@@ -443,8 +448,7 @@ class TestBoundsF:
             final, schedule, floored = f_exact_s2(g), (), ()
         else:
             res = optimal_schedule(g, s)
-            final, schedule, floored = (res.f_values[-1], res.c_schedule,
-                                        res.floored_steps)
+            final, schedule, floored = res.f, res.c_schedule, res.floored_steps
         assert out == json.dumps(
             {"g": g, "s": s, "f": final, "c_schedule": list(schedule),
              "floored_steps": list(floored)},
@@ -586,7 +590,10 @@ class TestSizeCaps:
         assert TABLE_GENUS_CAP >= 10 * 300
         assert VERIFY_GMAX_CAP >= 10 * 2000
         # and regen-fixture with its defaults, 40 restarts of 30000 moves
-        assert REGEN_MOVE_CAP >= 8 * 40 * (30000 + 24)
+        assert REGEN_MOVE_CAP >= 8 * 40 * (30000 + REGEN_SETUP_MOVES)
+
+
+ONE_MOVE_RESTARTS_ABOVE_CAP = REGEN_MOVE_CAP // (1 + REGEN_SETUP_MOVES) + 1
 
 
 class TestRegenFixture:
@@ -600,8 +607,9 @@ class TestRegenFixture:
         (["--restarts", "0"], "got 0 and 30000"),
         (["--iters", "-3"], "got 40 and -3"),
         (["--iters", str(REGEN_MOVE_CAP)], f"got 40 and {REGEN_MOVE_CAP}"),
-        (["--restarts", str(REGEN_MOVE_CAP // 24), "--iters", "1"],
-         f"got {REGEN_MOVE_CAP // 24} and 1"),
+        # the least number of one-move restarts above the cap
+        (["--restarts", str(ONE_MOVE_RESTARTS_ABOVE_CAP), "--iters", "1"],
+         f"got {ONE_MOVE_RESTARTS_ABOVE_CAP} and 1"),
     ])
     def test_bad_budget_exits_two(self, capsys, flags, what):
         code, out, err = run(capsys, "regen-fixture", "--seed", "0", *flags)

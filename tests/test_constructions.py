@@ -26,9 +26,7 @@ from emax import (
     enumerate_small_schemes,
     graph_q,
     graph_q_scheme,
-    is_clique,
     is_edge_maximal_embedding,
-    is_planar,
     is_triangulation,
     k8_minus_c5,
     lower_bound_family,
@@ -42,6 +40,7 @@ from emax import (
 )
 from emax.constructions import (
     REGEN_MOVE_CAP,
+    REGEN_SETUP_MOVES,
     _enumeration_total,
     _k3_scheme,
     _k8_c5_pairs,
@@ -52,6 +51,9 @@ from emax.constructions import (
 from emax.embedding import _leave_table, _link, _state_orbits
 
 from conftest import (
+    assert_frozen_record,
+    is_clique,
+    is_planar,
     reference_census,
     reference_paste,
     reference_regen,
@@ -201,9 +203,13 @@ class TestK8MinusC5:
             regenerate_k8_c5_fixture(0, restarts=restarts, iters=iters)
 
     def test_budget_above_the_cap_is_refused(self):
-        # a budget at the cap is taken (seed 1 finds within its first restart)
-        assert regenerate_k8_c5_fixture(1, restarts=1, iters=REGEN_MOVE_CAP - 24)
-        for restarts, iters in ((1, REGEN_MOVE_CAP), (REGEN_MOVE_CAP // 24, 1)):
+        # a budget at the cap is taken (seed 1 finds within its first
+        # restart); one more move, or one more one-move restart than fits
+        # the cap, is refused
+        longest = REGEN_MOVE_CAP - REGEN_SETUP_MOVES
+        assert regenerate_k8_c5_fixture(1, restarts=1, iters=longest)
+        most = REGEN_MOVE_CAP // (1 + REGEN_SETUP_MOVES)
+        for restarts, iters in ((1, longest + 1), (most + 1, 1)):
             with pytest.raises(SchemeError, match=f"at most {REGEN_MOVE_CAP}"):
                 regenerate_k8_c5_fixture(0, restarts=restarts, iters=iters)
 
@@ -233,6 +239,17 @@ class TestGadgetQ:
 
 
 class TestLowerBoundFamily:
+    def test_record(self):
+        fam = lower_bound_family(1, 2)
+        assert_frozen_record(
+            fam, ("graph", "bipartition", "g", "s"),
+            "LowerBoundFamily(graph=Graph(n=7, m=12), "
+            "bipartition=Bipartition(part_a=frozenset({0, 1, 2}), "
+            "part_b=frozenset({3, 4, 5, 6})), g=1, s=2)",
+        )
+        assert fam == lower_bound_family(1, 2)
+        assert fam != lower_bound_family(1, 3)
+
     def test_core_only(self):
         fam = lower_bound_family(2, 2)
         assert fam.graph.n == 9 and fam.graph.m == 18

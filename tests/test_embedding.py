@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emax import (
+    FacialWalk,
     PseudoEmbedding,
     complete_graph,
     enumerate_small_schemes,
@@ -31,7 +32,13 @@ from emax import (
 )
 from emax.embedding import _link, _SchemeEditor, _splice
 
-from conftest import Corner, insert_dart_at_corner, random_scheme, reference_faces
+from conftest import (
+    Corner,
+    assert_frozen_record,
+    insert_dart_at_corner,
+    random_scheme,
+    reference_faces,
+)
 
 K4_EDGES = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
 K4_ROT = [
@@ -141,6 +148,27 @@ class TestHandTracedSchemes:
         a = trace_faces(k4_planar())
         b = trace_faces(k4_planar())
         assert a == b
+
+
+class TestRecords:
+    def test_facial_walk(self):
+        w = trace_faces(k4_planar())[0]
+        assert_frozen_record(
+            w, ("states", "vertices"),
+            "FacialWalk(states=(0, 16, 10), vertices=(0, 1, 3))",
+        )
+        assert w.length == 3 and w.distinct_vertices() == {0, 1, 3}
+        assert w != FacialWalk((0, 16, 10), (0, 1, 2))
+        # a record is a tuple: it unpacks, and equals the tuple of its fields
+        states, vertices = w
+        assert w == (states, vertices) == ((0, 16, 10), (0, 1, 3))
+
+    def test_surface_info(self):
+        info = surface_info(twisted_triangle())
+        assert_frozen_record(info, ("euler_genus", "orientable"),
+                             "SurfaceInfo(euler_genus=1, orientable=False)")
+        assert info != SurfaceInfo(1, True) and info != SurfaceInfo(2, False)
+        assert info == (1, False)
 
 
 class TestTraceFacesPreconditions:

@@ -1,6 +1,18 @@
 """Simple graph layer: construction, predicates, text format."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+from conftest import (
+    assert_frozen_record,
+    is_clique,
+    is_k_connected,
+    is_locally_hamiltonian,
+    is_planar,
+    min_degree,
+)
 
 from emax import (
     Bipartition,
@@ -12,12 +24,7 @@ from emax import (
     complete_bipartite,
     complete_graph,
     format_edge_list,
-    is_clique,
     is_connected,
-    is_k_connected,
-    is_locally_hamiltonian,
-    is_planar,
-    min_degree,
     parse_edge_list,
 )
 from emax.graphs import EDGE_LIST_VERTEX_CAP
@@ -90,9 +97,22 @@ class TestBipartition:
             check_bipartition(G, Bipartition(frozenset({0, 1}), frozenset({2})))
 
     def test_parts_coerced_to_frozensets(self):
-        P = Bipartition({0, 1}, [2, 3])
-        assert isinstance(P.part_a, frozenset)
-        assert isinstance(P.part_b, frozenset)
+        P = Bipartition({0, 1}, [2, 3, 3])
+        assert type(P.part_a) is frozenset and P.part_a == {0, 1}
+        assert type(P.part_b) is frozenset and P.part_b == {2, 3}
+        Q = Bipartition(part_a=range(2), part_b=iter([3, 2]))
+        assert Q == P and type(Q.part_b) is frozenset
+
+    def test_record(self):
+        P = Bipartition({0}, {1, 2})
+        assert_frozen_record(
+            P, ("part_a", "part_b"),
+            "Bipartition(part_a=frozenset({0}), part_b=frozenset({1, 2}))",
+        )
+        assert P != Bipartition({0, 1}, {2})
+        # a record is a tuple: it unpacks, and equals the tuple of its parts
+        part_a, part_b = P
+        assert P == (part_a, part_b) == (frozenset({0}), frozenset({1, 2}))
 
 
 class TestNeighborhoodHelpers:
@@ -245,3 +265,19 @@ class TestEdgeListFormat:
     def test_malformed_part_b_comment(self):
         with pytest.raises(GraphError, match="part_b"):
             parse_edge_list("# part_b: 1 x\n2 1\n0 1\n")
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    """A bare `import emax, emax.cli` loads neither `dataclasses` nor
+    `inspect` (nor `typing`).  The modules are compared with those the same
+    interpreter had before the import, so modules that a site .pth file
+    loads at start-up do not count."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys; before = set(sys.modules); import emax, emax.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    added = set(out.split())
+    assert {"emax", "emax.cli", "emax.bounds"} <= added
+    assert not added & {"dataclasses", "inspect", "typing"}

@@ -44,6 +44,7 @@ from emax import (
 from emax.embedding import _SchemeEditor
 
 from conftest import (
+    assert_frozen_record,
     brute_force_ordered,
     genus_certificate,
     insert_dart_at_corner,
@@ -617,6 +618,20 @@ class TestGenusCertificate:
 
 
 class TestPipeline:
+    def test_report_record(self):
+        rep = run_lemma5_pipeline(toroidal_embedding_k8_minus_c5(), "orientable")
+        assert_frozen_record(
+            rep,
+            ("input_scheme", "chorded_scheme", "apexed_scheme", "apex_set",
+             "bipartite_extract", "edges_added_to_triangulate", "mode"),
+            "SurgeryReport(input_scheme=PseudoEmbedding(n=8, m=23), "
+            "chorded_scheme=PseudoEmbedding(n=8, m=23), "
+            "apexed_scheme=PseudoEmbedding(n=9, m=27), apex_set=(8,), "
+            "bipartite_extract=(Graph(n=5, m=4), Bipartition("
+            "part_a=frozenset({0, 1, 2, 3}), part_b=frozenset({4}))), "
+            "edges_added_to_triangulate=1, mode='orientable')",
+        )
+
     def test_fixture_both_modes(self):
         E = toroidal_embedding_k8_minus_c5()
         for mode, factor in (("orientable", 4), ("nonorientable", 5)):
