@@ -19,13 +19,14 @@ about 0.3 s and 31 MB, 16 MB of it the schedule's list and tuple of 10^6
 c values), and an edge-list file declares at most
 graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
 sets).  `construct prop2` takes a `--genus` and `--base-faces` of
-at most constructions.PROP2_GENUS_CAP (1000: every paste rebuilds the
-scheme, so the time is quadratic, about 30 s at the cap).  `bounds table`
-stops at the row of Euler genus bounds.TABLE_GENUS_CAP (3000, so `--gmax`
-3000 nonorientable or 1500 orientable: a row carries a schedule of g-1
-entries, so time and output are quadratic, 1.0 to 2.9 s at the cap; every
-format writes its rows as they are made, the padded one after a first pass
-that only takes the column widths, so memory stays near 18 MB).
+at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one
+scheme editor, so time and memory are linear, about 2 s and 112 MB at the
+cap).  `bounds table` stops at the row of Euler genus
+bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
+orientable: a row carries a schedule of g-1 entries, so time and output
+are quadratic, 1.0 to 2.9 s at the cap; every format writes its rows as
+they are made, the padded one after a first pass that only takes the
+column widths, so memory stays near 18 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
 linear, about 1 s).  `regen-fixture` takes `--restarts` and `--iters` of
 at least 1 and a restarts * (iters + constructions.REGEN_SETUP_MOVES) of

@@ -44,13 +44,13 @@ face, named by the dart the walk arrives along and the side it leaves on,
 and `_splice` is the one rule that places it there.  The editor adds
 vertices and edges and builds one scheme at the end, keeping the input's
 rotation at every vertex that no edit touched.  The completion to a
-triangulation also has the editor index the faces, each keyed by the
-smallest state of its mirror pair of cycles, with the long faces in a heap
-by key; then only the faces of an edge's two corners and its four new
-states are walked again, in time linear in the faces' length.  `freeze`
-traces an indexed editor's scheme in full and raises RuntimeError unless
-the index equals that trace, walk for walk, so every edit is audited once,
-at the end.
+triangulation and the block pasting also have the editor index the faces,
+each keyed by the smallest state of its mirror pair of cycles, with the
+long faces in a heap by key; then only the faces an edit cuts and the new
+edges' states are walked again, in time linear in the faces' length.
+`freeze` traces an indexed editor's scheme in full and raises RuntimeError
+unless the index equals that trace, walk for walk, so every edit is
+audited once, at the end.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -433,11 +433,13 @@ class _SchemeEditor:
     It holds the dart arrays `succ`/`pred`, each vertex's first dart (so
     that `freeze` lists each rotation from the dart it starts with), and
     the vertices whose rotation an edit changed.  `index_faces` adds a face
-    index for `insert_edge`: `faces` maps each face's key, the smallest
-    state of its mirror pair of cycles, to the cycle through that state,
-    listed from it, and `face_of[s]` is the key of the face of state s.
-    Keys of faces of length >= 4 sit in the heap `long`, where a key that
-    no longer names a long face is skipped.
+    index for `insert_edge` and for block pasting, which lays its edges by
+    `add_edge`, extends `neg` and `face_of` itself and walks the cut face
+    again by `_retrace`.  `faces` maps each face's key, the smallest state
+    of its mirror pair of cycles, to the cycle through that state, listed
+    from it, and `face_of[s]` is the key of the face of state s.  Keys of
+    faces of length >= 4 sit in the heap `long`, where a key that no longer
+    names a long face is skipped.
     """
 
     def __init__(self, E: PseudoEmbedding):

@@ -40,7 +40,7 @@ from emax.bounds import (
     ScheduleResult,
     _precision_bits,
 )
-from emax.constructions import _k8_c5_pairs
+from emax.constructions import _k3_scheme, _k8_c5_pairs
 from emax.graphs import _components
 from emax.intervals import (
     Interval,
@@ -449,6 +449,28 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
         f"no paste variant achieves target {target!r} on face {face_index}"
     )
 
+
+def reference_proposition2(
+    g: int, orientable: bool, base_faces: int | None = None
+) -> PseudoEmbedding:
+    """Proposition 2 by one `reference_paste` per block, an oracle for
+    `construct_proposition2`: planar pastes on face 0 of K3 until there are
+    max(g, base_faces) faces, then each crosscap (or handle) block on the
+    first triangle in trace order whose three vertices all predate the
+    blocks, found by scanning every face."""
+    E = _k3_scheme()
+    while len(trace_faces(E)) < max(g, base_faces or 0):
+        E = reference_paste(E, 0, "planar")
+    n0 = E.n
+    blocks, kind = (g // 2, "handle") if orientable else (g, "crosscap")
+    for _ in range(blocks):
+        idx = next(
+            i for i, wk in enumerate(trace_faces(E))
+            if wk.length == 3 and len(wk.distinct_vertices()) == 3
+            and all(v < n0 for v in wk.vertices)
+        )
+        E = reference_paste(E, idx, kind)
+    return E
 
 def reference_schemes(G: Graph, mode: str):
     """Every scheme `enumerate_small_schemes(G, mode)` promises, in its

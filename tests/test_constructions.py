@@ -56,6 +56,7 @@ from conftest import (
     is_planar,
     reference_census,
     reference_paste,
+    reference_proposition2,
     reference_regen,
     reference_schemes,
     walk_corners,
@@ -85,8 +86,21 @@ def side_pattern(E, face_index):
     return sum(1 << j for j, c in enumerate(corners) if c.side > 0)
 
 
+def count_builds(monkeypatch):
+    """A list that grows by one at each validated scheme build."""
+    builds = []
+    init = PseudoEmbedding.__init__
+
+    def counting_init(self, *args):
+        builds.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
+    return builds
+
+
 def assert_paste_matches_reference(E, face_index, target):
-    got = paste_block(E, face_index, target)
+    got = paste_block(E, [face_index], target)
     want = reference_paste(E, face_index, target)
     assert (got.edges, got.rotation) == (want.edges, want.rotation)
     return got
@@ -532,7 +546,7 @@ class TestFixtureClimbCounting:
 
 class TestPasteBlock:
     def test_planar_paste(self):
-        E = paste_block(_k3_scheme(), 0, "planar")
+        E = paste_block(_k3_scheme(), [0], "planar")
         info = surface_info(E)
         assert (info.euler_genus, info.orientable) == (0, True)
         assert E.n == 4 and E.m == 6
@@ -540,7 +554,7 @@ class TestPasteBlock:
 
     def test_crosscap_paste(self):
         E0 = _k3_scheme()
-        E = paste_block(E0, 0, "crosscap")
+        E = paste_block(E0, [0], "crosscap")
         info = surface_info(E)
         assert info.euler_genus == 1 and not info.orientable
         w = E.n - 1
@@ -551,7 +565,7 @@ class TestPasteBlock:
         assert at_w == [3, 6]
 
     def test_handle_paste(self):
-        E = paste_block(_k3_scheme(), 0, "handle")
+        E = paste_block(_k3_scheme(), [0], "handle")
         info = surface_info(E)
         assert info.euler_genus == 2 and info.orientable
         w = E.n - 1
@@ -571,15 +585,32 @@ class TestPasteBlock:
              [(2, 1), (3, 1)]],
         )
         with pytest.raises(SchemeError, match="triangular"):
-            paste_block(E, 0, "crosscap")
+            paste_block(E, [0], "crosscap")
         assert sq == E.simple_graph()
 
     def test_rejects_unknown_target_and_bad_face(self):
         E = _k3_scheme()
         with pytest.raises(SchemeError, match="unknown paste target"):
-            paste_block(E, 0, "klein")
+            paste_block(E, [0], "klein")
         with pytest.raises(SchemeError, match="out of range"):
-            paste_block(E, 5, "planar")
+            paste_block(E, [5], "planar")
+
+    def test_bad_face_lists_raise_scheme_errors(self):
+        # faces of K3 with a crosscap: the 6-gon, and triangles around it
+        E = paste_block(_k3_scheme(), [0], "crosscap")
+        walks = trace_faces(E)
+        tri = pasteable_faces(E)[0]
+        six = next(i for i, wk in enumerate(walks) if wk.length == 6)
+        for faces, match in (
+            ([tri, tri], "more than once"),
+            ([tri, len(walks)], "out of range"),
+            ([-1, tri], "out of range"),
+            ([six], "triangular"),
+            ([tri, six], "triangular"),
+        ):
+            for target in PASTE_TARGETS:
+                with pytest.raises(SchemeError, match=match):
+                    paste_block(E, faces, target)
 
 
 class TestPasteRuleAgainstSearch:
@@ -588,7 +619,7 @@ class TestPasteRuleAgainstSearch:
 
     def test_every_target_side_pattern_and_orientability(self):
         k3 = _k3_scheme()
-        bases = [k3, paste_block(k3, 0, "planar"), paste_block(k3, 0, "crosscap")]
+        bases = [k3, paste_block(k3, [0], "planar"), paste_block(k3, [0], "crosscap")]
         seen = set()
         for base in bases:
             for r in range(base.n + 1):
@@ -618,33 +649,73 @@ class TestPasteRuleAgainstSearch:
         assert sequences == 1000
 
     @pytest.mark.parametrize("orientable", [False, True])
-    def test_proposition2_outputs_match_the_search(self, orientable, monkeypatch):
+    def test_proposition2_outputs_match_the_search(self, orientable):
         gs = range(2 if orientable else 1, 41, 2 if orientable else 1)
-        built = {g: construct_proposition2(g, orientable) for g in gs}
-        monkeypatch.setattr(emax.constructions, "paste_block", reference_paste)
-        for g, E in built.items():
-            R = construct_proposition2(g, orientable)
-            assert (E.edges, E.rotation) == (R.edges, R.rotation), g
+        for g, base_faces in [(g, None) for g in gs] + [(gs[0], 12)]:
+            E = construct_proposition2(g, orientable, base_faces)
+            R = reference_proposition2(g, orientable, base_faces)
+            assert (E.n, E.edges, E.rotation) == (R.n, R.edges, R.rotation), g
 
     def test_one_paste_builds_one_scheme(self, monkeypatch):
-        k4 = paste_block(_k3_scheme(), 0, "planar")
+        k4 = paste_block(_k3_scheme(), [0], "planar")
         inputs = [switched(k4, vs) for vs in itertools.combinations(range(4), 2)]
-        builds = []
-        init = PseudoEmbedding.__init__
-
-        def counting_init(self, *args):
-            builds.append(1)
-            init(self, *args)
-
-        monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
+        builds = count_builds(monkeypatch)
         calls = 0
         for E in inputs:
-            for i in pasteable_faces(E):
+            faces = pasteable_faces(E)
+            for r in range(len(faces) + 1):
                 for target in PASTE_TARGETS:
-                    paste_block(E, i, target)
+                    paste_block(E, faces[:r], target)
                     calls += 1
                     assert len(builds) == calls
-        assert calls == 6 * 4 * 3
+        assert calls == 6 * 5 * 3
+
+
+class TestPasteBatches:
+    """paste_block pastes on every listed face with one editor and one
+    build; the result must equal one search paste after another."""
+
+    def test_a_batch_equals_one_paste_at_a_time(self):
+        batches = 0
+        for seed in range(300):
+            rng = random.Random(seed)
+            E = _k3_scheme()
+            for _ in range(rng.randint(0, 4)):
+                E = paste_block(
+                    E, [rng.choice(pasteable_faces(E))], rng.choice(PASTE_TARGETS)
+                )
+                if not pasteable_faces(E):
+                    break
+            E = switched(E, [v for v in range(E.n) if rng.random() < 0.5])
+            faces = pasteable_faces(E)
+            if not faces:
+                continue
+            picked = rng.sample(faces, rng.randint(1, len(faces)))
+            target = rng.choice(PASTE_TARGETS)
+            got = paste_block(E, picked, target)
+            # an untouched face keeps its states, so find each listed face
+            # again by its key, the smallest state of its mirror pair
+            want = E
+            for key in [trace_faces(E)[i].states[0] for i in picked]:
+                i = next(
+                    j for j, wk in enumerate(trace_faces(want))
+                    if wk.states[0] == key
+                )
+                want = reference_paste(want, i, target)
+            assert (got.n, got.edges, got.rotation) == (
+                want.n, want.edges, want.rotation), seed
+            batches += len(picked) > 1
+        assert batches >= 100
+
+    @pytest.mark.parametrize("g, orientable", [
+        (1, False), (10, False), (60, False), (2, True), (10, True), (60, True),
+    ])
+    def test_proposition2_builds_three_schemes(self, g, orientable, monkeypatch):
+        # K3, the grown base and the result, whatever g: the construction
+        # is linear, with no rebuild per paste
+        builds = count_builds(monkeypatch)
+        construct_proposition2(g, orientable)
+        assert len(builds) == 3
 
 
 class TestProposition2Construction:
@@ -665,6 +736,13 @@ class TestProposition2Construction:
         assert is_edge_maximal_embedding(E) == (True, None)
         assert edges_short(E) == 3 * g
         assert is_planar(E.simple_graph())
+
+    @pytest.mark.parametrize("orientable", [False, True])
+    def test_genus_1000(self, orientable):
+        E = construct_proposition2(1000, orientable)
+        assert surface_info(E) == (1000, orientable)
+        assert edges_short(E) == 3000
+        assert is_edge_maximal_embedding(E) == (True, None)
 
     def test_base_faces_grows_the_base(self):
         small = construct_proposition2(1, False)
