@@ -61,6 +61,10 @@ C_SCAN_CAP_FACTOR = 14
 # optimal_schedule keeps one c per step: 10^6 steps take about 0.03 s at
 # g = 13, while an unbounded s_max runs until it is killed
 SCHEDULE_STEP_CAP = 10**6
+# the first c-scan steps c up to about sqrt(6g) one at a time: bounds f at
+# this cap takes about 0.2 s with --s 3 and 0.6 s at the step cap (1.4 and
+# 3.3 s at g = 10^12; 2-core machine, Python 3.11.7)
+SCHEDULE_GENUS_CAP = 10**10
 # a table row at Euler genus g carries a g-1 entry schedule, so a table up
 # to genus G costs time and output quadratic in G: G = 3000 takes about
 # 1.0-1.4 s in csv or json and 2.3-2.9 s in the padded format (two passes),
@@ -145,6 +149,8 @@ def optimal_schedule(
     """
     if g < 1:
         raise BoundsError("g must be >= 1")
+    if g > SCHEDULE_GENUS_CAP:
+        raise BoundsError(f"g {g} is above the cap of {SCHEDULE_GENUS_CAP}")
     if s_max < 2:
         raise BoundsError("s_max must be >= 2")
     if s_max > SCHEDULE_STEP_CAP:

@@ -16,7 +16,11 @@ exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
 (10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
 at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` takes
 about 0.3 s and 31 MB, 16 MB of it the schedule's list and tuple of 10^6
-c values), and an edge-list file declares at most
+c values), `bounds f` takes a `--g` of at most bounds.SCHEDULE_GENUS_CAP
+(10^10: the c scan climbs to about sqrt(6g) one step at a time, about
+0.6 s at both caps), `construct kmn` and `construct family` build at most
+constructions.CONSTRUCT_EDGE_CAP edges (10^5: at most about 0.6 s and
+95 MB), and an edge-list file declares at most
 graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
 sets).  `construct prop2` takes a `--genus` and `--base-faces` of
 at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one

@@ -23,7 +23,6 @@ from .embedding import (
     SchemeError,
     SurfaceInfo,
     _audited_genus,
-    _leave_table,
     _link,
     _paired_faces,
     _SchemeEditor,
@@ -33,6 +32,10 @@ from .embedding import (
 )
 
 ENUMERATION_CAP = 10**7
+# construct kmn and construct family at this many edges take at most 0.6 s
+# and 95 MB (ru_maxrss, 2-core machine, Python 3.11.7); 10^6 took 4.2 s and
+# 370 MB for K_{1000,1000}
+CONSTRUCT_EDGE_CAP = 10**5
 # construct_proposition2 builds three schemes, in time and memory linear in
 # g: at this cap `construct prop2` takes 2.1 s and 112 MB (ru_maxrss, 2-core
 # machine, Python 3.11.7), the construction alone 1.2 s and 91 MB
@@ -51,10 +54,18 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, list(combinations(range(n), 2)))
 
 
+def _check_edge_count(m: int) -> None:
+    if m > CONSTRUCT_EDGE_CAP:
+        raise GraphError(
+            f"graph would have {m} edges, above the cap of {CONSTRUCT_EDGE_CAP}"
+        )
+
+
 def complete_bipartite(a: int, b: int) -> tuple:
     """K_{a,b} with part_a = 0..a-1 and part_b = a..a+b-1."""
     if a < 1 or b < 1:
         raise GraphError("complete bipartite graph needs a, b >= 1")
+    _check_edge_count(a * b)
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     G = Graph(a + b, edges)
     P = Bipartition(frozenset(range(a)), frozenset(range(a, a + b)))
@@ -209,8 +220,7 @@ def regenerate_k8_c5_fixture(
         if best == 15:
             rotation = [[(d >> 1, d & 1) for d in r] for r in rot]
             E = PseudoEmbedding(8, [(u, v, 1) for u, v in pairs], rotation)
-            info = surface_info(E)
-            if len(trace_faces(E)) != 15 or info != SurfaceInfo(2, True):
+            if surface_info(E) != SurfaceInfo(2, True):  # n = 8, m = 23, f = 15
                 raise RuntimeError("hill-climb result is not a 15-face torus scheme")
             return E
     return None
@@ -270,6 +280,7 @@ def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
         raise GraphError("lower bound family needs g >= 1")
     if s < 2:
         raise GraphError("lower bound family needs s >= 2")
+    _check_edge_count(3 * (2 * g + 2) + len(_Q_EDGES) * (s - 2))
     edges = [(i, 3 + j) for i in range(3) for j in range(2 * g + 2)]
     part_a = set(range(3))
     part_b = set(range(3, 2 * g + 5))
@@ -279,13 +290,7 @@ def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
         part_b.update(offset + b for b in (0, 1, 2))
         part_a.update(offset + a for a in (3, 4, 5, 6, 7))
         offset += 8
-    G = Graph(offset, edges)
-    return LowerBoundFamily(
-        graph=G,
-        bipartition=Bipartition(frozenset(part_a), frozenset(part_b)),
-        g=g,
-        s=s,
-    )
+    return LowerBoundFamily(Graph(offset, edges), Bipartition(part_a, part_b), g, s)
 
 
 def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
@@ -324,8 +329,8 @@ def enumerate_small_schemes(
     vector for each, all-positive first.  Refuses to start if the total
     exceeds cap.
 
-    A depth-first walk writes one vertex's order at a time into shared
-    dart arrays, and each leaf yields a scheme on copies of them without
+    A depth-first walk writes one vertex's order at a time into a shared
+    state table, and each leaf yields a scheme on a copy of it without
     the public constructor's validation: each order permutes the vertex's
     own darts, so every dart is laid once.  scheme_census stands for the
     same schemes with one rotation system per mirror pair and one
@@ -352,20 +357,19 @@ def enumerate_small_schemes(
 
     positive = (signed(0),)
     masks = range(2 ** G.m) if signature_mode == "all" else None
-    succ = [-1] * (2 * G.m)
-    pred = [-1] * (2 * G.m)
+    leave = [-1] * (4 * G.m)
     rotation = [None] * n
 
     def walk(v):
         for ids, rot in orders[v]:
-            _link(ids, succ, pred)
+            _link(ids, leave)
             rotation[v] = rot
             if v + 1 < n:
                 yield from walk(v + 1)
                 continue
             leaf = tuple(rotation)
             for edges in positive if masks is None else map(signed, masks):
-                yield PseudoEmbedding._from_arrays(n, edges, leaf, succ[:], pred[:])
+                yield PseudoEmbedding._from_table(n, edges, leaf, leave[:])
 
     yield from walk(0)
 
@@ -420,8 +424,8 @@ def scheme_census(
     mirror image, and the weights are 2^(n-1) and 1.  A tree-positive
     signature is orientable exactly when it is all positive.  The rotation
     systems are the all-positive schemes of enumerate_small_schemes, laid
-    straight onto dart arrays with no validated build, and each pair is
-    traced on those arrays.  Each trace gets the face-pairing audit of
+    straight onto state tables with no validated build, and each pair is
+    traced on its table.  Each trace gets the face-pairing audit of
     trace_faces and the genus audits of surface_info, and the counts must
     sum to the enumeration total, which is also what cap limits.
     """
@@ -437,9 +441,8 @@ def scheme_census(
     for E in enumerate_small_schemes(G, cap=cap):
         if hub is not None and E.rotation[hub][1] > E.rotation[hub][-1]:
             continue  # its mirror image stands for it
-        leave = _leave_table(E._succ, E._pred)
         for neg in masks:
-            orbits, orbit_of = _state_orbits(leave, neg)
+            orbits, orbit_of = _state_orbits(E._leave, neg)
             faces = _paired_faces(orbits, orbit_of, neg)
             orientable = not any(neg)
             g = _audited_genus(G.n, G.m, len(faces), orientable)
@@ -464,7 +467,8 @@ def scheme_census(
 # The smallest admissible mask is the first hit of an exhaustive search over
 # both rotations of w and all 8 masks.  Each paste re-walks only the faces
 # it cuts and forms on an indexed scheme editor and checks their lengths, so
-# every paste proves the rule again; paste_block then audits its one build.
+# every paste proves the rule again; the editor's freeze then audits the
+# surface of its one build.
 
 _PASTE_TARGETS = {
     # target: (Euler genus change, face lengths at w, admissible flips)
@@ -512,10 +516,11 @@ def _paste(editor: _SchemeEditor, key: int, target: str, orientable: bool) -> No
 def paste_block(E: PseudoEmbedding, faces, target: str) -> PseudoEmbedding:
     """E with a block pasted on each listed face (distinct indices into
     trace_faces(E), each a triangle on three vertices) on one scheme editor.
-    Distinct faces have distinct corners, read from the live dart arrays,
+    Distinct faces have distinct corners, read from the live state table,
     so this equals pasting on them one at a time, in order.  One scheme is
-    built, checked against a full trace, and audited for the genus change
-    and, unless the target is crosscap, for orientability kept."""
+    built, and freeze checks it against a full trace and audits that the
+    genus grew by the target's change per block and that the surface is
+    orientable exactly when E is and no crosscap was pasted."""
     if target not in _PASTE_TARGETS:
         raise SchemeError(f"unknown paste target {target!r}")
     walks = trace_faces(E)
@@ -525,21 +530,15 @@ def paste_block(E: PseudoEmbedding, faces, target: str) -> PseudoEmbedding:
             raise SchemeError(f"face index {i} out of range")
     if len(set(faces)) != len(faces):
         raise SchemeError("paste_block got a face index more than once")
-    info0 = surface_info(E)
+    g0, orientable = surface_info(E)
     editor = _SchemeEditor(E)
     editor.index_faces()
     for i in faces:
-        _paste(editor, walks[i].states[0], target, info0.orientable)
-    out = editor.freeze()
-    info = surface_info(out)
-    dg = info.euler_genus - info0.euler_genus
-    kept = info.orientable == info0.orientable or target == "crosscap"
-    if (dg, kept) != (len(faces) * _PASTE_TARGETS[target][0], True):
-        raise RuntimeError(
-            f"{len(faces)} {target} pastes missed their target: genus change "
-            f"{dg}, orientability kept {kept}"
-        )
-    return out
+        _paste(editor, walks[i].states[0], target, orientable)
+    return editor.freeze(SurfaceInfo(
+        g0 + len(faces) * _PASTE_TARGETS[target][0],
+        orientable and (target != "crosscap" or not faces),
+    ))
 
 
 def _k3_scheme() -> PseudoEmbedding:
@@ -564,7 +563,8 @@ def construct_proposition2(
     The base grows on one scheme editor, by pastes on the face of state 0,
     the first in trace order.  A face pasted on holds its new vertex, so the
     blocks go on the base's first faces, by one paste_block call: three
-    schemes are built (K3, the base, the result), in time linear in g.
+    schemes are built (K3, the base, the result), in time linear in g, and
+    that call's audit puts the result on the surface asked for.
     """
     if g < 1:
         raise SchemeError("construction needs Euler genus g >= 1")
@@ -582,13 +582,7 @@ def construct_proposition2(
     editor.index_faces()
     while len(editor.faces) < target_f:
         _paste(editor, 0, "planar", True)
-    base = editor.freeze()
-    if surface_info(base) != SurfaceInfo(0, True):
-        raise RuntimeError("the grown base is not a planar scheme")
-    blocks = g if not orientable else g // 2
-    kind = "crosscap" if not orientable else "handle"
-    E = paste_block(base, range(blocks), kind)
-    info = surface_info(E)
-    if info.euler_genus != g or info.orientable != orientable:
-        raise RuntimeError("pasting produced the wrong surface")
-    return E
+    base = editor.freeze(SurfaceInfo(0, True))
+    if orientable:
+        return paste_block(base, range(g // 2), "handle")
+    return paste_block(base, range(g), "crosscap")

@@ -23,34 +23,35 @@ edges uniformly.
 The tracer runs on the permutation form of the scheme (Mohar & Thomassen,
 Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is the integer
 2e + end, so its opposite is d ^ 1, and state (d, side) is the integer
-2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its rotation as
-successor and predecessor arrays over the 2m darts, and ascending integer
-order of states is the (edge, end, side +1 first) order that fixes the face
-order.  A facial walk is its cycle of integer states, listed from its
-smallest state, with the vertex each state leaves from.  The face set and
-the orientability test are computed once per scheme and memoised on it,
-since the scheme is immutable.
+2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its rotation
+only as the state table `leave` over the 4m states: a walk arriving at
+state t leaves by leave[t], so leave[2x] = 2 succ(x) and leave[2x + 1] =
+2 pred(x) + 1.  Ascending integer order of states is the (edge, end, side
++1 first) order that fixes the face order.  A facial walk is its cycle of
+integer states, listed from its smallest state, with the vertex each state
+leaves from.  The face set and the orientability test are computed once
+per scheme and memoised on it, since the scheme is immutable.
 
-The public constructor validates every part and derives the dart arrays
-from the rotation.  The private `PseudoEmbedding._from_arrays` takes
-parts already in that normal form, arrays included, and skips the
-checks: it serves only the scheme enumeration, which lays each vertex's
-order onto shared arrays itself and so places every dart once by
-construction.  Both fill the scheme's slots by one shared step.
+The public constructor validates every part and derives the table from
+the rotation.  The private `PseudoEmbedding._from_table` takes parts
+already in that normal form, table included, and skips the checks: it
+serves only the scheme enumeration, which lays each vertex's order onto a
+shared table itself and so places every dart once by construction.  Both
+fill the scheme's slots by one shared step.
 
-Every surgery lays its edges on the private scheme editor, which holds
-working copies of the dart arrays.  A new dart goes in at a corner of a
-face, named by the dart the walk arrives along and the side it leaves on,
-and `_splice` is the one rule that places it there.  The editor adds
-vertices and edges and builds one scheme at the end, keeping the input's
-rotation at every vertex that no edit touched.  The completion to a
-triangulation and the block pasting also have the editor index the faces,
-each keyed by the smallest state of its mirror pair of cycles, with the
-long faces in a heap by key; then only the faces an edit cuts and the new
-edges' states are walked again, in time linear in the faces' length.
-`freeze` traces an indexed editor's scheme in full and raises RuntimeError
-unless the index equals that trace, walk for walk, so every edit is
-audited once, at the end.
+Every surgery lays its edges on the private scheme editor, which holds a
+working copy of the table.  A new dart goes in at a corner of a face,
+named by the dart the walk arrives along and the side it leaves on, and
+`_splice` is the one rule that places it there.  The editor adds vertices
+and edges and builds one scheme at the end, keeping the input's rotation
+at every vertex that no edit touched.  The completion to a triangulation
+and the block pasting also have the editor index the faces, each keyed by
+the smallest state of its mirror pair of cycles, with the long faces in a
+heap by key; then only the faces an edit cuts and the new edges' states
+are walked again, in time linear in the faces' length.  `freeze(surface)`
+is the one audit of an edit: it raises RuntimeError unless the built
+scheme lies on the surface the caller expects and, on an indexed editor,
+unless the index equals a full trace, walk for walk.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -63,7 +64,7 @@ import json
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, _connected
 
 Dart = tuple  # (edge_id, end)
 
@@ -75,7 +76,7 @@ class SchemeError(ValueError):
 class PseudoEmbedding:
     """Immutable signed rotation system for a pseudograph."""
 
-    __slots__ = ("n", "edges", "rotation", "_succ", "_pred", "_faces", "_orient")
+    __slots__ = ("n", "edges", "rotation", "_leave", "_faces", "_orient")
 
     def __init__(
         self,
@@ -97,8 +98,7 @@ class PseudoEmbedding:
             if s not in (1, -1):
                 raise SchemeError(f"edges[{i}]: signature must be +1 or -1, got {s}")
         m = len(edges)
-        succ = [-1] * (2 * m)
-        pred = [-1] * (2 * m)
+        leave = [-1] * (4 * m)
         seen = bytearray(2 * m)
         for v, rot in enumerate(rotation):
             ids = []
@@ -118,25 +118,25 @@ class PseudoEmbedding:
                     )
                 seen[x] = 1
                 ids.append(x)
-            _link(ids, succ, pred)
+            _link(ids, leave)
         if seen.count(0):
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
-        self._fill(n, edges, rotation, succ, pred)
+        self._fill(n, edges, rotation, leave)
 
     @classmethod
-    def _from_arrays(cls, n, edges, rotation, succ, pred) -> PseudoEmbedding:
+    def _from_table(cls, n, edges, rotation, leave) -> PseudoEmbedding:
         """A scheme from parts already in its normal form, unvalidated:
-        edges and rotation as tuples of int tuples, and succ and pred the
-        dart arrays of that rotation, owned by the new scheme.  Only a
-        caller that lays every dart once by construction may use it."""
+        edges and rotation as tuples of int tuples, and leave the state
+        table of that rotation, owned by the new scheme.  Only a caller
+        that lays every dart once by construction may use it."""
         E = object.__new__(cls)
-        E._fill(n, edges, rotation, succ, pred)
+        E._fill(n, edges, rotation, leave)
         return E
 
-    def _fill(self, n, edges, rotation, succ, pred) -> None:
+    def _fill(self, n, edges, rotation, leave) -> None:
         for name, value in (("n", n), ("edges", edges), ("rotation", rotation),
-                            ("_succ", succ), ("_pred", pred), ("_faces", None),
+                            ("_leave", leave), ("_faces", None),
                             ("_orient", None)):
             object.__setattr__(self, name, value)
 
@@ -155,15 +155,7 @@ class PseudoEmbedding:
         for u, v, _ in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == self.n
+        return _connected(adj)
 
     def is_simple_graph(self) -> bool:
         pairs = {(u, v) if u < v else (v, u) for u, v, _ in self.edges if u != v}
@@ -176,13 +168,14 @@ class PseudoEmbedding:
         return Graph(self.n, [(u, v) for u, v, _ in self.edges])
 
 
-def _link(ids: list, succ: list, pred: list) -> None:
-    """Write one vertex's cyclic dart order into the successor and
-    predecessor arrays."""
+def _link(ids: list, leave: list) -> None:
+    """Write one vertex's cyclic dart order into the state table: a walk
+    arriving at dart x on side +1 leaves by its successor, and on side -1
+    by its predecessor."""
     prev = ids[-1] if ids else None
     for x in ids:
-        succ[prev] = x
-        pred[x] = prev
+        leave[2 * prev] = 2 * x
+        leave[2 * x + 1] = 2 * prev + 1
         prev = x
 
 
@@ -204,18 +197,10 @@ class SurfaceInfo(namedtuple("SurfaceInfo", "euler_genus orientable")):
     __slots__ = ()
 
 
-def _leave_table(succ: list, pred: list) -> list:
-    """leave[t] is the state a walk leaves by after arriving at state t."""
-    leave = [0] * (2 * len(succ))
-    leave[0::2] = [2 * x for x in succ]
-    leave[1::2] = [2 * x + 1 for x in pred]
-    return leave
-
-
 def _state_orbits(leave: list, neg: list) -> tuple:
     """Cycles of the step map on the integer states 0..4m-1.
 
-    leave is the table of `_leave_table` and neg[e] is 1 for an edge of
+    leave is the scheme's state table and neg[e] is 1 for an edge of
     signature -1.  State s = 2d + sidebit steps across its edge to dart
     d ^ 1, takes the side bit xor neg[e], and leaves as the table says.
     One table serves every signature of a rotation system.  Returns
@@ -302,7 +287,7 @@ def trace_faces(E: PseudoEmbedding) -> tuple:
         raise SchemeError("scheme is disconnected; faces would misreport genus")
     neg = [1 if s < 0 else 0 for _, _, s in E.edges]
     home = [x for u, v, _ in E.edges for x in (u, v)]
-    orbits, orbit_of = _state_orbits(_leave_table(E._succ, E._pred), neg)
+    orbits, orbit_of = _state_orbits(E._leave, neg)
     faces = tuple([
         FacialWalk(tuple(orbit), tuple([home[s >> 1] for s in orbit]))
         for orbit in _paired_faces(orbits, orbit_of, neg)
@@ -406,7 +391,7 @@ def four_distinct_window(verts: Sequence[int]) -> int:
     raise SchemeError("no four distinct consecutive vertices on this walk")
 
 
-def _splice(succ: list, pred: list, first: list, x: int, corner: tuple) -> None:
+def _splice(leave: list, first: list, x: int, corner: tuple) -> None:
     """Lay dart x at a corner (w, a, bit) of vertex w: the corner where the
     face walk arrives at w along in-dart a and leaves on side +1 (bit 0) or
     -1 (bit 1).  Side +1 puts x just after a in the rotation, side -1 just
@@ -415,24 +400,26 @@ def _splice(succ: list, pred: list, first: list, x: int, corner: tuple) -> None:
     nesting a fan of chords needs.  With a = -1, x is w's only dart."""
     w, a, bit = corner
     if a < 0:
-        first[w] = succ[x] = pred[x] = x
+        first[w] = x
+        _link([x], leave)
         return
     if bit:
-        a, b = pred[a], a
+        a, b = leave[2 * a + 1] >> 1, a
         if first[w] == b:
             first[w] = x
     else:
-        b = succ[a]
-    succ[a], pred[x], succ[x], pred[b] = x, a, b, x
+        b = leave[2 * a] >> 1
+    leave[2 * a], leave[2 * x + 1] = 2 * x, 2 * a + 1
+    leave[2 * x], leave[2 * b + 1] = 2 * b, 2 * x + 1
 
 
 class _SchemeEditor:
     """A working copy of a scheme that adds vertices and edges, in the
     integer dart and state form of the tracer.
 
-    It holds the dart arrays `succ`/`pred`, each vertex's first dart (so
-    that `freeze` lists each rotation from the dart it starts with), and
-    the vertices whose rotation an edit changed.  `index_faces` adds a face
+    It holds the state table `leave`, each vertex's first dart (so that
+    `freeze` lists each rotation from the dart it starts with), and the
+    vertices whose rotation an edit changed.  `index_faces` adds a face
     index for `insert_edge` and for block pasting, which lays its edges by
     `add_edge`, extends `neg` and `face_of` itself and walks the cut face
     again by `_retrace`.  `faces` maps each face's key, the smallest state
@@ -446,17 +433,16 @@ class _SchemeEditor:
         self.E = E
         self.n = E.n
         self.edges = list(E.edges)
-        self.succ = list(E._succ)
-        self.pred = list(E._pred)
+        self.leave = list(E._leave)
         self.first = [2 * r[0][0] + r[0][1] if r else -1 for r in E.rotation]
         self.edited = set()
         self.faces = None
 
     def corner(self, s: int) -> tuple:
-        """The corner (vertex, in-dart, side bit) where state s leaves."""
+        """The corner (vertex, in-dart, side bit) where state s leaves: the
+        in-dart is the one whose arrival on that side leaves by s."""
         d = s >> 1
-        a = self.succ[d] if s & 1 else self.pred[d]
-        return self.edges[d >> 1][d & 1], a, s & 1
+        return self.edges[d >> 1][d & 1], self.leave[s ^ 1] >> 1, s & 1
 
     def add_vertex(self) -> int:
         """A new vertex, without darts until an edge reaches it."""
@@ -469,10 +455,9 @@ class _SchemeEditor:
         neg is set, and return its id."""
         e = len(self.edges)
         self.edges.append((c0[0], c1[0], -1 if neg else 1))
-        self.succ += (-1, -1)
-        self.pred += (-1, -1)
-        _splice(self.succ, self.pred, self.first, 2 * e, c0)
-        _splice(self.succ, self.pred, self.first, 2 * e + 1, c1)
+        self.leave += (-1, -1, -1, -1)
+        _splice(self.leave, self.first, 2 * e, c0)
+        _splice(self.leave, self.first, 2 * e + 1, c1)
         self.edited.update((c0[0], c1[0]))
         return e
 
@@ -521,8 +506,9 @@ class _SchemeEditor:
 
     def _retrace(self, states: list) -> None:
         """Index the faces of a mirror-closed union of whole state cycles,
-        as `_state_orbits` and `_paired_faces` do for all states."""
-        succ, pred, neg = self.succ, self.pred, self.neg
+        stepping as `_state_orbits` and pairing as `_paired_faces` do for
+        all states."""
+        leave, neg = self.leave, self.neg
         cycle_of = {}
         cycles = []
         for s0 in sorted(states):
@@ -533,8 +519,7 @@ class _SchemeEditor:
             while s not in cycle_of:
                 cycle_of[s] = len(cycles)
                 cycle.append(s)
-                t = s ^ (2 | neg[s >> 2])
-                s = 2 * pred[t >> 1] + 1 if t & 1 else 2 * succ[t >> 1]
+                s = leave[s ^ (2 | neg[s >> 2])]
             if s != s0:
                 raise RuntimeError("state map failed to close a cycle")
             cycles.append(cycle)
@@ -543,18 +528,19 @@ class _SchemeEditor:
             if cycle_of[s0 ^ (3 - neg[s0 >> 2])] > idx:
                 self._store(cycle)
 
-    def freeze(self) -> PseudoEmbedding:
+    def freeze(self, surface: SurfaceInfo | None = None) -> PseudoEmbedding:
         """The edited scheme, built once, with the input's rotation kept at
-        every vertex no edit touched.  On an indexed editor it is traced in
-        full too, and RuntimeError is raised unless the editor's faces
-        equal the trace, walk for walk."""
+        every vertex no edit touched.  Raises RuntimeError unless it lies
+        on `surface` (left out only for a scheme disconnected on purpose)
+        and, on an indexed editor, unless the faces equal its full trace."""
         rotation = list(self.E.rotation) + [()] * (self.n - self.E.n)
+        leave, first = self.leave, self.first
         for w in self.edited:
-            rot, x = [], self.first[w]
-            for _ in range(len(self.succ)):
+            rot, x = [], first[w]
+            for _ in range(len(leave)):
                 rot.append((x >> 1, x & 1))
-                x = self.succ[x]
-                if x == self.first[w]:
+                x = leave[2 * x] >> 1
+                if x == first[w]:
                     break
             rotation[w] = rot
         E = PseudoEmbedding(self.n, self.edges, rotation)
@@ -562,6 +548,10 @@ class _SchemeEditor:
             tuple(self.faces[key]) for key in sorted(self.faces)
         ]:
             raise RuntimeError("the editor's faces differ from the full trace")
+        if surface is not None and surface_info(E) != surface:
+            raise RuntimeError(
+                f"the edited scheme lies on {surface_info(E)}, not {surface}"
+            )
         return E
 
 
@@ -622,4 +612,6 @@ def scheme_from_json(text: str) -> PseudoEmbedding:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemeError(f"invalid JSON at position {exc.pos}: {exc.msg}")
+    except RecursionError:  # a RuntimeError, which would read as a failed audit
+        raise SchemeError("JSON nested too deeply to be a scheme") from None
     return scheme_from_dict(obj)

@@ -103,29 +103,20 @@ def closed_neighborhood(G: Graph, v: int) -> frozenset:
     return G.neighbors(v) | {v}
 
 
-def _components(n: int, adj: Sequence[Iterable[int]], alive) -> int:
-    seen = set()
-    comps = 0
-    alive = set(alive)
-    for s in alive:
-        if s in seen:
-            continue
-        comps += 1
-        stack = [s]
-        seen.add(s)
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in alive and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return comps
+def _connected(adj: Sequence[Iterable[int]]) -> bool:
+    """Whether a search from vertex 0 reaches all of vertices 0..n-1, n >= 1."""
+    seen = {0}
+    stack = [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == len(adj)
 
 
 def is_connected(G: Graph) -> bool:
-    if G.n == 0:
-        return False
-    return _components(G.n, G._adj, range(G.n)) == 1
+    return G.n > 0 and _connected(G._adj)
 
 
 def bipartite_genus_lower_bound(G: Graph, P: Bipartition) -> int:

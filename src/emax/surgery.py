@@ -44,7 +44,6 @@ from .embedding import (
     SchemeError,
     trace_faces,
     surface_info,
-    orientability,
     is_edge_maximal_embedding,
     is_triangulation,
     edges_short,
@@ -89,9 +88,11 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
     duplicate existing adjacencies (or hit the same vertex twice) are kept
     as parallel edges and loops, so the result is a pseudograph scheme.
 
-    The rebuild is fully audited: genus and orientability unchanged, each
-    original face splits into exactly face_split_count pieces, and every
-    non-triangular face of the result has at least four distinct vertices.
+    The rebuild is fully audited: the editor's freeze checks that genus
+    and orientability are unchanged (with n fixed, the genus check is the
+    face count: one more face per chord), each original face splits into
+    exactly face_split_count pieces, and every non-triangular face of the
+    result has at least four distinct vertices.
     """
     if mode not in SURGERY_MODES:
         raise SchemeError(f"mode must be one of {SURGERY_MODES}")
@@ -99,11 +100,10 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
         raise SchemeError("chord_faces expects a scheme of a simple graph")
     if E.n < 4:
         raise SchemeError("chord_faces needs at least 4 vertices")
-    orient0, _ = orientability(E)
-    if mode == "orientable" and not orient0:
+    surface = surface_info(E)
+    if mode == "orientable" and not surface.orientable:
         raise SchemeError("orientable mode needs an orientable scheme")
     faces = trace_faces(E)
-    g0 = 2 - E.n + E.m - len(faces)
     editor = _SchemeEditor(E)
     for fi, walk in enumerate(faces):
         t = walk.length
@@ -118,10 +118,10 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
             )
         anchor = editor.corner(walk.states[r])
         spots = chord_positions(t, mode)
-        # the count identity below plus the global face/genus audit after
-        # the rebuild pin the per-face splits: a chord lives inside its own
-        # face, a single added edge splits at most one face, and the genus
-        # staying flat forces every chord to realize that +1
+        # the count identity below plus the surface audit of the rebuild
+        # pin the per-face splits: a chord lives inside its own face, a
+        # single added edge splits at most one face, and the genus staying
+        # flat forces every chord to realize that +1
         if len(spots) + 1 != face_split_count(t, mode):
             raise RuntimeError(
                 f"chord count {len(spots)} inconsistent with split count "
@@ -130,15 +130,8 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
         for i in spots:
             target = editor.corner(walk.states[(r + i) % t])
             editor.add_edge(anchor, target, anchor[2] ^ target[2])
-    result = editor.freeze()
-    rfaces = trace_faces(result)
-    if len(rfaces) != len(faces) + result.m - E.m:
-        raise RuntimeError("chording lost or gained an unexpected face")
-    if 2 - result.n + result.m - len(rfaces) != g0:
-        raise RuntimeError("chording changed the Euler genus")
-    if orientability(result)[0] != orient0:
-        raise RuntimeError("chording changed orientability")
-    for ri, rwalk in enumerate(rfaces):
+    result = editor.freeze(surface)
+    for ri, rwalk in enumerate(trace_faces(result)):
         if rwalk.length > 3 and len(rwalk.distinct_vertices()) < 4:
             raise SchemeError(
                 f"chorded face {ri} has fewer than four distinct vertices; "
@@ -166,13 +159,12 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
     walk; its rotation lists the four edges against walk order and each edge
     carries the side of the corner it lands in, which makes every apex
     face close up correctly (the face of length t gains 4 edges, 1 vertex
-    and splits into 4 faces, so the surface is untouched).
+    and splits into 4 faces, so the surface is untouched).  The editor's
+    freeze audits that surface, which for these n and m is the face count.
 
     Returns (scheme, apex vertex ids).
     """
     faces = trace_faces(Gp)
-    g0 = 2 - Gp.n + Gp.m - len(faces)
-    orient0, _ = orientability(Gp)
     editor = _SchemeEditor(Gp)
     apexes = []
     for fi, walk in enumerate(faces):
@@ -195,14 +187,7 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
         apexes.append(w)
     if not apexes:
         return Gp, ()
-    result = editor.freeze()
-    rfaces = trace_faces(result)
-    if len(rfaces) != len(faces) + 3 * len(apexes):
-        raise RuntimeError("apex insertion produced a wrong face count")
-    if 2 - result.n + result.m - len(rfaces) != g0:
-        raise RuntimeError("apex insertion changed the Euler genus")
-    if orientability(result)[0] != orient0:
-        raise RuntimeError("apex insertion changed orientability")
+    result = editor.freeze(surface_info(Gp))
     deg = [0] * result.n
     for u, v, _ in result.edges:
         deg[u] += 1
@@ -287,12 +272,9 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
         walk = editor.faces[key]
         editor.insert_edge(walk[0], walk[2])
         added += 1
-    cur = editor.freeze()
+    cur = editor.freeze(info0)
     if not is_triangulation(cur):
         raise RuntimeError("completion finished with a non-triangle left")
-    info1 = surface_info(cur)
-    if info1 != info0:
-        raise RuntimeError("completion changed the surface")
     if cur.m != 3 * (cur.n + info0.euler_genus - 2):
         raise RuntimeError("completed scheme has a wrong edge count")
     return cur, added

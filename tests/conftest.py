@@ -41,7 +41,7 @@ from emax.bounds import (
     _precision_bits,
 )
 from emax.constructions import _k3_scheme, _k8_c5_pairs
-from emax.graphs import _components
+from emax.graphs import _connected
 from emax.intervals import (
     Interval,
     PrecisionError,
@@ -142,7 +142,9 @@ def is_k_connected(G: Graph, k: int) -> bool:
     for size in range(k):
         for removed in itertools.combinations(verts, size):
             alive = [v for v in verts if v not in removed]
-            if _components(G.n, G._adj, alive) != 1:
+            index = {v: i for i, v in enumerate(alive)}
+            if not _connected([[index[y] for y in G._adj[v] if y in index]
+                               for v in alive]):
                 return False
     return True
 

@@ -40,7 +40,7 @@ from emax import (
     optimal_schedule,
     verify_theorem,
 )
-from emax.bounds import SCHEDULE_STEP_CAP
+from emax.bounds import SCHEDULE_GENUS_CAP, SCHEDULE_STEP_CAP
 
 # Published nonorientable table, g -> (schedule csv, impurity, offset)
 TABLE_N = {
@@ -192,6 +192,9 @@ class TestScheduleAgainstNaiveOracle:
             optimal_schedule(3, 4, anchor_delta=-9)
         with pytest.raises(BoundsError, match="cap"):
             optimal_schedule(13, SCHEDULE_STEP_CAP + 1)
+        assert optimal_schedule(SCHEDULE_GENUS_CAP, 3).c_schedule
+        with pytest.raises(BoundsError, match="above the cap"):
+            optimal_schedule(SCHEDULE_GENUS_CAP + 1, 3)
 
 
 def assert_same_schedule(res, ref):

@@ -22,12 +22,14 @@ from emax import (
 )
 from emax.bounds import (
     PRECISION_BITS_CAP,
+    SCHEDULE_GENUS_CAP,
     TABLE_GENUS_CAP,
     VERIFY_GMAX_CAP,
     f_exact_s2,
     optimal_schedule,
 )
 from emax.constructions import (
+    CONSTRUCT_EDGE_CAP,
     ENUMERATION_CAP,
     PROP2_GENUS_CAP,
     REGEN_MOVE_CAP,
@@ -123,6 +125,14 @@ class TestAnalyze:
         path.write_text("{\"n\": 1,")
         code, _, err = run(capsys, "analyze", str(path))
         assert code == 2 and "position" in err
+
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, capsys):
+        # the parser's RecursionError is a RuntimeError, which the CLI
+        # would report as a failed audit with exit 1
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert run(capsys, "analyze", str(path)) == (
+            2, "", "error: JSON nested too deeply to be a scheme\n")
 
     # one edge 0-1 and its two darts; each case breaks one field's type
     @pytest.mark.parametrize("doc, message", [
@@ -558,6 +568,10 @@ class TestSchemeBytes:
         assert got == digests
 
 
+# the least g whose family at s = 2 has more edges, 6g + 6, than the cap allows
+FAMILY_G_ABOVE_CAP = (CONSTRUCT_EDGE_CAP - 6) // 6 + 1
+
+
 class TestSizeCaps:
     """Runaway sizes exit 2 at once, with the cap named on stderr."""
 
@@ -577,6 +591,15 @@ class TestSizeCaps:
          f"cap of {TABLE_GENUS_CAP}\n"),
         (["bounds", "verify", "--theorem", "84", "--gmax", "10000000000"],
          f"error: g_max 10000000000 is above the cap of {VERIFY_GMAX_CAP}\n"),
+        (["construct", "kmn", "--a", "1", "--b", str(CONSTRUCT_EDGE_CAP + 1)],
+         f"error: graph would have {CONSTRUCT_EDGE_CAP + 1} edges, above the "
+         f"cap of {CONSTRUCT_EDGE_CAP}\n"),
+        (["construct", "family", "--g", str(FAMILY_G_ABOVE_CAP), "--s", "2"],
+         f"error: graph would have {6 * FAMILY_G_ABOVE_CAP + 6} edges, above "
+         f"the cap of {CONSTRUCT_EDGE_CAP}\n"),
+        (["bounds", "f", "--g", str(SCHEDULE_GENUS_CAP + 1), "--s", "3"],
+         f"error: g {SCHEDULE_GENUS_CAP + 1} is above the cap of "
+         f"{SCHEDULE_GENUS_CAP}\n"),
     ])
     def test_above_the_cap_exits_two_at_once(self, capsys, argv, err):
         t0 = time.perf_counter()
@@ -589,6 +612,8 @@ class TestSizeCaps:
         assert PROP2_GENUS_CAP >= 10 * 60
         assert TABLE_GENUS_CAP >= 10 * 300
         assert VERIFY_GMAX_CAP >= 10 * 2000
+        # and the family at g = 10, s = 8: 66 + 6 * 12 edges
+        assert CONSTRUCT_EDGE_CAP >= 10 * 138
         # and regen-fixture with its defaults, 40 restarts of 30000 moves
         assert REGEN_MOVE_CAP >= 8 * 40 * (30000 + REGEN_SETUP_MOVES)
 

@@ -39,6 +39,7 @@ from emax import (
     trace_faces,
 )
 from emax.constructions import (
+    CONSTRUCT_EDGE_CAP,
     REGEN_MOVE_CAP,
     REGEN_SETUP_MOVES,
     _enumeration_total,
@@ -48,7 +49,7 @@ from emax.constructions import (
     _swap_gain,
     _tree_positive_masks,
 )
-from emax.embedding import _leave_table, _link, _state_orbits
+from emax.embedding import _link, _state_orbits
 
 from conftest import (
     assert_frozen_record,
@@ -120,6 +121,11 @@ class TestBasicGraphFactories:
         assert P.part_a == frozenset({0, 1, 2})
         with pytest.raises(GraphError):
             complete_bipartite(0, 3)
+        assert complete_bipartite(1, CONSTRUCT_EDGE_CAP)[0].m == CONSTRUCT_EDGE_CAP
+        for a, b in ((1, CONSTRUCT_EDGE_CAP + 1), (CONSTRUCT_EDGE_CAP + 1, 1),
+                     (10**9, 10**9)):
+            with pytest.raises(GraphError, match=f"{a * b} edges, above the cap"):
+                complete_bipartite(a, b)
 
 
 class TestK8MinusC5:
@@ -288,6 +294,15 @@ class TestLowerBoundFamily:
             lower_bound_family(0, 2)
         with pytest.raises(GraphError):
             lower_bound_family(1, 1)
+        # 6g + 6 core edges and 12 per copy of Q: the largest g and s with
+        # the other at its least stay under the cap, one more goes over it
+        g = (CONSTRUCT_EDGE_CAP - 6) // 6
+        s = (CONSTRUCT_EDGE_CAP - 12) // 12 + 2
+        for fam in (lower_bound_family(g, 2), lower_bound_family(1, s)):
+            assert CONSTRUCT_EDGE_CAP - 12 < fam.graph.m <= CONSTRUCT_EDGE_CAP
+        for args, m in (((g + 1, 2), 6 * g + 12), ((1, s + 1), 12 * s)):
+            with pytest.raises(GraphError, match=f"{m} edges, above the cap"):
+                lower_bound_family(*args)
 
 
 class TestEnumeration:
@@ -368,11 +383,11 @@ def small_connected_graphs(draw):
 
 
 def scheme_parts(E):
-    return E.n, E.edges, E.rotation, E._succ, E._pred
+    return E.n, E.edges, E.rotation, E._leave
 
 
 class TestEnumerationMatchesValidatedBuilds:
-    """enumerate_small_schemes lays its schemes on the dart arrays without
+    """enumerate_small_schemes lays its schemes on the state table without
     the public constructor's validation; each must equal the validated
     build of the same rotation system and signature, in the same order."""
 
@@ -495,13 +510,13 @@ class TestFixtureClimbCounting:
             for e, (u, v) in enumerate(pairs):
                 rot[u].append(2 * e)
                 rot[v].append(2 * e + 1)
-            succ, pred = [0] * (2 * m), [0] * (2 * m)
+            leave = [0] * (4 * m)
             for r in rot:
                 rng.shuffle(r)
-                _link(r, succ, pred)
-            phi = [succ[d ^ 1] for d in range(2 * m)]
+                _link(r, leave)
+            phi = [leave[2 * (d ^ 1)] >> 1 for d in range(2 * m)]
             lab, at, face_len = _labelled(phi)
-            orbits, _ = _state_orbits(_leave_table(succ, pred), [0] * m)
+            orbits, _ = _state_orbits(leave, [0] * m)
             assert 2 * len(face_len) == len(orbits)
             for d in range(2 * m):  # phi steps one position along the face
                 assert lab[phi[d]] == lab[d]
@@ -529,18 +544,19 @@ class TestFixtureClimbCounting:
             rot[u].append(2 * e)
             rot[v].append(2 * e + 1)
         assume(any(len(r) >= 2 for r in rot))
-        succ, pred = [0] * (2 * m), [0] * (2 * m)
+        leave = [0] * (4 * m)
         for r in rot:
             rng.shuffle(r)
-            _link(r, succ, pred)
+            _link(r, leave)
         for _ in range(20):
             r = rng.choice([r for r in rot if len(r) >= 2])
             i, j = rng.sample(range(len(r)), 2)
-            lab, at, face_len = _labelled([succ[d ^ 1] for d in range(2 * m)])
+            phi = [leave[2 * (d ^ 1)] >> 1 for d in range(2 * m)]
+            lab, at, face_len = _labelled(phi)
             want = len(face_len) + _swap_gain(lab, at, face_len, r[i], r[j])
             r[i], r[j] = r[j], r[i]
-            _link(r, succ, pred)
-            orbits, _ = _state_orbits(_leave_table(succ, pred), [0] * m)
+            _link(r, leave)
+            orbits, _ = _state_orbits(leave, [0] * m)
             assert 2 * want == len(orbits)
 
 
@@ -611,6 +627,15 @@ class TestPasteBlock:
             for target in PASTE_TARGETS:
                 with pytest.raises(SchemeError, match=match):
                     paste_block(E, faces, target)
+
+    def test_a_crosscap_that_stays_orientable_is_refused(self, monkeypatch):
+        # a crosscap rule that pasted planar blocks would keep the genus
+        # change it promises (0 here) but not make the surface nonorientable
+        monkeypatch.setitem(emax.constructions._PASTE_TARGETS, "crosscap",
+                            (0, (3, 3, 3), (0,)))
+        with pytest.raises(RuntimeError, match="lies on"):
+            paste_block(_k3_scheme(), [0], "crosscap")
+        assert surface_info(paste_block(_k3_scheme(), [], "crosscap")) == (0, True)
 
 
 class TestPasteRuleAgainstSearch:

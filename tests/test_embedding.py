@@ -250,14 +250,14 @@ class TestWindowsAndCorners:
     def spliced(rot, corners):
         """Vertex 0's rotation after splicing darts 20, 21, ... at the
         corners, one each, starting from the integer darts in rot."""
-        succ, pred, first = [-1] * 40, [-1] * 40, [rot[0] if rot else -1]
-        _link(rot, succ, pred)
+        leave, first = [-1] * 80, [rot[0] if rot else -1]
+        _link(rot, leave)
         for x, corner in enumerate(corners, 20):
-            _splice(succ, pred, first, x, corner)
-        out, x = [first[0]], succ[first[0]]
+            _splice(leave, first, x, corner)
+        out, x = [first[0]], leave[2 * first[0]] >> 1
         while x != first[0]:
             out.append(x)
-            x = succ[x]
+            x = leave[2 * x] >> 1
         return out
 
     def test_splice_sides(self):

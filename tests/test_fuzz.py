@@ -12,7 +12,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_scheme
@@ -127,6 +127,7 @@ class TestParsers:
     @FUZZ
     @given(st.one_of(st.text(max_size=60), json_values().map(json.dumps),
                      mutated_schemes().map(json.dumps)))
+    @example("[" * 100000)  # past the parser's recursion limit
     def test_scheme_json_returns_or_raises_scheme_error(self, text):
         try:
             scheme_from_json(text)

@@ -16,6 +16,7 @@ from emax import (
     HypothesisViolation,
     PseudoEmbedding,
     SchemeError,
+    SurfaceInfo,
     bipartite_extract,
     chord_faces,
     chord_positions,
@@ -415,8 +416,9 @@ class TestSchemeEditor:
             editor.insert_edge(
                 editor.faces[keys[fa]][pa], editor.faces[keys[fb]][pb]
             )
-        F = editor.freeze()
-        assert scheme_to_json(F) == scheme_to_json(insert_by_lists(E, pairs))
+        want = insert_by_lists(E, pairs)
+        F = editor.freeze(surface_info(want))
+        assert scheme_to_json(F) == scheme_to_json(want)
 
     def test_freeze_audit_catches_a_bad_cycle_update(self):
         class Corrupting(_SchemeEditor):
@@ -432,10 +434,21 @@ class TestSchemeEditor:
             walk = editor.faces[editor.long_face()]
             editor.insert_edge(walk[0], walk[2])
             if cls is _SchemeEditor:
-                assert editor.freeze().m == E.m + 1
+                assert editor.freeze(surface_info(E)).m == E.m + 1
             else:
                 with pytest.raises(RuntimeError, match="full trace"):
-                    editor.freeze()
+                    editor.freeze(surface_info(E))
+
+    def test_freeze_audits_the_surface(self):
+        E = construct_proposition2(3, orientable=False)
+        g, orientable = surface_info(E)
+        for wrong in ((g + 1, orientable), (g, not orientable)):
+            editor = _SchemeEditor(E)
+            editor.index_faces()
+            walk = editor.faces[editor.long_face()]
+            editor.insert_edge(walk[0], walk[2])
+            with pytest.raises(RuntimeError, match="lies on"):
+                editor.freeze(SurfaceInfo(*wrong))
 
 
 class TestIsOrderedSequence:
