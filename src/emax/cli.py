@@ -5,6 +5,11 @@ space indent) except `bounds table`, which also speaks csv and a padded
 pretty format.  Identical invocations print identical bytes; nothing here
 emits timestamps or machine-specific paths.
 
+Parsing reads one table, COMMANDS, the only place where a command, option,
+default, choice or help string is written.  Option names are exact (no
+prefix abbreviation), a value goes as `--name value` or `--name=value`,
+`-h` prints help at every level, and any usage error exits 2.
+
 Exit codes: 0 success, 1 verification failure (an invariant or theorem
 check did not hold, or `regen-fixture` found no scheme), 2 input error (bad
 flags, unreadable or malformed files, out-of-domain parameters).  An
@@ -20,7 +25,8 @@ c values), `bounds f` takes a `--g` of at most bounds.SCHEDULE_GENUS_CAP
 (10^10: the c scan climbs to about sqrt(6g) one step at a time, about
 0.6 s at both caps), `construct kmn` and `construct family` build at most
 constructions.CONSTRUCT_EDGE_CAP edges (10^5: at most about 0.6 s and
-95 MB), and an edge-list file declares at most
+95 MB), `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices, so
+that its edge list reads back, and an edge-list file declares at most
 graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
 sets).  `construct prop2` takes a `--genus` and `--base-faces` of
 at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one
@@ -55,9 +61,10 @@ bounds.PRECISION_BITS_CAP = 4096 bits).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from collections import namedtuple
+from types import SimpleNamespace
 
 from .graphs import (
     Bipartition,
@@ -104,6 +111,11 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _write(obj) -> int:
+    sys.stdout.write(_dump(obj))
+    return 0
+
+
 def _json_ints(values):
     """The text _dump gives a list of ints that is the value of a top-level
     key, 4096 items at a time, so a long list is never held whole."""
@@ -139,10 +151,7 @@ def _analysis(E: PseudoEmbedding) -> dict:
         "simple": E.is_simple_graph(),
         "triangulation": is_triangulation(E),
     }
-    if E.n + info.euler_genus >= 3:
-        report["edges_short"] = edges_short(E)
-    else:
-        report["edges_short"] = None
+    report["edges_short"] = edges_short(E) if E.n + info.euler_genus >= 3 else None
     if report["simple"]:
         maximal, witness = is_edge_maximal_embedding(E)
         report["edge_maximal"] = maximal
@@ -155,51 +164,49 @@ def _analysis(E: PseudoEmbedding) -> dict:
     return report
 
 
-def _emit(args, payload: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, payload: str) -> int:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     else:
         sys.stdout.write(payload)
+    return 0
 
 
 # construct
 
 
-def cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "prop2":
-        E = construct_proposition2(
-            args.genus, orientable=args.orientable, base_faces=args.base_faces
-        )
-        _emit(args, _dump(scheme_to_dict(E)))
-    elif kind == "k8c5":
-        if args.embedded:
-            _emit(args, _dump(scheme_to_dict(toroidal_embedding_k8_minus_c5())))
-        else:
-            _emit(args, format_edge_list(k8_minus_c5()))
-    elif kind == "q":
-        if args.embedded:
-            _emit(args, _dump(scheme_to_dict(graph_q_scheme())))
-        else:
-            G, P = graph_q()
-            _emit(args, format_edge_list(G, P.part_b))
-    elif kind == "family":
-        fam = lower_bound_family(args.g, args.s)
-        _emit(args, format_edge_list(fam.graph, fam.bipartition.part_b))
-    elif kind == "kmn":
-        G, P = complete_bipartite(args.a, args.b)
-        _emit(args, format_edge_list(G, P.part_b))
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown construction {kind}")
-    return 0
+def cmd_prop2(args) -> int:
+    E = construct_proposition2(args.genus, orientable=args.orientable,
+                               base_faces=args.base_faces)
+    return _emit(args, _dump(scheme_to_dict(E)))
+
+
+def cmd_k8c5(args) -> int:
+    if args.embedded:
+        return _emit(args, _dump(scheme_to_dict(toroidal_embedding_k8_minus_c5())))
+    return _emit(args, format_edge_list(k8_minus_c5()))
+
+
+def cmd_q(args) -> int:
+    if args.embedded:
+        return _emit(args, _dump(scheme_to_dict(graph_q_scheme())))
+    G, P = graph_q()
+    return _emit(args, format_edge_list(G, P.part_b))
+
+
+def cmd_family(args) -> int:
+    fam = lower_bound_family(args.g, args.s)
+    return _emit(args, format_edge_list(fam.graph, fam.bipartition.part_b))
+
+
+def cmd_kmn(args) -> int:
+    G, P = complete_bipartite(args.a, args.b)
+    return _emit(args, format_edge_list(G, P.part_b))
 
 
 def cmd_analyze(args) -> int:
-    E = _load_scheme(args.scheme)
-    sys.stdout.write(_dump(_analysis(E)))
-    return 0
+    return _write(_analysis(_load_scheme(args.scheme)))
 
 
 def cmd_pipeline(args) -> int:
@@ -208,7 +215,7 @@ def cmd_pipeline(args) -> int:
     H, P = rep.bipartite_extract
     b = len(rep.apex_set)
     factor = 5 if args.mode == "nonorientable" else 4
-    payload = {
+    return _write({
         "mode": rep.mode,
         "input": _analysis(E),
         "chorded": _shape(rep.chorded_scheme),
@@ -217,15 +224,9 @@ def cmd_pipeline(args) -> int:
         "apex_vertices": list(rep.apex_set),
         "edges_added_to_triangulate": rep.edges_added_to_triangulate,
         "deficit_bound": factor * b - 1 if b else 0,
-        "bipartite": {
-            "n": H.n,
-            "m": H.m,
-            "part_b": sorted(P.part_b),
-            "edges": [list(e) for e in sorted(H.edges)],
-        },
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+        "bipartite": {"n": H.n, "m": H.m, "part_b": sorted(P.part_b),
+                      "edges": [list(e) for e in sorted(H.edges)]},
+    })
 
 
 def cmd_triangulate(args) -> int:
@@ -235,12 +236,8 @@ def cmd_triangulate(args) -> int:
         # write the completed scheme alone so it chains into analyze
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_dump(scheme_to_dict(T)))
-        sys.stdout.write(_dump({"edges_added": added, "written": args.out}))
-    else:
-        sys.stdout.write(
-            _dump({"edges_added": added, "scheme": scheme_to_dict(T)})
-        )
-    return 0
+        return _write({"edges_added": added, "written": args.out})
+    return _write({"edges_added": added, "scheme": scheme_to_dict(T)})
 
 
 def cmd_ordered_seq(args) -> int:
@@ -252,39 +249,21 @@ def cmd_ordered_seq(args) -> int:
     if args.c_schedule:
         schedule = [int(t) for t in args.c_schedule.replace(",", " ").split()]
     seq = find_ordered_sequence(G, P, args.s, schedule)
-    payload = {
-        "s": args.s,
-        "found": seq is not None,
-        "sequence": seq,
-        "c_schedule": schedule,
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+    return _write({"s": args.s, "found": seq is not None, "sequence": seq,
+                   "c_schedule": schedule})
 
 
 def cmd_enumerate(args) -> int:
     G, _ = parse_edge_list(_read_text(args.graph))
     if not args.census:
-        total = _enumeration_total(G, args.signature_mode, args.cap)
-        sys.stdout.write(_dump({"total": total}))
-        return 0
+        return _write({"total": _enumeration_total(G, args.signature_mode,
+                                                   args.cap)})
     classes = scheme_census(G, args.signature_mode, args.cap)
-    payload = {
-        "total": sum(classes.values()),
-        "classes": [
-            {
-                "genus": g,
-                "orientable": o,
-                "faces": list(lens),
-                "count": classes[(g, o, lens)],
-            }
-            for g, o, lens in sorted(
-                classes, key=lambda k: (k[0], not k[1], k[2])
-            )
-        ],
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+    return _write({"total": sum(classes.values()), "classes": [
+        {"genus": g, "orientable": o, "faces": list(lens),
+         "count": classes[(g, o, lens)]}
+        for g, o, lens in sorted(classes, key=lambda k: (k[0], not k[1], k[2]))
+    ]})
 
 
 # bounds
@@ -380,128 +359,169 @@ def cmd_bounds_f(args) -> int:
 
 def cmd_bounds_verify(args) -> int:
     report = verify_theorem(args.theorem, g_max=args.gmax)
-    sys.stdout.write(_dump(report))
+    _write(report)
     return 0 if report["ok"] else 1
 
 
 def cmd_regen_fixture(args) -> int:
-    E = regenerate_k8_c5_fixture(
-        args.seed, restarts=args.restarts, iters=args.iters
-    )
+    E = regenerate_k8_c5_fixture(args.seed, restarts=args.restarts, iters=args.iters)
     if E is None:
-        sys.stdout.write(_dump({"found": False, "seed": args.seed}))
+        _write({"found": False, "seed": args.seed})
         return 1
-    payload = {
-        "found": True,
-        "seed": args.seed,
-        "analysis": _analysis(E),
-        "scheme": scheme_to_dict(E),
-    }
-    sys.stdout.write(_dump(payload))
-    return 0
+    return _write({"found": True, "seed": args.seed, "analysis": _analysis(E),
+                   "scheme": scheme_to_dict(E)})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="emax",
-        description="edge-maximal embeddings toolkit",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
+# the command line: COMMANDS maps each command path to (handler, help,
+# options), with no handler for a group.  An option's type is int, str or
+# bool (a flag); a name without dashes is a positional, and an option
+# without a default must be given.
 
-    con = sub.add_parser("construct", help="build graphs and schemes")
-    consub = con.add_subparsers(dest="kind", required=True)
-    p = consub.add_parser("prop2", help="planar-underlying edge-maximal scheme")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--orientable", action="store_true")
-    p.add_argument("--base-faces", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
-    p = consub.add_parser("k8c5", help="K8 minus a 5-cycle")
-    p.add_argument("--embedded", action="store_true",
-                   help="emit the toroidal scheme instead of the edge list")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
-    p = consub.add_parser("q", help="the 8-vertex quadrangulation graph Q")
-    p.add_argument("--embedded", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
-    p = consub.add_parser("family", help="K_{3,2g+2} plus s-2 copies of Q")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
-    p = consub.add_parser("kmn", help="complete bipartite graph")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_construct)
+_REQUIRED = object()
+_Opt = namedtuple("_Opt", "name type default choices help",
+                  defaults=(str, _REQUIRED, None, ""))
+_OUT = _Opt("--out", str, None)
+_SURFACES = ("nonorientable", "orientable")
+COMMANDS = {
+    (): (None, "edge-maximal embeddings toolkit", ()),
+    ("construct",): (None, "build graphs and schemes", ()),
+    ("construct", "prop2"): (cmd_prop2, "planar-underlying edge-maximal scheme", (
+        _Opt("--genus", int), _Opt("--orientable", bool, False),
+        _Opt("--base-faces", int, None), _OUT)),
+    ("construct", "k8c5"): (cmd_k8c5, "K8 minus a 5-cycle", (_Opt(
+        "--embedded", bool, False,
+        help="emit the toroidal scheme instead of the edge list"), _OUT)),
+    ("construct", "q"): (cmd_q, "the 8-vertex quadrangulation graph Q",
+                         (_Opt("--embedded", bool, False), _OUT)),
+    ("construct", "family"): (cmd_family, "K_{3,2g+2} plus s-2 copies of Q",
+                              (_Opt("--g", int), _Opt("--s", int), _OUT)),
+    ("construct", "kmn"): (cmd_kmn, "complete bipartite graph",
+                           (_Opt("--a", int), _Opt("--b", int), _OUT)),
+    ("analyze",): (cmd_analyze, "surface report for a scheme file",
+                   (_Opt("scheme"),)),
+    ("pipeline",): (cmd_pipeline, "chord, apex, extract, and audit",
+                    (_Opt("scheme"), _Opt("--mode", choices=_SURFACES))),
+    ("triangulate",): (cmd_triangulate, "complete a scheme to a triangulation", (
+        _Opt("scheme"),
+        _Opt("--out", str, None, help="write the completed scheme JSON here"))),
+    ("ordered-seq",): (cmd_ordered_seq, "greedy ordered-sequence search", (
+        _Opt("graph", help="edge list file with a '# part_b:' comment"),
+        _Opt("--s", int), _Opt("--c-schedule", str, None, help=(
+            "comma separated c values, one per level below the top")))),
+    ("enumerate",): (cmd_enumerate, "exhaust rotation schemes of a small graph", (
+        _Opt("graph"),
+        _Opt("--signature-mode", str, "orientable-only", ("orientable-only", "all")),
+        _Opt("--cap", int, ENUMERATION_CAP), _Opt("--census", bool, False, help=(
+            "group results by (genus, orientability, face vector)")))),
+    ("bounds",): (None, "recurrence tables and theorem checks", ()),
+    ("bounds", "table"): (cmd_bounds_table, "published-table reproduction", (
+        _Opt("--surface", choices=_SURFACES),
+        _Opt("--gmax", int, help="rows: Euler genus 1..gmax, or handles 1..gmax"),
+        _Opt("--format", str, "json", ("csv", "json", "pretty")),
+        _Opt("--anchor-delta", int, 0,
+             help="perturb the s=2 anchor (sensitivity checks)"))),
+    ("bounds", "f"): (cmd_bounds_f, "one recurrence value f'(g, s)",
+                      (_Opt("--g", int), _Opt("--s", int))),
+    ("bounds", "verify"): (cmd_bounds_verify, "impurity theorem sweeps", (
+        _Opt("--theorem", choices=("84", "67", "nonorientable-84", "orientable-67")),
+        _Opt("--gmax", int, 2000))),
+    ("regen-fixture",): (
+        cmd_regen_fixture, "hill-climb search for the toroidal K8-E(C5) scheme",
+        (_Opt("--seed", int), _Opt("--restarts", int, 40),
+         _Opt("--iters", int, 30000))),
+}
 
-    p = sub.add_parser("analyze", help="surface report for a scheme file")
-    p.add_argument("scheme")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("pipeline", help="chord, apex, extract, and audit")
-    p.add_argument("scheme")
-    p.add_argument("--mode", choices=("nonorientable", "orientable"),
-                   required=True)
-    p.set_defaults(func=cmd_pipeline)
+def _subcommands(path: tuple) -> list:
+    return [p[-1] for p in COMMANDS if p and p[:-1] == path]
 
-    p = sub.add_parser("triangulate", help="complete a scheme to a triangulation")
-    p.add_argument("scheme")
-    p.add_argument("--out", help="write the completed scheme JSON here")
-    p.set_defaults(func=cmd_triangulate)
 
-    p = sub.add_parser("ordered-seq", help="greedy ordered-sequence search")
-    p.add_argument("graph", help="edge list file with a '# part_b:' comment")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--c-schedule", default=None,
-                   help="comma separated c values, one per level below the top")
-    p.set_defaults(func=cmd_ordered_seq)
+def _usage(path: tuple) -> str:
+    words = ["usage: emax", *path, "[-h]"]
+    if COMMANDS[path][0] is None:
+        words.append("{%s} ..." % ",".join(_subcommands(path)))
+    for name, type, default, choices, _ in COMMANDS[path][2]:
+        if name[0] == "-" and type is not bool:
+            name += " " + ("{%s}" % ",".join(choices) if choices
+                           else name[2:].upper())
+        words.append(name if default is _REQUIRED else f"[{name}]")
+    return " ".join(words) + "\n"
 
-    p = sub.add_parser("enumerate", help="exhaust rotation schemes of a small graph")
-    p.add_argument("graph")
-    p.add_argument("--signature-mode", choices=("orientable-only", "all"),
-                   default="orientable-only")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
-    p.add_argument("--census", action="store_true",
-                   help="group results by (genus, orientability, face vector)")
-    p.set_defaults(func=cmd_enumerate)
 
-    b = sub.add_parser("bounds", help="recurrence tables and theorem checks")
-    bsub = b.add_subparsers(dest="bounds_command", required=True)
-    p = bsub.add_parser("table", help="published-table reproduction")
-    p.add_argument("--surface", choices=("nonorientable", "orientable"),
-                   required=True)
-    p.add_argument("--gmax", type=int, required=True,
-                   help="rows: Euler genus 1..gmax, or handles 1..gmax")
-    p.add_argument("--format", choices=("csv", "json", "pretty"),
-                   default="json")
-    p.add_argument("--anchor-delta", type=int, default=0,
-                   help="perturb the s=2 anchor (sensitivity checks)")
-    p.set_defaults(func=cmd_bounds_table)
-    p = bsub.add_parser("f", help="one recurrence value f'(g, s)")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=cmd_bounds_f)
-    p = bsub.add_parser("verify", help="impurity theorem sweeps")
-    p.add_argument("--theorem", choices=("84", "67", "nonorientable-84",
-                                         "orientable-67"), required=True)
-    p.add_argument("--gmax", type=int, default=2000)
-    p.set_defaults(func=cmd_bounds_verify)
+def _help(path: tuple):
+    handler, text, options = COMMANDS[path]
+    rows = ([(p, COMMANDS[path + (p,)][1]) for p in _subcommands(path)]
+            if handler is None else [(o.name, o.help) for o in options])
+    sys.stdout.write(f"{_usage(path)}\n{text}\n\n" + "".join(
+        f"  {name:<18}{help}".rstrip() + "\n" for name, help in rows))
+    raise SystemExit(0)
 
-    p = sub.add_parser("regen-fixture",
-                       help="hill-climb search for the toroidal K8-E(C5) scheme")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--restarts", type=int, default=40)
-    p.add_argument("--iters", type=int, default=30000)
-    p.set_defaults(func=cmd_regen_fixture)
 
-    return top
+def _fail(path: tuple, message: str):
+    prog = " ".join(("emax", *path))
+    sys.stderr.write(f"{_usage(path)}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_value(word: str) -> bool:
+    # '-' and negative numbers such as -100 are values, not option names
+    return word[:1] != "-" or word == "-" or word[1:].replace(".", "", 1).isdigit()
+
+
+def parse_args(argv):
+    """A namespace of the handler (`func`) and the option values that argv
+    asks for, read against COMMANDS; -h prints help and exits 0, and a
+    usage error prints a usage line and the error and exits 2."""
+    path, rest = (), []
+    for word in argv:  # --name=value is --name value
+        rest += word.split("=", 1) if word[:2] == "--" else [word]
+    while COMMANDS[path][0] is None:
+        subs = _subcommands(path)
+        word = rest.pop(0) if rest else _fail(
+            path, "the following arguments are required: command")
+        if word in ("-h", "--help"):
+            _help(path)
+        if word not in subs:
+            _fail(path, f"argument command: invalid choice: {word!r} "
+                        f"(choose from {', '.join(map(repr, subs))})")
+        path += (word,)
+    handler, _, options = COMMANDS[path]
+    named = {o.name: o for o in options if o.name[0] == "-"}
+    positionals = [o for o in options if o.name[0] != "-"]
+    values, extras = {o.name: o.default for o in options}, []
+    while rest:
+        word = rest.pop(0)
+        if word in ("-h", "--help"):
+            _help(path)
+        if _is_value(word) and positionals:
+            o, value = positionals.pop(0), word
+        elif word in named:
+            o, value = named[word], True
+            if o.type is not bool:
+                if not rest or not _is_value(rest[0]):
+                    _fail(path, f"argument {word}: expected one argument")
+                value = rest.pop(0)
+        else:
+            extras.append(word)
+            continue
+        try:
+            values[o.name] = value = o.type(value)
+        except ValueError:
+            _fail(path, f"argument {o.name}: invalid int value: {value!r}")
+        if o.choices and value not in o.choices:
+            _fail(path, f"argument {o.name}: invalid choice: {value!r} "
+                        f"(choose from {', '.join(map(repr, o.choices))})")
+    missing = [name for name, value in values.items() if value is _REQUIRED]
+    if missing:
+        _fail(path, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _fail(path, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(func=handler, **{
+        name.lstrip("-").replace("-", "_"): v for name, v in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # GraphError, SchemeError, BoundsError too

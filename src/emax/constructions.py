@@ -17,7 +17,8 @@ from collections import namedtuple
 from itertools import combinations, permutations
 from math import factorial
 
-from .graphs import Bipartition, Graph, GraphError, is_connected
+from .graphs import (EDGE_LIST_VERTEX_CAP, Bipartition, Graph, GraphError,
+                     is_connected)
 from .embedding import (
     PseudoEmbedding,
     SchemeError,
@@ -66,6 +67,9 @@ def complete_bipartite(a: int, b: int) -> tuple:
     if a < 1 or b < 1:
         raise GraphError("complete bipartite graph needs a, b >= 1")
     _check_edge_count(a * b)
+    if a + b > EDGE_LIST_VERTEX_CAP:  # parse_edge_list would refuse its edge list
+        raise GraphError(f"graph would have {a + b} vertices, above the cap "
+                         f"of {EDGE_LIST_VERTEX_CAP}")
     edges = [(i, a + j) for i in range(a) for j in range(b)]
     G = Graph(a + b, edges)
     P = Bipartition(frozenset(range(a)), frozenset(range(a, a + b)))

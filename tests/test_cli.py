@@ -279,7 +279,7 @@ class TestEnumerate:
         assert code == 2 and "cap" in err
 
     def test_default_cap_is_the_library_cap(self):
-        args = cli.build_parser().parse_args(["enumerate", "k4.txt"])
+        args = cli.parse_args(["enumerate", "k4.txt"])
         assert args.cap == ENUMERATION_CAP
 
     GRAPHS = {
@@ -600,6 +600,10 @@ class TestSizeCaps:
         (["bounds", "f", "--g", str(SCHEDULE_GENUS_CAP + 1), "--s", "3"],
          f"error: g {SCHEDULE_GENUS_CAP + 1} is above the cap of "
          f"{SCHEDULE_GENUS_CAP}\n"),
+        # under the edge cap, but an edge list that no command would read
+        (["construct", "kmn", "--a", "1", "--b", str(EDGE_LIST_VERTEX_CAP)],
+         f"error: graph would have {EDGE_LIST_VERTEX_CAP + 1} vertices, above "
+         f"the cap of {EDGE_LIST_VERTEX_CAP}\n"),
     ])
     def test_above_the_cap_exits_two_at_once(self, capsys, argv, err):
         t0 = time.perf_counter()
@@ -668,3 +672,124 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             cli.main(["pipeline", "x.json", "--mode", "maybe"])
         assert exc.value.code == 2
+
+
+# every leaf command with the option names its help lists
+LEAVES = {
+    ("construct", "prop2"): ["--genus", "--orientable", "--base-faces", "--out"],
+    ("construct", "k8c5"): ["--embedded", "--out"],
+    ("construct", "q"): ["--embedded", "--out"],
+    ("construct", "family"): ["--g", "--s", "--out"],
+    ("construct", "kmn"): ["--a", "--b", "--out"],
+    ("analyze",): ["scheme"],
+    ("pipeline",): ["scheme", "--mode"],
+    ("triangulate",): ["scheme", "--out"],
+    ("ordered-seq",): ["graph", "--s", "--c-schedule"],
+    ("enumerate",): ["graph", "--signature-mode", "--cap", "--census"],
+    ("bounds", "table"): ["--surface", "--gmax", "--format", "--anchor-delta"],
+    ("bounds", "f"): ["--g", "--s"],
+    ("bounds", "verify"): ["--theorem", "--gmax"],
+    ("regen-fixture",): ["--seed", "--restarts", "--iters"],
+}
+
+# an argv for each leaf, every option given, then with the defaults, and
+# every attribute its handler reads
+PARSED = [
+    (["construct", "prop2", "--genus", "4", "--orientable", "--base-faces", "7",
+      "--out", "p.json"],
+     {"genus": 4, "orientable": True, "base_faces": 7, "out": "p.json"}),
+    (["construct", "prop2", "--genus=3"],
+     {"genus": 3, "orientable": False, "base_faces": None, "out": None}),
+    (["construct", "k8c5", "--embedded", "--out", "k.json"],
+     {"embedded": True, "out": "k.json"}),
+    (["construct", "k8c5"], {"embedded": False, "out": None}),
+    (["construct", "q", "--out=q.txt", "--embedded"],
+     {"embedded": True, "out": "q.txt"}),
+    (["construct", "q"], {"embedded": False, "out": None}),
+    (["construct", "family", "--s", "3", "--g", "2", "--out", "f.txt"],
+     {"g": 2, "s": 3, "out": "f.txt"}),
+    (["construct", "kmn", "--a", "3", "--b=4"], {"a": 3, "b": 4, "out": None}),
+    (["analyze", "s.json"], {"scheme": "s.json"}),
+    (["pipeline", "--mode", "orientable", "s.json"],
+     {"scheme": "s.json", "mode": "orientable"}),
+    (["triangulate", "s.json", "--out", "t.json"],
+     {"scheme": "s.json", "out": "t.json"}),
+    (["triangulate", "s.json"], {"scheme": "s.json", "out": None}),
+    (["ordered-seq", "g.txt", "--s", "3", "--c-schedule", "7,8"],
+     {"graph": "g.txt", "s": 3, "c_schedule": "7,8"}),
+    (["ordered-seq", "--s", "-2", "g.txt"],
+     {"graph": "g.txt", "s": -2, "c_schedule": None}),
+    (["enumerate", "g.txt", "--signature-mode", "all", "--cap", "10", "--census"],
+     {"graph": "g.txt", "signature_mode": "all", "cap": 10, "census": True}),
+    (["enumerate", "g.txt"],
+     {"graph": "g.txt", "signature_mode": "orientable-only",
+      "cap": ENUMERATION_CAP, "census": False}),
+    (["bounds", "table", "--surface", "orientable", "--gmax", "5", "--format",
+      "csv", "--anchor-delta", "-100"],
+     {"surface": "orientable", "gmax": 5, "format": "csv", "anchor_delta": -100}),
+    (["bounds", "table", "--surface", "nonorientable", "--gmax", "5"],
+     {"surface": "nonorientable", "gmax": 5, "format": "json",
+      "anchor_delta": 0}),
+    (["bounds", "f", "--g", "13", "--s", "3"], {"g": 13, "s": 3}),
+    (["bounds", "verify", "--theorem", "orientable-67", "--gmax", "50"],
+     {"theorem": "orientable-67", "gmax": 50}),
+    (["bounds", "verify", "--theorem", "84"], {"theorem": "84", "gmax": 2000}),
+    (["regen-fixture", "--seed", "0", "--restarts", "2", "--iters", "5"],
+     {"seed": 0, "restarts": 2, "iters": 5}),
+    (["regen-fixture", "--seed", "11"],
+     {"seed": 11, "restarts": 40, "iters": 30000}),
+]
+
+
+class TestCommandLine:
+    """The argv contract: what each leaf reads, which argv are usage
+    errors, and what -h prints."""
+
+    def test_the_cases_cover_every_leaf(self):
+        assert {next(leaf for leaf in LEAVES if tuple(argv[:len(leaf)]) == leaf)
+                for argv, _ in PARSED} == set(LEAVES)
+
+    @pytest.mark.parametrize("argv, want", PARSED)
+    def test_every_leaf_parses(self, argv, want):
+        args = cli.parse_args(argv)
+        got = {k: getattr(args, k) for k in want}
+        assert got == want
+        assert {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()}
+
+    @pytest.mark.parametrize("argv", [
+        [],                                             # no command
+        ["frobnicate"],                                 # unknown command
+        ["bounds"],                                     # a group alone
+        ["construct", "kmn", "--a", "3"],               # missing option
+        ["analyze"],                                    # missing positional
+        ["bounds", "f", "--g", "x", "--s", "3"],        # bad int
+        ["pipeline", "s.json", "--mode", "maybe"],      # bad choice
+        ["analyze", "s.json", "--bogus"],               # unknown option
+        ["bounds", "f", "--g", "13", "--s"],            # option without value
+        ["analyze", "a.json", "b.json"],                # extra positional
+        ["bounds", "table", "--surface", "nonorientable", "--gmax", "2",
+         "--form", "csv"],                              # abbreviation
+    ])
+    def test_usage_errors_exit_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == ""
+        assert err.startswith("usage: emax") and "error:" in err
+
+    @pytest.mark.parametrize("path, names", [
+        ((), ["construct", "analyze", "pipeline", "triangulate", "ordered-seq",
+              "enumerate", "bounds", "regen-fixture"]),
+        (("construct",), ["prop2", "k8c5", "q", "family", "kmn"]),
+        (("bounds",), ["table", "f", "verify"]),
+        *LEAVES.items(),
+    ])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_at_every_level(self, capsys, path, names, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*path, flag])
+        out, err = capsys.readouterr()
+        assert exc.value.code == 0 and err == ""
+        assert out.startswith("usage: emax")
+        assert all(name in out for name in names)

@@ -50,6 +50,7 @@ from emax.constructions import (
     _tree_positive_masks,
 )
 from emax.embedding import _link, _state_orbits
+from emax.graphs import EDGE_LIST_VERTEX_CAP
 
 from conftest import (
     assert_frozen_record,
@@ -121,11 +122,16 @@ class TestBasicGraphFactories:
         assert P.part_a == frozenset({0, 1, 2})
         with pytest.raises(GraphError):
             complete_bipartite(0, 3)
-        assert complete_bipartite(1, CONSTRUCT_EDGE_CAP)[0].m == CONSTRUCT_EDGE_CAP
+        G = complete_bipartite(2, CONSTRUCT_EDGE_CAP // 2)[0]
+        assert G.m == CONSTRUCT_EDGE_CAP and G.n <= EDGE_LIST_VERTEX_CAP
         for a, b in ((1, CONSTRUCT_EDGE_CAP + 1), (CONSTRUCT_EDGE_CAP + 1, 1),
                      (10**9, 10**9)):
             with pytest.raises(GraphError, match=f"{a * b} edges, above the cap"):
                 complete_bipartite(a, b)
+        # under the edge cap, but one vertex more than an edge list may declare
+        with pytest.raises(GraphError, match=f"{EDGE_LIST_VERTEX_CAP + 1} "
+                                             "vertices, above the cap"):
+            complete_bipartite(1, EDGE_LIST_VERTEX_CAP)
 
 
 class TestK8MinusC5:

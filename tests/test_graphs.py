@@ -26,6 +26,8 @@ from emax import (
     format_edge_list,
     is_connected,
     parse_edge_list,
+    scheme_to_json,
+    toroidal_embedding_k8_minus_c5,
 )
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 
@@ -267,17 +269,25 @@ class TestEdgeListFormat:
             parse_edge_list("# part_b: 1 x\n2 1\n0 1\n")
 
 
-def test_import_leaves_out_dataclasses_and_inspect():
+def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     """A bare `import emax, emax.cli` loads neither `dataclasses` nor
-    `inspect` (nor `typing`).  The modules are compared with those the same
-    interpreter had before the import, so modules that a site .pth file
-    loads at start-up do not count."""
+    `inspect` (nor `typing`), and neither it nor a following `bounds f` or
+    `analyze` run loads `argparse`, `gettext` or `locale`.  The modules are
+    compared with those the same interpreter had before the import, so
+    modules that a site .pth file loads at start-up do not count."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    code = ("import sys; before = set(sys.modules); import emax, emax.cli; "
-            "print(*sorted(set(sys.modules) - before))")
+    scheme = tmp_path / "k8c5.json"
+    scheme.write_text(scheme_to_json(toroidal_embedding_k8_minus_c5()))
+    code = ("import sys; before = set(sys.modules); import emax, emax.cli\n"
+            "def added(): print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
+            "added(); emax.cli.main(['bounds', 'f', '--g', '13', '--s', '3'])\n"
+            f"added(); emax.cli.main(['analyze', {str(scheme)!r}]); added()")
     env = {**os.environ, "PYTHONPATH": src}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    added = set(out.split())
-    assert {"emax", "emax.cli", "emax.bounds"} <= added
-    assert not added & {"dataclasses", "inspect", "typing"}
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert '"f": 48' in run.stdout and '"edge_maximal": true' in run.stdout
+    imported, *after_runs = (set(line.split()) for line in run.stderr.splitlines())
+    assert {"emax", "emax.cli", "emax.bounds"} <= imported
+    assert not imported & {"dataclasses", "inspect", "typing"}
+    for added in (imported, *after_runs):
+        assert not added & {"argparse", "gettext", "locale"}
