@@ -41,6 +41,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 
 from .intervals import (
     Interval,
@@ -54,24 +55,28 @@ from .intervals import (
 DEFAULT_PRECISION_BITS = 256
 # printed numerators have about 0.3 digits per bit: 1250 at this cap, while
 # CPython's 4300-digit limit on int-to-str is passed near 14300 bits.  A
-# bounds verify sweep to VERIFY_GMAX_CAP takes about 7 s at this cap, 20 s
+# bounds verify sweep to VERIFY_GMAX_CAP takes about 5 s at this cap, 20 s
 # at 8192 bits and 50 s at 14000
 PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
-# optimal_schedule keeps one c per step: 10^6 steps take about 0.03 s at
-# g = 13, while an unbounded s_max runs until it is killed
+# bounds f prints one c per step: at this cap 7-9 MB of output, written
+# from the runs in 0.01-0.05 s, while an unbounded s_max prints until it is
+# killed
 SCHEDULE_STEP_CAP = 10**6
-# the first c-scan steps c up to about sqrt(6g) one at a time: bounds f at
-# this cap takes about 0.2 s with --s 3 and 0.6 s at the step cap (1.4 and
-# 3.3 s at g = 10^12; 2-core machine, Python 3.11.7)
+# every crossing comes from the root of a quadratic, so the loop makes one
+# pass per run or single step, at most min(s_max, about 2 sqrt(6g)): bounds f
+# at this cap takes under 0.1 ms with --s 3 and 0.03-0.05 s at the step cap
+# (0.06 s at g = 10^12 and 1.3 s at 10^16, with 414,029 runs; 2-core
+# machine, Python 3.11.7)
 SCHEDULE_GENUS_CAP = 10**10
-# a table row at Euler genus g carries a g-1 entry schedule, so a table up
-# to genus G costs time and output quadratic in G: G = 3000 takes about
-# 1.0-1.4 s in csv or json and 2.3-2.9 s in the padded format (two passes),
-# each in about 18 MB, as every format writes its rows as they are made
+# a table row at Euler genus g prints a g-1 entry schedule, so a table up
+# to genus G costs output quadratic in G: G = 3000 takes about 0.2 s in
+# csv or json and 0.25-0.3 s in the padded format, in 16 MB, and 22 MB for
+# the padded one, which keeps its rows (a few runs each) to take the
+# column widths first
 TABLE_GENUS_CAP = 3000
-# verify_theorem costs about 0.008 ms per genus past the direct range, in
-# constant memory: 10^5 genera take about 0.8 s for either theorem
+# verify_theorem costs about 0.004 ms per genus past the direct range, in
+# constant memory: 10^5 genera take about 0.4 s for either theorem
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
@@ -112,26 +117,37 @@ def f_exact_s2(g: int) -> int:
     return 3 if g == 0 else 2 * g + 2
 
 
-ScheduleResult = namedtuple("ScheduleResult", (
-    "c_schedule",  # chosen c for s = 3 .. s_max
+class ScheduleResult(namedtuple("ScheduleResult", (
+    "runs",  # ((c, count), ...) for s = 3 .. s_max, adjacent c distinct
     "f",  # f'(g, s_max): int, Fraction if non-integral
     "floored_steps",  # s values where flooring strictly reduced
-))
+))):
+    __slots__ = ()
+
+    @property
+    def c_schedule(self) -> tuple:
+        """The chosen c for s = 3 .. s_max, the runs expanded."""
+        return tuple(c for c, count in self.runs for _ in range(count))
 
 
 def optimal_schedule(
     g: int, s_max: int, *, floor_steps: bool = True, anchor_delta: int = 0
 ) -> ScheduleResult:
-    """Optimal c per step and the resulting f'(g, s_max).
+    """Optimal c per step, as runs of constant c, and f'(g, s_max).
 
     f'(g, s-1) is carried as an integer ratio p/q (q = 1 while flooring)
-    and both tests below are cross-multiplied into integers.  The first
+    and every test below is cross-multiplied into integers.  The first
     branch of the recurrence decreases in c and the second increases, so
     the minimum is one of the two candidates straddling the first crossing
-    c, the least c with crossed(c) (smaller c on ties).  The scan starts at
-    the previous crossing and walks down or up to its own.  anchor_delta
-    shifts the s=2 anchor, which must stay nonnegative; it exists for
-    sensitivity testing only.
+    c, the least c >= 7 with crossed(c): 2c(g-2)q <= (c-6)((2c-3)q + p)
+    (smaller c on ties), that is h(c) = Ac^2 + Bc + C >= 0 with A = 2q,
+    B = p - 15q - 2(g-2)q and C = 18q - 6p.  h is convex with h(6) =
+    -12(g-2)q, and for g = 1 it is positive on c >= 6, so in every case the
+    crossing is max(7, ceil(r)) for the larger root r of h, or 7 when h has
+    no root (D = B^2 - 4AC < 0).  Each search starts at floor((isqrt(D) -
+    B) / 2A), which is at most r and at most two below the crossing, and
+    the exact test settles it.  anchor_delta shifts the s=2 anchor, which
+    must stay nonnegative; it exists for sensitivity testing only.
 
     The loop moves a whole run of constant c at once.  With d = (2c-3)q,
     branch 2 at c wins a step from p when (c-7)(p+d) < 2(c-1)(g-2)q, and
@@ -143,9 +159,9 @@ def optimal_schedule(
     there is no c-1 and the run takes every remaining step.  A step that
     branch 1 at c-1 wins stays a single step, floored as before, and leaves
     the crossing at c-1 or below.  f' grows with s, so the crossing never
-    rises: the loop makes at most c_3 - 6 runs and as many single steps
-    (the g+1 step schedule has 23 runs of constant c at g = 670, 38 at
-    g = 3000).
+    rises: the loop makes at most c_3 - 6 runs and as many single steps,
+    each in O(1) integer operations (the g+1 step schedule has 23 runs of
+    constant c at g = 670, 38 at g = 3000).
     """
     if g < 1:
         raise BoundsError("g must be >= 1")
@@ -158,55 +174,64 @@ def optimal_schedule(
     p, q = f_exact_s2(g) + anchor_delta, 1
     if p < 0:
         raise BoundsError("the shifted anchor f'(g, 2) must be nonnegative")
-    schedule = []
+    runs = []
     floored = []
     cap = 6 + C_SCAN_CAP_FACTOR * g
     gm2 = g - 2
-
-    def crossed(c):
-        # branch1 <= branch2: 2c(g-2) q <= (c-6)((2c-3) q + p)
-        return 2 * c * gm2 * q <= (c - 6) * ((2 * c - 3) * q + p)
-
-    c, s = 7, 3
+    k = 15 + 2 * gm2  # B = p - kq
+    s = 3
     while s <= s_max:
-        while c > 7 and crossed(c - 1):
-            c -= 1
-        while not crossed(c):
+        # from the larger root of h up to the least crossed c
+        b = p - k * q
+        disc = b * b - 8 * q * (18 * q - 6 * p)
+        c = 7
+        if disc >= 0:
+            c = (isqrt(disc) - b) // (4 * q)
+            if c < 7:
+                c = 7
+        while 2 * c * gm2 * q > (c - 6) * ((2 * c - 3) * q + p):
             c += 1
-            if c > cap:
-                raise RuntimeError("c scan exceeded its hard cap")
+        if c > cap:
+            raise RuntimeError("c scan exceeded its hard cap")
         d = (2 * c - 3) * q
         t = s_max - s + 1
         if c > 7:
-            t = min(t, (2 * (c - 1) * gm2 * q - (c - 7) * p - 1) // ((c - 7) * d))
+            w = (2 * (c - 1) * gm2 * q - (c - 7) * p - 1) // ((c - 7) * d)
+            if w < t:
+                t = w
         if t > 0:
             # a run of branch 2 at c
-            schedule += [c] * t
             p += t * d
             s += t
-            continue
-        # branch1 at c-1 is no larger: ties go to the smaller c
-        num, den = 2 * (c - 1) * gm2, c - 7
-        if floor_steps:
-            if num % den:
-                floored.append(s)
-            p, q = num // den, 1
         else:
-            p, q = Fraction(num, den).as_integer_ratio()
-        schedule.append(c - 1)
-        s += 1
-    return ScheduleResult(tuple(schedule), p if q == 1 else Fraction(p, q),
+            # branch1 at c-1 is no larger: ties go to the smaller c
+            num, den = 2 * (c - 1) * gm2, c - 7
+            if floor_steps:
+                if num % den:
+                    floored.append(s)
+                p, q = num // den, 1
+            else:
+                p, q = Fraction(num, den).as_integer_ratio()
+            c, t = c - 1, 1
+            s += 1
+        if runs and runs[-1][0] == c:
+            runs[-1] = (c, runs[-1][1] + t)
+        else:
+            runs.append((c, t))
+    return ScheduleResult(tuple(runs), p if q == 1 else Fraction(p, q),
                           tuple(floored))
 
 
 class BoundsTableRow(namedtuple("BoundsTableRow", (
     "g",
     "surface_kind",
-    "c_schedule",  # c_3 .. c_{g+1}
+    "runs",  # (c, count) runs of c_3 .. c_{g+1}
     "impurity",
     "edge_bound_offset",  # X in |E| >= 3n - X
 ))):
     __slots__ = ()
+
+    c_schedule = ScheduleResult.c_schedule
 
 
 def generate_table(
@@ -242,7 +267,7 @@ def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
         for g in g_range:
             res = optimal_schedule(g, g + 1, anchor_delta=anchor_delta)
             imp = factor * res.f - 1
-            yield BoundsTableRow(g, surface_kind, res.c_schedule, imp,
+            yield BoundsTableRow(g, surface_kind, res.runs, imp,
                                  imp - 3 * (g - 2))
 
     return rows()
@@ -431,8 +456,10 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     name, factor, per_g, dp_top = aliases[which]
     dp_top = min(dp_top, g_max)
     # each slack is carried as its integer numerator over Q, the
-    # denominator of lambda's upper end, which every analytic bound's divides
-    Q = lambda_interval().hi.denominator if g_max > dp_top else 1
+    # denominator of lambda's upper end, which every analytic bound's
+    # divides; EMAX_PRECISION_BITS is read once, for the whole sweep
+    bits = _precision_bits(None) if g_max > dp_top else None
+    Q = lambda_interval(bits).hi.denominator if bits else 1
     violations = []
     min_slack = None
 
@@ -447,7 +474,7 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
         fin = optimal_schedule(g, g + 1).f
         note(g, (per_g * g - factor * fin + 1) * Q)
     for g in range(dp_top + 1, g_max + 1):
-        ub = analytic_upper_bound(g)
+        ub = analytic_upper_bound(g, bits)
         note(g, (per_g * g + 1) * Q - factor * ub.numerator * (Q // ub.denominator))
     return {
         "theorem": name,

@@ -19,11 +19,12 @@ prints `"found": false` and exits 0.
 Size caps, sized from their algorithms, refuse runaway inputs up front with
 exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
 (10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
-at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` takes
-about 0.3 s and 31 MB, 16 MB of it the schedule's list and tuple of 10^6
-c values), `bounds f` takes a `--g` of at most bounds.SCHEDULE_GENUS_CAP
-(10^10: the c scan climbs to about sqrt(6g) one step at a time, about
-0.6 s at both caps), `construct kmn` and `construct family` build at most
+at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` writes
+7-9 MB from the schedule's runs of constant c in at most 0.05 s and
+16 MB, never holding the 10^6 c values), `bounds f` takes a `--g` of at
+most bounds.SCHEDULE_GENUS_CAP (10^10: each crossing of the c scan comes
+from the root of a quadratic, so under 0.1 ms with `--s 3` and 0.05 s at
+both caps), `construct kmn` and `construct family` build at most
 constructions.CONSTRUCT_EDGE_CAP edges (10^5: at most about 0.6 s and
 95 MB), `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices, so
 that its edge list reads back, and an edge-list file declares at most
@@ -31,14 +32,20 @@ graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
 sets).  `construct prop2` takes a `--genus` and `--base-faces` of
 at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one
 scheme editor, so time and memory are linear, about 2 s and 112 MB at the
-cap).  `bounds table` stops at the row of Euler genus
+cap).  A scheme file declares at most embedding.SCHEME_SIZE_CAP vertices
+and as many edges (10^5: the largest Proposition 2 scheme, triangulated,
+has 75000 edges), and `triangulate` refuses a scheme whose triangulation,
+of 3(n - 2 + g) edges, would be above the cap, so every scheme emax writes
+reads back.  On a triangulation at the cap `triangulate` takes about 2.6 s
+and 270 MB, but a long face costs it quadratic time, about 18 s for a
+5000-edge cycle.  `bounds table` stops at the row of Euler genus
 bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
-orientable: a row carries a schedule of g-1 entries, so time and output
-are quadratic, 1.0 to 2.9 s at the cap; every format writes its rows as
-they are made, the padded one after a first pass that only takes the
-column widths, so memory stays near 18 MB).
+orientable: a row prints a schedule of g-1 entries, so output is
+quadratic, 0.2 to 0.3 s at the cap; csv and json write each row as it is
+made, in 16 MB, and the padded format keeps its rows, a few runs of c
+each, to take the column widths first, in 22 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
-linear, about 1 s).  `regen-fixture` takes `--restarts` and `--iters` of
+linear, about 0.4 s).  `regen-fixture` takes `--restarts` and `--iters` of
 at least 1 and a restarts * (iters + constructions.REGEN_SETUP_MOVES) of
 at most constructions.REGEN_MOVE_CAP (10^7 and 64: a move costs 0.6-1.1 us
 and a restart's set-up 31-47 us, so at most about 11 s of climbing).
@@ -116,17 +123,22 @@ def _write(obj) -> int:
     return 0
 
 
-def _json_ints(values):
-    """The text _dump gives a list of ints that is the value of a top-level
-    key, 4096 items at a time, so a long list is never held whole."""
-    if not values:
-        yield "[]"
-        return
-    head = "[\n    "
-    for i in range(0, len(values), 4096):
-        yield head + ",\n    ".join(map(str, values[i : i + 4096]))
-        head = ",\n    "
-    yield "\n  ]"
+def _joined(runs, sep: str) -> str:
+    """The (c, count) runs expanded and joined by sep."""
+    return sep.join([sep.join([str(c)] * count) for c, count in runs])
+
+
+def _json_ints(runs):
+    """The text _dump gives the list of ints that (value, count) runs
+    expand to, as the value of a top-level key, at most 4096 items at a
+    time, so a long list is never held whole."""
+    head, sep = "[\n    ", ",\n    "
+    for value, count in runs:
+        text = str(value)
+        for i in range(0, count, 4096):
+            yield head + sep.join([text] * min(4096, count - i))
+            head = sep
+    yield "[]" if head == "[\n    " else "\n  ]"
 
 
 def _read_text(path: str) -> str:
@@ -295,7 +307,7 @@ def cmd_bounds_table(args) -> int:
         for r in rows:
             write(
                 f"{head}{r.g},{_surface_name(r.surface_kind, r.g)},"
-                f"{';'.join(str(c) for c in r.c_schedule)},"
+                f"{_joined(r.runs, ';')},"
                 f"{r.impurity},{r.edge_bound_offset}\n"
             )
             head = ""
@@ -307,7 +319,7 @@ def cmd_bounds_table(args) -> int:
         # pure-Python encoder
         sep = "[\n"
         for r in rows:
-            schedule = ",\n      ".join(str(c) for c in r.c_schedule)
+            schedule = _joined(r.runs, ",\n      ")
             schedule = f"[\n      {schedule}\n    ]" if schedule else "[]"
             write(
                 f'{sep}  {{\n    "edge_bound_offset": {r.edge_bound_offset},\n'
@@ -320,18 +332,19 @@ def cmd_bounds_table(args) -> int:
     else:
         def cells(r):
             return (str(r.g), _surface_name(r.surface_kind, r.g),
-                    ",".join(str(c) for c in r.c_schedule),
+                    _joined(r.runs, ","),
                     str(r.impurity), str(r.edge_bound_offset))
 
-        # a first pass keeps only the column widths and a second writes
-        # each padded line, so no cell is held
+        # the rows, a few runs of c each, are kept from the pass that takes
+        # the column widths, and no cell is held
+        rows = list(rows)
         header = ("g", "surface", "schedule", "impurity", "offset")
         widths = [len(h) for h in header]
         for r in rows:
             widths = [max(w, len(x)) for w, x in zip(widths, cells(r))]
         fmt = "  ".join("{:<%d}" % w for w in widths) + "\n"
         write(fmt.format(*header))
-        for r in _table_rows(args):
+        for r in rows:
             write(fmt.format(*cells(r)))
     return 0
 
@@ -340,19 +353,18 @@ def cmd_bounds_f(args) -> int:
     if args.s < 2:
         raise BoundsError("--s must be at least 2")
     if args.s == 2:
-        final, schedule, floored = f_exact_s2(args.g), (), ()
+        runs, final, floored = (), f_exact_s2(args.g), ()
     else:
-        res = optimal_schedule(args.g, args.s)
-        final, schedule, floored = res.f, res.c_schedule, res.floored_steps
+        runs, final, floored = optimal_schedule(args.g, args.s)
     # the bytes _dump gives {g, s, f, c_schedule, floored_steps}, with each
-    # list written a piece at a time: at --s 1000000 the whole text built
-    # as one string took 146 MB
+    # list written from runs a piece at a time: at --s 1000000 the whole
+    # text built as one string took 146 MB, and the expanded schedule 16 MB
     f = int(final) if final.denominator == 1 else str(final)
     write = sys.stdout.write
     write('{\n  "c_schedule": ')
-    sys.stdout.writelines(_json_ints(schedule))
+    sys.stdout.writelines(_json_ints(runs))
     write(f',\n  "f": {json.dumps(f)},\n  "floored_steps": ')
-    sys.stdout.writelines(_json_ints(floored))
+    sys.stdout.writelines(_json_ints((s, 1) for s in floored))
     write(f',\n  "g": {args.g},\n  "s": {args.s}\n}}\n')
     return 0
 

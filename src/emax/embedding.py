@@ -67,6 +67,11 @@ from collections.abc import Iterable, Sequence
 from .graphs import Graph, _connected
 
 Dart = tuple  # (edge_id, end)
+# a scheme file declares at most this many vertices and edges: the largest
+# scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
+# edges, and at the cap a double wheel takes `triangulate` 2.6 s and 270 MB
+# and `analyze` 1.3 s and 136 MB (ru_maxrss, 2-core machine, Python 3.11.7)
+SCHEME_SIZE_CAP = 10**5
 
 
 class SchemeError(ValueError):
@@ -589,6 +594,11 @@ def scheme_from_dict(obj) -> PseudoEmbedding:
     for key in ("edges", "rotation"):
         if not isinstance(obj[key], list):
             raise SchemeError(f"'{key}' must be a list")
+    for what, count in (("vertices", obj["n"]), ("edges", len(obj["edges"]))):
+        if count > SCHEME_SIZE_CAP:
+            raise SchemeError(
+                f"scheme has {count} {what}, above the cap of {SCHEME_SIZE_CAP}"
+            )
     for i, rec in enumerate(obj["edges"]):
         if not _ints(rec, 3):
             raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")

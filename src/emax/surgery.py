@@ -40,6 +40,7 @@ from .graphs import (
     closed_neighborhood,
 )
 from .embedding import (
+    SCHEME_SIZE_CAP,
     PseudoEmbedding,
     SchemeError,
     trace_faces,
@@ -249,12 +250,17 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     faces' lengths) rather than a build and a full trace per edge.
 
     Raises SchemeError when n + g < 3 or a face is shorter than 3, since
-    neither scheme has a completion.  Returns (scheme, number of edges
-    added).
+    neither scheme has a completion, and when the completion would have
+    more than SCHEME_SIZE_CAP edges, since its scheme file would not read
+    back.  Returns (scheme, number of edges added).
     """
     info0 = surface_info(E)
     if E.n + info0.euler_genus < 3:
         raise SchemeError("completion needs n + g >= 3")
+    size = 3 * (E.n + info0.euler_genus - 2)
+    if size > SCHEME_SIZE_CAP:
+        raise SchemeError(f"the triangulation would have {size} edges, above "
+                          f"the cap of {SCHEME_SIZE_CAP}")
     shortest = min((w.length for w in trace_faces(E)), default=3)
     if shortest < 3:  # no chord splits a face of length 1 or 2
         raise SchemeError("completion needs every face to have length at least "

@@ -8,6 +8,7 @@ off a full run at a glance.
 
 import itertools
 import random
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +38,6 @@ from emax.bounds import (
     SCHEDULE_STEP_CAP,
     SURFACE_KINDS,
     BoundsError,
-    ScheduleResult,
     _precision_bits,
 )
 from emax.constructions import _k3_scheme, _k8_c5_pairs
@@ -915,9 +915,13 @@ def reference_upper_bound(g: int, precision=None) -> Fraction:
     return (lam * (g - 2) + 2 * t + 33).hi
 
 
+# the record optimal_schedule returned before it gave its schedule as runs
+ReferenceSchedule = namedtuple("ReferenceSchedule", "c_schedule f floored_steps")
+
+
 def reference_schedule(
     g: int, s_max: int, *, floor_steps: bool = True, anchor_delta: int = 0
-) -> ScheduleResult:
+) -> ReferenceSchedule:
     """The per-step loop that `optimal_schedule` replaced with run jumps:
     one c-scan and one branch test per step s, an oracle for the jump."""
     if g < 1:
@@ -957,8 +961,8 @@ def reference_schedule(
         else:
             p, q = Fraction(num, den).as_integer_ratio()
         schedule.append(best_c)
-    return ScheduleResult(tuple(schedule), p if q == 1 else Fraction(p, q),
-                          tuple(floored))
+    return ReferenceSchedule(tuple(schedule), p if q == 1 else Fraction(p, q),
+                             tuple(floored))
 
 
 # The one-step and one-c forms of the recurrence, and the impurity bound

@@ -198,20 +198,50 @@ class TestScheduleAgainstNaiveOracle:
 
 
 def assert_same_schedule(res, ref):
+    assert res.c_schedule == ref.c_schedule
+    assert (res.f, res.floored_steps) == (ref.f, ref.floored_steps)
     # == alone would let an integral Fraction stand in for an int
-    assert res == ref
     assert type(res.f) is type(ref.f)
     assert type(res.f) is int or res.f.denominator > 1
 
 
 class TestRunJump:
-    """`optimal_schedule` jumps whole runs of constant c; the per-step loop
-    it replaced, `reference_schedule`, must give the same result."""
+    """`optimal_schedule` jumps whole runs of constant c and finds each
+    crossing from the root of a quadratic; the per-step loop it replaced,
+    `reference_schedule`, must give the same result."""
 
     def test_equals_the_per_step_loop(self):
         for g in [*range(1, 701), 1000, 3000]:
             assert_same_schedule(optimal_schedule(g, g + 1),
                                  reference_schedule(g, g + 1))
+
+    @pytest.mark.parametrize("g", [10**6, 10**8, SCHEDULE_GENUS_CAP])
+    def test_equals_the_per_step_loop_at_large_genus(self, g):
+        # at s = 3 the crossing, near sqrt(6g), comes from the root of a
+        # quadratic with discriminant 96g + 33
+        for s_max in (3, 50):
+            for floor_steps in (True, False):
+                assert_same_schedule(
+                    optimal_schedule(g, s_max, floor_steps=floor_steps),
+                    reference_schedule(g, s_max, floor_steps=floor_steps),
+                )
+
+    def test_runs_shape(self):
+        # runs of at least one step, adjacent c distinct, s_max - 2 steps
+        cases = [(g, s_max, floor_steps, delta)
+                 for g in (*range(1, 61), 150, 670, 3000, 10**6)
+                 for s_max in (2, 3, g // 2 + 2, g + 1, 3 * g + 5)
+                 if s_max <= 10**4
+                 for floor_steps in (True, False) for delta in (0, 3)]
+        for g, s_max, floor_steps, delta in cases:
+            kw = {"floor_steps": floor_steps, "anchor_delta": delta}
+            res = optimal_schedule(g, s_max, **kw)
+            runs = res.runs
+            assert all(count >= 1 for _, count in runs), (g, s_max, kw)
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), (g, s_max, kw)
+            assert sum(count for _, count in runs) == s_max - 2, (g, s_max, kw)
+            assert res.c_schedule == \
+                reference_schedule(g, s_max, **kw).c_schedule, (g, s_max, kw)
 
     def test_equals_the_per_step_loop_off_the_diagonal(self):
         for g in range(1, 121):
@@ -297,20 +327,29 @@ class TestRecords:
     def test_schedule_result(self):
         res = optimal_schedule(13, 4)
         assert_frozen_record(
-            res, ("c_schedule", "f", "floored_steps"),
-            "ScheduleResult(c_schedule=(11, 10), f=65, floored_steps=(3,))",
+            res, ("runs", "f", "floored_steps"),
+            "ScheduleResult(runs=((11, 1), (10, 1)), f=65, floored_steps=(3,))",
         )
+        assert (res.c_schedule, res.f) == ((11, 10), 65)
+        res = optimal_schedule(13, 14)
+        assert res.runs == ((11, 1), (10, 1), (9, 1), (8, 5), (7, 4))
+        assert res.c_schedule == (11, 10, 9, 8, 8, 8, 8, 8, 7, 7, 7, 7)
+        with pytest.raises(AttributeError):
+            res.c_schedule = ()
 
     def test_table_row(self):
         row = generate_table("nonorientable", [3])[0]
         assert_frozen_record(
             row,
-            ("g", "surface_kind", "c_schedule", "impurity", "edge_bound_offset"),
+            ("g", "surface_kind", "runs", "impurity", "edge_bound_offset"),
             "BoundsTableRow(g=3, surface_kind='nonorientable', "
-            "c_schedule=(7, 7), impurity=149, edge_bound_offset=146)",
+            "runs=((7, 2),), impurity=149, edge_bound_offset=146)",
         )
+        assert row.c_schedule == (7, 7)
         assert row != generate_table("nonorientable", [4])[0]
-        assert row == (3, "nonorientable", (7, 7), 149, 146)
+        assert row == (3, "nonorientable", ((7, 2),), 149, 146)
+        with pytest.raises(AttributeError):
+            row.c_schedule = ()
 
     def test_analytic_context(self):
         # its dict fields make it unhashable, as they did the dataclass

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+import emax.embedding
+import emax.surgery
 from emax import (
     PseudoEmbedding,
     cli,
@@ -35,7 +37,7 @@ from emax.constructions import (
     REGEN_MOVE_CAP,
     REGEN_SETUP_MOVES,
 )
-from emax.embedding import scheme_to_json
+from emax.embedding import SCHEME_SIZE_CAP, scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 from conftest import reference_census
 from test_bounds import TABLE_N, TABLE_S
@@ -610,6 +612,43 @@ class TestSizeCaps:
         assert run(capsys, *argv) == (2, "", err)
         assert time.perf_counter() - t0 < 5.0
 
+    @pytest.mark.parametrize("command", ["analyze", "pipeline", "triangulate"])
+    def test_scheme_file_above_the_cap_exits_two(self, capsys, tmp_path, command):
+        mode = ["--mode", "orientable"] if command == "pipeline" else []
+        above = SCHEME_SIZE_CAP + 1
+        for doc, what in (({"n": above, "edges": [], "rotation": []}, "vertices"),
+                          ({"n": 2, "edges": [[0, 1, 1]] * above,
+                            "rotation": [[], []]}, "edges")):
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(doc))
+            assert run(capsys, command, str(path), *mode) == (
+                2, "", f"error: scheme has {above} {what}, above the cap of "
+                       f"{SCHEME_SIZE_CAP}\n")
+        # at the cap the scheme is read, and refused by its own checks
+        path.write_text(json.dumps({"n": SCHEME_SIZE_CAP, "edges": [],
+                                    "rotation": []}))
+        code, out, err = run(capsys, command, str(path), *mode)
+        assert (code, out) == (2, "") and "cap" not in err
+
+    def test_triangulation_above_the_cap_is_refused(self, capsys, tmp_path,
+                                                    monkeypatch):
+        # a 12-cycle completes to a planar triangulation of 3(12 - 2) = 30
+        # edges, so that a written completion always reads back
+        path, out = tmp_path / "cycle.json", tmp_path / "t.json"
+        path.write_text(json.dumps({
+            "n": 12, "edges": [[i, (i + 1) % 12, 1] for i in range(12)],
+            "rotation": [[[(i - 1) % 12, 1], [i, 0]] for i in range(12)]}))
+        for module in (emax.embedding, emax.surgery):
+            monkeypatch.setattr(module, "SCHEME_SIZE_CAP", 29)
+        assert run(capsys, "triangulate", str(path), "--out", str(out)) == (
+            2, "", "error: the triangulation would have 30 edges, above the "
+                   "cap of 29\n")
+        for module in (emax.embedding, emax.surgery):
+            monkeypatch.setattr(module, "SCHEME_SIZE_CAP", 30)
+        assert run_json(capsys, "triangulate", str(path), "--out",
+                        str(out))["edges_added"] == 18
+        assert run_json(capsys, "analyze", str(out))["m"] == 30
+
     def test_caps_sit_far_above_the_benchmark_sizes(self):
         # perfbench runs prop2 at genus 60, tables to Euler genus 300 and
         # verify to 2000
@@ -620,6 +659,9 @@ class TestSizeCaps:
         assert CONSTRUCT_EDGE_CAP >= 10 * 138
         # and regen-fixture with its defaults, 40 restarts of 30000 moves
         assert REGEN_MOVE_CAP >= 8 * 40 * (30000 + REGEN_SETUP_MOVES)
+        # every scheme emax writes reads back: the triangulated genus-10^4
+        # Proposition 2 scheme has 15002 vertices and 75000 edges
+        assert SCHEME_SIZE_CAP >= 75000
 
 
 ONE_MOVE_RESTARTS_ABOVE_CAP = REGEN_MOVE_CAP // (1 + REGEN_SETUP_MOVES) + 1
