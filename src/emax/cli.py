@@ -3,7 +3,12 @@
 One binary, subcommand style.  Machine output is JSON (sorted keys, two
 space indent) except `bounds table`, which also speaks csv and a padded
 pretty format.  Identical invocations print identical bytes; nothing here
-emits timestamps or machine-specific paths.
+emits timestamps or machine-specific paths.  One writer, `_dump` (on
+embedding._json_text), builds that JSON by str joins, with the bytes of
+json.dumps(indent=2, sort_keys=True), and writes every scheme from a fixed
+template: CPython's json runs only its pure-Python encoder when given an
+indent.  The streaming writers of `bounds table` and `bounds f` give the
+same bytes.
 
 Parsing reads one table, COMMANDS, the only place where a command, option,
 default, choice or help string is written.  Option names are exact (no
@@ -31,18 +36,18 @@ that its edge list reads back, and an edge-list file declares at most
 graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
 sets).  `construct prop2` takes a `--genus` and `--base-faces` of
 at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one
-scheme editor, so time and memory are linear, about 2 s and 112 MB at the
+scheme editor, so time and memory are linear, about 1 s and 96 MB at the
 cap).  A scheme file declares at most embedding.SCHEME_SIZE_CAP vertices
 and as many edges (10^5: the largest Proposition 2 scheme, triangulated,
 has 75000 edges), and `triangulate` refuses a scheme whose triangulation,
 of 3(n - 2 + g) edges, would be above the cap, so every scheme emax writes
-reads back.  On a triangulation at the cap `triangulate` takes about 2.6 s
-and 270 MB, but a long face costs it quadratic time, about 18 s for a
-5000-edge cycle.  `bounds table` stops at the row of Euler genus
+reads back.  On a triangulation at the cap `triangulate` takes about
+2-3 s and 210 MB, but a long face costs it quadratic time, about 18 s
+for a 5000-edge cycle.  `bounds table` stops at the row of Euler genus
 bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
 orientable: a row prints a schedule of g-1 entries, so output is
-quadratic, 0.2 to 0.3 s at the cap; csv and json write each row as it is
-made, in 16 MB, and the padded format keeps its rows, a few runs of c
+quadratic, 0.2 to 0.35 s at the cap; csv and json write each row as it
+is made, in 16 MB, and the padded format keeps its rows, a few runs of c
 each, to take the column widths first, in 22 MB).
 `bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
 linear, about 0.4 s).  `regen-fixture` takes `--restarts` and `--iters` of
@@ -82,11 +87,11 @@ from .graphs import (
 )
 from .embedding import (
     PseudoEmbedding,
+    _json_text,
     edges_short,
     is_edge_maximal_embedding,
     is_triangulation,
     scheme_from_json,
-    scheme_to_dict,
     surface_info,
     trace_faces,
 )
@@ -115,7 +120,9 @@ from .intervals import PrecisionError
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + "\\n", by the embedding
+    layer's join-based writer, which also takes schemes."""
+    return _json_text(obj, "\n") + "\n"
 
 
 def _write(obj) -> int:
@@ -191,18 +198,18 @@ def _emit(args, payload: str) -> int:
 def cmd_prop2(args) -> int:
     E = construct_proposition2(args.genus, orientable=args.orientable,
                                base_faces=args.base_faces)
-    return _emit(args, _dump(scheme_to_dict(E)))
+    return _emit(args, _dump(E))
 
 
 def cmd_k8c5(args) -> int:
     if args.embedded:
-        return _emit(args, _dump(scheme_to_dict(toroidal_embedding_k8_minus_c5())))
+        return _emit(args, _dump(toroidal_embedding_k8_minus_c5()))
     return _emit(args, format_edge_list(k8_minus_c5()))
 
 
 def cmd_q(args) -> int:
     if args.embedded:
-        return _emit(args, _dump(scheme_to_dict(graph_q_scheme())))
+        return _emit(args, _dump(graph_q_scheme()))
     G, P = graph_q()
     return _emit(args, format_edge_list(G, P.part_b))
 
@@ -247,9 +254,9 @@ def cmd_triangulate(args) -> int:
     if args.out:
         # write the completed scheme alone so it chains into analyze
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_dump(scheme_to_dict(T)))
+            fh.write(_dump(T))
         return _write({"edges_added": added, "written": args.out})
-    return _write({"edges_added": added, "scheme": scheme_to_dict(T)})
+    return _write({"edges_added": added, "scheme": T})
 
 
 def cmd_ordered_seq(args) -> int:
@@ -314,9 +321,8 @@ def cmd_bounds_table(args) -> int:
         write(head)
     elif args.format == "json":
         # the bytes of _dump(list of rows), one row at a time from a fixed
-        # template: every field is an int or an N_g/S_h name, so nothing
-        # needs escaping, and json.dumps with indent would run the
-        # pure-Python encoder
+        # template, as _dump writes a scheme: every field is an int or an
+        # N_g/S_h name, so nothing needs escaping, and no row is held
         sep = "[\n"
         for r in rows:
             schedule = _joined(r.runs, ",\n      ")
@@ -330,22 +336,25 @@ def cmd_bounds_table(args) -> int:
             sep = ",\n"
         write("[]\n" if sep == "[\n" else "\n]\n")
     else:
-        def cells(r):
-            return (str(r.g), _surface_name(r.surface_kind, r.g),
-                    _joined(r.runs, ","),
+        def cells(r, schedule=""):
+            return (str(r.g), _surface_name(r.surface_kind, r.g), schedule,
                     str(r.impurity), str(r.edge_bound_offset))
 
         # the rows, a few runs of c each, are kept from the pass that takes
-        # the column widths, and no cell is held
+        # the column widths, and no cell is held: a schedule's width comes
+        # from its runs, count entries and a comma after all but the last,
+        # so each schedule string is built once, for its line
         rows = list(rows)
         header = ("g", "surface", "schedule", "impurity", "offset")
         widths = [len(h) for h in header]
         for r in rows:
             widths = [max(w, len(x)) for w, x in zip(widths, cells(r))]
+            widths[2] = max(widths[2], sum(
+                [count * (len(str(c)) + 1) for c, count in r.runs]) - 1)
         fmt = "  ".join("{:<%d}" % w for w in widths) + "\n"
         write(fmt.format(*header))
         for r in rows:
-            write(fmt.format(*cells(r)))
+            write(fmt.format(*cells(r, _joined(r.runs, ","))))
     return 0
 
 
@@ -381,7 +390,7 @@ def cmd_regen_fixture(args) -> int:
         _write({"found": False, "seed": args.seed})
         return 1
     return _write({"found": True, "seed": args.seed, "analysis": _analysis(E),
-                   "scheme": scheme_to_dict(E)})
+                   "scheme": E})
 
 
 # the command line: COMMANDS maps each command path to (handler, help,

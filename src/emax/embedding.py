@@ -69,8 +69,9 @@ from .graphs import Graph, _connected
 Dart = tuple  # (edge_id, end)
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
-# edges, and at the cap a double wheel takes `triangulate` 2.6 s and 270 MB
-# and `analyze` 1.3 s and 136 MB (ru_maxrss, 2-core machine, Python 3.11.7)
+# edges, and at the cap a double wheel takes `triangulate` 2-3 s and
+# 210 MB and `analyze` 2.0 s and 136 MB (ru_maxrss, 2-core machine, Python
+# 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
 
@@ -599,22 +600,75 @@ def scheme_from_dict(obj) -> PseudoEmbedding:
             raise SchemeError(
                 f"scheme has {count} {what}, above the cap of {SCHEME_SIZE_CAP}"
             )
-    for i, rec in enumerate(obj["edges"]):
-        if not _ints(rec, 3):
-            raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")
-    for v, rot in enumerate(obj["rotation"]):
-        if not isinstance(rot, list):
-            raise SchemeError(f"rotation[{v}]: expected a list of darts")
-        for i, d in enumerate(rot):
-            if not _ints(d, 2):
-                raise SchemeError(
-                    f"rotation[{v}][{i}]: expected [edge_id, end] integers"
-                )
-    return PseudoEmbedding(obj["n"], obj["edges"], obj["rotation"])
+    edges, rotation = obj["edges"], obj["rotation"]
+    # a document of plain lists of plain ints, as json.loads gives, passes
+    # in three comprehensions; any other is checked record by record, which
+    # accepts subclasses too and names the first bad record
+    if not (
+        all([type(r) is list and len(r) == 3
+             and type(r[0]) is type(r[1]) is type(r[2]) is int for r in edges])
+        and all([type(rot) is list for rot in rotation])
+        and all([type(d) is list and len(d) == 2 and type(d[0]) is type(d[1]) is int
+                 for rot in rotation for d in rot])
+    ):
+        for i, rec in enumerate(edges):
+            if not _ints(rec, 3):
+                raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")
+        for v, rot in enumerate(rotation):
+            if not isinstance(rot, list):
+                raise SchemeError(f"rotation[{v}]: expected a list of darts")
+            for i, d in enumerate(rot):
+                if not _ints(d, 2):
+                    raise SchemeError(
+                        f"rotation[{v}][{i}]: expected [edge_id, end] integers"
+                    )
+    return PseudoEmbedding(obj["n"], edges, rotation)
 
 
 def scheme_to_json(E: PseudoEmbedding) -> str:
     return json.dumps(scheme_to_dict(E))
+
+
+_key = json.encoder.encode_basestring_ascii  # json.dumps of a str key
+
+
+def _json_text(obj, nl: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), with the indent that nl, a
+    newline and the indent's spaces, starts, built by str joins: given an
+    indent, CPython's json runs only its pure-Python encoder.  obj is made
+    of dicts with str keys, lists, tuples, JSON scalars and schemes, each
+    scheme written as its scheme_to_dict would be."""
+    if type(obj) is int:  # the C encoder's own text, without its set-up
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = nl + "  "
+        return f"[{sep}{(',' + sep).join([_json_text(x, sep) for x in obj])}{nl}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        sep = nl + "  "
+        return f"{{{sep}" + f",{sep}".join([
+            f"{_key(k)}: {_json_text(v, sep)}" for k, v in sorted(obj.items())
+        ]) + f"{nl}}}"
+    if isinstance(obj, PseudoEmbedding):
+        return _scheme_text(obj, nl)
+    return json.dumps(obj)
+
+
+def _scheme_text(E: PseudoEmbedding, nl: str) -> str:
+    """_json_text of scheme_to_dict(E), from a fixed template: one f-string
+    per [u, v, sig] edge and one per [edge, end] dart, read off E."""
+    i1, i2, i3, i4 = (nl + "  " * k for k in (1, 2, 3, 4))
+    edges = f",{i2}".join([f"[{i3}{u},{i3}{v},{i3}{s}{i2}]" for u, v, s in E.edges])
+    dart = f",{i3}"
+    rotation = f",{i2}".join([
+        f"[{i3}" + dart.join([f"[{i4}{e},{i4}{end}{i3}]" for e, end in rot])
+        + f"{i2}]" if rot else "[]" for rot in E.rotation
+    ])
+    return (f'{{{i1}"edges": ' + (f"[{i2}{edges}{i1}]" if edges else "[]")
+            + f',{i1}"n": {E.n},{i1}"rotation": [{i2}{rotation}{i1}]{nl}}}')
 
 
 def scheme_from_json(text: str) -> PseudoEmbedding:

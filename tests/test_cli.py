@@ -6,10 +6,13 @@ padded text for the table formats) captured through capsys.
 
 import hashlib
 import json
+import random
 import re
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import emax.embedding
 import emax.surgery
@@ -20,7 +23,10 @@ from emax import (
     complete_graph,
     enumerate_small_schemes,
     format_edge_list,
+    graph_q_scheme,
     scheme_from_json,
+    scheme_to_dict,
+    toroidal_embedding_k8_minus_c5,
 )
 from emax.bounds import (
     PRECISION_BITS_CAP,
@@ -39,7 +45,7 @@ from emax.constructions import (
 )
 from emax.embedding import SCHEME_SIZE_CAP, scheme_to_json
 from emax.graphs import EDGE_LIST_VERTEX_CAP
-from conftest import reference_census
+from conftest import random_scheme, reference_census
 from test_bounds import TABLE_N, TABLE_S
 
 
@@ -568,6 +574,81 @@ class TestSchemeBytes:
                 path.write_text(out)
             got[name] = hashlib.sha256(out.encode()).hexdigest()
         assert got == digests
+
+
+def indented_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+json_strings = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\t é€ 𝄞'),
+                       max_size=6) | st.text(max_size=4)
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40)
+    | json_strings,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestDump:
+    """_dump writes the bytes of json.dumps(indent=2, sort_keys=True), and
+    never through json's pure-Python encoder."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(json_documents)
+    @example([])
+    @example({})
+    @example({"a": [], "b": {}, "c": ((), [[]], {"": {}})})
+    def test_equals_the_indented_json_dumps(self, doc):
+        assert cli._dump(doc) == indented_dumps(doc)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_scheme_template_on_random_schemes(self, seed):
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(1, 9), rng.randint(0, 8))
+        doc = scheme_to_dict(E)
+        assert cli._dump(E) == indented_dumps(doc)
+        # and at the indent of a nested value
+        assert cli._dump({"scheme": E, "x": [E, 1]}) == indented_dumps(
+            {"scheme": doc, "x": [doc, 1]})
+
+    @pytest.mark.parametrize("E", [
+        toroidal_embedding_k8_minus_c5(),
+        graph_q_scheme(),
+        PseudoEmbedding(1, [], [[]]),  # one vertex, no edges
+        PseudoEmbedding(3, [(1, 1, -1)], [[], [(0, 0), (0, 1)], []]),
+    ], ids=["k8c5", "q", "one-vertex", "isolated-vertices-and-a-loop"])
+    def test_scheme_template_on_fixed_schemes(self, E):
+        doc = scheme_to_dict(E)
+        assert cli._dump(E) == indented_dumps(doc)
+        assert cli._dump({"scheme": E}) == indented_dumps({"scheme": doc})
+
+    def test_no_command_runs_the_pure_python_encoder(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def refuse(*a, **k):
+            raise AssertionError("json's pure-Python encoder ran")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        scheme, out = str(tmp_path / "s.json"), str(tmp_path / "t.json")
+        k4 = tmp_path / "k4.txt"
+        k4.write_text("4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n")
+        for argv in (
+            ["construct", "prop2", "--genus", "4"],
+            ["construct", "prop2", "--genus", "4", "--out", scheme],
+            ["analyze", scheme],
+            ["pipeline", scheme, "--mode", "nonorientable"],
+            ["triangulate", scheme],
+            ["triangulate", scheme, "--out", out],
+            ["regen-fixture", "--seed", "11"],
+            ["enumerate", str(k4), "--census"],
+            ["bounds", "verify", "--theorem", "84", "--gmax", "60"],
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (argv, err)
 
 
 # the least g whose family at s = 2 has more edges, 6g + 6, than the cap allows

@@ -357,6 +357,24 @@ class TestSerialization:
         with pytest.raises(SchemeError):
             scheme_from_dict(doc)
 
+    def test_subclassed_records_pass_the_full_checks(self):
+        # json.loads makes plain lists and ints; a list or int subclass
+        # (not bool) misses the plain-type pass and is accepted record by
+        # record, and a bad record after it is still named
+        class Rec(list):
+            pass
+
+        class Int(int):
+            pass
+
+        doc = {"n": 2, "edges": [Rec([0, 1, Int(-1)])],
+               "rotation": [[Rec([0, 0])], [[Int(0), 1]]]}
+        assert scheme_to_dict(scheme_from_dict(doc)) == {
+            "n": 2, "edges": [[0, 1, -1]], "rotation": [[[0, 0]], [[0, 1]]]}
+        doc["rotation"][1].append([0, True])
+        with pytest.raises(SchemeError, match="^rotation\\[1\\]\\[1\\]: expected"):
+            scheme_from_dict(doc)
+
     def test_semantic_validation_still_applies(self):
         doc = {"n": 2, "edges": [[0, 1, 1]], "rotation": [[[0, 1]], [[0, 0]]]}
         with pytest.raises(SchemeError, match="belongs at vertex"):
