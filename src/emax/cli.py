@@ -42,7 +42,7 @@ and as many edges (10^5: the largest Proposition 2 scheme, triangulated,
 has 75000 edges), and `triangulate` refuses a scheme whose triangulation,
 of 3(n - 2 + g) edges, would be above the cap, so every scheme emax writes
 reads back.  On a triangulation at the cap `triangulate` takes about
-2-3 s and 210 MB, but a long face costs it quadratic time, about 18 s
+2-3 s and 192 MB, but a long face costs it quadratic time, about 18 s
 for a 5000-edge cycle.  `bounds table` stops at the row of Euler genus
 bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
 orientable: a row prints a schedule of g-1 entries, so output is
@@ -73,7 +73,6 @@ bounds.PRECISION_BITS_CAP = 4096 bits).
 
 from __future__ import annotations
 
-import json
 import sys
 from collections import namedtuple
 from types import SimpleNamespace
@@ -367,12 +366,13 @@ def cmd_bounds_f(args) -> int:
         runs, final, floored = optimal_schedule(args.g, args.s)
     # the bytes _dump gives {g, s, f, c_schedule, floored_steps}, with each
     # list written from runs a piece at a time: at --s 1000000 the whole
-    # text built as one string took 146 MB, and the expanded schedule 16 MB
-    f = int(final) if final.denominator == 1 else str(final)
+    # text built as one string took 146 MB, and the expanded schedule 16 MB.
+    # f is an int: f_exact_s2 gives one, and optimal_schedule floors every
+    # step by default
     write = sys.stdout.write
     write('{\n  "c_schedule": ')
     sys.stdout.writelines(_json_ints(runs))
-    write(f',\n  "f": {json.dumps(f)},\n  "floored_steps": ')
+    write(f',\n  "f": {final},\n  "floored_steps": ')
     sys.stdout.writelines(_json_ints((s, 1) for s in floored))
     write(f',\n  "g": {args.g},\n  "s": {args.s}\n}}\n')
     return 0

@@ -490,27 +490,14 @@ def _paste(editor: _SchemeEditor, key: int, target: str, orientable: bool) -> No
     _, faces_want, flips = _PASTE_TARGETS[target]
     if target == "handle" and not orientable:
         flips = (7, 6, 5, 3)
-    cycle = editor.faces.pop(key, None) or ()
-    corners = [editor.corner(s) for s in cycle]
+    corners = [editor.corner(s) for s in editor.faces.get(key, ())]
     if len(corners) != 3 or len({c[0] for c in corners}) != 3:
         raise SchemeError("paste_block needs a triangular face on three vertices")
     sides = sum(1 << j for j, c in enumerate(corners) if not c[2])
     mask = min(sides ^ f for f in flips)
-    neg = editor.neg
-    states = []
-    for s in cycle:
-        states += (s, s ^ (3 - neg[s >> 2]))
-    w, prev = editor.add_vertex(), -1
-    for j, corner in enumerate(corners):
-        bit = mask >> j & 1
-        e = editor.add_edge(corner, (w, prev, 0), bit)
-        neg.append(bit)
-        states += range(4 * e, 4 * e + 4)
-        prev = 2 * e + 1
-    editor.face_of += [-1] * 12
-    editor._retrace(states)
-    keys = {editor.face_of[s] for s in states}
-    got = tuple(sorted(len(editor.faces[k]) for k in keys))
+    e0 = len(editor.edges)
+    editor.add_star(corners, [mask >> j & 1 for j in range(3)], 0)
+    got = tuple(sorted(len(cycle) for cycle in editor.recut((key,), e0)))
     if got != faces_want:
         raise RuntimeError(
             f"{target} paste on the face of state {key} formed faces {got}"

@@ -32,26 +32,31 @@ integer states, listed from its smallest state, with the vertex each state
 leaves from.  The face set and the orientability test are computed once
 per scheme and memoised on it, since the scheme is immutable.
 
-The public constructor validates every part and derives the table from
-the rotation.  The private `PseudoEmbedding._from_table` takes parts
-already in that normal form, table included, and skips the checks: it
-serves only the scheme enumeration, which lays each vertex's order onto a
-shared table itself and so places every dart once by construction.  Both
-fill the scheme's slots by one shared step.
+The public constructor checks every record in the one pass that derives the
+table from the rotation: each edge must unpack to three and each dart to
+two plain ints, as json.loads makes them, so a bool, float, str or int
+subclass is refused with its record named, and no value is coerced.  The
+private `PseudoEmbedding._from_table` takes parts already in that normal
+form, table included, and skips the checks: it serves only the scheme
+enumeration, which lays each vertex's order onto a shared table itself and
+so places every dart once by construction.  Both fill the scheme's slots by
+one shared step.
 
 Every surgery lays its edges on the private scheme editor, which holds a
-working copy of the table.  A new dart goes in at a corner of a face,
-named by the dart the walk arrives along and the side it leaves on, and
-`_splice` is the one rule that places it there.  The editor adds vertices
-and edges and builds one scheme at the end, keeping the input's rotation
-at every vertex that no edit touched.  The completion to a triangulation
-and the block pasting also have the editor index the faces, each keyed by
-the smallest state of its mirror pair of cycles, with the long faces in a
-heap by key; then only the faces an edit cuts and the new edges' states
-are walked again, in time linear in the faces' length.  `freeze(surface)`
-is the one audit of an edit: it raises RuntimeError unless the built
-scheme lies on the surface the caller expects and, on an indexed editor,
-unless the index equals a full trace, walk for walk.
+working copy of the table.  A new dart goes in at a corner of a face, named
+by the dart the walk arrives along and the side it leaves on, and `_splice`
+is the one rule that places it there.  The editor adds vertices and edges
+and builds one scheme at the end, keeping the input's rotation at every
+vertex that no edit touched.  `add_star` joins a new vertex to a list of
+corners, as a block paste and an apex insertion do.  The completion to a
+triangulation and the block pasting also have the editor index the faces,
+each keyed by the smallest state of its mirror pair of cycles, with the
+long faces in a heap by key; the editor keeps that index as it adds edges,
+and `recut` walks again only the faces an edit cuts and the new edges'
+states, in time linear in the faces' length.  `freeze(surface)` is the one
+audit of an edit: it raises RuntimeError unless the built scheme lies on
+the surface the caller expects and, on an indexed editor, unless the index
+equals a full trace, walk for walk.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -70,8 +75,8 @@ Dart = tuple  # (edge_id, end)
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
 # edges, and at the cap a double wheel takes `triangulate` 2-3 s and
-# 210 MB and `analyze` 2.0 s and 136 MB (ru_maxrss, 2-core machine, Python
-# 3.11.7)
+# 192 MB and `analyze` 1.3-2.0 s and 134 MB (ru_maxrss, 2-core machine,
+# Python 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
 
@@ -87,48 +92,67 @@ class PseudoEmbedding:
     def __init__(
         self,
         n: int,
-        edges: Iterable[tuple[int, int, int]],
-        rotation: Iterable[Iterable[Dart]],
+        edges: Sequence[tuple[int, int, int]],
+        rotation: Sequence[Sequence[Dart]],
     ):
-        edges = tuple([(int(u), int(v), int(s)) for u, v, s in edges])
-        rotation = tuple(
-            [tuple([(int(e), int(t)) for e, t in rot]) for rot in rotation]
-        )
+        if type(n) is not int:
+            raise SchemeError("'n' must be an integer")
         if n < 1:
             raise SchemeError("scheme needs at least one vertex")
-        if len(rotation) != n:
-            raise SchemeError(f"rotation has {len(rotation)} entries for n={n}")
-        for i, (u, v, s) in enumerate(edges):
+        checked = []
+        for i, rec in enumerate(edges):
+            try:
+                u, v, s = rec
+            except (TypeError, ValueError):
+                u = v = s = None
+            if not (type(u) is type(v) is type(s) is int):
+                raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")
             if not (0 <= u < n and 0 <= v < n):
                 raise SchemeError(f"edges[{i}]: endpoint out of range 0..{n-1}")
-            if s not in (1, -1):
+            if s != 1 and s != -1:
                 raise SchemeError(f"edges[{i}]: signature must be +1 or -1, got {s}")
+            checked.append(rec if type(rec) is tuple else (u, v, s))
+        edges = tuple(checked)
+        if len(rotation) != n:
+            raise SchemeError(f"rotation has {len(rotation)} entries for n={n}")
         m = len(edges)
         leave = [-1] * (4 * m)
         seen = bytearray(2 * m)
+        orders = []
         for v, rot in enumerate(rotation):
-            ids = []
+            if not isinstance(rot, (list, tuple)):
+                raise SchemeError(f"rotation[{v}]: expected a list of darts")
+            ids, darts = [], []
             for i, d in enumerate(rot):
-                e, end = d
+                try:
+                    e, end = d
+                except (TypeError, ValueError):
+                    e = end = None
+                if not (type(e) is type(end) is int):
+                    raise SchemeError(
+                        f"rotation[{v}][{i}]: expected [edge_id, end] integers"
+                    )
                 if not (0 <= e < m) or end not in (0, 1):
-                    raise SchemeError(f"rotation[{v}][{i}]: invalid dart {d}")
+                    raise SchemeError(f"rotation[{v}][{i}]: invalid dart {(e, end)}")
                 home = edges[e][end]
                 if home != v:
                     raise SchemeError(
-                        f"rotation[{v}][{i}]: dart {d} belongs at vertex {home}"
+                        f"rotation[{v}][{i}]: dart {(e, end)} belongs at vertex {home}"
                     )
                 x = 2 * e + end
                 if seen[x]:
                     raise SchemeError(
-                        f"rotation[{v}][{i}]: dart {d} appears more than once"
+                        f"rotation[{v}][{i}]: dart {(e, end)} appears more than once"
                     )
                 seen[x] = 1
                 ids.append(x)
+                darts.append(d if type(d) is tuple else (e, end))
             _link(ids, leave)
+            orders.append(tuple(darts))
         if seen.count(0):
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
-        self._fill(n, edges, rotation, leave)
+        self._fill(n, edges, tuple(orders), leave)
 
     @classmethod
     def _from_table(cls, n, edges, rotation, leave) -> PseudoEmbedding:
@@ -426,13 +450,13 @@ class _SchemeEditor:
     It holds the state table `leave`, each vertex's first dart (so that
     `freeze` lists each rotation from the dart it starts with), and the
     vertices whose rotation an edit changed.  `index_faces` adds a face
-    index for `insert_edge` and for block pasting, which lays its edges by
-    `add_edge`, extends `neg` and `face_of` itself and walks the cut face
-    again by `_retrace`.  `faces` maps each face's key, the smallest state
-    of its mirror pair of cycles, to the cycle through that state, listed
-    from it, and `face_of[s]` is the key of the face of state s.  Keys of
-    faces of length >= 4 sit in the heap `long`, where a key that no longer
-    names a long face is skipped.
+    index for `insert_edge` and for block pasting: from then on `add_edge`
+    extends `neg` and `face_of` with each edge, and `recut` walks the cut
+    faces again by `_retrace`.  `faces` maps each face's key, the smallest
+    state of its mirror pair of cycles, to the cycle through that state,
+    listed from it, and `face_of[s]` is the key of the face of state s.
+    Keys of faces of length >= 4 sit in the heap `long`, where a key that
+    no longer names a long face is skipped.
     """
 
     def __init__(self, E: PseudoEmbedding):
@@ -458,14 +482,28 @@ class _SchemeEditor:
 
     def add_edge(self, c0: tuple, c1: tuple, neg: int) -> int:
         """Lay a new edge from corner c0 to corner c1, of signature -1 when
-        neg is set, and return its id."""
+        neg is 1, and return its id.  An indexed editor leaves the new
+        states out of every face until `recut` walks them."""
         e = len(self.edges)
         self.edges.append((c0[0], c1[0], -1 if neg else 1))
         self.leave += (-1, -1, -1, -1)
         _splice(self.leave, self.first, 2 * e, c0)
         _splice(self.leave, self.first, 2 * e + 1, c1)
         self.edited.update((c0[0], c1[0]))
+        if self.faces is not None:
+            self.neg.append(neg)
+            self.face_of += (-1, -1, -1, -1)
         return e
+
+    def add_star(self, corners: Sequence[tuple], negs: Sequence[int],
+                 bit: int) -> int:
+        """A new vertex joined to each corner in turn, the edge to corners[j]
+        of signature -1 when negs[j] is 1 and laid at the new vertex on side
+        `bit` of the one before; returns the vertex."""
+        w, prev = self.add_vertex(), -1
+        for corner, neg in zip(corners, negs):
+            prev = 2 * self.add_edge(corner, (w, prev, bit), neg) + 1
+        return w
 
     def index_faces(self) -> None:
         """Index the faces of the input scheme; call it before any edit."""
@@ -500,20 +538,23 @@ class _SchemeEditor:
         editor.  Only the faces of s0 and s1 and the four new states are
         walked again, in time linear in the faces' length.
         """
-        neg = (s0 ^ s1) & 1
-        e = self.add_edge(self.corner(s0), self.corner(s1), neg)
-        self.neg.append(neg)
-        states = [4 * e, 4 * e + 1, 4 * e + 2, 4 * e + 3]
-        for key in {self.face_of[s0], self.face_of[s1]}:
-            for s in self.faces.pop(key):
-                states += (s, s ^ (3 - self.neg[s >> 2]))
-        self.face_of += (-1, -1, -1, -1)
-        self._retrace(states)
+        e = self.add_edge(self.corner(s0), self.corner(s1), (s0 ^ s1) & 1)
+        self.recut({self.face_of[s0], self.face_of[s1]}, e)
 
-    def _retrace(self, states: list) -> None:
+    def recut(self, keys: Iterable[int], e0: int) -> list:
+        """Drop the faces with the given keys, which edges e0 on cut, and
+        index the faces those faces and edges now form; returns their cycles."""
+        neg = self.neg
+        states = list(range(4 * e0, len(self.leave)))
+        for key in keys:
+            for s in self.faces.pop(key):
+                states += (s, s ^ (3 - neg[s >> 2]))
+        return self._retrace(states)
+
+    def _retrace(self, states: list) -> list:
         """Index the faces of a mirror-closed union of whole state cycles,
         stepping as `_state_orbits` and pairing as `_paired_faces` do for
-        all states."""
+        all states, and return the cycles stored."""
         leave, neg = self.leave, self.neg
         cycle_of = {}
         cycles = []
@@ -529,10 +570,11 @@ class _SchemeEditor:
             if s != s0:
                 raise RuntimeError("state map failed to close a cycle")
             cycles.append(cycle)
-        for idx, cycle in enumerate(cycles):
-            s0 = cycle[0]
-            if cycle_of[s0 ^ (3 - neg[s0 >> 2])] > idx:
-                self._store(cycle)
+        stored = [cycle for idx, cycle in enumerate(cycles)
+                  if cycle_of[cycle[0] ^ (3 - neg[cycle[0] >> 2])] > idx]
+        for cycle in stored:
+            self._store(cycle)
+        return stored
 
     def freeze(self, surface: SurfaceInfo | None = None) -> PseudoEmbedding:
         """The edited scheme, built once, with the input's rotation kept at
@@ -575,22 +617,13 @@ def scheme_to_dict(E: PseudoEmbedding) -> dict:
     }
 
 
-def _ints(rec, k: int) -> bool:
-    """rec is a JSON list of k integers (bools and floats rejected)."""
-    return (
-        isinstance(rec, list)
-        and len(rec) == k
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in rec)
-    )
-
-
 def scheme_from_dict(obj) -> PseudoEmbedding:
     if not isinstance(obj, dict):
         raise SchemeError("scheme document must be a JSON object")
     for key in ("n", "edges", "rotation"):
         if key not in obj:
             raise SchemeError(f"scheme document missing '{key}'")
-    if not _ints([obj["n"]], 1):
+    if type(obj["n"]) is not int:
         raise SchemeError("'n' must be an integer")
     for key in ("edges", "rotation"):
         if not isinstance(obj[key], list):
@@ -600,29 +633,8 @@ def scheme_from_dict(obj) -> PseudoEmbedding:
             raise SchemeError(
                 f"scheme has {count} {what}, above the cap of {SCHEME_SIZE_CAP}"
             )
-    edges, rotation = obj["edges"], obj["rotation"]
-    # a document of plain lists of plain ints, as json.loads gives, passes
-    # in three comprehensions; any other is checked record by record, which
-    # accepts subclasses too and names the first bad record
-    if not (
-        all([type(r) is list and len(r) == 3
-             and type(r[0]) is type(r[1]) is type(r[2]) is int for r in edges])
-        and all([type(rot) is list for rot in rotation])
-        and all([type(d) is list and len(d) == 2 and type(d[0]) is type(d[1]) is int
-                 for rot in rotation for d in rot])
-    ):
-        for i, rec in enumerate(edges):
-            if not _ints(rec, 3):
-                raise SchemeError(f"edges[{i}]: expected [u, v, sig] integers")
-        for v, rot in enumerate(rotation):
-            if not isinstance(rot, list):
-                raise SchemeError(f"rotation[{v}]: expected a list of darts")
-            for i, d in enumerate(rot):
-                if not _ints(d, 2):
-                    raise SchemeError(
-                        f"rotation[{v}][{i}]: expected [edge_id, end] integers"
-                    )
-    return PseudoEmbedding(obj["n"], edges, rotation)
+    # the constructor checks the records as it builds, naming the first bad one
+    return PseudoEmbedding(obj["n"], obj["edges"], obj["rotation"])
 
 
 def scheme_to_json(E: PseudoEmbedding) -> str:

@@ -177,14 +177,12 @@ def insert_apexes(Gp: PseudoEmbedding) -> tuple:
                 f"face {fi} (length {walk.length}) is non-triangular but has "
                 "fewer than four distinct vertices; cannot place an apex"
             )
-        w, prev = editor.add_vertex(), -1
-        for pj in spots:
-            # each edge goes just before the last one at w, so the wedge
-            # arriving on edge j finds edge j-1 next by rotation successor,
-            # as face tracing leaves a positive-side vertex, and each apex
-            # triangle closes
-            corner = editor.corner(walk.states[pj])
-            prev = 2 * editor.add_edge(corner, (w, prev, 1), corner[2]) + 1
+        # each edge goes just before the last one at w, so the wedge
+        # arriving on edge j finds edge j-1 next by rotation successor, as
+        # face tracing leaves a positive-side vertex, and each apex triangle
+        # closes
+        corners = [editor.corner(walk.states[pj]) for pj in spots]
+        w = editor.add_star(corners, [c[2] for c in corners], 1)
         apexes.append(w)
     if not apexes:
         return Gp, ()

@@ -100,6 +100,18 @@ class TestConstructionValidation:
         with pytest.raises(SchemeError, match="missing"):
             PseudoEmbedding(2, [(0, 1, 1)], [[(0, 0)], []])
 
+    @pytest.mark.parametrize("n, edge, rotation, where", [
+        (2.0, (0, 1, 1), [[(0, 0)], [(0, 1)]], "'n'"),
+        (2, ("0", 1, 1), [[(0, 0)], [(0, 1)]], "edges\\[0\\]"),
+        (2, (0, 1.9, 1), [[(0, 0)], [(0, 1)]], "edges\\[0\\]"),
+        (2, (0, 1, True), [[(0, 0)], [(0, 1)]], "edges\\[0\\]"),
+        (2, (0, 1, 1), [[(0, 0)], [("0", 1)]], "rotation\\[1\\]\\[0\\]"),
+    ])
+    def test_values_must_be_plain_ints(self, n, edge, rotation, where):
+        # int() would read each of these as the scheme of the edge (0, 1, 1)
+        with pytest.raises(SchemeError, match=f"^{where}"):
+            PseudoEmbedding(n, [edge], rotation)
+
     def test_immutable(self):
         E = single_edge()
         with pytest.raises(AttributeError):
@@ -358,21 +370,25 @@ class TestSerialization:
             scheme_from_dict(doc)
 
     def test_subclassed_records_pass_the_full_checks(self):
-        # json.loads makes plain lists and ints; a list or int subclass
-        # (not bool) misses the plain-type pass and is accepted record by
-        # record, and a bad record after it is still named
+        # json.loads makes plain lists and ints: a list or tuple subclass
+        # holding plain ints reads as a plain record, and an int subclass is
+        # refused with its record named, as a bool is
         class Rec(list):
             pass
 
         class Int(int):
             pass
 
-        doc = {"n": 2, "edges": [Rec([0, 1, Int(-1)])],
-               "rotation": [[Rec([0, 0])], [[Int(0), 1]]]}
+        doc = {"n": 2, "edges": [Rec([0, 1, -1])],
+               "rotation": [[Rec([0, 0])], Rec([[0, 1]])]}
         assert scheme_to_dict(scheme_from_dict(doc)) == {
             "n": 2, "edges": [[0, 1, -1]], "rotation": [[[0, 0]], [[0, 1]]]}
-        doc["rotation"][1].append([0, True])
-        with pytest.raises(SchemeError, match="^rotation\\[1\\]\\[1\\]: expected"):
+        doc["edges"][0][2] = Int(-1)
+        with pytest.raises(SchemeError, match="^edges\\[0\\]: expected"):
+            scheme_from_dict(doc)
+        doc["edges"][0][2] = -1
+        doc["rotation"][1][0] = [Int(0), 1]
+        with pytest.raises(SchemeError, match="^rotation\\[1\\]\\[0\\]: expected"):
             scheme_from_dict(doc)
 
     def test_semantic_validation_still_applies(self):

@@ -420,6 +420,52 @@ class TestSchemeEditor:
         F = editor.freeze(surface_info(want))
         assert scheme_to_json(F) == scheme_to_json(want)
 
+    def test_edits_keep_the_index_and_recut_matches_the_full_trace(self):
+        # a chord across one long face, an apex in another and a planar
+        # star in a triangle: add_edge and add_star keep neg and face_of as
+        # long as the edges and the state table, and each recut returns the
+        # faces a full trace of the built scheme finds at the new edges
+        E = construct_proposition2(3, orientable=False)
+        editor = _SchemeEditor(E)
+        editor.index_faces()
+        hexagons = [k for k, c in editor.faces.items() if len(c) == 6]
+        triangle = next(k for k, c in editor.faces.items() if len(c) == 3
+                        and len({editor.corner(s)[0] for s in c}) == 3)
+        recut = {}
+
+        def edit(key, lay):
+            e0 = len(editor.edges)
+            lay(editor.faces[key])
+            assert len(editor.neg) == len(editor.edges) > e0
+            assert len(editor.face_of) == len(editor.leave)
+            recut[e0] = editor.recut((key,), e0)
+
+        def chord(c):
+            s0, s1 = c[0], c[2]
+            editor.add_edge(editor.corner(s0), editor.corner(s1), (s0 ^ s1) & 1)
+
+        def apex(c):
+            first = {}  # the first corner at each vertex, in walk order
+            for s in c:
+                first.setdefault(editor.corner(s)[0], editor.corner(s))
+            corners = list(first.values())[:4]
+            editor.add_star(corners, [x[2] for x in corners], 1)
+
+        def star(c):
+            corners = [editor.corner(s) for s in c]
+            editor.add_star(corners, [1 - x[2] for x in corners], 0)
+
+        edit(hexagons[0], chord)
+        edit(hexagons[1], apex)
+        edit(triangle, star)
+        F = editor.freeze(surface_info(E))
+        ends = sorted(recut) + [F.m]
+        for e0, e1 in zip(ends, ends[1:]):
+            want = [w.states for w in trace_faces(F)
+                    if any(e0 <= s >> 2 < e1 for s in w.states)]
+            assert sorted(map(tuple, recut[e0])) == want
+        assert [len(recut[e]) for e in sorted(recut)] == [2, 4, 3]
+
     def test_freeze_audit_catches_a_bad_cycle_update(self):
         class Corrupting(_SchemeEditor):
             def _retrace(self, states):
