@@ -34,16 +34,16 @@ constructions.CONSTRUCT_EDGE_CAP edges (10^5: at most about 0.6 s and
 95 MB), `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices, so
 that its edge list reads back, and an edge-list file declares at most
 graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
-sets).  `construct prop2` takes a `--genus` and `--base-faces` of
-at most constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one
-scheme editor, so time and memory are linear, about 1 s and 96 MB at the
-cap).  A scheme file declares at most embedding.SCHEME_SIZE_CAP vertices
-and as many edges (10^5: the largest Proposition 2 scheme, triangulated,
-has 75000 edges), and `triangulate` refuses a scheme whose triangulation,
-of 3(n - 2 + g) edges, would be above the cap, so every scheme emax writes
-reads back.  On a triangulation at the cap `triangulate` takes about
-2-3 s and 192 MB, but a long face costs it quadratic time, about 18 s
-for a 5000-edge cycle.  `bounds table` stops at the row of Euler genus
+sets).  `construct prop2` takes a `--genus` and `--base-faces` of at most
+constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one scheme
+editor, so time and memory are linear in the genus).  A scheme file
+declares at most embedding.SCHEME_SIZE_CAP vertices and as many edges
+(10^5: the largest Proposition 2 scheme, triangulated, has 75000 edges),
+and `triangulate` refuses a scheme whose triangulation, of 3(n - 2 + g)
+edges, would be above the cap, so every scheme emax writes reads back.
+On a triangulation at the cap `triangulate` takes about 2-3 s and 192 MB,
+but a long face costs it quadratic time, about 16 s for a 5000-edge
+cycle.  `bounds table` stops at the row of Euler genus
 bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
 orientable: a row prints a schedule of g-1 entries, so output is
 quadratic, 0.2 to 0.35 s at the cap; csv and json write each row as it

@@ -24,10 +24,9 @@ from .embedding import (
     SchemeError,
     SurfaceInfo,
     _audited_genus,
+    _faces,
     _link,
-    _paired_faces,
     _SchemeEditor,
-    _state_orbits,
     surface_info,
     trace_faces,
 )
@@ -38,8 +37,10 @@ ENUMERATION_CAP = 10**7
 # 370 MB for K_{1000,1000}
 CONSTRUCT_EDGE_CAP = 10**5
 # construct_proposition2 builds three schemes, in time and memory linear in
-# g: at this cap `construct prop2` takes 2.1 s and 112 MB (ru_maxrss, 2-core
-# machine, Python 3.11.7), the construction alone 1.2 s and 91 MB
+# g: at this cap `construct prop2` takes 0.8-1.3 s and 85-86 MB, 0.5-0.8 s
+# and 63-64 MB with --orientable, writing to a file or to stdout, and the
+# construction alone 0.7-1.1 s and 80 MB, 0.4-0.7 s and 59 MB orientable
+# (in-process ru_maxrss, 2-core machine, Python 3.11.7)
 PROP2_GENUS_CAP = 10**4
 # a climb move costs 0.6-1.1 us and a restart's set-up 31-47 us, so a
 # restart is priced at REGEN_SETUP_MOVES moves more than its climb, and
@@ -429,9 +430,10 @@ def scheme_census(
     signature is orientable exactly when it is all positive.  The rotation
     systems are the all-positive schemes of enumerate_small_schemes, laid
     straight onto state tables with no validated build, and each pair is
-    traced on its table.  Each trace gets the face-pairing audit of
-    trace_faces and the genus audits of surface_info, and the counts must
-    sum to the enumeration total, which is also what cap limits.
+    traced on its table by the full trace of trace_faces, with its closing,
+    pairing and side audits, then gets the genus audits of surface_info,
+    and the counts must sum to the enumeration total, which is also what
+    cap limits.
     """
     total = _enumeration_total(G, signature_mode, cap)
     if signature_mode == "all":
@@ -446,8 +448,7 @@ def scheme_census(
         if hub is not None and E.rotation[hub][1] > E.rotation[hub][-1]:
             continue  # its mirror image stands for it
         for neg in masks:
-            orbits, orbit_of = _state_orbits(E._leave, neg)
-            faces = _paired_faces(orbits, orbit_of, neg)
+            faces = _faces(E._leave, neg)
             orientable = not any(neg)
             g = _audited_genus(G.n, G.m, len(faces), orientable)
             key = (g, orientable, tuple(sorted(len(f) for f in faces)))

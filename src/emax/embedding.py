@@ -29,8 +29,15 @@ state t leaves by leave[t], so leave[2x] = 2 succ(x) and leave[2x + 1] =
 2 pred(x) + 1.  Ascending integer order of states is the (edge, end, side
 +1 first) order that fixes the face order.  A facial walk is its cycle of
 integer states, listed from its smallest state, with the vertex each state
-leaves from.  The face set and the orientability test are computed once
-per scheme and memoised on it, since the scheme is immutable.
+leaves from.  One walker, `_walk`, steps the state map for every trace: it
+walks the cycles through a set of states in ascending order, writes each
+state's face key, the smallest state of its mirror pair of cycles, into an
+int array, steps the mirror of each state of a kept cycle to check that its
+twin is the reversed mirror image, and raises if a cycle fails to close or
+the pairing fails.  A full trace walks all 4m states on a fresh array, and
+`_faces` adds its side audits.  The face set and the orientability test
+are computed once per scheme and memoised on it, since the scheme is
+immutable.
 
 The public constructor checks every record in the one pass that derives the
 table from the rotation: each edge must unpack to three and each dart to
@@ -51,12 +58,14 @@ vertex that no edit touched.  `add_star` joins a new vertex to a list of
 corners, as a block paste and an apex insertion do.  The completion to a
 triangulation and the block pasting also have the editor index the faces,
 each keyed by the smallest state of its mirror pair of cycles, with the
-long faces in a heap by key; the editor keeps that index as it adds edges,
-and `recut` walks again only the faces an edit cuts and the new edges'
-states, in time linear in the faces' length.  `freeze(surface)` is the one
-audit of an edit: it raises RuntimeError unless the built scheme lies on
-the surface the caller expects and, on an indexed editor, unless the index
-equals a full trace, walk for walk.
+long faces in a heap by key.  The editor keeps that index as it adds
+edges: `face_of`, the walker's key array, and each face's cycle by key.
+`recut` clears the keys of the faces an edit cuts and of the new edges'
+states and walks only those states again, with the closing and pairing
+audits of a full trace, in time linear in the faces' length.
+`freeze(surface)` is the one audit of a whole edit: it raises RuntimeError
+unless the built scheme lies on the surface the caller expects and, on an
+indexed editor, unless the index equals a full trace, walk for walk.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -227,71 +236,63 @@ class SurfaceInfo(namedtuple("SurfaceInfo", "euler_genus orientable")):
     __slots__ = ()
 
 
-def _state_orbits(leave: list, neg: list) -> tuple:
-    """Cycles of the step map on the integer states 0..4m-1.
+def _walk(leave: list, neg: list, starts, key_of: list) -> list:
+    """Walk the state cycles through `starts`, in ascending order, and
+    return the kept cycle of each mirror pair, listed from its smallest
+    state, in the order of those states.
 
-    leave is the scheme's state table and neg[e] is 1 for an edge of
-    signature -1.  State s = 2d + sidebit steps across its edge to dart
-    d ^ 1, takes the side bit xor neg[e], and leaves as the table says.
-    One table serves every signature of a rotation system.  Returns
-    (orbits, orbit_of): the cycles listed by their smallest state, each
-    starting there, in ascending order, and the index of each state's cycle.
+    leave is the state table and neg[e] is 1 for an edge of signature -1.
+    State s = 2d + sidebit steps across its edge to dart d ^ 1, takes the
+    side bit xor neg[e], and leaves as the table says.  key_of[s] is -1
+    for a state not yet walked; each state walked gets its face key, the
+    smallest state of its mirror pair of cycles.  `starts` must be a
+    mirror-closed union of whole cycles of unwalked states.  Raises
+    RuntimeError on a cycle that meets a walked state, a self-mirrored
+    cycle, or a twin that is not the mirror image of its kept cycle.
     """
-    n_states = len(leave)
-    # s ^ cross[e] is the arrival of state s at the far end of its edge e
-    cross = [2 | b for b in neg]
-    orbit_of = [-1] * n_states
-    orbits = []
-    for s0 in range(n_states):
-        if orbit_of[s0] >= 0:
+    cycles = []
+    for s0 in starts:
+        if key_of[s0] >= 0:
             continue
-        idx = len(orbits)
-        orbit_of[s0] = idx
-        orbit = [s0]
-        s = leave[s0 ^ cross[s0 >> 2]]
+        key_of[s0] = s0
+        cycle = [s0]
+        s = leave[s0 ^ (2 | neg[s0 >> 2])]
         while s != s0:
-            if orbit_of[s] >= 0:
+            if key_of[s] >= 0:
                 raise RuntimeError("state map failed to close a cycle")
-            orbit_of[s] = idx
-            orbit.append(s)
-            s = leave[s ^ cross[s >> 2]]
-        orbits.append(orbit)
-    return orbits, orbit_of
-
-
-def _paired_faces(orbits: list, orbit_of: list, neg: list) -> list:
-    """The state cycles that carry the faces, after auditing the pairing.
-
-    Of each mirror pair of cycles from `_state_orbits` the one listed first
-    is kept, so faces come in the order of their smallest state.  Raises
-    RuntimeError on a self-mirrored cycle, a cycle whose mirror images do
-    not fill its partner, sides that do not sum to 2m, or an edge not
-    traversed exactly twice.
-    """
-    m = len(neg)
-    # mirror(s) = s ^ flip[e]: the end bit flips, and the side bit too
-    # unless edge e is negative
-    flip = [3 - b for b in neg]
-    per_edge = [0] * m
-    faces = []
-    for idx, orbit in enumerate(orbits):
-        s0 = orbit[0]
-        partner = orbit_of[s0 ^ flip[s0 >> 2]]
-        if partner == idx:
-            raise RuntimeError(
-                "self-mirrored facial cycle; scheme invariants violated"
-            )
-        if partner < idx:
-            continue  # the partner cycle carries this face
-        # mirror is injective, so equal lengths and every image landing in
-        # the partner cycle mean the two cycles mirror each other exactly
-        if len(orbits[partner]) != len(orbit):
-            raise RuntimeError("mirror pairing mismatch between facial cycles")
-        for s in orbit:
-            if orbit_of[s ^ flip[s >> 2]] != partner:
+            key_of[s] = s0
+            cycle.append(s)
+            s = leave[s ^ (2 | neg[s >> 2])]
+        # the twin is the mirror image, reversed: mirror(s) = s ^ (3 - neg[e])
+        # conjugates the step map to its inverse, so the step of mirror(s),
+        # leave[s ^ 1], must be the mirror of the state before s
+        prev = cycle[-1] ^ (3 - neg[cycle[-1] >> 2])
+        for s in cycle:
+            t = s ^ (3 - neg[s >> 2])
+            if key_of[t] >= 0:
+                raise RuntimeError(
+                    "self-mirrored facial cycle; scheme invariants violated"
+                    if t in cycle else
+                    "mirror pairing mismatch between facial cycles"
+                )
+            if leave[s ^ 1] != prev:
                 raise RuntimeError("mirror pairing mismatch between facial cycles")
+            key_of[t] = s0
+            prev = t
+        cycles.append(cycle)
+    return cycles
+
+
+def _faces(leave: list, neg: list) -> list:
+    """The kept state cycles of a full trace, each one face, in face order.
+    Raises RuntimeError as `_walk` does, or when the face sides do not sum
+    to 2m or an edge is not traversed exactly twice."""
+    m = len(neg)
+    faces = _walk(leave, neg, range(4 * m), [-1] * (4 * m))
+    per_edge = [0] * m
+    for face in faces:
+        for s in face:
             per_edge[s >> 2] += 1
-        faces.append(orbit)
     total = sum(per_edge)
     if total != 2 * m:
         raise RuntimeError(f"face sides sum to {total}, expected {2 * m}")
@@ -317,10 +318,9 @@ def trace_faces(E: PseudoEmbedding) -> tuple:
         raise SchemeError("scheme is disconnected; faces would misreport genus")
     neg = [1 if s < 0 else 0 for _, _, s in E.edges]
     home = [x for u, v, _ in E.edges for x in (u, v)]
-    orbits, orbit_of = _state_orbits(E._leave, neg)
     faces = tuple([
-        FacialWalk(tuple(orbit), tuple([home[s >> 1] for s in orbit]))
-        for orbit in _paired_faces(orbits, orbit_of, neg)
+        FacialWalk(tuple(cycle), tuple([home[s >> 1] for s in cycle]))
+        for cycle in _faces(E._leave, neg)
     ])
     object.__setattr__(E, "_faces", faces)
     return faces
@@ -452,11 +452,12 @@ class _SchemeEditor:
     vertices whose rotation an edit changed.  `index_faces` adds a face
     index for `insert_edge` and for block pasting: from then on `add_edge`
     extends `neg` and `face_of` with each edge, and `recut` walks the cut
-    faces again by `_retrace`.  `faces` maps each face's key, the smallest
-    state of its mirror pair of cycles, to the cycle through that state,
-    listed from it, and `face_of[s]` is the key of the face of state s.
-    Keys of faces of length >= 4 sit in the heap `long`, where a key that
-    no longer names a long face is skipped.
+    faces again by `_retrace`.  `face_of[s]` is the key of the face of
+    state s, the smallest state of its mirror pair of cycles, and is the
+    key array `_walk` writes: `_retrace` sets it to -1 at the states it is
+    given and walks them on it.  `faces` maps each key to the cycle through
+    that state, listed from it.  Keys of faces of length >= 4 sit in the
+    heap `long`, where a key that no longer names a long face is skipped.
     """
 
     def __init__(self, E: PseudoEmbedding):
@@ -507,21 +508,20 @@ class _SchemeEditor:
 
     def index_faces(self) -> None:
         """Index the faces of the input scheme; call it before any edit."""
-        self.neg = [1 if s < 0 else 0 for _, _, s in self.edges]
-        self.faces = {}
-        self.face_of = [-1] * (4 * len(self.edges))
-        self.long = []
-        for w in trace_faces(self.E):
-            self._store(w.states)
+        neg = self.neg = [1 if s < 0 else 0 for _, _, s in self.edges]
+        face_of = self.face_of = [-1] * (4 * len(self.edges))
+        self.faces, self.long = {}, []
+        cycles = [w.states for w in trace_faces(self.E)]
+        for cycle in cycles:
+            for s in cycle:
+                face_of[s] = face_of[s ^ (3 - neg[s >> 2])] = cycle[0]
+        self._store(cycles)
 
-    def _store(self, cycle: Sequence[int]) -> None:
-        key = cycle[0]
-        self.faces[key] = cycle
-        neg, face_of = self.neg, self.face_of
-        for s in cycle:
-            face_of[s] = face_of[s ^ (3 - neg[s >> 2])] = key
-        if len(cycle) >= 4:
-            heapq.heappush(self.long, key)
+    def _store(self, cycles: Sequence[Sequence[int]]) -> None:
+        for cycle in cycles:
+            self.faces[cycle[0]] = cycle
+            if len(cycle) >= 4:
+                heapq.heappush(self.long, cycle[0])
 
     def long_face(self) -> int | None:
         """Key of the first face of length >= 4 in face order, or None."""
@@ -553,28 +553,13 @@ class _SchemeEditor:
 
     def _retrace(self, states: list) -> list:
         """Index the faces of a mirror-closed union of whole state cycles,
-        stepping as `_state_orbits` and pairing as `_paired_faces` do for
-        all states, and return the cycles stored."""
-        leave, neg = self.leave, self.neg
-        cycle_of = {}
-        cycles = []
-        for s0 in sorted(states):
-            if s0 in cycle_of:
-                continue
-            cycle = []
-            s = s0
-            while s not in cycle_of:
-                cycle_of[s] = len(cycles)
-                cycle.append(s)
-                s = leave[s ^ (2 | neg[s >> 2])]
-            if s != s0:
-                raise RuntimeError("state map failed to close a cycle")
-            cycles.append(cycle)
-        stored = [cycle for idx, cycle in enumerate(cycles)
-                  if cycle_of[cycle[0] ^ (3 - neg[cycle[0] >> 2])] > idx]
-        for cycle in stored:
-            self._store(cycle)
-        return stored
+        walked by `_walk` on `face_of`, and return their cycles."""
+        face_of = self.face_of
+        for s in states:
+            face_of[s] = -1
+        cycles = _walk(self.leave, self.neg, sorted(states), face_of)
+        self._store(cycles)
+        return cycles
 
     def freeze(self, surface: SurfaceInfo | None = None) -> PseudoEmbedding:
         """The edited scheme, built once, with the input's rotation kept at

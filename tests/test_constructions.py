@@ -49,7 +49,7 @@ from emax.constructions import (
     _swap_gain,
     _tree_positive_masks,
 )
-from emax.embedding import _link, _state_orbits
+from emax.embedding import _faces, _link
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 
 from conftest import (
@@ -441,9 +441,9 @@ class TestSchemeCensus:
 
         def counted(*args):
             calls.append(1)
-            return _state_orbits(*args)
+            return _faces(*args)
 
-        monkeypatch.setattr(emax.constructions, "_state_orbits", counted)
+        monkeypatch.setattr(emax.constructions, "_faces", counted)
         scheme_census(CENSUS_GRAPHS[name], mode)
         assert len(calls) == traces
 
@@ -507,7 +507,7 @@ def _labelled(phi):
 
 
 class TestFixtureClimbCounting:
-    def test_cycle_count_matches_state_orbits(self):
+    def test_cycle_count_matches_the_full_trace(self):
         pairs = _k8_c5_pairs()
         m = len(pairs)
         rng = random.Random(5)
@@ -522,8 +522,7 @@ class TestFixtureClimbCounting:
                 _link(r, leave)
             phi = [leave[2 * (d ^ 1)] >> 1 for d in range(2 * m)]
             lab, at, face_len = _labelled(phi)
-            orbits, _ = _state_orbits(leave, [0] * m)
-            assert 2 * len(face_len) == len(orbits)
+            assert len(face_len) == len(_faces(leave, [0] * m))
             for d in range(2 * m):  # phi steps one position along the face
                 assert lab[phi[d]] == lab[d]
                 assert at[phi[d]] == (at[d] + 1) % face_len[lab[d]]
@@ -562,8 +561,7 @@ class TestFixtureClimbCounting:
             want = len(face_len) + _swap_gain(lab, at, face_len, r[i], r[j])
             r[i], r[j] = r[j], r[i]
             _link(r, leave)
-            orbits, _ = _state_orbits(leave, [0] * m)
-            assert 2 * want == len(orbits)
+            assert want == len(_faces(leave, [0] * m))
 
 
 class TestPasteBlock:

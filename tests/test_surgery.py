@@ -383,18 +383,18 @@ class TestCompletionMatchesReference:
         E = construct_proposition2(120, orientable)
         builds, traces = [], []
         init = PseudoEmbedding.__init__
-        state_orbits = emax.embedding._state_orbits
+        full_trace = emax.embedding._faces
 
         def counting_init(self, *args):
             builds.append(1)
             init(self, *args)
 
-        def counting_orbits(*args):
+        def counting_traces(*args):
             traces.append(1)
-            return state_orbits(*args)
+            return full_trace(*args)
 
         monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
-        monkeypatch.setattr(emax.embedding, "_state_orbits", counting_orbits)
+        monkeypatch.setattr(emax.embedding, "_faces", counting_traces)
         T, added = complete_to_triangulation(E)
         assert added == 360
         assert len(builds) == 1
@@ -484,6 +484,18 @@ class TestSchemeEditor:
             else:
                 with pytest.raises(RuntimeError, match="full trace"):
                     editor.freeze(surface_info(E))
+
+    def test_recut_audits_a_state_set_that_is_not_mirror_closed(self):
+        # one state of a face meets the face's other states, which keep
+        # their key; one cycle without its mirror meets a twin still keyed
+        E = construct_proposition2(3, orientable=False)
+        for cut, fault in ((lambda c: [c[0]], "failed to close"),
+                           (list, "mirror pairing mismatch")):
+            editor = _SchemeEditor(E)
+            editor.index_faces()
+            walk = editor.faces[editor.long_face()]
+            with pytest.raises(RuntimeError, match=fault):
+                editor._retrace(cut(walk))
 
     def test_freeze_audits_the_surface(self):
         E = construct_proposition2(3, orientable=False)
