@@ -29,9 +29,11 @@ ceil(alpha_i (g-2)), the schedule uses c_s = i exactly for s in
 L_i = (beta_i + 1 .. beta_{i-1}).  An error term E_i, a recursion over the
 rows with nonempty L_i, certifies how far the closed form
 2i/(i-6) (g-2) + (z-1)(2i-3) can undershoot the recurrence.  All of this
-runs on integer endpoints at one scale 2^-p, rounded outward (see
-`_context_at_precision`), in O(2g+2) steps; every reported comparison is a
-comparison of interval endpoints, never of floats.
+runs on integer endpoints at one scale 2^-p, rounded outward, in one pass
+up the rows i = 7 .. 2g+2 and one down them for E (see
+`_context_at_precision`); `claim1_consistency` then checks the recurrence
+in one pass over s.  Every reported comparison is a comparison of
+interval endpoints, never of floats.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import isqrt
 
 from .intervals import (
@@ -60,8 +61,8 @@ DEFAULT_PRECISION_BITS = 256
 PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
 # bounds f prints one c per step: at this cap 7-9 MB of output, written
-# from the runs in 0.01-0.05 s, while an unbounded s_max prints until it is
-# killed
+# from the runs 4096 items at a time in 0.01-0.05 s and 16-17 MB, never
+# holding the 10^6 c values, while an unbounded s_max prints until killed
 SCHEDULE_STEP_CAP = 10**6
 # every crossing comes from the root of a quadratic, so the loop makes one
 # pass per run or single step, at most min(s_max, about 2 sqrt(6g)): bounds f
@@ -70,10 +71,10 @@ SCHEDULE_STEP_CAP = 10**6
 # machine, Python 3.11.7)
 SCHEDULE_GENUS_CAP = 10**10
 # a table row at Euler genus g prints a g-1 entry schedule, so a table up
-# to genus G costs output quadratic in G: G = 3000 takes about 0.2 s in
-# csv or json and 0.25-0.3 s in the padded format, in 16 MB, and 22 MB for
-# the padded one, which keeps its rows (a few runs each) to take the
-# column widths first
+# to genus G costs output quadratic in G: G = 3000 takes 0.19-0.23 s in
+# csv or json, which write each row as it is made, in 16 MB, and
+# 0.24-0.3 s and 23 MB in the padded format, which keeps its rows (a few
+# runs each) to take the column widths first
 TABLE_GENUS_CAP = 3000
 # verify_theorem costs about 0.004 ms per genus past the direct range, in
 # constant memory: 10^5 genera take about 0.4 s for either theorem
@@ -353,58 +354,55 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     A decision reads endpoints only (alpha_i (g-2) <= 2 holds when hi <=
     2^(p+1), fails when lo > 2^(p+1)); anything else is a straddle, and
     the caller widens.
+
+    One loop up the rows builds each from the one below: alpha_i, the k
+    test and beta_i = certified ceiling up to k, the anchor beta_i above
+    k, ell_i and L_i, and the prefix sums of gamma.  The first straddling
+    ceiling is held until k is found, so a straddle of the k test at any
+    row up to k is reported ahead of it.  E then runs down the rows.
     """
     p = tail_bits + GRID_GUARD_BITS
     a7_lo, a7_hi = alpha7_interval(tail_bits).outward(p)
     top = max(7, 2 * g + 2)
-    twelve = 12 << p
-    alpha = {7: (a7_lo, a7_hi)}
+    twelve, two, one = 12 << p, 2 << p, 1 << p
+    alpha, beta, gamma, ell, L_lists = {}, {}, {}, {}, {}
+    # prefix sums: sum_{7<=j<=i} gamma_j is (c_lo[i-6], c_hi[i-6])
+    c_lo, c_hi = [0], [0]
     s_lo = 0
-    for i in range(8, top + 1):
-        s_lo += twelve // ((i - 7) * (i - 6) * (2 * i - 3))
-        alpha[i] = (a7_lo - s_lo - (i - 7), a7_hi - s_lo)
-
-    # k: scan upward with certified comparisons only
-    two = 2 << p
+    k = held = None
+    b_below = g + 1  # L_7 ends at s = g+1
     for i in range(7, top + 1):
-        lo, hi = alpha[i]
-        if hi * gm2 <= two:
-            k = i
-            break
-        if lo * gm2 <= two:
-            raise _Straddle(i)
-    else:
+        if i > 7:
+            s_lo += twelve // ((i - 7) * (i - 6) * (2 * i - 3))
+        alpha[i] = a_lo, a_hi = a7_lo - s_lo - (i - 7), a7_hi - s_lo
+        lo, hi = a_lo * gm2, a_hi * gm2
+        if k is None:
+            if hi <= two:
+                k = i
+            elif lo <= two:
+                raise _Straddle(i)
+            b = None if held else certified_ceil(lo, hi, p)
+            if b is None:
+                held = held or i
+                if k is not None:
+                    raise _Straddle(held)
+                continue
+            if not hi <= b << p < lo + one:
+                raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
+        else:
+            b = 1 if i == top else beta[k]
+        beta[i] = b
+        gamma[i] = g_lo, g_hi = (b << p) - hi, (b << p) - lo
+        ell[i] = b_below - b
+        L_lists[i] = tuple(range(b + 1, b_below + 1))
+        b_below = b
+        c_lo.append(c_lo[-1] + g_lo)
+        c_hi.append(c_hi[-1] + g_hi)
+    if k is None:
         raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
 
-    beta = {}
-    gamma = {}
-    for i in range(7, k + 1):
-        lo, hi = alpha[i][0] * gm2, alpha[i][1] * gm2
-        b = certified_ceil(lo, hi, p)
-        if b is None:
-            raise _Straddle(i)
-        beta[i] = b
-        g_lo, g_hi = (b << p) - hi, (b << p) - lo
-        if not (g_lo >= 0 and g_hi < 1 << p):
-            raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
-        gamma[i] = (g_lo, g_hi)
-    has_anchor = 2 * g + 2 > k
-    if has_anchor:
-        for i in range(k + 1, top + 1):
-            beta[i] = b = 1 if i == top else beta[k]
-            lo, hi = alpha[i]
-            gamma[i] = ((b << p) - hi * gm2, (b << p) - lo * gm2)
-
-    ell = {7: g + 1 - beta[7]}
-    L_lists = {7: tuple(range(beta[7] + 1, g + 2))}
-    for i in range(8, top + 1):
-        ell[i] = beta[i - 1] - beta[i]
-        L_lists[i] = tuple(range(beta[i] + 1, beta[i - 1] + 1))
-
-    # prefix sums: sum_{7<=j<=i} gamma_j is (c_lo[i-6], c_hi[i-6])
-    c_lo = list(accumulate((gamma[i][0] for i in range(7, top + 1)), initial=0))
-    c_hi = list(accumulate((gamma[i][1] for i in range(7, top + 1)), initial=0))
-    E = dict.fromkeys((k, top) if has_anchor else (k,), (0, 0))
+    # E_k and the anchor row's E_top are zero (one row when top = k)
+    E = dict.fromkeys((k, top), (0, 0))
     # one downward sweep; nxt is the lowest nonempty row above i
     nxt = None
     for i in range(top, 6, -1):
@@ -493,51 +491,47 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
 
         f'(s) <= 2i/(i-6) (g-2) + (z-1)(2i-3) + E_i,   s = beta_i + z.
 
-    The comparison is against the lower endpoint of E_i's enclosure, so a
-    pass is a proof.  f'(s) is an integer ratio fp/fq (the first branch at
-    row i has denominator i-6, so fq never grows), and the test is
-    cross-multiplied by the positive fq (i-6) 2^p into integers.  At s=2
-    the two sides agree exactly (the anchor row), except for g=2 where the
-    right side's row index degenerates and the anchor is checked directly.
+    beta falls as i rises, so the rows read from the top list s = 2, 3,
+    ..., g+1 in order, and one loop steps f' with c_s = i and checks the
+    bound at each s; the report lists by row, then s.  The comparison is
+    against the lower endpoint of E_i's enclosure, so a pass is a proof.
+    f'(s) is an integer ratio fp/fq (the first branch at row i has
+    denominator i-6, so fq never grows), and the test is cross-multiplied
+    by the positive fq (i-6) 2^p into integers.  At s=2 the two sides agree
+    exactly (the anchor row), except for g=2 where the right side's row
+    index degenerates and the anchor is checked directly.
     """
     ctx = analytic_context(g, precision)
     gm2 = g - 2
     p = ctx.scale_bits
-    # schedule from the L rows
-    c_of = {}
-    for i, L in ctx.L_lists.items():
-        for s in L:
-            if s >= 3:
-                c_of[s] = i
-    fp, fq = f_exact_s2(g), 1
-    f = {2: (fp, fq)}
-    for s in range(3, g + 2):
-        i = c_of[s]
-        num = (2 * i - 3) * fq + fp
-        if 2 * i * gm2 * fq >= num * (i - 6):
-            fp, fq = 2 * i * gm2, i - 6
-        else:
-            fp = num
-        f[s] = (fp, fq)
+    fp, fq = f_exact_s2(g), 1  # f'(last)
+    last = 2
     failures = []
-    indeterminate = []
+    undecided = []  # (i, s)
     checked = 0
-    for i, L in sorted(ctx.L_lists.items()):
+    for i, L in reversed(ctx.L_lists.items()):
         Ei = ctx.E.get(i)
         for s in L:
-            if not (2 <= s <= g + 1):
+            if s < 2:
                 continue
-            z = s - ctx.beta[i]
+            if s > 2:
+                if s != last + 1:
+                    raise RuntimeError(f"the rows skip or repeat s={last + 1}")
+                num = (2 * i - 3) * fq + fp
+                if 2 * i * gm2 * fq >= num * (i - 6):
+                    fp, fq = 2 * i * gm2, i - 6
+                else:
+                    fp = num
+                last = s
+            checked += 1
             if g == 2 and s == 2:
                 # degenerate anchor: no valid row index; the anchor is exact
-                checked += 1
                 continue
             if Ei is None:
                 raise RuntimeError(f"row {i} has no error term but s={s} uses it")
-            fp, fq = f[s]
+            z = s - ctx.beta[i]
             den = fq * (i - 6)
             num = fp * (i - 6) - 2 * i * gm2 * fq - (z - 1) * (2 * i - 3) * den
-            checked += 1
             if num << p <= Ei[0] * den:
                 continue
             if num << p > Ei[1] * den:
@@ -546,16 +540,17 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
                 failures.append({"s": s, "i": i, "f": str(Fraction(fp, fq)),
                                  "rhs_hi": str(rhs_hi)})
             else:
-                indeterminate.append(s)
+                undecided.append((i, s))
+    if last != g + 1:
+        raise RuntimeError(f"the rows end at s={last}, not at g+1={g + 1}")
     e7_hi = ctx.E.get(7, (0, 0))[1]
-    report = {
+    return {
         "g": g,
-        "ok": not failures and not indeterminate,
+        "ok": not failures and not undecided,
         "k": ctx.k,
         "checked": checked,
-        "failures": failures,
-        "indeterminate": indeterminate,
+        "failures": sorted(failures, key=lambda r: r["i"]),
+        "indeterminate": [s for _, s in sorted(undecided)],
         "E7_hi": str(Fraction(e7_hi, 1 << p)),
         "E7_le_2k_minus_3": e7_hi <= (2 * ctx.k - 3) << p,
     }
-    return report

@@ -21,39 +21,27 @@ flags, unreadable or malformed files, out-of-domain parameters).  An
 `ordered-seq` search that finds nothing is an answer, not a failure: it
 prints `"found": false` and exits 0.
 
-Size caps, sized from their algorithms, refuse runaway inputs up front with
-exit 2: `enumerate` covers at most constructions.ENUMERATION_CAP schemes
-(10^7, `--cap` overrides it), `bounds f` and `ordered-seq` take an `--s` of
-at most bounds.SCHEDULE_STEP_CAP recurrence steps (10^6: `bounds f` writes
-7-9 MB from the schedule's runs of constant c in at most 0.05 s and
-16 MB, never holding the 10^6 c values), `bounds f` takes a `--g` of at
-most bounds.SCHEDULE_GENUS_CAP (10^10: each crossing of the c scan comes
-from the root of a quadratic, so under 0.1 ms with `--s 3` and 0.05 s at
-both caps), `construct kmn` and `construct family` build at most
-constructions.CONSTRUCT_EDGE_CAP edges (10^5: at most about 0.6 s and
-95 MB), `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices, so
-that its edge list reads back, and an edge-list file declares at most
-graphs.EDGE_LIST_VERTEX_CAP vertices (10^5, about 45 MB of adjacency
-sets).  `construct prop2` takes a `--genus` and `--base-faces` of at most
-constructions.PROP2_GENUS_CAP (10^4: every block is pasted on one scheme
-editor, so time and memory are linear in the genus).  A scheme file
-declares at most embedding.SCHEME_SIZE_CAP vertices and as many edges
-(10^5: the largest Proposition 2 scheme, triangulated, has 75000 edges),
-and `triangulate` refuses a scheme whose triangulation, of 3(n - 2 + g)
-edges, would be above the cap, so every scheme emax writes reads back.
-On a triangulation at the cap `triangulate` takes about 2-3 s and 192 MB,
-but a long face costs it quadratic time, about 16 s for a 5000-edge
-cycle.  `bounds table` stops at the row of Euler genus
-bounds.TABLE_GENUS_CAP (3000, so `--gmax` 3000 nonorientable or 1500
-orientable: a row prints a schedule of g-1 entries, so output is
-quadratic, 0.2 to 0.35 s at the cap; csv and json write each row as it
-is made, in 16 MB, and the padded format keeps its rows, a few runs of c
-each, to take the column widths first, in 22 MB).
-`bounds verify` takes a `--gmax` of at most bounds.VERIFY_GMAX_CAP (10^5:
-linear, about 0.4 s).  `regen-fixture` takes `--restarts` and `--iters` of
-at least 1 and a restarts * (iters + constructions.REGEN_SETUP_MOVES) of
-at most constructions.REGEN_MOVE_CAP (10^7 and 64: a move costs 0.6-1.1 us
-and a restart's set-up 31-47 us, so at most about 11 s of climbing).
+Size caps refuse runaway inputs up front with exit 2; where a cap was
+sized from a measurement, the figures sit beside its constant.
+`enumerate` covers at most constructions.ENUMERATION_CAP = 10^7 schemes
+(`--cap` overrides it).  `bounds f` and `ordered-seq` take an `--s` of at
+most bounds.SCHEDULE_STEP_CAP = 10^6 recurrence steps, and `bounds f` a
+`--g` of at most bounds.SCHEDULE_GENUS_CAP = 10^10.  `construct kmn` and
+`construct family` build at most constructions.CONSTRUCT_EDGE_CAP = 10^5
+edges, and `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices,
+so that its edge list reads back; an edge-list file declares at most
+graphs.EDGE_LIST_VERTEX_CAP = 10^5 vertices.  `construct prop2` takes a
+`--genus` and `--base-faces` of at most constructions.PROP2_GENUS_CAP =
+10^4.  A scheme file declares at most embedding.SCHEME_SIZE_CAP = 10^5
+vertices and as many edges, and `triangulate` refuses a scheme whose
+triangulation, of 3(n - 2 + g) edges, would be above it, so every scheme
+emax writes reads back.  `bounds table` stops at the row of Euler genus
+bounds.TABLE_GENUS_CAP = 3000 (`--gmax` 3000 nonorientable or 1500
+orientable).  `bounds verify` takes a `--gmax` of at most
+bounds.VERIFY_GMAX_CAP = 10^5.  `regen-fixture` takes `--restarts` and
+`--iters` of at least 1 and a restarts * (iters +
+constructions.REGEN_SETUP_MOVES) of at most constructions.REGEN_MOVE_CAP
+= 10^7 (REGEN_SETUP_MOVES = 64).
 
 `enumerate` prints the number of schemes with each vertex's first dart
 fixed, from the product formula alone.  With `--census` it groups them by
@@ -265,7 +253,12 @@ def cmd_ordered_seq(args) -> int:
     P = Bipartition(frozenset(range(G.n)) - part_b, part_b)
     schedule = None
     if args.c_schedule:
-        schedule = [int(t) for t in args.c_schedule.replace(",", " ").split()]
+        schedule = []
+        for t in args.c_schedule.replace(",", " ").split():
+            try:
+                schedule.append(int(t))
+            except ValueError:
+                raise ValueError(f"--c-schedule: {t!r} is not an integer") from None
     seq = find_ordered_sequence(G, P, args.s, schedule)
     return _write({"s": args.s, "found": seq is not None, "sequence": seq,
                    "c_schedule": schedule})

@@ -84,8 +84,9 @@ Dart = tuple  # (edge_id, end)
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
 # edges, and at the cap a double wheel takes `triangulate` 2-3 s and
-# 192 MB and `analyze` 1.3-2.0 s and 134 MB (ru_maxrss, 2-core machine,
-# Python 3.11.7)
+# 192 MB and `analyze` 1.3-2.0 s and 134 MB; a long face costs `triangulate`
+# quadratic time, 2.5-2.7 s for a 2000-edge cycle and 11.3-11.6 s for 5000
+# (ru_maxrss, 2-core machine, Python 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
 

@@ -477,6 +477,25 @@ class TestClaim1:
         assert Fraction(claim1_consistency(10)["E7_hi"]) > 0
         assert Fraction(claim1_consistency(9)["E7_hi"]) == 0
 
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_misses_are_listed_by_row_then_s(self, monkeypatch, sign):
+        # E_i far below every closed form fails each s, and an enclosure
+        # around it leaves each s undecided; either list runs by row, then s
+        ctx = analytic_context(50)
+        big = 1 << (ctx.scale_bits + 20)
+        E = {i: (-big, sign * big) for i in ctx.E}
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: ctx._replace(E=E))
+        rep = claim1_consistency(50)
+        rows = [(i, s) for i, L in sorted(ctx.L_lists.items()) for s in L]
+        assert len(rows) == rep["checked"] == 50 and rep["ok"] is False
+        if sign < 0:
+            assert [(r["i"], r["s"]) for r in rep["failures"]] == rows
+            assert rep["indeterminate"] == []
+        else:
+            assert rep["failures"] == []
+            assert rep["indeterminate"] == [s for _, s in rows]
+
 
 ORACLE_GENERA = list(range(2, 151)) + [250, 600, 1000]
 DECIDED = ("g", "ok", "k", "checked", "failures", "indeterminate",
@@ -555,6 +574,17 @@ class TestIntegerEngine:
                 reference_analytic_context(g, precision=8)
             assert failed[g] == str(want.value), g
             assert f"for g={g} even at tail precision 2^-8" in failed[g]
+
+    @pytest.mark.parametrize("g, row", [(628, 35), (802, 39), (849, 40), (896, 41)])
+    def test_a_k_test_straddle_comes_before_an_earlier_ceiling_straddle(self, g, row):
+        # at these genera a ceiling below k straddles too, at a lower row
+        # than the k test's straddle, which the error must still name
+        with pytest.raises(PrecisionError) as want:
+            reference_analytic_context(g, precision=8)
+        with pytest.raises(PrecisionError) as got:
+            analytic_context(g, precision=8)
+        assert str(got.value) == str(want.value)
+        assert f"alpha_{row}(g-2)" in str(got.value)
 
     def test_the_ladder_climbs_like_the_fraction_engine(self, monkeypatch):
         # started at 2^-8 below the default precision, the genera that

@@ -253,6 +253,12 @@ class TestOrderedSeq:
                        "--s", "2", "--c-schedule", "7")
         assert rep["c_schedule"] == [7]
 
+    def test_non_integer_schedule_entry_is_named(self, tmp_path, capsys):
+        code, out, err = run(capsys, "ordered-seq", self.write_q(tmp_path, capsys),
+                             "--s", "2", "--c-schedule", "7,x")
+        assert (code, out) == (2, "")
+        assert err == "error: --c-schedule: 'x' is not an integer\n"
+
     def test_missing_part_b_comment(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("3 2\n0 1\n1 2\n")
