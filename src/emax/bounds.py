@@ -82,7 +82,14 @@ VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
 
-SURFACE_KINDS = ("nonorientable", "orientable")
+# (factor, bound per unit of Euler genus, end of the direct range) per kind:
+# factor f'(g, g+1) - 1 <= bound g, by the recurrence up to the range's end;
+# the factor is also the Lemma 5 chord period and the deficit bound's factor
+SURFACES = {"nonorientable": (5, 84, 299), "orientable": (4, 67, 670)}
+SURFACE_KINDS = tuple(SURFACES)
+# verify_theorem's names, each bound alone and after its kind, to the kind
+THEOREMS = {**{str(b): k for k, (_, b, _) in SURFACES.items()},
+            **{f"{k}-{b}": k for k, (_, b, _) in SURFACES.items()}}
 
 
 class BoundsError(ValueError):
@@ -262,7 +269,7 @@ def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
             raise BoundsError("table rows need g >= 1")
         if surface_kind == "orientable" and g % 2 != 0:
             raise BoundsError("orientable surfaces have even Euler genus")
-    factor = 5 if surface_kind == "nonorientable" else 4
+    factor = SURFACES[surface_kind][0]
 
     def rows():
         for g in g_range:
@@ -440,18 +447,17 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     recurrence, then 5*analytic - 1 <= 84 g up to g_max by the certified
     closed form.  orientable-67: the same with factor 4, bound 67 g, and
     direct range [1, 670].  Reports the minimum slack and every violation
-    (there must be none).
+    (there must be none).  Both read their constants from SURFACES.
     """
-    theorems = {"84": ("nonorientable-84", 5, 84, 299),
-                "67": ("orientable-67", 4, 67, 670)}
-    aliases = {**theorems, **{t[0]: t for t in theorems.values()}}
-    if which not in aliases:
-        raise BoundsError(f"unknown theorem {which!r}; use 84 or 67")
+    if which not in THEOREMS:
+        raise BoundsError(f"unknown theorem {which!r}; use "
+                          + " or ".join(str(b) for _, b, _ in SURFACES.values()))
     if g_max < 1:
         raise BoundsError("g_max must be >= 1")
     if g_max > VERIFY_GMAX_CAP:
         raise BoundsError(f"g_max {g_max} is above the cap of {VERIFY_GMAX_CAP}")
-    name, factor, per_g, dp_top = aliases[which]
+    kind = THEOREMS[which]
+    factor, per_g, dp_top = SURFACES[kind]
     dp_top = min(dp_top, g_max)
     # each slack is carried as its integer numerator over Q, the
     # denominator of lambda's upper end, which every analytic bound's
@@ -475,7 +481,7 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
         ub = analytic_upper_bound(g, bits)
         note(g, (per_g * g + 1) * Q - factor * ub.numerator * (Q // ub.denominator))
     return {
-        "theorem": name,
+        "theorem": f"{kind}-{per_g}",
         "ok": not violations,
         "direct_range": [1, dp_top],
         "analytic_range": [dp_top + 1, g_max] if g_max > dp_top else None,

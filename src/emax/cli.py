@@ -97,8 +97,10 @@ from .constructions import (
 )
 from .surgery import run_lemma5_pipeline, complete_to_triangulation, find_ordered_sequence
 from .bounds import (
+    SURFACE_KINDS,
+    SURFACES,
+    THEOREMS,
     BoundsError,
-    f_exact_s2,
     optimal_schedule,
     table_rows,
     verify_theorem,
@@ -220,7 +222,6 @@ def cmd_pipeline(args) -> int:
     rep = run_lemma5_pipeline(E, args.mode)
     H, P = rep.bipartite_extract
     b = len(rep.apex_set)
-    factor = 5 if args.mode == "nonorientable" else 4
     return _write({
         "mode": rep.mode,
         "input": _analysis(E),
@@ -229,7 +230,7 @@ def cmd_pipeline(args) -> int:
         "apex_count": b,
         "apex_vertices": list(rep.apex_set),
         "edges_added_to_triangulate": rep.edges_added_to_triangulate,
-        "deficit_bound": factor * b - 1 if b else 0,
+        "deficit_bound": SURFACES[args.mode][0] * b - 1 if b else 0,
         "bipartite": {"n": H.n, "m": H.m, "part_b": sorted(P.part_b),
                       "edges": [list(e) for e in sorted(H.edges)]},
     })
@@ -353,15 +354,11 @@ def cmd_bounds_table(args) -> int:
 def cmd_bounds_f(args) -> int:
     if args.s < 2:
         raise BoundsError("--s must be at least 2")
-    if args.s == 2:
-        runs, final, floored = (), f_exact_s2(args.g), ()
-    else:
-        runs, final, floored = optimal_schedule(args.g, args.s)
+    runs, final, floored = optimal_schedule(args.g, args.s)
     # the bytes _dump gives {g, s, f, c_schedule, floored_steps}, with each
     # list written from runs a piece at a time: at --s 1000000 the whole
     # text built as one string took 146 MB, and the expanded schedule 16 MB.
-    # f is an int: f_exact_s2 gives one, and optimal_schedule floors every
-    # step by default
+    # f is an int: optimal_schedule floors every step by default
     write = sys.stdout.write
     write('{\n  "c_schedule": ')
     sys.stdout.writelines(_json_ints(runs))
@@ -395,7 +392,6 @@ _REQUIRED = object()
 _Opt = namedtuple("_Opt", "name type default choices help",
                   defaults=(str, _REQUIRED, None, ""))
 _OUT = _Opt("--out", str, None)
-_SURFACES = ("nonorientable", "orientable")
 COMMANDS = {
     (): (None, "edge-maximal embeddings toolkit", ()),
     ("construct",): (None, "build graphs and schemes", ()),
@@ -414,7 +410,7 @@ COMMANDS = {
     ("analyze",): (cmd_analyze, "surface report for a scheme file",
                    (_Opt("scheme"),)),
     ("pipeline",): (cmd_pipeline, "chord, apex, extract, and audit",
-                    (_Opt("scheme"), _Opt("--mode", choices=_SURFACES))),
+                    (_Opt("scheme"), _Opt("--mode", choices=SURFACE_KINDS))),
     ("triangulate",): (cmd_triangulate, "complete a scheme to a triangulation", (
         _Opt("scheme"),
         _Opt("--out", str, None, help="write the completed scheme JSON here"))),
@@ -429,7 +425,7 @@ COMMANDS = {
             "group results by (genus, orientability, face vector)")))),
     ("bounds",): (None, "recurrence tables and theorem checks", ()),
     ("bounds", "table"): (cmd_bounds_table, "published-table reproduction", (
-        _Opt("--surface", choices=_SURFACES),
+        _Opt("--surface", choices=SURFACE_KINDS),
         _Opt("--gmax", int, help="rows: Euler genus 1..gmax, or handles 1..gmax"),
         _Opt("--format", str, "json", ("csv", "json", "pretty")),
         _Opt("--anchor-delta", int, 0,
@@ -437,7 +433,7 @@ COMMANDS = {
     ("bounds", "f"): (cmd_bounds_f, "one recurrence value f'(g, s)",
                       (_Opt("--g", int), _Opt("--s", int))),
     ("bounds", "verify"): (cmd_bounds_verify, "impurity theorem sweeps", (
-        _Opt("--theorem", choices=("84", "67", "nonorientable-84", "orientable-67")),
+        _Opt("--theorem", choices=tuple(THEOREMS)),
         _Opt("--gmax", int, 2000))),
     ("regen-fixture",): (
         cmd_regen_fixture, "hill-climb search for the toroidal K8-E(C5) scheme",

@@ -31,6 +31,9 @@ from .embedding import (
     trace_faces,
 )
 
+# enumerate --census on 7,962,624 schemes, 16 MB either way: 3.3-4.0 s in mode
+# all (K5, a trace per 32 schemes), 126-145 s in orientable-only (K5, a fifth
+# edge at each vertex, a trace per 2); in-process, 2-core, Python 3.11.7
 ENUMERATION_CAP = 10**7
 # construct kmn and construct family at this many edges take at most 0.6 s
 # and 95 MB (ru_maxrss, 2-core machine, Python 3.11.7); 10^6 took 4.2 s and

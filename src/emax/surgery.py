@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .bounds import optimal_schedule
+from .bounds import SURFACE_KINDS, SURFACES, optimal_schedule
 from .graphs import (
     Bipartition,
     Graph,
@@ -52,31 +52,29 @@ from .embedding import (
     _SchemeEditor,
 )
 
-SURGERY_MODES = ("nonorientable", "orientable")
-
-
 class HypothesisViolation(RuntimeError):
     """No qualifying vertex exists; the genus-size hypothesis was false."""
 
 
+def _period(mode: str) -> int:
+    """The chord period of a surgery mode, its surface kind's factor."""
+    if mode not in SURFACE_KINDS:
+        raise SchemeError(f"mode must be one of {SURFACE_KINDS}")
+    return SURFACES[mode][0]
+
+
 def chord_positions(t: int, mode: str) -> list:
-    """Chord targets for a length-t face: i = 3 (mod 5) with 3 <= i <= t-5,
-    or i = 3 (mod 4) with 3 <= i <= t-4 in orientable mode."""
-    if mode == "nonorientable":
-        return list(range(3, t - 4, 5))
-    if mode == "orientable":
-        return list(range(3, t - 3, 4))
-    raise SchemeError(f"mode must be one of {SURGERY_MODES}")
+    """Chord targets for a length-t face: i = 3 (mod k) with 3 <= i <= t-k
+    for the period k, 5 in nonorientable mode and 4 in orientable mode."""
+    k = _period(mode)
+    return list(range(3, t - k + 1, k))
 
 
 def face_split_count(t: int, mode: str) -> int:
-    """How many faces a length-t face becomes: floor((t+2)/5) or
-    floor((t+1)/4)."""
-    if mode == "nonorientable":
-        return (t + 2) // 5
-    if mode == "orientable":
-        return (t + 1) // 4
-    raise SchemeError(f"mode must be one of {SURGERY_MODES}")
+    """How many faces a length-t face becomes: floor((t+k-3)/k) for the
+    period k, that is floor((t+2)/5) or floor((t+1)/4)."""
+    k = _period(mode)
+    return (t + k - 3) // k
 
 
 def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
@@ -95,8 +93,7 @@ def chord_faces(E: PseudoEmbedding, mode: str) -> PseudoEmbedding:
     exactly face_split_count pieces, and every non-triangular face of the
     result has at least four distinct vertices.
     """
-    if mode not in SURGERY_MODES:
-        raise SchemeError(f"mode must be one of {SURGERY_MODES}")
+    _period(mode)  # refuses an unknown mode up front
     if not E.is_simple_graph():
         raise SchemeError("chord_faces expects a scheme of a simple graph")
     if E.n < 4:
@@ -431,8 +428,7 @@ def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:
     most 5|B|-1 (nonorientable) or 4|B|-1 (orientable) whenever any apex
     was needed at all.
     """
-    if mode not in SURGERY_MODES:
-        raise SchemeError(f"mode must be one of {SURGERY_MODES}")
+    factor = _period(mode)
     if E.n < 4:
         raise SchemeError("pipeline needs at least 4 vertices")
     ok, witness = is_edge_maximal_embedding(E)
@@ -446,10 +442,9 @@ def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:
     H, P = bipartite_extract(apexed, apexes)
     added = edges_short(E)
     adjacency = set()
-    for u, v, _ in apexed.edges:
-        adjacency.add((u, v) if u < v else (v, u))
     nbrs = {w: set() for w in apexes}
     for u, v, _ in apexed.edges:
+        adjacency.add((u, v) if u < v else (v, u))
         if u in nbrs:
             nbrs[u].add(v)
         if v in nbrs:
@@ -463,7 +458,6 @@ def run_lemma5_pipeline(E: PseudoEmbedding, mode: str) -> SurgeryReport:
                         f"apex {w}: neighbors {x},{y} are not adjacent, "
                         "N[w] is not a K5"
                     )
-    factor = 5 if mode == "nonorientable" else 4
     if apexes:
         if added > factor * len(apexes) - 1:
             raise RuntimeError(

@@ -619,6 +619,18 @@ class TestVerifyTheorem:
         assert a == b
         assert a["theorem"] == "nonorientable-84"
 
+    @pytest.mark.parametrize("names, theorem, top", [
+        (("84", "nonorientable-84"), "nonorientable-84", 299),
+        (("67", "orientable-67"), "orientable-67", 670),
+    ])
+    def test_each_name_reads_its_surface_row(self, names, theorem, top):
+        # the direct range ends at 299 or 670, then the analytic one starts
+        for which in names:
+            rep = verify_theorem(which, g_max=top + 1)
+            assert rep["theorem"] == theorem
+            assert rep["direct_range"] == [1, top]
+            assert rep["analytic_range"] == [top + 1, top + 1]
+
     def test_direct_only_report_shape(self):
         rep = verify_theorem("67", g_max=100)
         assert rep["ok"] is True
@@ -636,6 +648,9 @@ class TestVerifyTheorem:
     def test_unknown_theorem(self):
         with pytest.raises(BoundsError, match="84 or 67"):
             verify_theorem("109")
+        with pytest.raises(BoundsError) as info:
+            verify_theorem("orientable-84")
+        assert str(info.value) == "unknown theorem 'orientable-84'; use 84 or 67"
         with pytest.raises(BoundsError, match="g_max"):
             verify_theorem("84", g_max=0)
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emax.bounds
 import emax.embedding
 import emax.surgery
 from emax import (
@@ -35,6 +36,7 @@ from emax.bounds import (
     VERIFY_GMAX_CAP,
     f_exact_s2,
     optimal_schedule,
+    verify_theorem,
 )
 from emax.constructions import (
     CONSTRUCT_EDGE_CAP,
@@ -92,6 +94,17 @@ class TestConstruct:
         assert code == 0
         assert out.splitlines()[0] == "8 12"
         assert "# part_b: 0 1 2" in out
+
+    def test_q_scheme_reads_back_as_a_planar_quadrangulation(self, tmp_path,
+                                                             capsys):
+        code, out, _ = run(capsys, "construct", "q", "--embedded")
+        assert code == 0
+        path = tmp_path / "q.json"
+        path.write_text(out)
+        rep = run_json(capsys, "analyze", str(path))
+        assert (rep["n"], rep["m"], rep["genus"], rep["orientable"]) == (
+            8, 12, 0, True)
+        assert rep["faces"] == [4] * 6
 
     def test_family_and_kmn_agree_for_the_core(self, capsys):
         _, fam, _ = run(capsys, "construct", "family", "--g", "1", "--s", "2")
@@ -194,6 +207,20 @@ class TestPipeline:
                            "--mode", "orientable")
         assert code == 2 and "misses" in err
 
+    @pytest.mark.parametrize("name, fake, err", [
+        # the deficit audit: 1 apex, so the bound is 4|B|-1 = 3
+        ("edges_short", lambda E: 100, "deficit 100 exceeds 4|B|-1 = 3"),
+        # the split-count audit in chord_faces, at the fixture's 4-gon
+        ("face_split_count", lambda t, mode: 0,
+         "chord count 0 inconsistent with split count 0 for face length 4"),
+    ])
+    def test_failed_audit_exits_one(self, k8c5_scheme_file, capsys,
+                                    monkeypatch, name, fake, err):
+        monkeypatch.setattr(emax.surgery, name, fake)
+        assert run(capsys, "pipeline", k8c5_scheme_file,
+                   "--mode", "orientable") == (
+            1, "", f"verification failed: {err}\n")
+
 
 class TestTriangulate:
     def test_inline_scheme(self, k8c5_scheme_file, capsys):
@@ -258,6 +285,11 @@ class TestOrderedSeq:
                              "--s", "2", "--c-schedule", "7,x")
         assert (code, out) == (2, "")
         assert err == "error: --c-schedule: 'x' is not an integer\n"
+
+    def test_s_zero_exits_two(self, tmp_path, capsys):
+        assert run(capsys, "ordered-seq", self.write_q(tmp_path, capsys),
+                   "--s", "0") == (
+            2, "", "error: sequence length must be at least 1\n")
 
     def test_missing_part_b_comment(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
@@ -460,6 +492,12 @@ class TestBoundsF:
         code, _, err = run(capsys, "bounds", "f", "--g", "3", "--s", "1")
         assert code == 2
 
+    def test_s_two_checks_the_genus_as_every_s_does(self, capsys):
+        # --s 2 goes through optimal_schedule, so g = 0 is refused as at --s 3
+        for s in ("2", "3"):
+            assert run(capsys, "bounds", "f", "--g", "0", "--s", s) == (
+                2, "", "error: g must be >= 1\n")
+
     @pytest.mark.parametrize("g, s", [
         (2, 2), (13, 3), (1, 40), (13, 4098), (13, 4099), (300, 9000),
     ])
@@ -493,6 +531,24 @@ class TestBoundsVerify:
         assert rep["ok"] is True
         assert rep["theorem"] == "orientable-67"
         assert rep["violations"] == []
+
+    def test_a_violation_is_reported_and_exits_one(self, capsys, monkeypatch):
+        # a huge f' at g = 5 breaks 5 f' - 1 <= 84 g there, by 84*5 + 1 - 5*10^6
+        real = emax.bounds.optimal_schedule
+
+        def inflated(g, s_max, **kw):
+            res = real(g, s_max, **kw)
+            return res._replace(f=10**6) if g == 5 else res
+
+        monkeypatch.setattr(emax.bounds, "optimal_schedule", inflated)
+        rep = verify_theorem("84", g_max=10)
+        assert rep["ok"] is False
+        assert rep["violations"] == [{"g": 5, "slack": "-4999579"}]
+        assert rep["min_slack"] == {"g": 5, "slack": "-4999579"}
+        code, out, err = run(capsys, "bounds", "verify", "--theorem", "84",
+                             "--gmax", "10")
+        assert (code, err) == (1, "")
+        assert '"ok": false' in out and json.loads(out) == rep
 
     @pytest.mark.parametrize("bits", ["3", "0", "abc"])
     def test_bad_precision_variable_exits_two(self, capsys, monkeypatch, bits):
@@ -693,6 +749,10 @@ class TestSizeCaps:
         (["construct", "kmn", "--a", "1", "--b", str(EDGE_LIST_VERTEX_CAP)],
          f"error: graph would have {EDGE_LIST_VERTEX_CAP + 1} vertices, above "
          f"the cap of {EDGE_LIST_VERTEX_CAP}\n"),
+        # the s = 2 anchor is no way round the genus cap
+        (["bounds", "f", "--g", str(SCHEDULE_GENUS_CAP + 1), "--s", "2"],
+         f"error: g {SCHEDULE_GENUS_CAP + 1} is above the cap of "
+         f"{SCHEDULE_GENUS_CAP}\n"),
     ])
     def test_above_the_cap_exits_two_at_once(self, capsys, argv, err):
         t0 = time.perf_counter()
