@@ -30,8 +30,6 @@ from .embedding import (
     orientability,
     scheme_from_dict,
     scheme_from_json,
-    scheme_to_dict,
-    scheme_to_json,
     surface_info,
     trace_faces,
 )

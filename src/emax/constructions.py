@@ -40,9 +40,9 @@ ENUMERATION_CAP = 10**7
 # 370 MB for K_{1000,1000}
 CONSTRUCT_EDGE_CAP = 10**5
 # construct_proposition2 builds three schemes, in time and memory linear in
-# g: at this cap `construct prop2` takes 0.8-1.3 s and 85-86 MB, 0.5-0.8 s
-# and 63-64 MB with --orientable, writing to a file or to stdout, and the
-# construction alone 0.7-1.1 s and 80 MB, 0.4-0.7 s and 59 MB orientable
+# g: at this cap `construct prop2` takes 1.2-1.4 s and 70-71 MB, 0.8-0.9 s
+# and 52 MB with --orientable, writing to a file or to stdout, and the
+# construction alone 1.0-1.1 s and 65 MB, 0.7-0.8 s and 49 MB orientable
 # (in-process ru_maxrss, 2-core machine, Python 3.11.7)
 PROP2_GENUS_CAP = 10**4
 # a climb move costs 0.6-1.1 us and a restart's set-up 31-47 us, so a
@@ -338,12 +338,13 @@ def enumerate_small_schemes(
     exceeds cap.
 
     A depth-first walk writes one vertex's order at a time into a shared
-    state table, and each leaf yields a scheme on a copy of it without
-    the public constructor's validation: each order permutes the vertex's
-    own darts, so every dart is laid once.  scheme_census stands for the
-    same schemes with one rotation system per mirror pair and one
-    signature per switching class (switching changes no face), and counts
-    the schemes it stands for against cap, so both refuse the same graphs.
+    state table, and each leaf yields a scheme on a copy of it and on the
+    one list of first darts, without the public constructor's validation:
+    each order permutes the vertex's own darts, so every dart is laid
+    once.  scheme_census stands for the same schemes with one rotation
+    system per mirror pair and one signature per switching class
+    (switching changes no face), and counts the schemes it stands for
+    against cap, so both refuse the same graphs.
     """
     _enumeration_total(G, signature_mode, cap)
     n = G.n
@@ -352,12 +353,10 @@ def enumerate_small_schemes(
     for e, (u, v) in enumerate(pairs):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
-    # each vertex's orders, as (dart ids, rotation entry) pairs
-    orders = []
-    for darts in darts_at:
-        head = (darts[0],)
-        ids = [head + perm for perm in permutations(darts[1:])]
-        orders.append([(x, tuple([(d >> 1, d & 1) for d in x])) for x in ids])
+    # each vertex's orders as dart ids, every one from the vertex's first dart
+    first = [darts[0] for darts in darts_at]
+    orders = [[(x,) + perm for perm in permutations(darts[1:])]
+              for x, darts in zip(first, darts_at)]
 
     def signed(mask):
         return tuple([(a, b, -1 if mask >> e & 1 else 1)
@@ -366,18 +365,15 @@ def enumerate_small_schemes(
     positive = (signed(0),)
     masks = range(2 ** G.m) if signature_mode == "all" else None
     leave = [-1] * (4 * G.m)
-    rotation = [None] * n
 
     def walk(v):
-        for ids, rot in orders[v]:
+        for ids in orders[v]:
             _link(ids, leave)
-            rotation[v] = rot
             if v + 1 < n:
                 yield from walk(v + 1)
                 continue
-            leaf = tuple(rotation)
             for edges in positive if masks is None else map(signed, masks):
-                yield PseudoEmbedding._from_table(n, edges, leaf, leave[:])
+                yield PseudoEmbedding._from_table(n, edges, first, leave[:])
 
     yield from walk(0)
 
@@ -448,8 +444,10 @@ def scheme_census(
         weight *= 2
     classes = {}
     for E in enumerate_small_schemes(G, cap=cap):
-        if hub is not None and E.rotation[hub][1] > E.rotation[hub][-1]:
-            continue  # its mirror image stands for it
+        if hub is not None:
+            x = E._first[hub]  # order (x, a1..ak): x's successor a1, predecessor ak
+            if E._leave[2 * x] >> 1 > E._leave[2 * x + 1] >> 1:
+                continue  # its mirror image stands for it
         for neg in masks:
             faces = _faces(E._leave, neg)
             orientable = not any(neg)

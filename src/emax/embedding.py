@@ -24,9 +24,9 @@ The tracer runs on the permutation form of the scheme (Mohar & Thomassen,
 Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is the integer
 2e + end, so its opposite is d ^ 1, and state (d, side) is the integer
 2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its rotation
-only as the state table `leave` over the 4m states: a walk arriving at
-state t leaves by leave[t], so leave[2x] = 2 succ(x) and leave[2x + 1] =
-2 pred(x) + 1.  Ascending integer order of states is the (edge, end, side
+only as each vertex's first dart (-1 for none) and the state table `leave`
+over the 4m states: a walk arriving at state t leaves by leave[t], so
+leave[2x] = 2 succ(x) and leave[2x + 1] = 2 pred(x) + 1.  Ascending integer order of states is the (edge, end, side
 +1 first) order that fixes the face order.  A facial walk is its cycle of
 integer states, listed from its smallest state, with the vertex each state
 leaves from.  One walker, `_walk`, steps the state map for every trace: it
@@ -39,33 +39,33 @@ the pairing fails.  A full trace walks all 4m states on a fresh array, and
 are computed once per scheme and memoised on it, since the scheme is
 immutable.
 
-The public constructor checks every record in the one pass that derives the
-table from the rotation: each edge must unpack to three and each dart to
+The public constructor checks every record in the one pass that lays the
+rotation onto the table: each edge must unpack to three and each dart to
 two plain ints, as json.loads makes them, so a bool, float, str or int
-subclass is refused with its record named, and no value is coerced.  The
-private `PseudoEmbedding._from_table` takes parts already in that normal
-form, table included, and skips the checks: it serves only the scheme
-enumeration, which lays each vertex's order onto a shared table itself and
-so places every dart once by construction.  Both fill the scheme's slots by
-one shared step.
+subclass is refused with its record named, and no value is coerced.  One
+bounded walker, `_darts`, lists a vertex's darts by successors from its
+first for the `rotation` property, for `freeze` and for the scheme
+template.  The private `_from_table(n, edges, first, leave)` takes parts
+already in that normal form and skips the checks: it serves only the
+scheme enumeration, which lays every dart once by construction.
 
 Every surgery lays its edges on the private scheme editor, which holds a
-working copy of the table.  A new dart goes in at a corner of a face, named
-by the dart the walk arrives along and the side it leaves on, and `_splice`
-is the one rule that places it there.  The editor adds vertices and edges
-and builds one scheme at the end, keeping the input's rotation at every
-vertex that no edit touched.  `add_star` joins a new vertex to a list of
-corners, as a block paste and an apex insertion do.  The completion to a
-triangulation and the block pasting also have the editor index the faces,
-each keyed by the smallest state of its mirror pair of cycles, with the
-long faces in a heap by key.  The editor keeps that index as it adds
-edges: `face_of`, the walker's key array, and each face's cycle by key.
-`recut` clears the keys of the faces an edit cuts and of the new edges'
-states and walks only those states again, with the closing and pairing
-audits of a full trace, in time linear in the faces' length.
+working copy of the table and the first darts.  A new dart goes in at a
+corner of a face, named by the dart the walk arrives along and the side it
+leaves on, and `_splice` is the one rule that places it there.  The editor
+adds vertices and edges and builds one scheme at the end.  `add_star` joins
+a new vertex to a list of corners, as a block paste and an apex insertion
+do.  The completion to a triangulation and the block pasting also have the
+editor index the faces, each keyed by the smallest state of its mirror pair
+of cycles, with the long faces in a heap by key.  The editor keeps that
+index as it adds edges: `face_of`, the walker's key array, and each face's
+cycle by key.  `recut` clears the keys of the faces an edit cuts and of the
+new edges' states and walks only those states again, with the closing and
+pairing audits of a full trace, in time linear in the faces' length.
 `freeze(surface)` is the one audit of a whole edit: it raises RuntimeError
-unless the built scheme lies on the surface the caller expects and, on an
-indexed editor, unless the index equals a full trace, walk for walk.
+unless every rotation closes and passes the constructor's checks, the built
+scheme lies on the surface the caller expects and, on an indexed editor,
+the index equals a full trace, walk for walk.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -80,12 +80,11 @@ from collections.abc import Iterable, Sequence
 
 from .graphs import Graph, _connected
 
-Dart = tuple  # (edge_id, end)
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
-# edges, and at the cap a double wheel takes `triangulate` 2-3 s and
-# 192 MB and `analyze` 1.3-2.0 s and 134 MB; a long face costs `triangulate`
-# quadratic time, 2.5-2.7 s for a 2000-edge cycle and 11.3-11.6 s for 5000
+# edges, and at the cap a double wheel takes `triangulate` 2.2-3.1 s and
+# 154 MB and `analyze` 1.7-2.4 s and 107 MB; a long face costs `triangulate`
+# quadratic time, 2.4-3.2 s for a 2000-edge cycle and 16.4-18.1 s for 5000
 # (ru_maxrss, 2-core machine, Python 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
@@ -97,13 +96,13 @@ class SchemeError(ValueError):
 class PseudoEmbedding:
     """Immutable signed rotation system for a pseudograph."""
 
-    __slots__ = ("n", "edges", "rotation", "_leave", "_faces", "_orient")
+    __slots__ = ("n", "edges", "_first", "_leave", "_faces", "_orient")
 
     def __init__(
         self,
         n: int,
         edges: Sequence[tuple[int, int, int]],
-        rotation: Sequence[Sequence[Dart]],
+        rotation: Sequence[Sequence[tuple[int, int]]],
     ):
         if type(n) is not int:
             raise SchemeError("'n' must be an integer")
@@ -128,11 +127,11 @@ class PseudoEmbedding:
         m = len(edges)
         leave = [-1] * (4 * m)
         seen = bytearray(2 * m)
-        orders = []
+        first = []
         for v, rot in enumerate(rotation):
             if not isinstance(rot, (list, tuple)):
                 raise SchemeError(f"rotation[{v}]: expected a list of darts")
-            ids, darts = [], []
+            ids = []
             for i, d in enumerate(rot):
                 try:
                     e, end = d
@@ -156,26 +155,25 @@ class PseudoEmbedding:
                     )
                 seen[x] = 1
                 ids.append(x)
-                darts.append(d if type(d) is tuple else (e, end))
             _link(ids, leave)
-            orders.append(tuple(darts))
+            first.append(ids[0] if ids else -1)
         if seen.count(0):
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
-        self._fill(n, edges, tuple(orders), leave)
+        self._fill(n, edges, first, leave)
 
     @classmethod
-    def _from_table(cls, n, edges, rotation, leave) -> PseudoEmbedding:
-        """A scheme from parts already in its normal form, unvalidated:
-        edges and rotation as tuples of int tuples, and leave the state
-        table of that rotation, owned by the new scheme.  Only a caller
-        that lays every dart once by construction may use it."""
+    def _from_table(cls, n, edges, first, leave) -> PseudoEmbedding:
+        """A scheme from parts in its normal form, unvalidated: edges a
+        tuple of int tuples, first the first dart ids (never changed, so
+        schemes may share it) and leave the state table, owned by the new
+        scheme.  Only a caller that lays every dart once may use it."""
         E = object.__new__(cls)
-        E._fill(n, edges, rotation, leave)
+        E._fill(n, edges, first, leave)
         return E
 
-    def _fill(self, n, edges, rotation, leave) -> None:
-        for name, value in (("n", n), ("edges", edges), ("rotation", rotation),
+    def _fill(self, n, edges, first, leave) -> None:
+        for name, value in (("n", n), ("edges", edges), ("_first", first),
                             ("_leave", leave), ("_faces", None),
                             ("_orient", None)):
             object.__setattr__(self, name, value)
@@ -189,6 +187,13 @@ class PseudoEmbedding:
     @property
     def m(self) -> int:
         return len(self.edges)
+
+    @property
+    def rotation(self) -> tuple:
+        """Each vertex's (edge, end) darts from its first, on each access."""
+        leave = self._leave
+        return tuple([tuple([(d >> 1, d & 1) for d in _darts(leave, x, v)])
+                      for v, x in enumerate(self._first)])
 
     def is_connected(self) -> bool:
         adj = [[] for _ in range(self.n)]
@@ -206,6 +211,21 @@ class PseudoEmbedding:
         if not self.is_simple_graph():
             raise SchemeError("scheme is not a simple graph (loops or parallels)")
         return Graph(self.n, [(u, v) for u, v, _ in self.edges])
+
+
+def _darts(leave: list, x: int, v: int) -> list:
+    """Vertex v's dart ids from its first dart x (-1 for none) by successors
+    in the table; RuntimeError if they do not return to x within 2m darts."""
+    ids = []
+    if x < 0:
+        return ids
+    s0 = s = 2 * x
+    for _ in range(len(leave) >> 1):
+        ids.append(s >> 1)
+        s = leave[s]
+        if s == s0:
+            return ids
+    raise RuntimeError(f"the rotation at vertex {v} does not close")
 
 
 def _link(ids: list, leave: list) -> None:
@@ -448,9 +468,8 @@ class _SchemeEditor:
     """A working copy of a scheme that adds vertices and edges, in the
     integer dart and state form of the tracer.
 
-    It holds the state table `leave`, each vertex's first dart (so that
-    `freeze` lists each rotation from the dart it starts with), and the
-    vertices whose rotation an edit changed.  `index_faces` adds a face
+    It holds the state table `leave` and each vertex's first dart, from
+    which `freeze` lists each rotation.  `index_faces` adds a face
     index for `insert_edge` and for block pasting: from then on `add_edge`
     extends `neg` and `face_of` with each edge, and `recut` walks the cut
     faces again by `_retrace`.  `face_of[s]` is the key of the face of
@@ -466,8 +485,7 @@ class _SchemeEditor:
         self.n = E.n
         self.edges = list(E.edges)
         self.leave = list(E._leave)
-        self.first = [2 * r[0][0] + r[0][1] if r else -1 for r in E.rotation]
-        self.edited = set()
+        self.first = list(E._first)
         self.faces = None
 
     def corner(self, s: int) -> tuple:
@@ -491,7 +509,6 @@ class _SchemeEditor:
         self.leave += (-1, -1, -1, -1)
         _splice(self.leave, self.first, 2 * e, c0)
         _splice(self.leave, self.first, 2 * e + 1, c1)
-        self.edited.update((c0[0], c1[0]))
         if self.faces is not None:
             self.neg.append(neg)
             self.face_of += (-1, -1, -1, -1)
@@ -563,21 +580,17 @@ class _SchemeEditor:
         return cycles
 
     def freeze(self, surface: SurfaceInfo | None = None) -> PseudoEmbedding:
-        """The edited scheme, built once, with the input's rotation kept at
-        every vertex no edit touched.  Raises RuntimeError unless it lies
-        on `surface` (left out only for a scheme disconnected on purpose)
-        and, on an indexed editor, unless the faces equal its full trace."""
-        rotation = list(self.E.rotation) + [()] * (self.n - self.E.n)
-        leave, first = self.leave, self.first
-        for w in self.edited:
-            rot, x = [], first[w]
-            for _ in range(len(leave)):
-                rot.append((x >> 1, x & 1))
-                x = leave[2 * x] >> 1
-                if x == first[w]:
-                    break
-            rotation[w] = rot
-        E = PseudoEmbedding(self.n, self.edges, rotation)
+        """The edited scheme, built once by the public constructor from the
+        table.  Raises RuntimeError unless every rotation closes and passes
+        the record checks, unless it lies on `surface` (left out only for a
+        scheme disconnected on purpose) and, on an indexed editor, unless
+        the faces equal its full trace."""
+        try:  # the rotation lists are dropped before the audits run
+            E = PseudoEmbedding(self.n, self.edges, [
+                [(d >> 1, d & 1) for d in _darts(self.leave, x, v)]
+                for v, x in enumerate(self.first)])
+        except SchemeError as exc:  # an internal fault, not a bad input
+            raise RuntimeError(f"the editor's table is corrupt: {exc}") from None
         if self.faces is not None and [w.states for w in trace_faces(E)] != [
             tuple(self.faces[key]) for key in sorted(self.faces)
         ]:
@@ -590,17 +603,9 @@ class _SchemeEditor:
 
 
 # Scheme file format: {"n": int, "edges": [[u, v, sig], ...],
-# "rotation": [[[edge_id, end], ...] per vertex]}.  The writer preserves
-# rotation order (it is semantic); the reader validates everything and
-# reports positions.
-
-
-def scheme_to_dict(E: PseudoEmbedding) -> dict:
-    return {
-        "n": E.n,
-        "edges": [[u, v, s] for u, v, s in E.edges],
-        "rotation": [[[e, end] for e, end in rot] for rot in E.rotation],
-    }
+# "rotation": [[[edge_id, end], ...] per vertex]}.  The writer,
+# `_scheme_text`, lists each rotation from the vertex's first dart (the
+# order is semantic); the reader validates everything and reports positions.
 
 
 def scheme_from_dict(obj) -> PseudoEmbedding:
@@ -623,10 +628,6 @@ def scheme_from_dict(obj) -> PseudoEmbedding:
     return PseudoEmbedding(obj["n"], obj["edges"], obj["rotation"])
 
 
-def scheme_to_json(E: PseudoEmbedding) -> str:
-    return json.dumps(scheme_to_dict(E))
-
-
 _key = json.encoder.encode_basestring_ascii  # json.dumps of a str key
 
 
@@ -635,7 +636,7 @@ def _json_text(obj, nl: str) -> str:
     newline and the indent's spaces, starts, built by str joins: given an
     indent, CPython's json runs only its pure-Python encoder.  obj is made
     of dicts with str keys, lists, tuples, JSON scalars and schemes, each
-    scheme written as its scheme_to_dict would be."""
+    written as its scheme file object."""
     if type(obj) is int:  # the C encoder's own text, without its set-up
         return int.__repr__(obj)
     if isinstance(obj, (list, tuple)):
@@ -656,14 +657,15 @@ def _json_text(obj, nl: str) -> str:
 
 
 def _scheme_text(E: PseudoEmbedding, nl: str) -> str:
-    """_json_text of scheme_to_dict(E), from a fixed template: one f-string
-    per [u, v, sig] edge and one per [edge, end] dart, read off E."""
+    """_json_text of E's scheme file object, from a fixed template: one
+    f-string per [u, v, sig] edge and one per [edge, end] dart."""
     i1, i2, i3, i4 = (nl + "  " * k for k in (1, 2, 3, 4))
     edges = f",{i2}".join([f"[{i3}{u},{i3}{v},{i3}{s}{i2}]" for u, v, s in E.edges])
-    dart = f",{i3}"
+    dart, leave = f",{i3}", E._leave
     rotation = f",{i2}".join([
-        f"[{i3}" + dart.join([f"[{i4}{e},{i4}{end}{i3}]" for e, end in rot])
-        + f"{i2}]" if rot else "[]" for rot in E.rotation
+        f"[{i3}" + dart.join([
+            f"[{i4}{d >> 1},{i4}{d & 1}{i3}]" for d in _darts(leave, x, v)
+        ]) + f"{i2}]" if x >= 0 else "[]" for v, x in enumerate(E._first)
     ])
     return (f'{{{i1}"edges": ' + (f"[{i2}{edges}{i1}]" if edges else "[]")
             + f',{i1}"n": {E.n},{i1}"rotation": [{i2}{rotation}{i1}]{nl}}}')

@@ -7,6 +7,7 @@ off a full run at a glance.
 """
 
 import itertools
+import json
 import random
 from collections import namedtuple
 from collections.abc import Iterable
@@ -293,17 +294,33 @@ def random_scheme(rng, n: int, extra: int) -> PseudoEmbedding:
     return PseudoEmbedding(n, [(u, v, s) for (u, v), s in zip(edges, sigs)], rot)
 
 
+def scheme_dict(E: PseudoEmbedding) -> dict:
+    """E as the object of the scheme file format, read off its edges and
+    its rotation: a reference for the library's scheme template."""
+    return {"n": E.n, "edges": [list(rec) for rec in E.edges],
+            "rotation": [[list(d) for d in rot] for rot in E.rotation]}
+
+
+def scheme_json(E: PseudoEmbedding) -> str:
+    """The scheme file text of E, by json.dumps of `scheme_dict`."""
+    return json.dumps(scheme_dict(E))
+
+
 def reference_faces(E: PseudoEmbedding) -> list:
     """Face walks of E by the tuple-state tracer, as (steps, vertices) pairs.
 
-    An oracle for `trace_faces` that reads only `E.edges` and `E.rotation`:
-    darts are (edge, end) tuples found through a position dict, states are
-    (dart, side) tuples visited in sorted (edge, end, side +1 first) order,
-    and of each mirror pair of state cycles the one with the smaller first
-    state is kept.
+    An oracle for `trace_faces` that reads only `E.edges` and `E.rotation`.
+    The scheme derives `rotation` from its state table on each access, so
+    it is read once here, and test_embedding's TestDerivedRotation checks
+    that it equals the records the scheme was built from.  Darts are (edge,
+    end) tuples found through a position dict, states are (dart, side)
+    tuples visited in sorted (edge, end, side +1 first) order, and of each
+    mirror pair of state cycles the one with the smaller first state is
+    kept.
     """
+    rotation = E.rotation
     pos = {}
-    for v, rot in enumerate(E.rotation):
+    for v, rot in enumerate(rotation):
         for i, d in enumerate(rot):
             pos[d] = (v, i)
 
@@ -311,7 +328,7 @@ def reference_faces(E: PseudoEmbedding) -> list:
         (e, end), side = state
         side2 = side * E.edges[e][2]
         v, i = pos[(e, 1 - end)]
-        rot = E.rotation[v]
+        rot = rotation[v]
         return (rot[(i + (1 if side2 > 0 else -1)) % len(rot)], side2)
 
     def mirror(state):
@@ -420,9 +437,10 @@ def reference_paste(E: PseudoEmbedding, face_index: int, target: str) -> PseudoE
     corners = walk_corners(E, walk)
     w = E.n
     m0 = E.m
+    rotation = E.rotation
     for reverse in (False, True):
         for mask in range(8):
-            rot_lists = [list(r) for r in E.rotation] + [[]]
+            rot_lists = [list(r) for r in rotation] + [[]]
             new_edges = []
             for j, corner in enumerate(corners):
                 sig = -1 if mask >> j & 1 else 1

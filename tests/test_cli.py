@@ -26,7 +26,6 @@ from emax import (
     format_edge_list,
     graph_q_scheme,
     scheme_from_json,
-    scheme_to_dict,
     toroidal_embedding_k8_minus_c5,
 )
 from emax.bounds import (
@@ -45,9 +44,15 @@ from emax.constructions import (
     REGEN_MOVE_CAP,
     REGEN_SETUP_MOVES,
 )
-from emax.embedding import SCHEME_SIZE_CAP, scheme_to_json
+from emax.embedding import SCHEME_SIZE_CAP, _SchemeEditor
 from emax.graphs import EDGE_LIST_VERTEX_CAP
-from conftest import random_scheme, reference_census
+from conftest import (
+    random_scheme,
+    reference_census,
+    reference_completion,
+    scheme_dict,
+    scheme_json,
+)
 from test_bounds import TABLE_N, TABLE_S
 
 
@@ -132,7 +137,7 @@ class TestAnalyze:
         from test_surgery import planar_c4_scheme
 
         path = tmp_path / "c4.json"
-        path.write_text(scheme_to_json(planar_c4_scheme()))
+        path.write_text(scheme_json(planar_c4_scheme()))
         rep = run_json(capsys, "analyze", str(path))
         assert rep["edge_maximal"] is False
         assert sorted(rep["missing_edge"]["edge"]) in ([0, 2], [1, 3])
@@ -202,7 +207,7 @@ class TestPipeline:
         from test_surgery import planar_c4_scheme
 
         path = tmp_path / "c4.json"
-        path.write_text(scheme_to_json(planar_c4_scheme()))
+        path.write_text(scheme_json(planar_c4_scheme()))
         code, _, err = run(capsys, "pipeline", str(path),
                            "--mode", "orientable")
         assert code == 2 and "misses" in err
@@ -240,6 +245,49 @@ class TestTriangulate:
         assert rep2["genus"] == 2
         assert rep2["simple"] is False  # completion duplicated an edge
 
+    @staticmethod
+    def cycle_file(tmp_path, k=7):
+        """A k-cycle scheme file whose rotations each start at the vertex's
+        larger dart; returns the path and the file's object."""
+        doc = {"n": k, "edges": [[i, (i + 1) % k, 1] for i in range(k)],
+               "rotation": [sorted([[(i - 1) % k, 1], [i, 0]], reverse=True)
+                            for i in range(k)]}
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        return path, doc
+
+    def test_out_keeps_each_rotation_start(self, tmp_path, capsys):
+        # the written rotations are walked from each vertex's first dart:
+        # a vertex no chord reaches keeps its listed start, and elsewhere a
+        # chord's dart comes first only when laid just before that start
+        path, doc = self.cycle_file(tmp_path)
+        k = doc["n"]
+        out = tmp_path / "tri.json"
+        assert run_json(capsys, "triangulate", str(path), "--out", str(out)) == {
+            "edges_added": 2 * k - 6, "written": str(out)}
+        T, _ = reference_completion(scheme_from_json(path.read_text()))
+        text = out.read_text()
+        assert text == json.dumps(scheme_dict(T), indent=2, sort_keys=True) + "\n"
+        rotation = json.loads(text)["rotation"]
+        for v, rot in enumerate(doc["rotation"]):
+            assert [d for d in rotation[v] if d[0] < k] == rot
+        assert 0 < sum(rotation[v] == rot for v, rot in enumerate(doc["rotation"])) < k
+
+    def test_corrupt_editor_table_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a successor entry at vertex 0 points back at its own dart, so the
+        # rotation walk from vertex 0's first dart never returns to it
+        freeze = _SchemeEditor.freeze
+
+        def corrupting(editor, *args):
+            x = editor.leave[2 * editor.first[0]] >> 1
+            editor.leave[2 * x] = 2 * x
+            return freeze(editor, *args)
+
+        monkeypatch.setattr(_SchemeEditor, "freeze", corrupting)
+        path, _ = self.cycle_file(tmp_path)
+        assert run(capsys, "triangulate", str(path)) == (
+            1, "", "verification failed: the rotation at vertex 0 does not close\n")
+
     def test_face_shorter_than_three_is_an_input_error(self, tmp_path, capsys):
         # a 4-cycle with one doubled edge: faces of length 4, 2 and 4
         scheme = PseudoEmbedding(
@@ -249,7 +297,7 @@ class TestTriangulate:
              [(1, 1), (2, 0)], [(2, 1), (3, 0)]],
         )
         path = tmp_path / "c4-doubled.json"
-        path.write_text(scheme_to_json(scheme))
+        path.write_text(scheme_json(scheme))
         code, out, err = run(capsys, "triangulate", str(path))
         assert (code, out) == (2, "")
         assert err == (
@@ -672,7 +720,7 @@ class TestDump:
     def test_scheme_template_on_random_schemes(self, seed):
         rng = random.Random(seed)
         E = random_scheme(rng, rng.randint(1, 9), rng.randint(0, 8))
-        doc = scheme_to_dict(E)
+        doc = scheme_dict(E)
         assert cli._dump(E) == indented_dumps(doc)
         # and at the indent of a nested value
         assert cli._dump({"scheme": E, "x": [E, 1]}) == indented_dumps(
@@ -685,7 +733,7 @@ class TestDump:
         PseudoEmbedding(3, [(1, 1, -1)], [[], [(0, 0), (0, 1)], []]),
     ], ids=["k8c5", "q", "one-vertex", "isolated-vertices-and-a-loop"])
     def test_scheme_template_on_fixed_schemes(self, E):
-        doc = scheme_to_dict(E)
+        doc = scheme_dict(E)
         assert cli._dump(E) == indented_dumps(doc)
         assert cli._dump({"scheme": E}) == indented_dumps({"scheme": doc})
 

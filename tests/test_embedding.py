@@ -25,12 +25,10 @@ from emax import (
     orientability,
     scheme_from_dict,
     scheme_from_json,
-    scheme_to_dict,
-    scheme_to_json,
     surface_info,
     trace_faces,
 )
-from emax.embedding import _link, _SchemeEditor, _splice
+from emax.embedding import _audited_genus, _link, _SchemeEditor, _splice, _walk
 
 from conftest import (
     Corner,
@@ -38,6 +36,8 @@ from conftest import (
     insert_dart_at_corner,
     random_scheme,
     reference_faces,
+    scheme_dict,
+    scheme_json,
 )
 
 K4_EDGES = [(0, 1, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 3, 1)]
@@ -118,6 +118,45 @@ class TestConstructionValidation:
             E.n = 7
 
 
+class TestDerivedRotation:
+    """The scheme keeps each vertex's first dart and the state table only;
+    `rotation` lists each vertex's darts from the table, in the records'
+    order and from their first dart.  This round trip is what keeps
+    `reference_faces`, which reads `rotation`, independent of `_link`."""
+
+    @staticmethod
+    def as_tuples(records):
+        return tuple(tuple((e, end) for e, end in rot) for rot in records)
+
+    @pytest.mark.parametrize("n, edges, records", [
+        # JSON lists: K4 with every rotation started at its second dart,
+        # never its smallest
+        (4, [list(e) for e in K4_EDGES],
+         [[list(d) for d in rot[1:] + rot[:1]] for rot in K4_ROT]),
+        (4, K4_EDGES, [tuple(rot) for rot in K4_ROT]),
+        # a loop and a pendant edge at vertex 1, a vertex with no darts
+        (3, [(1, 1, -1), (1, 0, 1)], [[(1, 1)], [(0, 1), (1, 0), (0, 0)], []]),
+        (1, [], [[]]),
+    ], ids=["json-lists-rotated", "tuples", "loop-and-empty", "no-edges"])
+    def test_rotation_equals_the_records(self, n, edges, records):
+        E = PseudoEmbedding(n, edges, records)
+        assert E.rotation == self.as_tuples(records)
+        assert E._first == [2 * rot[0][0] + rot[0][1] if rot else -1
+                            for rot in records]
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_random_starts(self, seed):
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(1, 7), rng.randint(0, 6))
+        records = []
+        for rot in E.rotation:
+            k = rng.randrange(len(rot)) if rot else 0
+            records.append([list(d) for d in rot[k:] + rot[:k]])
+        assert PseudoEmbedding(E.n, E.edges, records).rotation == (
+            self.as_tuples(records))
+
+
 class TestHandTracedSchemes:
     def test_single_edge_is_spherical(self):
         E = single_edge()
@@ -196,6 +235,43 @@ class TestTraceFacesPreconditions:
         )
         with pytest.raises(SchemeError, match="disconnected"):
             trace_faces(E)
+
+
+class TestTracerAudits:
+    """The walker's audits, tripped on hand-made one-edge state tables.
+    States 0..3 of edge 0 are (dart 0, +1), (dart 0, -1), (dart 1, +1) and
+    (dart 1, -1); with signature +1, state s steps to leave[s ^ 2] and its
+    mirror is s ^ 3."""
+
+    def test_self_mirrored_cycle(self):
+        # 0 steps to leave[2] = 3, its own mirror, and 3 back to leave[1] = 0
+        with pytest.raises(RuntimeError, match="^self-mirrored facial cycle"):
+            _walk([0, 0, 3, 3], [0], [0], [-1] * 4)
+
+    def test_mirror_step_mismatch(self):
+        # 0 steps to itself, so its mirror 3 must step to itself too, by
+        # leave[1]; here leave[1] = 1 while 3 is still unwalked, which is the
+        # step check, not the check of a mirror already walked
+        key_of = [-1] * 4
+        with pytest.raises(RuntimeError, match="^mirror pairing mismatch"):
+            _walk([0, 1, 0, 3], [0], [0], key_of)
+        assert key_of == [0, -1, -1, -1]
+
+    @pytest.mark.parametrize("n, m, faces, orientable, message", [
+        (1, 0, 3, False, "^negative Euler genus -2; tracing is broken$"),
+        (1, 1, 1, True, "^orientable scheme with odd Euler genus 1$"),
+    ])
+    def test_genus_audits(self, n, m, faces, orientable, message):
+        with pytest.raises(RuntimeError, match=message):
+            _audited_genus(n, m, faces, orientable)
+
+    # `_faces` also raises on "face sides sum to" and "some edge is not
+    # traversed exactly twice", but neither can fire once `_walk` has
+    # walked all 4m states: every state is keyed exactly once, as a state
+    # of a kept cycle or as the mirror of one, and a state and its mirror
+    # lie on the same edge, so each edge's four states put exactly two in
+    # kept cycles and the kept cycles have 2m states.  Those checks stay
+    # as the audit of that invariant.
 
 
 class TestMaximalityAndDeficit:
@@ -339,8 +415,8 @@ class TestWindowsAndCorners:
 class TestSerialization:
     def test_round_trip(self):
         E = twisted_triangle()
-        again = scheme_from_json(scheme_to_json(E))
-        assert scheme_to_dict(again) == scheme_to_dict(E)
+        again = scheme_from_json(scheme_json(E))
+        assert scheme_dict(again) == scheme_dict(E)
 
     def test_json_error_carries_position(self):
         with pytest.raises(SchemeError, match="position"):
@@ -381,7 +457,7 @@ class TestSerialization:
 
         doc = {"n": 2, "edges": [Rec([0, 1, -1])],
                "rotation": [[Rec([0, 0])], Rec([[0, 1]])]}
-        assert scheme_to_dict(scheme_from_dict(doc)) == {
+        assert scheme_dict(scheme_from_dict(doc)) == {
             "n": 2, "edges": [[0, 1, -1]], "rotation": [[[0, 0]], [[0, 1]]]}
         doc["edges"][0][2] = Int(-1)
         with pytest.raises(SchemeError, match="^edges\\[0\\]: expected"):
@@ -410,8 +486,8 @@ def test_random_scheme_invariants(seed):
     if info.orientable:
         assert info.euler_genus % 2 == 0
     assert sum(w.length for w in fs) == 2 * E.m
-    again = scheme_from_json(scheme_to_json(E))
-    assert scheme_to_dict(again) == scheme_to_dict(E)
+    again = scheme_from_json(scheme_json(E))
+    assert scheme_dict(again) == scheme_dict(E)
     assert surface_info(again) == info
 
 

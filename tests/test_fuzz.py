@@ -15,10 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_scheme
+from conftest import random_scheme, scheme_dict
 from emax import GraphError, SchemeError, parse_edge_list, scheme_from_json
 from emax.cli import main
-from emax.embedding import scheme_to_dict
 
 FUZZ = settings(derandomize=True, max_examples=100, deadline=None)
 
@@ -80,7 +79,7 @@ def json_values():
 def mutated_schemes(draw):
     """A valid scheme document with one value replaced."""
     rng = random.Random(draw(st.integers(0, 10**6)))
-    doc = scheme_to_dict(random_scheme(rng, rng.randint(2, 6), rng.randint(0, 4)))
+    doc = scheme_dict(random_scheme(rng, rng.randint(2, 6), rng.randint(0, 4)))
     doc = json.loads(json.dumps(doc))
     if draw(st.booleans()):
         return doc
@@ -157,7 +156,7 @@ class TestCli:
 
     def test_the_valid_inputs_reach_exit_zero(self, input_file):
         # the strategies above can reach the success path
-        doc = scheme_to_dict(random_scheme(random.Random(1), 4, 2))
+        doc = scheme_dict(random_scheme(random.Random(1), 4, 2))
         assert run_cli(input_file, json.dumps(doc), "analyze") == 0
         text = "4 3\n# part_b: 3\n0 3\n1 3\n2 3\n"
         assert run_cli(input_file, text, "ordered-seq", "--s", "2") == 0

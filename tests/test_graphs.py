@@ -12,6 +12,7 @@ from conftest import (
     is_locally_hamiltonian,
     is_planar,
     min_degree,
+    scheme_json,
 )
 
 from emax import (
@@ -26,7 +27,6 @@ from emax import (
     format_edge_list,
     is_connected,
     parse_edge_list,
-    scheme_to_json,
     toroidal_embedding_k8_minus_c5,
 )
 from emax.graphs import EDGE_LIST_VERTEX_CAP
@@ -277,7 +277,7 @@ def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     modules that a site .pth file loads at start-up do not count."""
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     scheme = tmp_path / "k8c5.json"
-    scheme.write_text(scheme_to_json(toroidal_embedding_k8_minus_c5()))
+    scheme.write_text(scheme_json(toroidal_embedding_k8_minus_c5()))
     code = ("import sys; before = set(sys.modules); import emax, emax.cli\n"
             "def added(): print(*sorted(set(sys.modules) - before), file=sys.stderr)\n"
             "added(); emax.cli.main(['bounds', 'f', '--g', '13', '--s', '3'])\n"

@@ -36,7 +36,6 @@ from emax import (
     is_triangulation,
     lower_bound_family,
     run_lemma5_pipeline,
-    scheme_to_json,
     surface_info,
     toroidal_embedding_k8_minus_c5,
     trace_faces,
@@ -51,6 +50,7 @@ from conftest import (
     insert_dart_at_corner,
     random_scheme,
     reference_completion,
+    scheme_json,
     walk_corners,
 )
 
@@ -286,7 +286,7 @@ def completion_outcome(complete, E):
         T, added = complete(E)
     except (SchemeError, RuntimeError) as exc:
         return type(exc), str(exc)
-    return scheme_to_json(T), added
+    return scheme_json(T), added
 
 
 def relabelled(E, rng):
@@ -418,7 +418,7 @@ class TestSchemeEditor:
             )
         want = insert_by_lists(E, pairs)
         F = editor.freeze(surface_info(want))
-        assert scheme_to_json(F) == scheme_to_json(want)
+        assert scheme_json(F) == scheme_json(want)
 
     def test_edits_keep_the_index_and_recut_matches_the_full_trace(self):
         # a chord across one long face, an apex in another and a planar
@@ -484,6 +484,24 @@ class TestSchemeEditor:
             else:
                 with pytest.raises(RuntimeError, match="full trace"):
                     editor.freeze(surface_info(E))
+
+    @pytest.mark.parametrize("which, fault", [
+        # vertex 3's second dart succeeds itself: the walk from its first
+        # dart never returns to it
+        (1, "^the rotation at vertex 3 does not close$"),
+        # its first dart succeeds itself: the walk closes at once and leaves
+        # the vertex's other darts out
+        (0, "^the editor's table is corrupt: darts missing from rotations"),
+    ])
+    def test_freeze_audits_a_corrupt_table(self, which, fault):
+        # an internal fault, so a RuntimeError and not an input error
+        E = construct_proposition2(3, orientable=False)
+        editor = _SchemeEditor(E)
+        e, end = E.rotation[3][which]
+        x = 2 * e + end
+        editor.leave[2 * x] = 2 * x
+        with pytest.raises(RuntimeError, match=fault):
+            editor.freeze()
 
     def test_recut_audits_a_state_set_that_is_not_mirror_closed(self):
         # one state of a face meets the face's other states, which keep
