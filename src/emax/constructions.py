@@ -471,10 +471,10 @@ def scheme_census(
 # bit {3, 6}, three bits a 9-gon, and two bits a 9-gon on a nonorientable
 # surface, fit for a handle only when the input is nonorientable already.
 # The smallest admissible mask is the first hit of an exhaustive search over
-# both rotations of w and all 8 masks.  Each paste re-walks only the faces
-# it cuts and forms on an indexed scheme editor and checks their lengths, so
-# every paste proves the rule again; the editor's freeze then audits the
-# surface of its one build.
+# both rotations of w and all 8 masks.  Each paste reads its face off the
+# scheme editor's live table and walks the faces through its new edges to
+# check their lengths, so every paste proves the rule again; the editor's
+# freeze then audits the surface of its one build.
 
 _PASTE_TARGETS = {
     # target: (Euler genus change, face lengths at w, admissible flips)
@@ -484,25 +484,31 @@ _PASTE_TARGETS = {
 }
 
 
-def _paste(editor: _SchemeEditor, key: int, target: str, orientable: bool) -> None:
-    """Paste a block on the face with key `key` of an indexed editor, whose
+def _paste(editor: _SchemeEditor, s: int, target: str, orientable: bool) -> None:
+    """Paste a block on the face through state s of an editor, whose
     scheme's orientability the flag gives.  The face must be a triangle on
     three vertices, and the faces the paste forms must have the target's
     lengths."""
     _, faces_want, flips = _PASTE_TARGETS[target]
     if target == "handle" and not orientable:
         flips = (7, 6, 5, 3)
-    corners = [editor.corner(s) for s in editor.faces.get(key, ())]
+    corners = [editor.corner(t) for t in editor.face(s)]
     if len(corners) != 3 or len({c[0] for c in corners}) != 3:
         raise SchemeError("paste_block needs a triangular face on three vertices")
     sides = sum(1 << j for j, c in enumerate(corners) if not c[2])
     mask = min(sides ^ f for f in flips)
     e0 = len(editor.edges)
     editor.add_star(corners, [mask >> j & 1 for j in range(3)], 0)
-    got = tuple(sorted(len(cycle) for cycle in editor.recut((key,), e0)))
+    lengths, walked = [], set()  # every face the paste forms runs through w
+    for t in range(4 * e0, len(editor.leave)):
+        if t not in walked:
+            cycle = editor.face(t)
+            walked.update(cycle, map(editor.mirror, cycle))
+            lengths.append(len(cycle))
+    got = tuple(sorted(lengths))
     if got != faces_want:
         raise RuntimeError(
-            f"{target} paste on the face of state {key} formed faces {got}"
+            f"{target} paste on the face of state {s} formed faces {got}"
         )
 
 
@@ -511,9 +517,9 @@ def paste_block(E: PseudoEmbedding, faces, target: str) -> PseudoEmbedding:
     trace_faces(E), each a triangle on three vertices) on one scheme editor.
     Distinct faces have distinct corners, read from the live state table,
     so this equals pasting on them one at a time, in order.  One scheme is
-    built, and freeze checks it against a full trace and audits that the
-    genus grew by the target's change per block and that the surface is
-    orientable exactly when E is and no crosscap was pasted."""
+    built, and freeze audits that the genus grew by the target's change
+    per block and that the surface is orientable exactly when E is and no
+    crosscap was pasted."""
     if target not in _PASTE_TARGETS:
         raise SchemeError(f"unknown paste target {target!r}")
     walks = trace_faces(E)
@@ -525,7 +531,6 @@ def paste_block(E: PseudoEmbedding, faces, target: str) -> PseudoEmbedding:
         raise SchemeError("paste_block got a face index more than once")
     g0, orientable = surface_info(E)
     editor = _SchemeEditor(E)
-    editor.index_faces()
     for i in faces:
         _paste(editor, walks[i].states[0], target, orientable)
     return editor.freeze(SurfaceInfo(
@@ -571,10 +576,10 @@ def construct_proposition2(
                 f"{name} {value} is above the cap of {PROP2_GENUS_CAP}"
             )
     target_f = max(g, base_faces or 0)
-    editor = _SchemeEditor(_k3_scheme())
-    editor.index_faces()
-    while len(editor.faces) < target_f:
+    editor, faces = _SchemeEditor(_k3_scheme()), 2
+    while faces < target_f:  # a planar paste makes one triangle three
         _paste(editor, 0, "planar", True)
+        faces += 2
     base = editor.freeze(SurfaceInfo(0, True))
     if orientable:
         return paste_block(base, range(g // 2), "handle")

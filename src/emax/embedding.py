@@ -26,17 +26,16 @@ Graphs on Surfaces, 2001, sections 3.2-3.3).  Dart (e, end) is the integer
 2d + sidebit with sidebit 1 for side -1.  Each scheme keeps its rotation
 only as each vertex's first dart (-1 for none) and the state table `leave`
 over the 4m states: a walk arriving at state t leaves by leave[t], so
-leave[2x] = 2 succ(x) and leave[2x + 1] = 2 pred(x) + 1.  Ascending integer order of states is the (edge, end, side
-+1 first) order that fixes the face order.  A facial walk is its cycle of
-integer states, listed from its smallest state, with the vertex each state
-leaves from.  One walker, `_walk`, steps the state map for every trace: it
-walks the cycles through a set of states in ascending order, writes each
-state's face key, the smallest state of its mirror pair of cycles, into an
-int array, steps the mirror of each state of a kept cycle to check that its
-twin is the reversed mirror image, and raises if a cycle fails to close or
-the pairing fails.  A full trace walks all 4m states on a fresh array, and
-`_faces` adds its side audits.  The face set and the orientability test
-are computed once per scheme and memoised on it, since the scheme is
+leave[2x] = 2 succ(x) and leave[2x + 1] = 2 pred(x) + 1.  Ascending
+integer order of states is the (edge, end, side +1 first) order that fixes
+the face order.  A facial walk is its cycle of integer states, listed from
+its smallest state, with the vertex each state leaves from.  The full
+trace, `_faces`, walks the cycles through all 4m states in ascending order
+and keeps the first of each mirror pair; it steps the mirror of each state
+of a kept cycle to check that its twin is the reversed mirror image, and
+raises if a cycle fails to close, the pairing fails or the face sides do
+not cover each edge twice.  The face set and the orientability test are
+computed once per scheme and memoised on it, since the scheme is
 immutable.
 
 The public constructor checks every record in the one pass that lays the
@@ -55,17 +54,12 @@ corner of a face, named by the dart the walk arrives along and the side it
 leaves on, and `_splice` is the one rule that places it there.  The editor
 adds vertices and edges and builds one scheme at the end.  `add_star` joins
 a new vertex to a list of corners, as a block paste and an apex insertion
-do.  The completion to a triangulation and the block pasting also have the
-editor index the faces, each keyed by the smallest state of its mirror pair
-of cycles, with the long faces in a heap by key.  The editor keeps that
-index as it adds edges: `face_of`, the walker's key array, and each face's
-cycle by key.  `recut` clears the keys of the faces an edit cuts and of the
-new edges' states and walks only those states again, with the closing and
-pairing audits of a full trace, in time linear in the faces' length.
-`freeze(surface)` is the one audit of a whole edit: it raises RuntimeError
-unless every rotation closes and passes the constructor's checks, the built
-scheme lies on the surface the caller expects and, on an indexed editor,
-the index equals a full trace, walk for walk.
+do.  It keeps no face index: an edit reads the face it needs off the live
+table by `face(s)`, the state cycle through s, which raises unless the
+walk closes.  `freeze(surface)` is the one audit of a whole edit: it
+raises RuntimeError unless every rotation closes and passes the
+constructor's checks and the built scheme lies on the surface the caller
+expects, which its full trace decides.
 
 The Euler genus is g = 2 - n + m - f, and a scheme is orientable exactly
 when its signature can be switched (vertex flips) to all-positive.
@@ -73,19 +67,18 @@ when its signature can be switched (vertex flips) to all-positive.
 
 from __future__ import annotations
 
-import heapq
 import json
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from .graphs import Graph, _connected
 
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
-# edges, and at the cap a double wheel takes `triangulate` 2.2-3.1 s and
-# 154 MB and `analyze` 1.7-2.4 s and 107 MB; a long face costs `triangulate`
-# quadratic time, 2.4-3.2 s for a 2000-edge cycle and 16.4-18.1 s for 5000
-# (ru_maxrss, 2-core machine, Python 3.11.7)
+# edges, and at the cap a double wheel, a triangulation already, takes
+# `triangulate` 0.9 s and 118 MB and `analyze` 1.0 s and 108 MB; a long face
+# costs `triangulate` linear time, 0.2 s for a 5000-edge cycle and 0.7-1.1 s
+# for 20000 (in-process ru_maxrss, 2-core machine, Python 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
 
@@ -257,31 +250,30 @@ class SurfaceInfo(namedtuple("SurfaceInfo", "euler_genus orientable")):
     __slots__ = ()
 
 
-def _walk(leave: list, neg: list, starts, key_of: list) -> list:
-    """Walk the state cycles through `starts`, in ascending order, and
-    return the kept cycle of each mirror pair, listed from its smallest
-    state, in the order of those states.
+def _faces(leave: list, neg: list) -> list:
+    """The full trace: the kept cycle of each mirror pair, listed from its
+    smallest state, in the order of those states, each one face.
 
     leave is the state table and neg[e] is 1 for an edge of signature -1.
     State s = 2d + sidebit steps across its edge to dart d ^ 1, takes the
-    side bit xor neg[e], and leaves as the table says.  key_of[s] is -1
-    for a state not yet walked; each state walked gets its face key, the
-    smallest state of its mirror pair of cycles.  `starts` must be a
-    mirror-closed union of whole cycles of unwalked states.  Raises
-    RuntimeError on a cycle that meets a walked state, a self-mirrored
-    cycle, or a twin that is not the mirror image of its kept cycle.
+    side bit xor neg[e], and leaves as the table says.  Raises RuntimeError
+    on a cycle that meets a walked state, a self-mirrored cycle, a twin
+    that is not the mirror image of its kept cycle, face sides that do not
+    sum to 2m, or an edge not traversed exactly twice.
     """
-    cycles = []
-    for s0 in starts:
-        if key_of[s0] >= 0:
+    m = len(neg)
+    seen = [0] * (4 * m)
+    faces = []
+    for s0 in range(4 * m):
+        if seen[s0]:
             continue
-        key_of[s0] = s0
+        seen[s0] = 1
         cycle = [s0]
         s = leave[s0 ^ (2 | neg[s0 >> 2])]
         while s != s0:
-            if key_of[s] >= 0:
+            if seen[s]:
                 raise RuntimeError("state map failed to close a cycle")
-            key_of[s] = s0
+            seen[s] = 1
             cycle.append(s)
             s = leave[s ^ (2 | neg[s >> 2])]
         # the twin is the mirror image, reversed: mirror(s) = s ^ (3 - neg[e])
@@ -290,7 +282,7 @@ def _walk(leave: list, neg: list, starts, key_of: list) -> list:
         prev = cycle[-1] ^ (3 - neg[cycle[-1] >> 2])
         for s in cycle:
             t = s ^ (3 - neg[s >> 2])
-            if key_of[t] >= 0:
+            if seen[t]:
                 raise RuntimeError(
                     "self-mirrored facial cycle; scheme invariants violated"
                     if t in cycle else
@@ -298,18 +290,9 @@ def _walk(leave: list, neg: list, starts, key_of: list) -> list:
                 )
             if leave[s ^ 1] != prev:
                 raise RuntimeError("mirror pairing mismatch between facial cycles")
-            key_of[t] = s0
+            seen[t] = 1
             prev = t
-        cycles.append(cycle)
-    return cycles
-
-
-def _faces(leave: list, neg: list) -> list:
-    """The kept state cycles of a full trace, each one face, in face order.
-    Raises RuntimeError as `_walk` does, or when the face sides do not sum
-    to 2m or an edge is not traversed exactly twice."""
-    m = len(neg)
-    faces = _walk(leave, neg, range(4 * m), [-1] * (4 * m))
+        faces.append(cycle)
     per_edge = [0] * m
     for face in faces:
         for s in face:
@@ -469,24 +452,34 @@ class _SchemeEditor:
     integer dart and state form of the tracer.
 
     It holds the state table `leave` and each vertex's first dart, from
-    which `freeze` lists each rotation.  `index_faces` adds a face
-    index for `insert_edge` and for block pasting: from then on `add_edge`
-    extends `neg` and `face_of` with each edge, and `recut` walks the cut
-    faces again by `_retrace`.  `face_of[s]` is the key of the face of
-    state s, the smallest state of its mirror pair of cycles, and is the
-    key array `_walk` writes: `_retrace` sets it to -1 at the states it is
-    given and walks them on it.  `faces` maps each key to the cycle through
-    that state, listed from it.  Keys of faces of length >= 4 sit in the
-    heap `long`, where a key that no longer names a long face is skipped.
+    which `freeze` lists each rotation, and keeps no faces: `step`,
+    `mirror` and `face` read them off the live table.
     """
 
     def __init__(self, E: PseudoEmbedding):
-        self.E = E
         self.n = E.n
         self.edges = list(E.edges)
         self.leave = list(E._leave)
         self.first = list(E._first)
-        self.faces = None
+
+    def step(self, s: int) -> int:
+        """The state after s on its face cycle."""
+        return self.leave[s ^ 3 if self.edges[s >> 2][2] < 0 else s ^ 2]
+
+    def mirror(self, s: int) -> int:
+        """The state of the twin cycle that mirrors s."""
+        return s ^ 2 if self.edges[s >> 2][2] < 0 else s ^ 3
+
+    def face(self, s: int) -> list:
+        """The state cycle through s, listed from it; RuntimeError if the
+        walk does not return to s within len(leave) states."""
+        cycle, t = [s], self.step(s)
+        while t != s:
+            if len(cycle) == len(self.leave):
+                raise RuntimeError(f"face walk from state {s} does not close")
+            cycle.append(t)
+            t = self.step(t)
+        return cycle
 
     def corner(self, s: int) -> tuple:
         """The corner (vertex, in-dart, side bit) where state s leaves: the
@@ -502,16 +495,12 @@ class _SchemeEditor:
 
     def add_edge(self, c0: tuple, c1: tuple, neg: int) -> int:
         """Lay a new edge from corner c0 to corner c1, of signature -1 when
-        neg is 1, and return its id.  An indexed editor leaves the new
-        states out of every face until `recut` walks them."""
+        neg is 1, and return its id."""
         e = len(self.edges)
         self.edges.append((c0[0], c1[0], -1 if neg else 1))
         self.leave += (-1, -1, -1, -1)
         _splice(self.leave, self.first, 2 * e, c0)
         _splice(self.leave, self.first, 2 * e + 1, c1)
-        if self.faces is not None:
-            self.neg.append(neg)
-            self.face_of += (-1, -1, -1, -1)
         return e
 
     def add_star(self, corners: Sequence[tuple], negs: Sequence[int],
@@ -524,77 +513,17 @@ class _SchemeEditor:
             prev = 2 * self.add_edge(corner, (w, prev, bit), neg) + 1
         return w
 
-    def index_faces(self) -> None:
-        """Index the faces of the input scheme; call it before any edit."""
-        neg = self.neg = [1 if s < 0 else 0 for _, _, s in self.edges]
-        face_of = self.face_of = [-1] * (4 * len(self.edges))
-        self.faces, self.long = {}, []
-        cycles = [w.states for w in trace_faces(self.E)]
-        for cycle in cycles:
-            for s in cycle:
-                face_of[s] = face_of[s ^ (3 - neg[s >> 2])] = cycle[0]
-        self._store(cycles)
-
-    def _store(self, cycles: Sequence[Sequence[int]]) -> None:
-        for cycle in cycles:
-            self.faces[cycle[0]] = cycle
-            if len(cycle) >= 4:
-                heapq.heappush(self.long, cycle[0])
-
-    def long_face(self) -> int | None:
-        """Key of the first face of length >= 4 in face order, or None."""
-        while self.long:
-            face = self.faces.get(self.long[0])
-            if face is not None and len(face) >= 4:
-                return self.long[0]
-            heapq.heappop(self.long)
-        return None
-
-    def insert_edge(self, s0: int, s1: int) -> None:
-        """Add an edge from the corner of state s0 to that of s1, with the
-        product of the two corner sides as its signature, on an indexed
-        editor.  Only the faces of s0 and s1 and the four new states are
-        walked again, in time linear in the faces' length.
-        """
-        e = self.add_edge(self.corner(s0), self.corner(s1), (s0 ^ s1) & 1)
-        self.recut({self.face_of[s0], self.face_of[s1]}, e)
-
-    def recut(self, keys: Iterable[int], e0: int) -> list:
-        """Drop the faces with the given keys, which edges e0 on cut, and
-        index the faces those faces and edges now form; returns their cycles."""
-        neg = self.neg
-        states = list(range(4 * e0, len(self.leave)))
-        for key in keys:
-            for s in self.faces.pop(key):
-                states += (s, s ^ (3 - neg[s >> 2]))
-        return self._retrace(states)
-
-    def _retrace(self, states: list) -> list:
-        """Index the faces of a mirror-closed union of whole state cycles,
-        walked by `_walk` on `face_of`, and return their cycles."""
-        face_of = self.face_of
-        for s in states:
-            face_of[s] = -1
-        cycles = _walk(self.leave, self.neg, sorted(states), face_of)
-        self._store(cycles)
-        return cycles
-
     def freeze(self, surface: SurfaceInfo | None = None) -> PseudoEmbedding:
         """The edited scheme, built once by the public constructor from the
         table.  Raises RuntimeError unless every rotation closes and passes
-        the record checks, unless it lies on `surface` (left out only for a
-        scheme disconnected on purpose) and, on an indexed editor, unless
-        the faces equal its full trace."""
+        the record checks and unless it lies on `surface`, left out only
+        for a scheme disconnected on purpose."""
         try:  # the rotation lists are dropped before the audits run
             E = PseudoEmbedding(self.n, self.edges, [
                 [(d >> 1, d & 1) for d in _darts(self.leave, x, v)]
                 for v, x in enumerate(self.first)])
         except SchemeError as exc:  # an internal fault, not a bad input
             raise RuntimeError(f"the editor's table is corrupt: {exc}") from None
-        if self.faces is not None and [w.states for w in trace_faces(E)] != [
-            tuple(self.faces[key]) for key in sorted(self.faces)
-        ]:
-            raise RuntimeError("the editor's faces differ from the full trace")
         if surface is not None and surface_info(E) != surface:
             raise RuntimeError(
                 f"the edited scheme lies on {surface_info(E)}, not {surface}"

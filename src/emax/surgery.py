@@ -10,10 +10,11 @@ which is where ordered sequences live.
 
 Every surgery lays its edges on the scheme editor of embedding.py, at face
 corners by its one splice rule, and builds a single scheme at the end.
-complete_to_triangulation also keeps the editor's face index: each chord
-re-walks only the face it splits, and the result is traced once, so the
-completion costs O(m + the sum of the split faces' lengths) where a
-rebuild per edge cost O(m) per edge.
+complete_to_triangulation reads each chord's corners off the editor's live
+table and keeps each long face as a sorted list of its states, so no face
+is walked twice and the completion costs O(m + sum of L log L) over the
+long faces' lengths L, where re-walking the face each chord splits cost
+quadratic time in a long face.
 
 Ordered sequences: v_1..v_s is ordered when each closed neighborhood N[v_i]
 meets the union of the earlier closed neighborhoods in at most 2 vertices.
@@ -27,6 +28,7 @@ the test suite relies on success implying existence, never the reverse.
 
 from __future__ import annotations
 
+import heapq
 from collections import namedtuple
 from collections.abc import Iterable
 
@@ -239,10 +241,17 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     the final scheme has exactly 3(n+g-2) edges on the same surface.
 
     The chords go in face order: each one crosses the face with the
-    smallest key that still has length >= 4.  They are laid on a scheme
-    editor, which re-walks only the face each chord splits, and the result
-    is built and traced once, so the cost is O(m + the sum of the split
-    faces' lengths) rather than a build and a full trace per edge.
+    smallest key, the smallest state of its mirror pair of cycles, that
+    still has length >= 4, from the corner of the key's state s0 to that of
+    s2 = step(step(s0)), and cuts off the ear (s0, s1, new state), which is
+    checked to close as a triangle.  So each long face keeps its states and
+    their mirrors in ascending order: an ear's states drop out, and the two
+    new states of the rest of the face, above every old state, go on the
+    end, so the face's key is its first state not yet cut off.  A heap of
+    the keys picks each chord, no face is walked again, and the result is
+    built and traced once: the cost is O(m + sum of L log L) over the long
+    faces' lengths L.  A scheme that is already a triangulation is
+    returned as it is.
 
     Raises SchemeError when n + g < 3 or a face is shorter than 3, since
     neither scheme has a completion, and when the completion would have
@@ -256,27 +265,50 @@ def complete_to_triangulation(E: PseudoEmbedding) -> tuple:
     if size > SCHEME_SIZE_CAP:
         raise SchemeError(f"the triangulation would have {size} edges, above "
                           f"the cap of {SCHEME_SIZE_CAP}")
-    shortest = min((w.length for w in trace_faces(E)), default=3)
+    walks = trace_faces(E)
+    shortest = min((w.length for w in walks), default=3)
     if shortest < 3:  # no chord splits a face of length 1 or 2
         raise SchemeError("completion needs every face to have length at least "
                           f"3; the scheme has a face of length {shortest}")
+    if is_triangulation(E):  # already validated and on its own surface
+        return E, 0
     budget = edges_short(E)
     editor = _SchemeEditor(E)
-    editor.index_faces()
+    step, mirror = editor.step, editor.mirror
+    faces = [sorted([*w.states, *map(mirror, w.states)])
+             for w in walks if w.length >= 4]
+    length = [len(face) >> 1 for face in faces]
+    at = [0] * len(faces)  # where each face's key sits in its list
+    heap = [(face[0], i) for i, face in enumerate(faces)]  # sorted, so a heap
+    cut = bytearray(4 * size)
     added = 0
-    while True:
-        key = editor.long_face()
-        if key is None:
-            break
+    while heap:
+        s0, i = heap[0]
         if added >= budget:
             raise RuntimeError("completion exceeded its edge budget")
-        walk = editor.faces[key]
-        editor.insert_edge(walk[0], walk[2])
+        s1 = step(s0)
+        s2 = step(s1)
+        e = editor.add_edge(editor.corner(s0), editor.corner(s2), (s0 ^ s2) & 1)
         added += 1
+        x = step(s1)
+        if x >> 2 != e or step(x) != s0 or step(s0) != s1:
+            raise RuntimeError(f"the chord from state {s0} cut off no triangle")
+        cut[s0] = cut[s1] = cut[mirror(s0)] = cut[mirror(s1)] = 1
+        length[i] -= 1
+        if length[i] == 3:
+            heapq.heappop(heap)
+            continue
+        face = faces[i]
+        face += (mirror(x) ^ 1, x ^ 1)  # the new edge's other two states
+        k = at[i]
+        while cut[face[k]]:
+            k += 1
+        at[i] = k
+        heapq.heapreplace(heap, (face[k], i))
     cur = editor.freeze(info0)
     if not is_triangulation(cur):
         raise RuntimeError("completion finished with a non-triangle left")
-    if cur.m != 3 * (cur.n + info0.euler_genus - 2):
+    if cur.m != size:
         raise RuntimeError("completed scheme has a wrong edge count")
     return cur, added
 

@@ -641,6 +641,15 @@ class TestPasteBlock:
             paste_block(_k3_scheme(), [0], "crosscap")
         assert surface_info(paste_block(_k3_scheme(), [], "crosscap")) == (0, True)
 
+    def test_each_paste_checks_the_faces_it_forms(self, monkeypatch):
+        # a planar rule whose flip is a crosscap's forms faces 3 and 6, which
+        # the walk through the new edges finds before any build
+        monkeypatch.setitem(emax.constructions._PASTE_TARGETS, "planar",
+                            (0, (3, 3, 3), (1,)))
+        with pytest.raises(RuntimeError, match=r"^planar paste on the face of "
+                           r"state 0 formed faces \(3, 6\)$"):
+            paste_block(_k3_scheme(), [0], "planar")
+
 
 class TestPasteRuleAgainstSearch:
     """paste_block decides its variant by the corner-side rule; the

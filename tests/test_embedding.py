@@ -28,7 +28,7 @@ from emax import (
     surface_info,
     trace_faces,
 )
-from emax.embedding import _audited_genus, _link, _SchemeEditor, _splice, _walk
+from emax.embedding import _audited_genus, _faces, _link, _SchemeEditor, _splice
 
 from conftest import (
     Corner,
@@ -246,16 +246,20 @@ class TestTracerAudits:
     def test_self_mirrored_cycle(self):
         # 0 steps to leave[2] = 3, its own mirror, and 3 back to leave[1] = 0
         with pytest.raises(RuntimeError, match="^self-mirrored facial cycle"):
-            _walk([0, 0, 3, 3], [0], [0], [-1] * 4)
+            _faces([0, 0, 3, 3], [0])
 
     def test_mirror_step_mismatch(self):
         # 0 steps to itself, so its mirror 3 must step to itself too, by
         # leave[1]; here leave[1] = 1 while 3 is still unwalked, which is the
         # step check, not the check of a mirror already walked
-        key_of = [-1] * 4
         with pytest.raises(RuntimeError, match="^mirror pairing mismatch"):
-            _walk([0, 1, 0, 3], [0], [0], key_of)
-        assert key_of == [0, -1, -1, -1]
+            _faces([0, 1, 0, 3], [0])
+
+    def test_cycle_that_does_not_close(self):
+        # leave sends both 1 and 3 to state 1, so it is no permutation: 0
+        # steps to 1, 1 to 3 and 3 back to 1, never to 0
+        with pytest.raises(RuntimeError, match="^state map failed to close a cycle$"):
+            _faces([0, 1, 1, 3], [0])
 
     @pytest.mark.parametrize("n, m, faces, orientable, message", [
         (1, 0, 3, False, "^negative Euler genus -2; tracing is broken$"),
@@ -266,9 +270,9 @@ class TestTracerAudits:
             _audited_genus(n, m, faces, orientable)
 
     # `_faces` also raises on "face sides sum to" and "some edge is not
-    # traversed exactly twice", but neither can fire once `_walk` has
-    # walked all 4m states: every state is keyed exactly once, as a state
-    # of a kept cycle or as the mirror of one, and a state and its mirror
+    # traversed exactly twice", but neither can fire once it has walked
+    # all 4m states: every state is marked exactly once, as a state of a
+    # kept cycle or as the mirror of one, and a state and its mirror
     # lie on the same edge, so each edge's four states put exactly two in
     # kept cycles and the kept cycles have 2m states.  Those checks stay
     # as the audit of that invariant.

@@ -270,14 +270,53 @@ class TestCompleteToTriangulation:
         for E in schemes:
             assert complete_to_triangulation(E)[1] == edges_short(E)
 
-    def test_triangulation_needs_nothing(self):
+    def test_triangulation_needs_nothing(self, monkeypatch):
+        # the input is validated and on its own surface already, so it comes
+        # back as it is, with no editor and no build
         tri = next(
             s for s in enumerate_small_schemes(complete_graph(4))
             if is_triangulation(s)
         )
+        builds = []
+        init = PseudoEmbedding.__init__
+
+        def counting_init(self, *args):
+            builds.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(PseudoEmbedding, "__init__", counting_init)
         T, added = complete_to_triangulation(tri)
         assert added == 0
-        assert T.edges == tri.edges
+        assert T is tri
+        assert builds == []
+
+    def test_each_ear_is_audited(self, monkeypatch):
+        # a chord of the wrong signature does not split its face, so the
+        # walk from the chord's far end does not come back to the key state
+        add_edge = _SchemeEditor.add_edge
+        monkeypatch.setattr(_SchemeEditor, "add_edge", lambda self, c0, c1, neg:
+                            add_edge(self, c0, c1, 1 - neg))
+        with pytest.raises(RuntimeError,
+                           match="^the chord from state 0 cut off no triangle$"):
+            complete_to_triangulation(planar_c4_scheme())
+
+    def test_steps_per_added_edge_are_bounded(self, monkeypatch):
+        # the two faces of a 2000-cycle have length 2000: re-walking the face
+        # each chord splits would take about 4 million steps, not 32000
+        k = 2000
+        E = PseudoEmbedding(k, [(i, (i + 1) % k, 1) for i in range(k)],
+                            [[((i - 1) % k, 1), (i, 0)] for i in range(k)])
+        steps = []
+        step = _SchemeEditor.step
+
+        def counting_step(self, s):
+            steps.append(1)
+            return step(self, s)
+
+        monkeypatch.setattr(_SchemeEditor, "step", counting_step)
+        T, added = complete_to_triangulation(E)
+        assert added == 2 * k - 6
+        assert len(steps) <= 8 * added
 
 
 def completion_outcome(complete, E):
@@ -401,6 +440,18 @@ class TestCompletionMatchesReference:
         assert len(traces) <= 2
 
 
+def editor_faces(editor):
+    """The editor's faces in the order of a full trace, each the cycle
+    through the smallest state of its mirror pair, read off by face."""
+    cycles, walked = [], set()
+    for s in range(len(editor.leave)):
+        if s not in walked:
+            cycle = editor.face(s)
+            walked.update(cycle, map(editor.mirror, cycle))
+            cycles.append(cycle)
+    return cycles
+
+
 class TestSchemeEditor:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(st.integers(0, 10**9))
@@ -410,80 +461,47 @@ class TestSchemeEditor:
         E = random_scheme(rng, rng.randint(2, 8), rng.randint(0, 6))
         pairs = random_corner_pairs(rng, E, rng.randint(1, 6), False)
         editor = _SchemeEditor(E)
-        editor.index_faces()
         for fa, pa, fb, pb in pairs:
-            keys = sorted(editor.faces)
-            editor.insert_edge(
-                editor.faces[keys[fa]][pa], editor.faces[keys[fb]][pb]
-            )
+            faces = editor_faces(editor)
+            s0, s1 = faces[fa][pa], faces[fb][pb]
+            editor.add_edge(editor.corner(s0), editor.corner(s1), (s0 ^ s1) & 1)
         want = insert_by_lists(E, pairs)
         F = editor.freeze(surface_info(want))
         assert scheme_json(F) == scheme_json(want)
 
-    def test_edits_keep_the_index_and_recut_matches_the_full_trace(self):
-        # a chord across one long face, an apex in another and a planar
-        # star in a triangle: add_edge and add_star keep neg and face_of as
-        # long as the edges and the state table, and each recut returns the
-        # faces a full trace of the built scheme finds at the new edges
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_face_walks_match_the_full_trace_after_edits(self, seed):
+        # edges and stars at random corners, with random signatures: the
+        # walk from every state is the frozen scheme's cycle through it
+        rng = random.Random(seed)
+        E = random_scheme(rng, rng.randint(2, 8), rng.randint(0, 6))
+        editor = _SchemeEditor(E)
+        for _ in range(rng.randint(1, 6)):
+            states = len(editor.leave)
+            corners = [editor.corner(rng.randrange(states))
+                       for _ in range(rng.randint(1, 4))]
+            negs = [rng.randrange(2) for _ in corners]
+            if len(corners) == 2:
+                editor.add_edge(*corners, negs[0])
+            else:
+                editor.add_star(corners, negs, rng.randrange(2))
+        walks = trace_faces(editor.freeze())
+        assert editor_faces(editor) == [list(w.states) for w in walks]
+        for w in walks:
+            for i, s in enumerate(w.states):
+                assert editor.face(s) == list(w.states[i:] + w.states[:i])
+
+    def test_face_walk_audits_a_table_that_does_not_close(self):
+        # the state after 0 steps to itself, so the walk never returns to 0
         E = construct_proposition2(3, orientable=False)
         editor = _SchemeEditor(E)
-        editor.index_faces()
-        hexagons = [k for k, c in editor.faces.items() if len(c) == 6]
-        triangle = next(k for k, c in editor.faces.items() if len(c) == 3
-                        and len({editor.corner(s)[0] for s in c}) == 3)
-        recut = {}
-
-        def edit(key, lay):
-            e0 = len(editor.edges)
-            lay(editor.faces[key])
-            assert len(editor.neg) == len(editor.edges) > e0
-            assert len(editor.face_of) == len(editor.leave)
-            recut[e0] = editor.recut((key,), e0)
-
-        def chord(c):
-            s0, s1 = c[0], c[2]
-            editor.add_edge(editor.corner(s0), editor.corner(s1), (s0 ^ s1) & 1)
-
-        def apex(c):
-            first = {}  # the first corner at each vertex, in walk order
-            for s in c:
-                first.setdefault(editor.corner(s)[0], editor.corner(s))
-            corners = list(first.values())[:4]
-            editor.add_star(corners, [x[2] for x in corners], 1)
-
-        def star(c):
-            corners = [editor.corner(s) for s in c]
-            editor.add_star(corners, [1 - x[2] for x in corners], 0)
-
-        edit(hexagons[0], chord)
-        edit(hexagons[1], apex)
-        edit(triangle, star)
-        F = editor.freeze(surface_info(E))
-        ends = sorted(recut) + [F.m]
-        for e0, e1 in zip(ends, ends[1:]):
-            want = [w.states for w in trace_faces(F)
-                    if any(e0 <= s >> 2 < e1 for s in w.states)]
-            assert sorted(map(tuple, recut[e0])) == want
-        assert [len(recut[e]) for e in sorted(recut)] == [2, 4, 3]
-
-    def test_freeze_audit_catches_a_bad_cycle_update(self):
-        class Corrupting(_SchemeEditor):
-            def _retrace(self, states):
-                super()._retrace(states)
-                cycle = self.faces[max(self.faces)]
-                cycle[0], cycle[1] = cycle[1], cycle[0]
-
-        E = construct_proposition2(3, orientable=False)
-        for cls in (_SchemeEditor, Corrupting):
-            editor = cls(E)
-            editor.index_faces()
-            walk = editor.faces[editor.long_face()]
-            editor.insert_edge(walk[0], walk[2])
-            if cls is _SchemeEditor:
-                assert editor.freeze(surface_info(E)).m == E.m + 1
-            else:
-                with pytest.raises(RuntimeError, match="full trace"):
-                    editor.freeze(surface_info(E))
+        s = editor.step(0)
+        editor.leave[s ^ 3 if E.edges[s >> 2][2] < 0 else s ^ 2] = s
+        assert editor.step(s) == s
+        with pytest.raises(RuntimeError,
+                           match="^face walk from state 0 does not close$"):
+            editor.face(0)
 
     @pytest.mark.parametrize("which, fault", [
         # vertex 3's second dart succeeds itself: the walk from its first
@@ -503,26 +521,15 @@ class TestSchemeEditor:
         with pytest.raises(RuntimeError, match=fault):
             editor.freeze()
 
-    def test_recut_audits_a_state_set_that_is_not_mirror_closed(self):
-        # one state of a face meets the face's other states, which keep
-        # their key; one cycle without its mirror meets a twin still keyed
-        E = construct_proposition2(3, orientable=False)
-        for cut, fault in ((lambda c: [c[0]], "failed to close"),
-                           (list, "mirror pairing mismatch")):
-            editor = _SchemeEditor(E)
-            editor.index_faces()
-            walk = editor.faces[editor.long_face()]
-            with pytest.raises(RuntimeError, match=fault):
-                editor._retrace(cut(walk))
-
     def test_freeze_audits_the_surface(self):
         E = construct_proposition2(3, orientable=False)
         g, orientable = surface_info(E)
+        s0 = next(w for w in trace_faces(E) if w.length >= 4).states[0]
         for wrong in ((g + 1, orientable), (g, not orientable)):
             editor = _SchemeEditor(E)
-            editor.index_faces()
-            walk = editor.faces[editor.long_face()]
-            editor.insert_edge(walk[0], walk[2])
+            s2 = editor.step(editor.step(s0))
+            editor.add_edge(editor.corner(s0), editor.corner(s2), (s0 ^ s2) & 1)
+            assert editor.freeze(surface_info(E)).m == E.m + 1
             with pytest.raises(RuntimeError, match="lies on"):
                 editor.freeze(SurfaceInfo(*wrong))
 
