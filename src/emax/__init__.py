@@ -38,7 +38,6 @@ from .constructions import (
     complete_bipartite,
     complete_graph,
     construct_proposition2,
-    enumerate_small_schemes,
     graph_q,
     graph_q_scheme,
     k8_minus_c5,

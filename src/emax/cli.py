@@ -74,11 +74,12 @@ from .graphs import (
 )
 from .embedding import (
     PseudoEmbedding,
+    _document,
     _json_text,
     edges_short,
     is_edge_maximal_embedding,
     is_triangulation,
-    scheme_from_json,
+    scheme_from_dict,
     surface_info,
     trace_faces,
 )
@@ -143,7 +144,8 @@ def _read_text(path: str) -> str:
 
 
 def _load_scheme(path: str) -> PseudoEmbedding:
-    return scheme_from_json(_read_text(path))
+    # the text is freed once parsed, before the scheme is built
+    return scheme_from_dict(_document(_read_text(path)))
 
 
 def _shape(E: PseudoEmbedding) -> dict:

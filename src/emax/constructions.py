@@ -31,9 +31,9 @@ from .embedding import (
     trace_faces,
 )
 
-# enumerate --census on 7,962,624 schemes, 16 MB either way: 3.3-4.0 s in mode
-# all (K5, a trace per 32 schemes), 126-145 s in orientable-only (K5, a fifth
-# edge at each vertex, a trace per 2); in-process, 2-core, Python 3.11.7
+# enumerate --census on 7,962,624 schemes, 16 MB either way: 2.1-2.9 s in mode
+# all (K5, a trace per 32 schemes), 63 s in orientable-only (K5, a fifth edge
+# at each vertex, a trace per 2; one run); in-process, 2-core, Python 3.11.7
 ENUMERATION_CAP = 10**7
 # construct kmn and construct family at this many edges take at most 0.6 s
 # and 95 MB (ru_maxrss, 2-core machine, Python 3.11.7); 10^6 took 4.2 s and
@@ -302,7 +302,7 @@ def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
 
 
 def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
-    """How many schemes an enumeration of G covers: prod_v (deg(v)-1)!
+    """How many schemes a census of G covers: prod_v (deg(v)-1)!
     rotation systems, times 2^m signature vectors in mode "all".  Checks
     the mode and that G is connected with an edge, and refuses a total
     above cap."""
@@ -324,56 +324,35 @@ def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
     return total
 
 
-def enumerate_small_schemes(
-    G: Graph, signature_mode: str = "orientable-only", cap: int = ENUMERATION_CAP
-):
-    """Yield every rotation system of G, first dart per vertex fixed.
+# public so that perfbench's tracer times it as constructions.enumerate_s
+def enumerate_small_schemes(G: Graph):
+    """Yield one state table per mirror pair of rotation systems of G, with
+    each vertex's first dart fixed, for scheme_census.
 
-    Fixing each vertex's first dart removes none of the face structures
-    (cyclic orders are what matter) while cutting the count to
-    prod_v (deg(v)-1)!.  The order is that of itertools.product over the
-    vertices' orders, each the vertex's first dart (by edge id) and then a
-    permutation of the rest; mode "all" runs through every signature
-    vector for each, all-positive first.  Refuses to start if the total
-    exceeds cap.
-
-    A depth-first walk writes one vertex's order at a time into a shared
-    state table, and each leaf yields a scheme on a copy of it and on the
-    one list of first darts, without the public constructor's validation:
-    each order permutes the vertex's own darts, so every dart is laid
-    once.  scheme_census stands for the same schemes with one rotation
-    system per mirror pair and one signature per switching class
-    (switching changes no face), and counts the schemes it stands for
-    against cap, so both refuse the same graphs.
+    Each vertex's orders are its first dart (by edge id) and then a
+    permutation of the rest, taken in the order of itertools.product over
+    the vertices.  At the hub, the least vertex of degree at least 3, only
+    the orders (h, a1..ak) with a1 < ak are taken: (h, ak..a1) is the same
+    order reversed, so each rotation system's mirror image is left out.  A
+    depth-first walk writes one vertex's order at a time into one state
+    table and yields that live table at each leaf.  G must be connected,
+    with an edge, as scheme_census checks.
     """
-    _enumeration_total(G, signature_mode, cap)
     n = G.n
-    pairs = sorted(G.edges)
     darts_at = [[] for _ in range(n)]
-    for e, (u, v) in enumerate(pairs):
+    for e, (u, v) in enumerate(sorted(G.edges)):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
-    # each vertex's orders as dart ids, every one from the vertex's first dart
-    first = [darts[0] for darts in darts_at]
-    orders = [[(x,) + perm for perm in permutations(darts[1:])]
-              for x, darts in zip(first, darts_at)]
-
-    def signed(mask):
-        return tuple([(a, b, -1 if mask >> e & 1 else 1)
-                      for e, (a, b) in enumerate(pairs)])
-
-    positive = (signed(0),)
-    masks = range(2 ** G.m) if signature_mode == "all" else None
+    hub = next((v for v in range(n) if len(darts_at[v]) >= 3), None)
+    orders = [[(darts[0],) + perm for perm in permutations(darts[1:])
+               if v != hub or perm[0] < perm[-1]]
+              for v, darts in enumerate(darts_at)]
     leave = [-1] * (4 * G.m)
 
     def walk(v):
         for ids in orders[v]:
             _link(ids, leave)
-            if v + 1 < n:
-                yield from walk(v + 1)
-                continue
-            for edges in positive if masks is None else map(signed, masks):
-                yield PseudoEmbedding._from_table(n, edges, first, leave[:])
+            yield from walk(v + 1) if v + 1 < n else (leave,)
 
     yield from walk(0)
 
@@ -407,49 +386,42 @@ def scheme_census(
     G: Graph, signature_mode: str = "orientable-only", cap: int = ENUMERATION_CAP
 ) -> dict:
     """{(Euler genus, orientable, sorted face lengths): count} over the
-    schemes enumerate_small_schemes(G, signature_mode) visits.
+    schemes of G with each vertex's first dart fixed, every signature
+    vector of each in mode "all" and the all-positive one in mode
+    "orientable-only".
 
     Switching a vertex reverses its rotation and negates its signatures,
     and leaves every facial walk, the genus and the orientability as they
     were (Mohar & Thomassen, Graphs on Surfaces, 2001, ch. 3).  A reversed
-    rotation with its first dart fixed is again an enumerated one, so the
-    switchings of vertex sets S act on the enumerated schemes.  S and its
+    rotation with its first dart fixed is again a counted one, so the
+    switchings of vertex sets S act on the counted schemes.  S and its
     complement give the same signature, and their rotation systems are
     mirror images: switching every vertex reverses every rotation and
-    negates each signature twice.  Let the hub be the least vertex of
-    degree at least 3.  Its order (h, a1..ak) reverses to (h, ak..a1),
-    also enumerated and distinct since a1 != ak, so exactly one rotation
-    system of each mirror pair has a1 < ak.  Each orbit of 2^n schemes
-    therefore holds exactly one pair (rotation system with a1 < ak at the
-    hub, signature positive on a fixed spanning tree).  The census traces
-    those pairs, weighted 2^n in mode "all" and 2 in mode
+    negates each signature twice.  The order (h, a1..ak) at the hub, the
+    least vertex of degree at least 3, reverses to (h, ak..a1), distinct
+    since a1 != ak, so each orbit of 2^n schemes holds exactly one pair
+    (rotation system with a1 < ak at the hub, as enumerate_small_schemes
+    walks them, and signature positive on a fixed spanning tree).  The
+    census traces those pairs, weighted 2^n in mode "all" and 2 in mode
     "orientable-only", where the one signature is all positive.  With no
-    hub (G a path or a cycle) there is one rotation system, its own
-    mirror image, and the weights are 2^(n-1) and 1.  A tree-positive
-    signature is orientable exactly when it is all positive.  The rotation
-    systems are the all-positive schemes of enumerate_small_schemes, laid
-    straight onto state tables with no validated build, and each pair is
-    traced on its table by the full trace of trace_faces, with its closing,
+    hub (G a path or a cycle) there is one rotation system, its own mirror
+    image, and the weights are 2^(n-1) and 1.  A tree-positive signature is
+    orientable exactly when it is all positive.  Each pair is traced on the
+    walk's state table by the full trace of trace_faces, with its closing,
     pairing and side audits, then gets the genus audits of surface_info,
-    and the counts must sum to the enumeration total, which is also what
-    cap limits.
+    and the counts must sum to the total that cap limits.
     """
     total = _enumeration_total(G, signature_mode, cap)
     if signature_mode == "all":
         masks, weight = _tree_positive_masks(G), 2 ** (G.n - 1)
     else:
         masks, weight = [[0] * G.m], 1
-    hub = next((v for v in range(G.n) if G.degree(v) >= 3), None)
-    if hub is not None:
+    if any(G.degree(v) >= 3 for v in range(G.n)):
         weight *= 2
     classes = {}
-    for E in enumerate_small_schemes(G, cap=cap):
-        if hub is not None:
-            x = E._first[hub]  # order (x, a1..ak): x's successor a1, predecessor ak
-            if E._leave[2 * x] >> 1 > E._leave[2 * x + 1] >> 1:
-                continue  # its mirror image stands for it
+    for leave in enumerate_small_schemes(G):
         for neg in masks:
-            faces = _faces(E._leave, neg)
+            faces = _faces(leave, neg)
             orientable = not any(neg)
             g = _audited_genus(G.n, G.m, len(faces), orientable)
             key = (g, orientable, tuple(sorted(len(f) for f in faces)))

@@ -44,9 +44,7 @@ two plain ints, as json.loads makes them, so a bool, float, str or int
 subclass is refused with its record named, and no value is coerced.  One
 bounded walker, `_darts`, lists a vertex's darts by successors from its
 first for the `rotation` property, for `freeze` and for the scheme
-template.  The private `_from_table(n, edges, first, leave)` takes parts
-already in that normal form and skips the checks: it serves only the
-scheme enumeration, which lays every dart once by construction.
+template.
 
 Every surgery lays its edges on the private scheme editor, which holds a
 working copy of the table and the first darts.  A new dart goes in at a
@@ -76,9 +74,9 @@ from .graphs import Graph, _connected
 # a scheme file declares at most this many vertices and edges: the largest
 # scheme emax writes (Proposition 2 at genus 10^4, triangulated) has 75000
 # edges, and at the cap a double wheel, a triangulation already, takes
-# `triangulate` 0.9 s and 118 MB and `analyze` 1.0 s and 108 MB; a long face
-# costs `triangulate` linear time, 0.2 s for a 5000-edge cycle and 0.7-1.1 s
-# for 20000 (in-process ru_maxrss, 2-core machine, Python 3.11.7)
+# `triangulate` 0.9 s and 118 MB and `analyze` 0.8-0.9 s and 86 MB; a long
+# face costs `triangulate` linear time, 0.2 s for a 5000-edge cycle and
+# 0.7-1.1 s for 20000 (in-process ru_maxrss, 2-core machine, Python 3.11.7)
 SCHEME_SIZE_CAP = 10**5
 
 
@@ -154,16 +152,6 @@ class PseudoEmbedding:
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
         self._fill(n, edges, first, leave)
-
-    @classmethod
-    def _from_table(cls, n, edges, first, leave) -> PseudoEmbedding:
-        """A scheme from parts in its normal form, unvalidated: edges a
-        tuple of int tuples, first the first dart ids (never changed, so
-        schemes may share it) and leave the state table, owned by the new
-        scheme.  Only a caller that lays every dart once may use it."""
-        E = object.__new__(cls)
-        E._fill(n, edges, first, leave)
-        return E
 
     def _fill(self, n, edges, first, leave) -> None:
         for name, value in (("n", n), ("edges", edges), ("_first", first),
@@ -392,12 +380,15 @@ def is_edge_maximal_embedding(
     """True iff every face's distinct vertex set induces a clique in the
     underlying simple graph.  On failure returns (face index, nonadjacent
     pair) as a witness.  Defined only for schemes of simple graphs."""
-    G = E.simple_graph()
+    n = E.n  # edge {u, v} with u < v is u * n + v
+    adjacent = {u * n + v if u < v else v * n + u for u, v, _ in E.edges if u != v}
+    if len(adjacent) != E.m:
+        raise SchemeError("scheme is not a simple graph (loops or parallels)")
     for fi, w in enumerate(trace_faces(E)):
         vs = sorted(w.distinct_vertices())
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
-                if not G.has_edge(u, v):
+                if u * n + v not in adjacent:
                     return (False, (fi, (u, v)))
     return (True, None)
 
@@ -600,11 +591,15 @@ def _scheme_text(E: PseudoEmbedding, nl: str) -> str:
             + f',{i1}"n": {E.n},{i1}"rotation": [{i2}{rotation}{i1}]{nl}}}')
 
 
-def scheme_from_json(text: str) -> PseudoEmbedding:
+def _document(text: str):
+    """The JSON document in text, or a SchemeError naming why it is none."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemeError(f"invalid JSON at position {exc.pos}: {exc.msg}")
     except RecursionError:  # a RuntimeError, which would read as a failed audit
         raise SchemeError("JSON nested too deeply to be a scheme") from None
-    return scheme_from_dict(obj)
+
+
+def scheme_from_json(text: str) -> PseudoEmbedding:
+    return scheme_from_dict(_document(text))

@@ -493,11 +493,12 @@ def reference_proposition2(
     return E
 
 def reference_schemes(G: Graph, mode: str):
-    """Every scheme `enumerate_small_schemes(G, mode)` promises, in its
-    order, each a validated build: the product over the vertices of their
-    orders, each the vertex's first dart (by edge id) followed by a
-    permutation of the rest, and for each rotation system every signature
-    vector in mode "all", all-positive first."""
+    """Every scheme `scheme_census(G, mode)` counts, one validated build
+    each: the rotation systems in the order of the product over the
+    vertices of their orders, each the vertex's first dart (by edge id)
+    followed by a permutation of the rest, and for each rotation system
+    every signature vector in mode "all", all-positive first, or the
+    all-positive one in mode "orientable-only"."""
     pairs = sorted(G.edges)
     darts_at = [[] for _ in range(G.n)]
     for e, (u, v) in enumerate(pairs):

@@ -41,7 +41,6 @@ from emax import (
     complete_graph,
     construct_proposition2,
     edges_short,
-    enumerate_small_schemes,
     f_exact_s2,
     find_ordered_sequence,
     generate_table,
@@ -51,6 +50,7 @@ from emax import (
     lambda_interval,
     optimal_schedule,
     run_lemma5_pipeline,
+    scheme_census,
     face_split_count,
     surface_info,
     toroidal_embedding_k8_minus_c5,
@@ -201,13 +201,7 @@ def test_criterion_5_sandwich_and_dominance():
 def test_criterion_6_enumeration_and_fixture():
     with criterion(6):
         t0 = time.time()
-        classes = {}
-        for E in enumerate_small_schemes(complete_graph(4),
-                                         signature_mode="all"):
-            info = surface_info(E)
-            lens = tuple(sorted(w.length for w in trace_faces(E)))
-            key = (info.euler_genus, info.orientable, lens)
-            classes[key] = classes.get(key, 0) + 1
+        classes = scheme_census(complete_graph(4), "all")
         assert sum(classes.values()) == 1024
         assert (1, False, (3, 3, 6)) in classes, "no crosscap 3,3,6 scheme"
         assert (2, True, (3, 9)) in classes, "no double-torus 3,9 scheme"

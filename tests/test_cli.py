@@ -22,7 +22,6 @@ from emax import (
     cli,
     complete_bipartite,
     complete_graph,
-    enumerate_small_schemes,
     format_edge_list,
     graph_q_scheme,
     scheme_from_json,
@@ -50,6 +49,7 @@ from conftest import (
     random_scheme,
     reference_census,
     reference_completion,
+    reference_schemes,
     scheme_dict,
     scheme_json,
 )
@@ -393,7 +393,7 @@ class TestEnumerate:
         path = tmp_path / "g.txt"
         path.write_text(format_edge_list(G))
         rep = run_json(capsys, "enumerate", str(path), "--signature-mode", mode)
-        assert rep == {"total": sum(1 for _ in enumerate_small_schemes(G, mode))}
+        assert rep == {"total": sum(1 for _ in reference_schemes(G, mode))}
         rep = run_json(capsys, "enumerate", str(path), "--signature-mode", mode,
                        "--census")
         classes = {(c["genus"], c["orientable"], tuple(c["faces"])): c["count"]

@@ -23,7 +23,6 @@ from emax import (
     complete_graph,
     construct_proposition2,
     edges_short,
-    enumerate_small_schemes,
     graph_q,
     graph_q_scheme,
     is_edge_maximal_embedding,
@@ -48,8 +47,9 @@ from emax.constructions import (
     _label_faces,
     _swap_gain,
     _tree_positive_masks,
+    enumerate_small_schemes,
 )
-from emax.embedding import _faces, _link
+from emax.embedding import _darts, _faces, _link
 from emax.graphs import EDGE_LIST_VERTEX_CAP
 
 from conftest import (
@@ -312,11 +312,14 @@ class TestLowerBoundFamily:
 
 
 class TestEnumeration:
+    """The per-scheme corpus of conftest.reference_schemes, which the census
+    and the exhaustive K4 tests are checked against."""
+
     def test_k4_orientable_count_and_census(self):
         G = complete_graph(4)
         census = {}
         count = 0
-        for E in enumerate_small_schemes(G):
+        for E in reference_schemes(G, "orientable-only"):
             count += 1
             info = surface_info(E)
             key = (
@@ -335,30 +338,18 @@ class TestEnumeration:
 
     def test_k4_all_signatures_count(self):
         G = complete_graph(4)
-        n = sum(1 for _ in enumerate_small_schemes(G, signature_mode="all"))
+        n = sum(1 for _ in reference_schemes(G, "all"))
         assert n == 16 * 2**6
 
     def test_projective_k4_class_present(self):
         G = complete_graph(4)
         hits = 0
-        for E in enumerate_small_schemes(G, signature_mode="all"):
+        for E in reference_schemes(G, "all"):
             info = surface_info(E)
             if info.euler_genus == 1 and not info.orientable:
                 if sorted(w.length for w in trace_faces(E)) == [3, 3, 6]:
                     hits += 1
         assert hits == 96
-
-    def test_cap_refuses_large_jobs(self):
-        with pytest.raises(GraphError, match="cap"):
-            next(enumerate_small_schemes(complete_graph(4), cap=10))
-
-    def test_input_validation(self):
-        with pytest.raises(GraphError):
-            next(enumerate_small_schemes(Graph(1, [])))
-        with pytest.raises(GraphError, match="connected"):
-            next(enumerate_small_schemes(Graph(4, [(0, 1), (2, 3)])))
-        with pytest.raises(GraphError, match="signature_mode"):
-            next(enumerate_small_schemes(complete_graph(3), "sometimes"))
 
 
 CENSUS_GRAPHS = {
@@ -388,29 +379,80 @@ def small_connected_graphs(draw):
     return Graph(n, tree + extra)
 
 
-def scheme_parts(E):
-    return E.n, E.edges, E.rotation, E._leave
+def walk_systems(G):
+    """The rotation systems enumerate_small_schemes(G) walks, each a tuple
+    of every vertex's dart ids by successors from its least dart, read off
+    the live table at each yield."""
+    first = [-1] * G.n
+    for e, (u, v) in reversed(list(enumerate(sorted(G.edges)))):
+        first[u], first[v] = 2 * e, 2 * e + 1
+    return [tuple(tuple(_darts(leave, x, v)) for v, x in enumerate(first))
+            for leave in enumerate_small_schemes(G)]
 
 
-class TestEnumerationMatchesValidatedBuilds:
-    """enumerate_small_schemes lays its schemes on the state table without
-    the public constructor's validation; each must equal the validated
-    build of the same rotation system and signature, in the same order."""
+def mirror_system(system):
+    """Every rotation of the system reversed, from the same first dart."""
+    return tuple(r[:1] + r[:0:-1] for r in system)
 
-    @pytest.mark.parametrize("name, mode", [
-        ("K4", "orientable-only"), ("K4", "all"), ("K33", "orientable-only"),
+
+def reference_systems(G):
+    return {tuple(tuple(2 * e + end for e, end in r) for r in E.rotation)
+            for E in reference_schemes(G, "orientable-only")}
+
+
+class TestCensusWalk:
+    """enumerate_small_schemes yields one live state table per mirror pair
+    of rotation systems, and the census walks it."""
+
+    # prod_v (deg(v)-1)! / 2 with a vertex of degree 3 or more, else 1
+    @pytest.mark.parametrize("name, tables", [
+        ("K4", 8), ("K5", 3888), ("pendant K4", 24), ("C5", 1), ("path", 1),
     ])
-    def test_named_graphs(self, name, mode):
+    def test_one_table_per_mirror_pair(self, name, tables):
         G = CENSUS_GRAPHS[name]
-        got = [scheme_parts(E) for E in enumerate_small_schemes(G, mode)]
-        assert got == [scheme_parts(E) for E in reference_schemes(G, mode)]
+        leaves = list(enumerate_small_schemes(G))
+        assert len(leaves) == tables
+        assert all(leave is leaves[0] for leave in leaves)
+        systems = walk_systems(G)
+        assert len(set(systems)) == tables
+        mirrors = {mirror_system(r) for r in systems}
+        if tables > 1:
+            assert not mirrors & set(systems)
+            assert 2 * tables == _enumeration_total(G, "orientable-only", 10**18)
+        else:
+            assert mirrors == set(systems)
+
+    @pytest.mark.parametrize("name", [
+        "K4", "K33", "K23", "pendant K4", "diamond", "C5", "path",
+    ])
+    def test_with_mirrors_matches_reference(self, name):
+        G = CENSUS_GRAPHS[name]
+        systems = walk_systems(G)
+        got = set(systems) | {mirror_system(r) for r in systems}
+        assert got == reference_systems(G)
 
     @settings(derandomize=True, max_examples=50, deadline=None)
-    @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))
-    def test_random_graphs(self, G, mode):
-        assume(_enumeration_total(G, mode, 10**18) <= 4000)
-        got = [scheme_parts(E) for E in enumerate_small_schemes(G, mode)]
-        assert got == [scheme_parts(E) for E in reference_schemes(G, mode)]
+    @given(small_connected_graphs())
+    def test_with_mirrors_matches_reference_on_random_graphs(self, G):
+        assume(_enumeration_total(G, "orientable-only", 10**18) <= 4000)
+        systems = walk_systems(G)
+        got = set(systems) | {mirror_system(r) for r in systems}
+        assert got == reference_systems(G)
+        assert len(got) == _enumeration_total(G, "orientable-only", 10**18)
+
+    def test_census_iterates_the_walk(self, monkeypatch):
+        # perfbench's tracer times the census by this name
+        calls = []
+        walk = emax.constructions.enumerate_small_schemes
+
+        def counted(G):
+            calls.append(G)
+            return walk(G)
+
+        monkeypatch.setattr(emax.constructions, "enumerate_small_schemes", counted)
+        G = complete_graph(4)
+        assert scheme_census(G) == reference_census(G, "orientable-only")
+        assert len(calls) == 1
 
 
 class TestSchemeCensus:
@@ -471,7 +513,7 @@ class TestSchemeCensus:
     def test_tree_positive_mask_orientable_iff_all_positive(self):
         G = complete_graph(4)
         masks = _tree_positive_masks(G)
-        for E in enumerate_small_schemes(G):
+        for E in reference_schemes(G, "orientable-only"):
             for neg in masks:
                 edges = [(u, v, -1 if b else 1)
                          for (u, v, _), b in zip(E.edges, neg)]
@@ -493,9 +535,6 @@ class TestSchemeCensus:
                     f"of {total - 1}")
             with pytest.raises(GraphError) as exc:
                 scheme_census(G, mode, cap=total - 1)
-            assert str(exc.value) == want
-            with pytest.raises(GraphError) as exc:
-                next(enumerate_small_schemes(G, mode, cap=total - 1))
             assert str(exc.value) == want
             assert sum(scheme_census(G, mode, cap=total).values()) == total
 

@@ -15,7 +15,6 @@ from emax import (
     FacialWalk,
     PseudoEmbedding,
     complete_graph,
-    enumerate_small_schemes,
     SchemeError,
     SurfaceInfo,
     edges_short,
@@ -36,6 +35,7 @@ from conftest import (
     insert_dart_at_corner,
     random_scheme,
     reference_faces,
+    reference_schemes,
     scheme_dict,
     scheme_json,
 )
@@ -536,7 +536,7 @@ def test_trace_faces_matches_reference_tracer(E):
 
 def test_every_k4_scheme_matches_reference_tracer():
     count = 0
-    for E in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
+    for E in reference_schemes(complete_graph(4), "all"):
         assert walks_of(E) == reference_faces(E)
         count += 1
     assert count == 1024

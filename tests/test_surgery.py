@@ -25,7 +25,6 @@ from emax import (
     complete_to_triangulation,
     construct_proposition2,
     edges_short,
-    enumerate_small_schemes,
     face_split_count,
     find_low_interference_vertex,
     find_ordered_sequence,
@@ -50,6 +49,7 @@ from conftest import (
     insert_dart_at_corner,
     random_scheme,
     reference_completion,
+    reference_schemes,
     scheme_json,
     walk_corners,
 )
@@ -61,7 +61,7 @@ def n1_k4_scheme():
     Its 6-walk revisits vertices and carries corners of both sides, which
     exercises the signature algebra of the surgeries on a mixed-side face.
     """
-    for s in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
+    for s in reference_schemes(complete_graph(4), "all"):
         info = surface_info(s)
         if info.euler_genus == 1 and not info.orientable:
             if sorted(w.length for w in trace_faces(s)) == [3, 3, 6]:
@@ -180,7 +180,7 @@ class TestInsertApexes:
 
     def test_triangulation_is_left_alone(self):
         tri = next(
-            s for s in enumerate_small_schemes(complete_graph(4))
+            s for s in reference_schemes(complete_graph(4), "orientable-only")
             if is_triangulation(s)
         )
         out, apexes = insert_apexes(tri)
@@ -274,7 +274,7 @@ class TestCompleteToTriangulation:
         # the input is validated and on its own surface already, so it comes
         # back as it is, with no editor and no build
         tri = next(
-            s for s in enumerate_small_schemes(complete_graph(4))
+            s for s in reference_schemes(complete_graph(4), "orientable-only")
             if is_triangulation(s)
         )
         builds = []
@@ -384,7 +384,7 @@ class TestCompletionMatchesReference:
 
     def test_every_k4_scheme(self):
         count = 0
-        for E in enumerate_small_schemes(complete_graph(4), signature_mode="all"):
+        for E in reference_schemes(complete_graph(4), "all"):
             assert completion_outcome(complete_to_triangulation, E) == (
                 completion_outcome(reference_completion, E)
             )
@@ -765,7 +765,7 @@ class TestPipeline:
 
     def test_triangulation_passes_through(self):
         tri = next(
-            s for s in enumerate_small_schemes(complete_graph(4))
+            s for s in reference_schemes(complete_graph(4), "orientable-only")
             if is_triangulation(s)
         )
         rep = run_lemma5_pipeline(tri, "orientable")
