@@ -49,10 +49,10 @@ fixed, from the product formula alone.  With `--census` it groups them by
 switching a vertex (reverse its rotation, negate its signatures) changes
 no face, and switching them all reverses every rotation and keeps the
 signatures.  So one signature per switching class, positive on a
-spanning tree, is traced on one rotation system of each mirror pair and
-stands for 2^n schemes (2^(n-1) if no vertex has degree 3 or more).
-`--cap` counts the schemes covered, not the traces, so a refusal does not
-depend on `--census`.
+spanning tree, on one rotation system per mirror pair stands for 2^n
+schemes (2^(n-1) if no vertex has degree 3 or more).  The faces at one
+vertex are composed from arcs traced once for all its orders.  `--cap`
+counts schemes, not traces, with or without `--census`.
 
 The interval precision used by the bounds subcommands can be overridden
 with the EMAX_PRECISION_BITS environment variable (default 256, at most

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 from .graphs import (EDGE_LIST_VERTEX_CAP, Bipartition, Graph, GraphError,
                      is_connected)
@@ -24,16 +24,16 @@ from .embedding import (
     SchemeError,
     SurfaceInfo,
     _audited_genus,
-    _faces,
+    _cycles,
     _link,
     _SchemeEditor,
     surface_info,
     trace_faces,
 )
 
-# enumerate --census on 7,962,624 schemes, 16 MB either way: 2.1-2.9 s in mode
-# all (K5, a trace per 32 schemes), 63 s in orientable-only (K5, a fifth edge
-# at each vertex, a trace per 2; one run); in-process, 2-core, Python 3.11.7
+# enumerate --census on 7,962,624 schemes, 16 MB either way: 0.9 s in mode all
+# (K5, a prefix trace per 192 schemes), 16-19 s in orientable-only (K5, a fifth
+# edge at each vertex, one per 48); in-process, 2-core, Python 3.11.7
 ENUMERATION_CAP = 10**7
 # construct kmn and construct family at this many edges take at most 0.6 s
 # and 95 MB (ru_maxrss, 2-core machine, Python 3.11.7); 10^6 took 4.2 s and
@@ -312,11 +312,8 @@ def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
         raise GraphError("scheme enumeration needs at least one edge")
     if not is_connected(G):
         raise GraphError("scheme enumeration needs a connected graph")
-    total = 1
-    for v in range(G.n):
-        total *= factorial(max(0, G.degree(v) - 1))
-    if signature_mode == "all":
-        total *= 2 ** G.m
+    total = (prod(factorial(max(0, G.degree(v) - 1)) for v in range(G.n))
+             * (2 ** G.m if signature_mode == "all" else 1))
     if total > cap:
         raise GraphError(
             f"enumeration would visit {total} schemes, above the cap of {cap}"
@@ -324,37 +321,84 @@ def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
     return total
 
 
-# public so that perfbench's tracer times it as constructions.enumerate_s
-def enumerate_small_schemes(G: Graph):
-    """Yield one state table per mirror pair of rotation systems of G, with
-    each vertex's first dart fixed, for scheme_census.
-
-    Each vertex's orders are its first dart (by edge id) and then a
-    permutation of the rest, taken in the order of itertools.product over
-    the vertices.  At the hub, the least vertex of degree at least 3, only
-    the orders (h, a1..ak) with a1 < ak are taken: (h, ak..a1) is the same
-    order reversed, so each rotation system's mirror image is left out.  A
-    depth-first walk writes one vertex's order at a time into one state
-    table and yields that live table at each leaf.  G must be connected,
-    with an edge, as scheme_census checks.
-    """
-    n = G.n
-    darts_at = [[] for _ in range(n)]
+def _census_orders(G: Graph) -> tuple:
+    """Each vertex's orders, its first dart (by edge id) and a permutation
+    of the rest, and the composed vertex c, the last with the most.  The
+    hub, the least vertex of degree at least 3, takes only (h, a1..ak) with
+    a1 < ak, not its reverse (h, ak..a1): mirror images are left out."""
+    darts_at = [[] for _ in range(G.n)]
     for e, (u, v) in enumerate(sorted(G.edges)):
         darts_at[u].append(2 * e)
         darts_at[v].append(2 * e + 1)
-    hub = next((v for v in range(n) if len(darts_at[v]) >= 3), None)
+    hub = next((v for v in range(G.n) if len(darts_at[v]) >= 3), None)
     orders = [[(darts[0],) + perm for perm in permutations(darts[1:])
                if v != hub or perm[0] < perm[-1]]
               for v, darts in enumerate(darts_at)]
+    return orders, max(range(G.n), key=lambda v: (len(orders[v]), v))
+
+
+# public so that perfbench's tracer times it as constructions.enumerate_s
+def enumerate_small_schemes(G: Graph):
+    """Yield one live state table per prefix, a choice of orders at every
+    vertex but c in the order of itertools.product, written one vertex at a
+    time by a depth-first walk that lays c's first order as it passes c.
+    So c always holds an order, and a walk leaving c ends on arriving at
+    it.  G must be connected, with an edge, as scheme_census checks."""
+    orders, c = _census_orders(G)
+    orders[c] = orders[c][:1]  # the census lays the others
     leave = [-1] * (4 * G.m)
 
     def walk(v):
         for ids in orders[v]:
             _link(ids, leave)
-            yield from walk(v + 1) if v + 1 < n else (leave,)
+            yield from walk(v + 1) if v + 1 < G.n else (leave,)
 
     yield from walk(0)
+
+
+def _trace_prefix(leave: list, neg: list, exits: list, slot: list) -> tuple:
+    """For each state exits[i] leaving c (slot[exits[i]] = i), the state
+    arr[i] where its walk arrives at c and the arc's length alen[i], and the
+    closed cycles' kept lengths.  An arc's twin, from a ^ 1, the mirror of
+    its last state, is its mirror image reversed, as _cycles checks."""
+    seen = [0] * len(leave)
+    for s in exits:
+        seen[s] = 2
+    arr, alen = [0] * len(exits), [0] * len(exits)
+    for arc in _cycles(leave, neg, seen, exits, slot):
+        a = arc[-1] ^ (2 | neg[arc[-1] >> 2])
+        arr[slot[arc[0]]], alen[slot[arc[0]]] = a, len(arc)
+        arr[slot[a ^ 1]], alen[slot[a ^ 1]] = arc[0] ^ 1, len(arc)
+    return arr, alen, [len(f) for f in _cycles(leave, neg, seen, range(len(leave)))]
+
+
+def _faces_through(leave: list, exits: list, slot: list, arr: list,
+                   alen: list, closed: list) -> list:
+    """closed and the lengths of the kept faces through c, on c's order in
+    the table: cycles of arcs, exits[j]'s and then leave[arr[j]]'s.  Raises
+    RuntimeError unless each closes within the exits, its twin runs through
+    the mirror exits in reverse and is not itself, and the sides sum to 2m."""
+    lab, faces, q = [0] * len(exits) + [1], list(closed), 0  # lab[-1]: off c
+    for i in range(len(exits)):
+        if lab[i]:
+            continue
+        q, j, length = q + 2, i, 0  # q labels the face's exits, q + 1 its twin's
+        while j != i or not length:  # every arc has a state
+            lab[j], a = q, arr[j]  # the twin's arc from slot[a ^ 1] mirrors j's
+            lab[slot[a ^ 1]], length, s = q + 1, length + alen[j], leave[a]
+            j = slot[s]
+            if j != i and lab[j]:
+                raise RuntimeError(
+                    "a face through c is its own mirror image" if lab[j] == q + 1
+                    else f"a face through c fails to close within {len(exits)} exits")
+            if leave[s ^ 1] != a ^ 1:
+                raise RuntimeError(
+                    "a face through c has a twin that is not its mirror image")
+        faces.append(length)
+    if sum(faces) != len(leave) // 2:
+        raise RuntimeError(
+            f"face sides sum to {sum(faces)}, expected {len(leave) // 2}")
+    return faces
 
 
 def _tree_positive_masks(G: Graph) -> list:
@@ -363,9 +407,7 @@ def _tree_positive_masks(G: Graph) -> list:
     for signature -1, edges in sorted order): 2^(m-n+1) of them, one per
     switching class."""
     pairs = sorted(G.edges)
-    seen = {0}
-    queue = [0]
-    tree = set()
+    seen, queue, tree = {0}, [0], set()
     for x in queue:
         for y in sorted(G.neighbors(x)):
             if y not in seen:
@@ -373,12 +415,10 @@ def _tree_positive_masks(G: Graph) -> list:
                 queue.append(y)
                 tree.add((min(x, y), max(x, y)))
     free = [e for e, p in enumerate(pairs) if p not in tree]
-    masks = []
-    for bits in range(2 ** len(free)):
-        neg = [0] * len(pairs)
+    masks = [[0] * len(pairs) for _ in range(2 ** len(free))]
+    for bits, neg in enumerate(masks):
         for j, e in enumerate(free):
             neg[e] = bits >> j & 1
-        masks.append(neg)
     return masks
 
 
@@ -397,19 +437,21 @@ def scheme_census(
     switchings of vertex sets S act on the counted schemes.  S and its
     complement give the same signature, and their rotation systems are
     mirror images: switching every vertex reverses every rotation and
-    negates each signature twice.  The order (h, a1..ak) at the hub, the
-    least vertex of degree at least 3, reverses to (h, ak..a1), distinct
-    since a1 != ak, so each orbit of 2^n schemes holds exactly one pair
-    (rotation system with a1 < ak at the hub, as enumerate_small_schemes
-    walks them, and signature positive on a fixed spanning tree).  The
-    census traces those pairs, weighted 2^n in mode "all" and 2 in mode
+    negates each signature twice.  The hub's order (h, a1..ak) reverses to
+    (h, ak..a1), so each orbit of 2^n schemes holds exactly one pair (with
+    a1 < ak, as _census_orders takes them, and signature positive on a
+    fixed spanning tree), weighted 2^n in mode "all" and 2 in mode
     "orientable-only", where the one signature is all positive.  With no
     hub (G a path or a cycle) there is one rotation system, its own mirror
     image, and the weights are 2^(n-1) and 1.  A tree-positive signature is
-    orientable exactly when it is all positive.  Each pair is traced on the
-    walk's state table by the full trace of trace_faces, with its closing,
-    pairing and side audits, then gets the genus audits of surface_info,
-    and the counts must sum to the total that cap limits.
+    orientable exactly when it is all positive.
+
+    Consecutive pairs differ in the order at c alone, so each prefix that
+    enumerate_small_schemes yields is traced once per signature into arcs
+    from c to c and closed cycles, and each order of c composes the faces
+    through c from the arcs in time linear in deg(c), audited by _cycles
+    and _faces_through.  The genus audits of surface_info run once per
+    class, and the counts must sum to the total that cap limits.
     """
     total = _enumeration_total(G, signature_mode, cap)
     if signature_mode == "all":
@@ -418,14 +460,22 @@ def scheme_census(
         masks, weight = [[0] * G.m], 1
     if any(G.degree(v) >= 3 for v in range(G.n)):
         weight *= 2
-    classes = {}
+    orders, c = _census_orders(G)
+    exits = sorted(s for x in orders[c][0] for s in (2 * x, 2 * x + 1))
+    slot = [exits.index(s) if s in exits else -1  # slot[-1] = -1 for leave[t] = -1
+            for s in range(4 * G.m + 1)]
+    counts = {}
     for leave in enumerate_small_schemes(G):
-        for neg in masks:
-            faces = _faces(leave, neg)
-            orientable = not any(neg)
-            g = _audited_genus(G.n, G.m, len(faces), orientable)
-            key = (g, orientable, tuple(sorted(len(f) for f in faces)))
-            classes[key] = classes.get(key, 0) + weight
+        traced = [_trace_prefix(leave, neg, exits, slot) + (not any(neg),)
+                  for neg in masks]
+        for ids in orders[c]:
+            _link(ids, leave)
+            for arr, alen, closed, orientable in traced:
+                key = (orientable, tuple(sorted(
+                    _faces_through(leave, exits, slot, arr, alen, closed))))
+                counts[key] = counts.get(key, 0) + 1
+    classes = {(_audited_genus(G.n, G.m, len(lens), orientable), orientable, lens):
+               k * weight for (orientable, lens), k in counts.items()}
     if sum(classes.values()) != total:
         raise RuntimeError(
             f"census counts {sum(classes.values())} schemes, expected {total}"

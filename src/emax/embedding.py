@@ -151,9 +151,6 @@ class PseudoEmbedding:
         if seen.count(0):
             missing = [(x >> 1, x & 1) for x in range(2 * m) if not seen[x]]
             raise SchemeError(f"darts missing from rotations: {missing[:4]}")
-        self._fill(n, edges, first, leave)
-
-    def _fill(self, n, edges, first, leave) -> None:
         for name, value in (("n", n), ("edges", edges), ("_first", first),
                             ("_leave", leave), ("_faces", None),
                             ("_orient", None)):
@@ -238,49 +235,52 @@ class SurfaceInfo(namedtuple("SurfaceInfo", "euler_genus orientable")):
     __slots__ = ()
 
 
-def _faces(leave: list, neg: list) -> list:
-    """The full trace: the kept cycle of each mirror pair, listed from its
-    smallest state, in the order of those states, each one face.
-
-    leave is the state table and neg[e] is 1 for an edge of signature -1.
-    State s = 2d + sidebit steps across its edge to dart d ^ 1, takes the
-    side bit xor neg[e], and leaves as the table says.  Raises RuntimeError
-    on a cycle that meets a walked state, a self-mirrored cycle, a twin
-    that is not the mirror image of its kept cycle, face sides that do not
-    sum to 2m, or an edge not traversed exactly twice.
-    """
-    m = len(neg)
-    seen = [0] * (4 * m)
-    faces = []
-    for s0 in range(4 * m):
-        if seen[s0]:
+def _cycles(leave: list, neg: list, seen: list, starts, stops=None) -> list:
+    """The kept cycle of each mirror pair walked from the states of starts
+    not marked 1 in seen, each from its start; marks it and its twin 1.
+    neg[e] is 1 for an edge of signature -1: state s = 2d + sidebit steps
+    to dart d ^ 1, takes the side bit xor neg[e] and leaves by the table.
+    With stops, -1 off the states of a vertex c, whose states are marked 2
+    beforehand, each walk is an arc from c to c, and c's order makes its
+    first step check.  Raises RuntimeError if a walk fails to close or pair."""
+    kept = []
+    for s0 in starts:
+        if seen[s0] == 1:
             continue
-        seen[s0] = 1
-        cycle = [s0]
+        seen[s0], cycle = 1, [s0]
         s = leave[s0 ^ (2 | neg[s0 >> 2])]
-        while s != s0:
-            if seen[s]:
-                raise RuntimeError("state map failed to close a cycle")
+        while not seen[s]:
             seen[s] = 1
             cycle.append(s)
             s = leave[s ^ (2 | neg[s >> 2])]
+        a = cycle[-1] ^ (2 | neg[cycle[-1] >> 2])  # where the walk arrives
+        if s != s0 if stops is None else stops[a] < 0:
+            raise RuntimeError("state map failed to close "
+                               + ("a cycle" if stops is None else "an arc"))
+        prev = a ^ 1 if stops is None else leave[s0 ^ 1]
         # the twin is the mirror image, reversed: mirror(s) = s ^ (3 - neg[e])
         # conjugates the step map to its inverse, so the step of mirror(s),
         # leave[s ^ 1], must be the mirror of the state before s
-        prev = cycle[-1] ^ (3 - neg[cycle[-1] >> 2])
         for s in cycle:
             t = s ^ (3 - neg[s >> 2])
-            if seen[t]:
+            if seen[t] == 1:
                 raise RuntimeError(
                     "self-mirrored facial cycle; scheme invariants violated"
                     if t in cycle else
-                    "mirror pairing mismatch between facial cycles"
-                )
+                    "mirror pairing mismatch between facial cycles")
             if leave[s ^ 1] != prev:
                 raise RuntimeError("mirror pairing mismatch between facial cycles")
-            seen[t] = 1
-            prev = t
-        faces.append(cycle)
+            seen[t], prev = 1, t
+        kept.append(cycle)
+    return kept
+
+
+def _faces(leave: list, neg: list) -> list:
+    """The full trace: the kept cycle of each mirror pair from its smallest
+    state, in the order of those states, each one face.  Raises
+    RuntimeError as _cycles does, or unless the sides cover each edge twice."""
+    m = len(neg)
+    faces = _cycles(leave, neg, [0] * (4 * m), range(4 * m))
     per_edge = [0] * m
     for face in faces:
         for s in face:

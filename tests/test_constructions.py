@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import emax.constructions
+from emax import cli
 from emax import (
     Graph,
     GraphError,
@@ -41,6 +42,7 @@ from emax.constructions import (
     CONSTRUCT_EDGE_CAP,
     REGEN_MOVE_CAP,
     REGEN_SETUP_MOVES,
+    _census_orders,
     _enumeration_total,
     _k3_scheme,
     _k8_c5_pairs,
@@ -364,7 +366,16 @@ CENSUS_GRAPHS = {
     "pendant K4": Graph(5, [(0, 1)] + [(u, v) for u in range(1, 5)
                                        for v in range(u + 1, 5)]),
     "diamond": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    # one edge: both ends have one order, and the census composes at 1
+    "K2": Graph(2, [(0, 1)]),
+    # the hub 0 has the most orders, so the census composes at the hub
+    "star K1,4": Graph(5, [(0, v) for v in range(1, 5)]),
 }
+
+# the prefixes the census walk yields: prod (deg(v)-1)! over the vertices
+# other than the composed one, halved at the hub when it is not composed
+PREFIXES = {"K4": 4, "K5": 648, "pendant K4": 8, "C5": 1, "path": 1,
+            "K2": 1, "star K1,4": 1}
 
 
 @st.composite
@@ -380,14 +391,21 @@ def small_connected_graphs(draw):
 
 
 def walk_systems(G):
-    """The rotation systems enumerate_small_schemes(G) walks, each a tuple
-    of every vertex's dart ids by successors from its least dart, read off
-    the live table at each yield."""
+    """The rotation systems the census lays: each prefix that
+    enumerate_small_schemes(G) yields, completed with each order of the
+    composed vertex, each a tuple of every vertex's dart ids by successors
+    from its least dart, read off the live table."""
+    orders, c = _census_orders(G)
     first = [-1] * G.n
     for e, (u, v) in reversed(list(enumerate(sorted(G.edges)))):
         first[u], first[v] = 2 * e, 2 * e + 1
-    return [tuple(tuple(_darts(leave, x, v)) for v, x in enumerate(first))
-            for leave in enumerate_small_schemes(G)]
+    systems = []
+    for leave in enumerate_small_schemes(G):
+        for ids in orders[c]:
+            _link(ids, leave)
+            systems.append(tuple(tuple(_darts(leave, x, v))
+                                 for v, x in enumerate(first)))
+    return systems
 
 
 def mirror_system(system):
@@ -401,20 +419,22 @@ def reference_systems(G):
 
 
 class TestCensusWalk:
-    """enumerate_small_schemes yields one live state table per mirror pair
-    of rotation systems, and the census walks it."""
+    """enumerate_small_schemes yields one live state table per prefix, the
+    census lays each order of the composed vertex on it, and so lays one
+    rotation system per mirror pair."""
 
     # prod_v (deg(v)-1)! / 2 with a vertex of degree 3 or more, else 1
     @pytest.mark.parametrize("name, tables", [
         ("K4", 8), ("K5", 3888), ("pendant K4", 24), ("C5", 1), ("path", 1),
+        ("K2", 1), ("star K1,4", 3),
     ])
     def test_one_table_per_mirror_pair(self, name, tables):
         G = CENSUS_GRAPHS[name]
         leaves = list(enumerate_small_schemes(G))
-        assert len(leaves) == tables
+        assert len(leaves) == PREFIXES[name]
         assert all(leave is leaves[0] for leave in leaves)
         systems = walk_systems(G)
-        assert len(set(systems)) == tables
+        assert len(systems) == len(set(systems)) == tables
         mirrors = {mirror_system(r) for r in systems}
         if tables > 1:
             assert not mirrors & set(systems)
@@ -423,7 +443,8 @@ class TestCensusWalk:
             assert mirrors == set(systems)
 
     @pytest.mark.parametrize("name", [
-        "K4", "K33", "K23", "pendant K4", "diamond", "C5", "path",
+        "K4", "K33", "K23", "pendant K4", "diamond", "C5", "path", "K2",
+        "star K1,4",
     ])
     def test_with_mirrors_matches_reference(self, name):
         G = CENSUS_GRAPHS[name]
@@ -467,27 +488,34 @@ class TestSchemeCensus:
         ("path", "orientable-only"), ("path", "all"),
         ("pendant K4", "orientable-only"), ("pendant K4", "all"),
         ("diamond", "orientable-only"), ("diamond", "all"),
+        ("K2", "orientable-only"), ("K2", "all"),
+        ("star K1,4", "orientable-only"), ("star K1,4", "all"),
     ])
     def test_matches_per_scheme_census(self, name, mode):
         G = CENSUS_GRAPHS[name]
         assert scheme_census(G, mode) == reference_census(G, mode)
 
-    # one trace per mirror pair and tree-positive mask: K4 has 16 rotation
-    # systems and 8 masks, C5 one rotation system and 2 masks
+    # one composition per mirror pair and tree-positive mask, and one trace
+    # per prefix and mask: K4 has 8 mirror pairs, 2 orders at the composed
+    # vertex and 8 masks, K5 3888 pairs and 6 orders, and C5 one rotation
+    # system and 2 masks
     @pytest.mark.parametrize("name, mode, traces", [
         ("K4", "orientable-only", 8), ("K4", "all", 64),
+        ("K5", "orientable-only", 3888),
         ("C5", "orientable-only", 1), ("C5", "all", 2),
     ])
     def test_one_trace_per_mirror_pair(self, monkeypatch, name, mode, traces):
-        calls = []
+        calls = {"_trace_prefix": 0, "_faces_through": 0}
+        for fn in calls:
+            def counted(*args, fn=fn, real=getattr(emax.constructions, fn)):
+                calls[fn] += 1
+                return real(*args)
 
-        def counted(*args):
-            calls.append(1)
-            return _faces(*args)
-
-        monkeypatch.setattr(emax.constructions, "_faces", counted)
+            monkeypatch.setattr(emax.constructions, fn, counted)
         scheme_census(CENSUS_GRAPHS[name], mode)
-        assert len(calls) == traces
+        orders = {"K4": 2, "K5": 6, "C5": 1}[name]
+        assert calls == {"_trace_prefix": traces // orders,
+                         "_faces_through": traces}
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))
@@ -537,6 +565,95 @@ class TestSchemeCensus:
                 scheme_census(G, mode, cap=total - 1)
             assert str(exc.value) == want
             assert sum(scheme_census(G, mode, cap=total).values()) == total
+
+
+
+class TestCensusAudits:
+    """Each audit of the census, tripped on the paw: the triangle 0 1 2 and
+    the edge 2 3.  The census composes at vertex 3, whose one dart 7
+    leaves by states 14 and 15.  The paw has one prefix, on the table
+    leave = [4, 5, 8, 9, 0, 1, 10, 13, 2, 3, 12, 7, 6, 11, 14, 15].  There
+    the arc from 14 is 14, 6, 0, 8, 12, its twin runs from 15, and the
+    triangle's closed cycle is 1, 9, 7.  With signature +1, state s steps
+    to leave[s ^ 2] and its mirror is s ^ 3.  Each fault raises
+    RuntimeError, which `enumerate --census` turns into exit 1 with
+    nothing on stdout."""
+
+    PAW = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+
+    def assert_trips(self, capsys, tmp_path, message):
+        with pytest.raises(RuntimeError, match=message) as exc:
+            scheme_census(self.PAW)
+        path = tmp_path / "paw.txt"
+        path.write_text("4 4\n0 1\n0 2\n1 2\n2 3\n")
+        assert cli.main(["enumerate", str(path), "--census"]) == 1
+        assert capsys.readouterr() == ("", f"verification failed: {exc.value}\n")
+
+    # entries written into the prefix's table at each yield
+    @pytest.mark.parametrize("fault, message", [
+        # the arc steps from 0 back into 0, not to vertex 3
+        ({2: 0}, "^state map failed to close an arc$"),
+        # the arc steps from 0 into 3, its mirror, and on back to vertex 3
+        # along its own mirror image
+        ({2: 3}, "^self-mirrored facial cycle"),
+        # the mirror of 0 must step to 5, the mirror of 6, by leave[1]
+        ({1: 0}, "^mirror pairing mismatch between facial cycles$"),
+        # the triangle's cycle steps from 1 into 0, on the arc
+        ({3: 0}, "^state map failed to close a cycle$"),
+        # the triangle's cycle becomes 1, 2, and 2 is the mirror of 1
+        ({3: 2, 0: 1}, "^self-mirrored facial cycle"),
+        # the mirror of 1 must step to 4, the mirror of 7, by leave[0]
+        ({0: 0}, "^mirror pairing mismatch between facial cycles$"),
+    ])
+    def test_prefix_audits(self, monkeypatch, capsys, tmp_path, fault, message):
+        walk = emax.constructions.enumerate_small_schemes
+
+        def corrupted(G):
+            for leave in walk(G):
+                for s, t in fault.items():
+                    leave[s] = t
+                yield leave
+
+        monkeypatch.setattr(emax.constructions, "enumerate_small_schemes",
+                            corrupted)
+        self.assert_trips(capsys, tmp_path, message)
+
+    # entries written into the table wherever vertex 3's order is laid; the
+    # arc from 14 arrives at state 14, which leaves by 14 on the true order
+    @pytest.mark.parametrize("fault, message", [
+        # 14 leaves by 0, a state off vertex 3
+        ({14: 0}, "^a face through c fails to close within 2 exits$"),
+        # 14 leaves by 15, where the arc's twin starts
+        ({14: 15}, "^a face through c is its own mirror image$"),
+        # the mirror of 12 must step to 15, the mirror of 14, by leave[15]
+        ({15: 0}, "^a face through c has a twin that is not its mirror image$"),
+    ])
+    def test_composition_audits(self, monkeypatch, capsys, tmp_path, fault,
+                                message):
+        def corrupted(ids, leave):
+            _link(ids, leave)
+            if ids == (7,):
+                for s, t in fault.items():
+                    leave[s] = t
+
+        monkeypatch.setattr(emax.constructions, "_link", corrupted)
+        self.assert_trips(capsys, tmp_path, message)
+
+    def test_kept_sides_audit(self, monkeypatch, capsys, tmp_path):
+        # without the triangle's closed cycle the kept sides are the 5 of the
+        # face through vertex 3, of 2m = 8
+        trace = emax.constructions._trace_prefix
+        monkeypatch.setattr(emax.constructions, "_trace_prefix",
+                            lambda *args: trace(*args)[:2] + ([],))
+        self.assert_trips(capsys, tmp_path, "^face sides sum to 5, expected 8$")
+
+    def test_count_audit(self, monkeypatch, capsys, tmp_path):
+        # the paw's two schemes are one mirror pair; walking it twice counts 4
+        walk = emax.constructions.enumerate_small_schemes
+        monkeypatch.setattr(emax.constructions, "enumerate_small_schemes",
+                            lambda G: itertools.chain(walk(G), walk(G)))
+        self.assert_trips(capsys, tmp_path,
+                          "^census counts 4 schemes, expected 2$")
 
 
 def _labelled(phi):
