@@ -23,10 +23,10 @@ prints `"found": false` and exits 0.
 
 Size caps refuse runaway inputs up front with exit 2; where a cap was
 sized from a measurement, the figures sit beside its constant.
-`enumerate` covers at most constructions.ENUMERATION_CAP = 10^7 schemes
-(`--cap` overrides it).  `bounds f` and `ordered-seq` take an `--s` of at
-most bounds.SCHEDULE_STEP_CAP = 10^6 recurrence steps, and `bounds f` a
-`--g` of at most bounds.SCHEDULE_GENUS_CAP = 10^10.  `construct kmn` and
+`enumerate` covers at most constructions.ENUMERATION_CAP = 10^7 schemes.
+`bounds f` and `ordered-seq` take an `--s` of at most
+bounds.SCHEDULE_STEP_CAP = 10^6 recurrence steps, and `bounds f` a `--g`
+of at most bounds.SCHEDULE_GENUS_CAP = 10^10.  `construct kmn` and
 `construct family` build at most constructions.CONSTRUCT_EDGE_CAP = 10^5
 edges, and `construct kmn` at most graphs.EDGE_LIST_VERTEX_CAP vertices,
 so that its edge list reads back; an edge-list file declares at most
@@ -51,7 +51,7 @@ no face, and switching them all reverses every rotation and keeps the
 signatures.  So one signature per switching class, positive on a
 spanning tree, on one rotation system per mirror pair stands for 2^n
 schemes (2^(n-1) if no vertex has degree 3 or more).  The faces at one
-vertex are composed from arcs traced once for all its orders.  `--cap`
+vertex are composed from arcs traced once for all its orders.  The cap
 counts schemes, not traces, with or without `--census`.
 
 The interval precision used by the bounds subcommands can be overridden
@@ -84,7 +84,6 @@ from .embedding import (
     trace_faces,
 )
 from .constructions import (
-    ENUMERATION_CAP,
     _enumeration_total,
     complete_bipartite,
     construct_proposition2,
@@ -254,14 +253,12 @@ def cmd_ordered_seq(args) -> int:
     if part_b is None:
         raise GraphError("graph file needs a '# part_b: ...' comment")
     P = Bipartition(frozenset(range(G.n)) - part_b, part_b)
-    schedule = None
-    if args.c_schedule:
-        schedule = []
-        for t in args.c_schedule.replace(",", " ").split():
-            try:
-                schedule.append(int(t))
-            except ValueError:
-                raise ValueError(f"--c-schedule: {t!r} is not an integer") from None
+    schedule = None if args.c_schedule is None else []
+    for t in (args.c_schedule or "").replace(",", " ").split():
+        try:
+            schedule.append(int(t))
+        except ValueError:
+            raise ValueError(f"--c-schedule: {t!r} is not an integer") from None
     seq = find_ordered_sequence(G, P, args.s, schedule)
     return _write({"s": args.s, "found": seq is not None, "sequence": seq,
                    "c_schedule": schedule})
@@ -270,9 +267,8 @@ def cmd_ordered_seq(args) -> int:
 def cmd_enumerate(args) -> int:
     G, _ = parse_edge_list(_read_text(args.graph))
     if not args.census:
-        return _write({"total": _enumeration_total(G, args.signature_mode,
-                                                   args.cap)})
-    classes = scheme_census(G, args.signature_mode, args.cap)
+        return _write({"total": _enumeration_total(G, args.signature_mode)})
+    classes = scheme_census(G, args.signature_mode)
     return _write({"total": sum(classes.values()), "classes": [
         {"genus": g, "orientable": o, "faces": list(lens),
          "count": classes[(g, o, lens)]}
@@ -423,7 +419,7 @@ COMMANDS = {
     ("enumerate",): (cmd_enumerate, "exhaust rotation schemes of a small graph", (
         _Opt("graph"),
         _Opt("--signature-mode", str, "orientable-only", ("orientable-only", "all")),
-        _Opt("--cap", int, ENUMERATION_CAP), _Opt("--census", bool, False, help=(
+        _Opt("--census", bool, False, help=(
             "group results by (genus, orientability, face vector)")))),
     ("bounds",): (None, "recurrence tables and theorem checks", ()),
     ("bounds", "table"): (cmd_bounds_table, "published-table reproduction", (

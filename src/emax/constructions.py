@@ -301,11 +301,11 @@ def lower_bound_family(g: int, s: int) -> LowerBoundFamily:
     return LowerBoundFamily(Graph(offset, edges), Bipartition(part_a, part_b), g, s)
 
 
-def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
+def _enumeration_total(G: Graph, signature_mode: str) -> int:
     """How many schemes a census of G covers: prod_v (deg(v)-1)!
     rotation systems, times 2^m signature vectors in mode "all".  Checks
     the mode and that G is connected with an edge, and refuses a total
-    above cap."""
+    above ENUMERATION_CAP."""
     if signature_mode not in ("orientable-only", "all"):
         raise GraphError("signature_mode must be 'orientable-only' or 'all'")
     if G.m == 0:
@@ -314,10 +314,9 @@ def _enumeration_total(G: Graph, signature_mode: str, cap: int) -> int:
         raise GraphError("scheme enumeration needs a connected graph")
     total = (prod(factorial(max(0, G.degree(v) - 1)) for v in range(G.n))
              * (2 ** G.m if signature_mode == "all" else 1))
-    if total > cap:
-        raise GraphError(
-            f"enumeration would visit {total} schemes, above the cap of {cap}"
-        )
+    if total > ENUMERATION_CAP:
+        raise GraphError(f"enumeration would visit {total} schemes, above the "
+                         f"cap of {ENUMERATION_CAP}")
     return total
 
 
@@ -422,9 +421,7 @@ def _tree_positive_masks(G: Graph) -> list:
     return masks
 
 
-def scheme_census(
-    G: Graph, signature_mode: str = "orientable-only", cap: int = ENUMERATION_CAP
-) -> dict:
+def scheme_census(G: Graph, signature_mode: str = "orientable-only") -> dict:
     """{(Euler genus, orientable, sorted face lengths): count} over the
     schemes of G with each vertex's first dart fixed, every signature
     vector of each in mode "all" and the all-positive one in mode
@@ -451,9 +448,9 @@ def scheme_census(
     from c to c and closed cycles, and each order of c composes the faces
     through c from the arcs in time linear in deg(c), audited by _cycles
     and _faces_through.  The genus audits of surface_info run once per
-    class, and the counts must sum to the total that cap limits.
+    class, and the counts must sum to the total that ENUMERATION_CAP limits.
     """
-    total = _enumeration_total(G, signature_mode, cap)
+    total = _enumeration_total(G, signature_mode)
     if signature_mode == "all":
         masks, weight = _tree_positive_masks(G), 2 ** (G.n - 1)
     else:

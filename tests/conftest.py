@@ -8,6 +8,7 @@ off a full run at a glance.
 
 import itertools
 import json
+import math
 import random
 from collections import namedtuple
 from collections.abc import Iterable
@@ -514,6 +515,16 @@ def reference_schemes(G: Graph, mode: str):
             edges = [(u, v, -1 if mask >> e & 1 else 1)
                      for e, (u, v) in enumerate(pairs)]
             yield PseudoEmbedding(G.n, edges, rotation)
+
+
+def reference_total(G: Graph, mode: str) -> int:
+    """How many schemes `reference_schemes(G, mode)` yields, by the product
+    formula: prod_v (deg(v) - 1)! rotation systems, times 2^m signature
+    vectors in mode "all"."""
+    total = 2 ** G.m if mode == "all" else 1
+    for v in range(G.n):
+        total *= math.factorial(max(0, G.degree(v) - 1))
+    return total
 
 
 def reference_census(G: Graph, mode: str) -> dict:

@@ -4,17 +4,22 @@ Every test drives cli.main(argv) in-process; stdout is JSON (or csv /
 padded text for the table formats) captured through capsys.
 """
 
+import ast
 import hashlib
+import importlib
 import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emax
 import emax.bounds
+import emax.constructions
 import emax.embedding
 import emax.surgery
 from emax import (
@@ -38,7 +43,6 @@ from emax.bounds import (
 )
 from emax.constructions import (
     CONSTRUCT_EDGE_CAP,
-    ENUMERATION_CAP,
     PROP2_GENUS_CAP,
     REGEN_MOVE_CAP,
     REGEN_SETUP_MOVES,
@@ -334,6 +338,19 @@ class TestOrderedSeq:
         assert (code, out) == (2, "")
         assert err == "error: --c-schedule: 'x' is not an integer\n"
 
+    @pytest.mark.parametrize("text", ["", " , "], ids=["empty", "comma"])
+    def test_empty_schedule_is_checked(self, tmp_path, capsys, text):
+        # an empty schedule has zero entries, not the default schedule
+        assert run(capsys, "ordered-seq", self.write_q(tmp_path, capsys),
+                   "--s", "3", "--c-schedule", text) == (
+            2, "", "error: c_schedule has 0 entries; need 2\n")
+
+    def test_empty_schedule_is_echoed(self, tmp_path, capsys):
+        rep = run_json(capsys, "ordered-seq", self.write_q(tmp_path, capsys),
+                       "--s", "1", "--c-schedule", "")
+        assert rep == {"c_schedule": [], "found": True, "s": 1,
+                       "sequence": [0]}
+
     def test_s_zero_exits_two(self, tmp_path, capsys):
         assert run(capsys, "ordered-seq", self.write_q(tmp_path, capsys),
                    "--s", "0") == (
@@ -367,14 +384,22 @@ class TestEnumerate:
             {"genus": 2, "orientable": True, "faces": [4, 8], "count": 6},
         ]
 
-    def test_cap(self, tmp_path, capsys):
-        code, _, err = run(capsys, "enumerate",
-                           self.write_k4(tmp_path, capsys), "--cap", "10")
-        assert code == 2 and "cap" in err
+    @pytest.mark.parametrize("extra", [(), ("--census",)], ids=["total", "census"])
+    def test_k6_is_above_the_cap(self, tmp_path, capsys, extra):
+        path = tmp_path / "k6.txt"
+        path.write_text(format_edge_list(complete_graph(6)))
+        t0 = time.perf_counter()
+        assert run(capsys, "enumerate", str(path), *extra) == (
+            2, "", "error: enumeration would visit 191102976 schemes, above "
+                   "the cap of 10000000\n")
+        assert time.perf_counter() - t0 < 5.0
 
-    def test_default_cap_is_the_library_cap(self):
-        args = cli.parse_args(["enumerate", "k4.txt"])
-        assert args.cap == ENUMERATION_CAP
+    def test_no_option_moves_the_cap(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", self.write_k4(tmp_path, capsys), "--cap", "5"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments: --cap 5" in err
 
     GRAPHS = {
         "K4": complete_graph(4),
@@ -430,9 +455,10 @@ class TestEnumerate:
         (("--signature-mode", "all", "--census"), 1024),
     ])
     def test_cap_refusal_counts_represented_schemes(self, tmp_path, capsys,
-                                                    extra, total):
+                                                    monkeypatch, extra, total):
+        monkeypatch.setattr(emax.constructions, "ENUMERATION_CAP", 10)
         code, out, err = run(capsys, "enumerate", self.write_k4(tmp_path, capsys),
-                             "--cap", "10", *extra)
+                             *extra)
         assert (code, out) == (2, "")
         assert err == (f"error: enumeration would visit {total} schemes, "
                        "above the cap of 10\n")
@@ -858,6 +884,24 @@ class TestSizeCaps:
         # Proposition 2 scheme has 15002 vertices and 75000 edges
         assert SCHEME_SIZE_CAP >= 75000
 
+    def test_docstring_lists_every_cap(self):
+        # every module-level *_CAP in src/emax, as module.NAME = value with
+        # the value as 10^k for a power of ten and in digits otherwise
+        doc = " ".join(cli.__doc__.split())
+        caps = []
+        for path in sorted(Path(emax.__file__).parent.glob("*.py")):
+            module = importlib.import_module(f"emax.{path.stem}")
+            for node in ast.parse(path.read_text()).body:
+                if isinstance(node, ast.Assign):
+                    caps += [(path.stem, t.id, getattr(module, t.id))
+                             for t in node.targets if isinstance(t, ast.Name)
+                             and t.id.endswith("_CAP")]
+        assert len(caps) >= 11
+        for module, name, value in caps:
+            k = len(str(value)) - 1
+            text = f"10^{k}" if value == 10**k and k > 0 else str(value)
+            assert f"{module}.{name} = {text}" in doc, (module, name)
+
 
 ONE_MOVE_RESTARTS_ABOVE_CAP = REGEN_MOVE_CAP // (1 + REGEN_SETUP_MOVES) + 1
 
@@ -922,7 +966,7 @@ LEAVES = {
     ("pipeline",): ["scheme", "--mode"],
     ("triangulate",): ["scheme", "--out"],
     ("ordered-seq",): ["graph", "--s", "--c-schedule"],
-    ("enumerate",): ["graph", "--signature-mode", "--cap", "--census"],
+    ("enumerate",): ["graph", "--signature-mode", "--census"],
     ("bounds", "table"): ["--surface", "--gmax", "--format", "--anchor-delta"],
     ("bounds", "f"): ["--g", "--s"],
     ("bounds", "verify"): ["--theorem", "--gmax"],
@@ -956,11 +1000,10 @@ PARSED = [
      {"graph": "g.txt", "s": 3, "c_schedule": "7,8"}),
     (["ordered-seq", "--s", "-2", "g.txt"],
      {"graph": "g.txt", "s": -2, "c_schedule": None}),
-    (["enumerate", "g.txt", "--signature-mode", "all", "--cap", "10", "--census"],
-     {"graph": "g.txt", "signature_mode": "all", "cap": 10, "census": True}),
+    (["enumerate", "g.txt", "--signature-mode", "all", "--census"],
+     {"graph": "g.txt", "signature_mode": "all", "census": True}),
     (["enumerate", "g.txt"],
-     {"graph": "g.txt", "signature_mode": "orientable-only",
-      "cap": ENUMERATION_CAP, "census": False}),
+     {"graph": "g.txt", "signature_mode": "orientable-only", "census": False}),
     (["bounds", "table", "--surface", "orientable", "--gmax", "5", "--format",
       "csv", "--anchor-delta", "-100"],
      {"surface": "orientable", "gmax": 5, "format": "csv", "anchor_delta": -100}),

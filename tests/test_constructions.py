@@ -63,6 +63,7 @@ from conftest import (
     reference_proposition2,
     reference_regen,
     reference_schemes,
+    reference_total,
     walk_corners,
 )
 
@@ -438,7 +439,7 @@ class TestCensusWalk:
         mirrors = {mirror_system(r) for r in systems}
         if tables > 1:
             assert not mirrors & set(systems)
-            assert 2 * tables == _enumeration_total(G, "orientable-only", 10**18)
+            assert 2 * tables == _enumeration_total(G, "orientable-only")
         else:
             assert mirrors == set(systems)
 
@@ -455,11 +456,11 @@ class TestCensusWalk:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(small_connected_graphs())
     def test_with_mirrors_matches_reference_on_random_graphs(self, G):
-        assume(_enumeration_total(G, "orientable-only", 10**18) <= 4000)
+        assume(reference_total(G, "orientable-only") <= 4000)
         systems = walk_systems(G)
         got = set(systems) | {mirror_system(r) for r in systems}
         assert got == reference_systems(G)
-        assert len(got) == _enumeration_total(G, "orientable-only", 10**18)
+        assert len(got) == reference_total(G, "orientable-only")
 
     def test_census_iterates_the_walk(self, monkeypatch):
         # perfbench's tracer times the census by this name
@@ -520,7 +521,7 @@ class TestSchemeCensus:
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(small_connected_graphs(), st.sampled_from(("orientable-only", "all")))
     def test_matches_per_scheme_census_on_random_graphs(self, G, mode):
-        assume(_enumeration_total(G, mode, 10**18) <= 4000)
+        assume(reference_total(G, mode) <= 4000)
         assert scheme_census(G, mode) == reference_census(G, mode)
 
     def test_one_tree_positive_mask_per_switching_class(self):
@@ -556,15 +557,17 @@ class TestSchemeCensus:
         with pytest.raises(GraphError, match="signature_mode"):
             scheme_census(complete_graph(3), "sometimes")
 
-    def test_cap_counts_represented_schemes(self):
+    def test_cap_counts_represented_schemes(self, monkeypatch):
         G = complete_graph(4)
         for mode, total in (("orientable-only", 16), ("all", 1024)):
             want = (f"enumeration would visit {total} schemes, above the cap "
                     f"of {total - 1}")
+            monkeypatch.setattr(emax.constructions, "ENUMERATION_CAP", total - 1)
             with pytest.raises(GraphError) as exc:
-                scheme_census(G, mode, cap=total - 1)
+                scheme_census(G, mode)
             assert str(exc.value) == want
-            assert sum(scheme_census(G, mode, cap=total).values()) == total
+            monkeypatch.setattr(emax.constructions, "ENUMERATION_CAP", total)
+            assert sum(scheme_census(G, mode).values()) == total
 
 
 

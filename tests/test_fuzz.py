@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import emax.constructions
 from conftest import random_scheme, scheme_dict
 from emax import GraphError, SchemeError, parse_edge_list, scheme_from_json
 from emax.cli import main
@@ -151,8 +152,10 @@ class TestCli:
            st.booleans())
     def test_enumerate(self, input_file, text, mode, census):
         flags = ["--census"] if census else []
-        run_cli(input_file, text, "enumerate", "--signature-mode", mode,
-                "--cap", "5000", *flags)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(emax.constructions, "ENUMERATION_CAP", 5000)
+            run_cli(input_file, text, "enumerate", "--signature-mode", mode,
+                    *flags)
 
     def test_the_valid_inputs_reach_exit_zero(self, input_file):
         # the strategies above can reach the success path

@@ -40,6 +40,8 @@ from emax import (
     trace_faces,
 )
 
+from emax import cli
+from emax.constructions import _k3_scheme
 from emax.embedding import _SchemeEditor
 
 from conftest import (
@@ -299,6 +301,27 @@ class TestCompleteToTriangulation:
         with pytest.raises(RuntimeError,
                            match="^the chord from state 0 cut off no triangle$"):
             complete_to_triangulation(planar_c4_scheme())
+
+    # the closing audits, each tripped through a seam: no budget for the
+    # first chord, a triangulation test that never passes, and an editor
+    # that freezes to K3
+    @pytest.mark.parametrize("seam, message", [
+        ((emax.surgery, "edges_short", lambda E: 0),
+         "completion exceeded its edge budget"),
+        ((emax.surgery, "is_triangulation", lambda E: False),
+         "completion finished with a non-triangle left"),
+        ((_SchemeEditor, "freeze", lambda self, surface=None: _k3_scheme()),
+         "completed scheme has a wrong edge count"),
+    ], ids=["budget", "non-triangle", "edge-count"])
+    def test_closing_audits(self, monkeypatch, capsys, tmp_path, seam, message):
+        E = construct_proposition2(3, orientable=False)
+        path = tmp_path / "prop2.json"
+        path.write_text(scheme_json(E))
+        monkeypatch.setattr(*seam)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            complete_to_triangulation(E)
+        assert cli.main(["triangulate", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"verification failed: {message}\n")
 
     def test_steps_per_added_edge_are_bounded(self, monkeypatch):
         # the two faces of a 2000-cycle have length 2000: re-walking the face
