@@ -56,8 +56,8 @@ from .intervals import (
 DEFAULT_PRECISION_BITS = 256
 # printed numerators have about 0.3 digits per bit: 1250 at this cap, while
 # CPython's 4300-digit limit on int-to-str is passed near 14300 bits.  A
-# bounds verify sweep to VERIFY_GMAX_CAP takes about 5 s at this cap, 20 s
-# at 8192 bits and 50 s at 14000
+# bounds verify sweep to VERIFY_GMAX_CAP takes about 0.05 s at this cap,
+# 0.2 s at 8192 bits and 0.9 s at 14000, most of it the lambda enclosure
 PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
 # bounds f prints one c per step: at this cap 7-9 MB of output, written
@@ -76,8 +76,10 @@ SCHEDULE_GENUS_CAP = 10**10
 # 0.24-0.3 s and 23 MB in the padded format, which keeps its rows (a few
 # runs each) to take the column widths first
 TABLE_GENUS_CAP = 3000
-# verify_theorem costs about 0.004 ms per genus past the direct range, in
-# constant memory: 10^5 genera take about 0.4 s for either theorem
+# verify_theorem evaluates the closed form once per run of constant
+# ceil(sqrt(3(g-2)/2)), in constant memory: 367 runs for theorem 84 at this
+# cap and 357 for 67 take 5 and 11 ms, most of it the direct range, where
+# one evaluation per genus took 0.42-0.44 s (2-core machine, Python 3.11.7)
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
@@ -448,6 +450,15 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     closed form.  orientable-67: the same with factor 4, bound 67 g, and
     direct range [1, 670].  Reports the minimum slack and every violation
     (there must be none).  Both read their constants from SURFACES.
+
+    The analytic range goes a run of constant t = ceil(sqrt(3(g-2)/2)) at
+    a time, the g with 2(t-1)^2 < 3(g-2) <= 2t^2, which ends at
+    2 + 2t^2 // 3.  Along a run the slack's numerator over Q moves by
+    exactly per_g Q - factor L per genus, L/Q lambda's upper end in lowest
+    terms, so `analytic_upper_bound` is called once per run, at its first
+    genus.  The least slack is at that genus when the step is >= 0 (ties go
+    to the earlier genus), else at the last, and the negatives are a prefix
+    or a suffix of the run, each listed with its own slack.
     """
     if which not in THEOREMS:
         raise BoundsError(f"unknown theorem {which!r}; use "
@@ -463,7 +474,7 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     # denominator of lambda's upper end, which every analytic bound's
     # divides; EMAX_PRECISION_BITS is read once, for the whole sweep
     bits = _precision_bits(None) if g_max > dp_top else None
-    Q = lambda_interval(bits).hi.denominator if bits else 1
+    L, Q = lambda_interval(bits).hi.as_integer_ratio() if bits else (0, 1)
     violations = []
     min_slack = None
 
@@ -477,9 +488,24 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     for g in range(1, dp_top + 1):
         fin = optimal_schedule(g, g + 1).f
         note(g, (per_g * g - factor * fin + 1) * Q)
-    for g in range(dp_top + 1, g_max + 1):
+    step = per_g * Q - factor * L
+    g = dp_top + 1
+    while g <= g_max:
+        t = ceil_sqrt(3 * (g - 2), 2)
+        end = min(2 + 2 * t * t // 3, g_max)
         ub = analytic_upper_bound(g, bits)
-        note(g, (per_g * g + 1) * Q - factor * ub.numerator * (Q // ub.denominator))
+        num = (per_g * g + 1) * Q - factor * ub.numerator * (Q // ub.denominator)
+        # the slack at h is num + (h - g) step, negative for the h with
+        # (h - g) step < -num
+        if step > 0:
+            low, negs = g, range(g, min(end + 1, g - num // step))
+        elif step < 0:
+            low, negs = end, range(max(g, g + 1 + num // -step), end + 1)
+        else:
+            low, negs = g, range(g, end + 1 if num < 0 else g)
+        for h in negs or (low,):
+            note(h, num + (h - g) * step)
+        g = end + 1
     return {
         "theorem": f"{kind}-{per_g}",
         "ok": not violations,

@@ -945,6 +945,30 @@ def reference_upper_bound(g: int, precision=None) -> Fraction:
     return (lam * (g - 2) + 2 * t + 33).hi
 
 
+def reference_verify(which: str, g_max: int, upper_bound=reference_upper_bound) -> dict:
+    """`verify_theorem`'s report from one score per genus: f'(g, g+1) by
+    `optimal_schedule` on the direct range, then `upper_bound(g)` at every
+    genus of the analytic one, with the constants read from
+    `emax.bounds.SURFACES` at call time; an oracle for the run walk."""
+    kind = emax.bounds.THEOREMS[which]
+    factor, per_g, dp_top = emax.bounds.SURFACES[kind]
+    dp_top = min(dp_top, g_max)
+    slacks = [per_g * g + 1 - factor * (optimal_schedule(g, g + 1).f
+                                        if g <= dp_top else upper_bound(g))
+              for g in range(1, g_max + 1)]
+    least = min(range(g_max), key=slacks.__getitem__)  # the first least
+    return {
+        "theorem": f"{kind}-{per_g}",
+        "ok": min(slacks) >= 0,
+        "direct_range": [1, dp_top],
+        "analytic_range": [dp_top + 1, g_max] if g_max > dp_top else None,
+        "checked": g_max,
+        "min_slack": {"g": least + 1, "slack": str(slacks[least])},
+        "violations": [{"g": g, "slack": str(x)}
+                       for g, x in enumerate(slacks, 1) if x < 0],
+    }
+
+
 # the record optimal_schedule returned before it gave its schedule as runs
 ReferenceSchedule = namedtuple("ReferenceSchedule", "c_schedule f floored_steps")
 

@@ -24,6 +24,7 @@ from conftest import (
     reference_claim1,
     reference_schedule,
     reference_upper_bound,
+    reference_verify,
 )
 
 import emax.bounds as bounds
@@ -40,7 +41,8 @@ from emax import (
     optimal_schedule,
     verify_theorem,
 )
-from emax.bounds import SCHEDULE_GENUS_CAP, SCHEDULE_STEP_CAP
+from emax.bounds import SCHEDULE_GENUS_CAP, SCHEDULE_STEP_CAP, VERIFY_GMAX_CAP
+from emax.cli import main
 
 # Published nonorientable table, g -> (schedule csv, impurity, offset)
 TABLE_N = {
@@ -653,6 +655,170 @@ class TestVerifyTheorem:
         assert str(info.value) == "unknown theorem 'orientable-84'; use 84 or 67"
         with pytest.raises(BoundsError, match="g_max"):
             verify_theorem("84", g_max=0)
+
+
+def run_ends(dp_top, count=10):
+    """The last genus of each of the first `count` runs of constant
+    t = ceil(sqrt(3(g-2)/2)) past dp_top."""
+    t = ceil_sqrt(3 * (dp_top - 1), 2)
+    return [2 + 2 * u * u // 3 for u in range(t, t + count)]
+
+
+def verify_sizes(dp_top):
+    """The g_max at which a run walk can slip: the direct range's end and
+    the genus after it, each of the first 10 run ends and the genus after
+    it, and 2000."""
+    ends = run_ends(dp_top)
+    return sorted({dp_top, dp_top + 1, 2000, *ends, *(e + 1 for e in ends)})
+
+
+class TestVerifyRuns:
+    """The analytic range, walked one run of constant t at a time, against
+    the per-genus oracle `reference_verify`."""
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    @pytest.mark.parametrize("mode", ["default", "negative step", "8 bits"])
+    def test_reports_equal_the_per_genus_oracle(self, which, mode, monkeypatch):
+        # a negative step takes one off the bound per unit of genus, which
+        # puts it under factor * lambda: the slack falls along every run and
+        # every analytic genus fails
+        kind = bounds.THEOREMS[which]
+        factor, per_g, dp_top = bounds.SURFACES[kind]
+        if mode == "negative step":
+            monkeypatch.setitem(bounds.SURFACES, kind, (factor, per_g - 1, dp_top))
+        if mode == "8 bits":
+            monkeypatch.setenv("EMAX_PRECISION_BITS", "8")
+        for g_max in verify_sizes(dp_top):
+            got = verify_theorem(which, g_max)
+            assert got == reference_verify(which, g_max), g_max
+            if mode == "negative step" and g_max > dp_top:
+                assert len(got["violations"]) >= g_max - dp_top
+                assert got["min_slack"]["g"] == g_max
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    def test_violations_that_open_a_run(self, which, monkeypatch):
+        # with the direct range cut to 100 the closed form fails the first
+        # genera of many runs and holds on the rest of each
+        kind = bounds.THEOREMS[which]
+        factor, per_g, _ = bounds.SURFACES[kind]
+        monkeypatch.setitem(bounds.SURFACES, kind, (factor, per_g, 100))
+        got = verify_theorem(which, 2000)
+        assert got == reference_verify(which, 2000)
+        failed = {v["g"] for v in got["violations"]}
+        assert any(e not in failed and e + 1 in failed for e in run_ends(100, 30))
+
+    @pytest.mark.parametrize("lift", [0, 30])
+    def test_violations_that_close_a_run(self, lift, monkeypatch):
+        # a slack that falls along each run: the closed form's t term
+        # swapped for a constant per run that puts the zero crossing near
+        # the run's middle, or with lift 30 lifts every slack above zero,
+        # where the least one ends a run; the direct range stops at g = 2
+        monkeypatch.setitem(bounds.SURFACES, "nonorientable", (5, 80, 2))
+        lam = bounds.lambda_interval().hi
+
+        def skewed(g, precision=None):
+            t = ceil_sqrt(3 * (g - 2), 2)
+            mid = 2 + (2 * t * t - 2 * t + 1) // 3
+            shift = ((80 - 5 * lam) * mid + 10 * lam + 1) // 5 - lift
+            return reference_upper_bound(g, precision) - 2 * t - 33 + shift
+
+        want = reference_verify("84", 2000, skewed)
+        monkeypatch.setattr(bounds, "analytic_upper_bound", skewed)
+        got = verify_theorem("84", 2000)
+        assert got == want
+        failed = {v["g"] for v in got["violations"]}
+        ends = run_ends(2, 60)
+        if lift:
+            assert not failed and got["min_slack"]["g"] in ends
+        else:
+            assert all(e in failed and e + 1 not in failed for e in ends[10:] if e < 2000)
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    def test_flat_runs(self, which, monkeypatch):
+        # lambda's upper end set to bound / factor leaves the slack constant
+        # along each run, and below zero: every analytic genus fails
+        factor, per_g, dp_top = bounds.SURFACES[bounds.THEOREMS[which]]
+        monkeypatch.setattr(bounds, "lambda_interval", lambda precision=None:
+                            bounds.Interval(Fraction(per_g, factor)))
+        got = verify_theorem(which, 2000)
+        assert got == reference_verify(which, 2000, bounds.analytic_upper_bound)
+        assert [v["g"] for v in got["violations"]][-(2000 - dp_top):] == list(
+            range(dp_top + 1, 2001))
+
+    @pytest.mark.parametrize("which, calls", [("84", 367), ("67", 357)])
+    def test_one_closed_form_per_run(self, which, calls, monkeypatch):
+        # at the cap, one call per distinct t of the analytic range, where
+        # a call per genus made 99,701 and 99,330
+        seen = []
+        closed_form = bounds.analytic_upper_bound
+        monkeypatch.setattr(bounds, "analytic_upper_bound",
+                            lambda g, bits: seen.append(g) or closed_form(g, bits))
+        rep = verify_theorem(which, VERIFY_GMAX_CAP)
+        assert rep["ok"] is True
+        dp_top = rep["direct_range"][1]
+        ts = {ceil_sqrt(3 * (g - 2), 2) for g in range(dp_top + 1, VERIFY_GMAX_CAP + 1)}
+        assert len(seen) == len(ts) == calls
+        assert seen[0] == dp_top + 1 and seen == sorted(seen)
+
+
+class TestAudits:
+    """Each `raise RuntimeError` audit in emax.bounds, tripped through a
+    seam of the module."""
+
+    def test_c_scan_cap(self, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "C_SCAN_CAP_FACTOR", 0)
+        with pytest.raises(RuntimeError, match="^c scan exceeded its hard cap$"):
+            optimal_schedule(13, 3)
+        assert main(["bounds", "f", "--g", "13", "--s", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "verification failed: c scan exceeded its hard cap\n"
+
+    def test_gamma_escapes(self, monkeypatch):
+        ceil = bounds.certified_ceil
+
+        def skewed(lo, hi, p):
+            b = ceil(lo, hi, p)
+            return None if b is None else b + 1
+
+        monkeypatch.setattr(bounds, "certified_ceil", skewed)
+        with pytest.raises(RuntimeError, match=r"^gamma_7 escaped \[0,1\) despite "
+                                               r"certified ceil$"):
+            analytic_context(50)
+
+    def test_k_beyond_its_last_row(self, monkeypatch):
+        # alpha_7 raised by 1000 keeps alpha_i (g-2) above 2 on every row
+        alpha7 = bounds.alpha7_interval
+
+        def inflated(tail_bits):
+            iv = alpha7(tail_bits)
+            return bounds.Interval(iv.lo + 1000, iv.hi + 1000)
+
+        monkeypatch.setattr(bounds, "alpha7_interval", inflated)
+        with pytest.raises(RuntimeError, match="^k exceeded 2g\\+2; series "
+                                               "evaluation is broken$"):
+            analytic_context(50)
+
+    @pytest.mark.parametrize("doctor, message", [
+        ("skip", "^the rows skip or repeat s=3$"),
+        ("no E", r"^row 7 has no error term but s=\d+ uses it$"),
+        ("short", "^the rows end at s=50, not at g\\+1=51$"),
+    ])
+    def test_claim1_row_audits(self, doctor, message, monkeypatch):
+        ctx = analytic_context(50)
+        L, E = dict(ctx.L_lists), dict(ctx.E)
+        if doctor == "skip":
+            i = next(i for i, row in L.items() if 3 in row)
+            L[i] = tuple(s for s in L[i] if s != 3)
+        elif doctor == "no E":
+            del E[7]
+        else:
+            assert L[7][-1] == 51
+            L[7] = L[7][:-1]
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: ctx._replace(L_lists=L, E=E))
+        with pytest.raises(RuntimeError, match=message):
+            claim1_consistency(50)
 
 
 class TestPrecisionKnob:
