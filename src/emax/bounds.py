@@ -30,10 +30,11 @@ L_i = (beta_i + 1 .. beta_{i-1}).  An error term E_i, a recursion over the
 rows with nonempty L_i, certifies how far the closed form
 2i/(i-6) (g-2) + (z-1)(2i-3) can undershoot the recurrence.  All of this
 runs on integer endpoints at one scale 2^-p, rounded outward, in one pass
-up the rows i = 7 .. 2g+2 and one down them for E (see
-`_context_at_precision`); `claim1_consistency` then checks the recurrence
-in one pass over s.  Every reported comparison is a comparison of
-interval endpoints, never of floats.
+up the rows i = 7 .. k, about sqrt(3g/2) of them, and one down them for E;
+above k only the anchor row 2g+2 can be nonempty (see
+`_context_at_precision`).  `claim1_consistency` then checks the
+recurrence with one test per row.  Every reported comparison is a
+comparison of interval endpoints, never of floats.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ DEFAULT_PRECISION_BITS = 256
 # printed numerators have about 0.3 digits per bit: 1250 at this cap, while
 # CPython's 4300-digit limit on int-to-str is passed near 14300 bits.  A
 # bounds verify sweep to VERIFY_GMAX_CAP takes about 0.05 s at this cap,
-# 0.2 s at 8192 bits and 0.9 s at 14000, most of it the lambda enclosure
+# 0.23 s at 8192 bits and 1.0 s at 14000, most of it the lambda enclosure
 PRECISION_BITS_CAP = 4096
 C_SCAN_CAP_FACTOR = 14
 # bounds f prints one c per step: at this cap 7-9 MB of output, written
@@ -78,7 +79,7 @@ SCHEDULE_GENUS_CAP = 10**10
 TABLE_GENUS_CAP = 3000
 # verify_theorem evaluates the closed form once per run of constant
 # ceil(sqrt(3(g-2)/2)), in constant memory: 367 runs for theorem 84 at this
-# cap and 357 for 67 take 5 and 11 ms, most of it the direct range, where
+# cap and 357 for 67 take 5 and 10-12 ms, most of it the direct range, where
 # one evaluation per genus took 0.42-0.44 s (2-core machine, Python 3.11.7)
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
@@ -189,24 +190,26 @@ def optimal_schedule(
     cap = 6 + C_SCAN_CAP_FACTOR * g
     gm2 = g - 2
     k = 15 + 2 * gm2  # B = p - kq
+    # (g-2)q, kq, 4q, 48q and 144q^2, remade only where q changes
+    gq, kq, q4, q48, q144 = gm2, k, 4, 48, 144
     s = 3
     while s <= s_max:
         # from the larger root of h up to the least crossed c
-        b = p - k * q
-        disc = b * b - 8 * q * (18 * q - 6 * p)
+        b = p - kq
+        disc = b * b - q144 + q48 * p
         c = 7
         if disc >= 0:
-            c = (isqrt(disc) - b) // (4 * q)
+            c = (isqrt(disc) - b) // q4
             if c < 7:
                 c = 7
-        while 2 * c * gm2 * q > (c - 6) * ((2 * c - 3) * q + p):
+        while 2 * c * gq > (c - 6) * ((2 * c - 3) * q + p):
             c += 1
         if c > cap:
             raise RuntimeError("c scan exceeded its hard cap")
         d = (2 * c - 3) * q
         t = s_max - s + 1
         if c > 7:
-            w = (2 * (c - 1) * gm2 * q - (c - 7) * p - 1) // ((c - 7) * d)
+            w = (2 * (c - 1) * gq - (c - 7) * p - 1) // ((c - 7) * d)
             if w < t:
                 t = w
         if t > 0:
@@ -217,11 +220,12 @@ def optimal_schedule(
             # branch1 at c-1 is no larger: ties go to the smaller c
             num, den = 2 * (c - 1) * gm2, c - 7
             if floor_steps:
-                if num % den:
+                p, r = divmod(num, den)
+                if r:
                     floored.append(s)
-                p, q = num // den, 1
             else:
                 p, q = Fraction(num, den).as_integer_ratio()
+                gq, kq, q4, q48, q144 = gm2 * q, k * q, 4 * q, 48 * q, 144 * q * q
             c, t = c - 1, 1
             s += 1
         if runs and runs[-1][0] == c:
@@ -290,10 +294,10 @@ def table_rows(surface_kind: str, g_range, *, anchor_delta: int = 0):
 class AnalyticContext(namedtuple("AnalyticContext", (
     "g",
     "lam",  # 25 - 11(48332/114345 + (16/33) log 2)
-    "alpha",  # i -> (lo, hi), alpha_i
+    "alpha",  # i -> (lo, hi), alpha_i, rows 7..k only
     "k",  # least i >= 7 with alpha_i (g-2) <= 2
-    "beta",  # i -> int
-    "gamma",  # i -> (lo, hi), beta_i - alpha_i (g-2)
+    "beta",  # i -> int, rows 7..2g+2 (7 at g = 2)
+    "gamma",  # i -> (lo, hi), beta_i - alpha_i (g-2), rows 7..k only
     "E",  # i -> (lo, hi), the error recursion
     "L_lists",  # i -> tuple of s values using c_s = i
     "ell",  # i -> row length
@@ -364,11 +368,14 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     2^(p+1), fails when lo > 2^(p+1)); anything else is a straddle, and
     the caller widens.
 
-    One loop up the rows builds each from the one below: alpha_i, the k
-    test and beta_i = certified ceiling up to k, the anchor beta_i above
-    k, ell_i and L_i, and the prefix sums of gamma.  The first straddling
-    ceiling is held until k is found, so a straddle of the k test at any
-    row up to k is reported ahead of it.  E then runs down the rows.
+    One loop up rows 7..k builds each from the one below: alpha_i, the k
+    test, beta_i = certified ceiling, ell_i and L_i, and the prefix sums
+    of gamma.  The first straddling ceiling is held until k is found, so a
+    straddle of the k test at any row up to k is reported ahead of it.
+    Rows k+1..2g+1 are empty at beta_k, the anchor row 2g+2 has beta 1 and
+    L = (2..beta_k), and none reads alpha or gamma.  As alpha_{k-1} (g-2)
+    > 2 >= alpha_k (g-2), beta_{k-1} >= 3 > beta_k and ell_k >= 1, so every
+    E chain from a row below k ends at or below k: E runs down from k.
     """
     p = tail_bits + GRID_GUARD_BITS
     a7_lo, a7_hi = alpha7_interval(tail_bits).outward(p)
@@ -378,28 +385,23 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     # prefix sums: sum_{7<=j<=i} gamma_j is (c_lo[i-6], c_hi[i-6])
     c_lo, c_hi = [0], [0]
     s_lo = 0
-    k = held = None
+    held = None
     b_below = g + 1  # L_7 ends at s = g+1
     for i in range(7, top + 1):
         if i > 7:
             s_lo += twelve // ((i - 7) * (i - 6) * (2 * i - 3))
         alpha[i] = a_lo, a_hi = a7_lo - s_lo - (i - 7), a7_hi - s_lo
         lo, hi = a_lo * gm2, a_hi * gm2
-        if k is None:
+        if lo <= two < hi:
+            raise _Straddle(i)
+        b = None if held else certified_ceil(lo, hi, p)
+        if b is None:
+            held = held or i
             if hi <= two:
-                k = i
-            elif lo <= two:
-                raise _Straddle(i)
-            b = None if held else certified_ceil(lo, hi, p)
-            if b is None:
-                held = held or i
-                if k is not None:
-                    raise _Straddle(held)
-                continue
-            if not hi <= b << p < lo + one:
-                raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
-        else:
-            b = 1 if i == top else beta[k]
+                raise _Straddle(held)
+            continue
+        if not hi <= b << p < lo + one:
+            raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
         beta[i] = b
         gamma[i] = g_lo, g_hi = (b << p) - hi, (b << p) - lo
         ell[i] = b_below - b
@@ -407,26 +409,30 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
         b_below = b
         c_lo.append(c_lo[-1] + g_lo)
         c_hi.append(c_hi[-1] + g_hi)
-    if k is None:
+        if hi <= two:
+            k = i
+            break
+    else:
         raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
+    if k < top:
+        empty = dict.fromkeys(range(k + 1, top), b)
+        beta.update(empty)
+        ell.update(dict.fromkeys(empty, 0))
+        L_lists.update(dict.fromkeys(empty, ()))
+        beta[top], ell[top], L_lists[top] = 1, b - 1, tuple(range(2, b + 1))
 
     # E_k and the anchor row's E_top are zero (one row when top = k)
     E = dict.fromkeys((k, top), (0, 0))
-    # one downward sweep; nxt is the lowest nonempty row above i
-    nxt = None
-    for i in range(top, 6, -1):
+    nxt = k  # the lowest nonempty row above i
+    for i in range(k - 1, 6, -1):
         if ell[i] <= 0:
             continue
-        if i < k:
-            # with every row above empty (only possible when beta_k < 2)
-            # the chain ends at the zero anchor E_k
-            j = k if nxt is None else nxt
-            (g_lo, g_hi), (gj_lo, gj_hi), (e_lo, e_hi) = gamma[i], gamma[j], E[j]
-            lo = (2 * (c_lo[j - 7] - c_lo[i - 6]) + (2 * i - 1) * g_lo
-                  - (2 * j - 3) * gj_hi + e_lo)
-            hi = (2 * (c_hi[j - 7] - c_hi[i - 6]) + (2 * i - 1) * g_hi
-                  - (2 * j - 3) * gj_lo + e_hi)
-            E[i] = (max(0, lo), max(0, hi))
+        (g_lo, g_hi), (gj_lo, gj_hi), (e_lo, e_hi) = gamma[i], gamma[nxt], E[nxt]
+        lo = (2 * (c_lo[nxt - 7] - c_lo[i - 6]) + (2 * i - 1) * g_lo
+              - (2 * nxt - 3) * gj_hi + e_lo)
+        hi = (2 * (c_hi[nxt - 7] - c_hi[i - 6]) + (2 * i - 1) * g_hi
+              - (2 * nxt - 3) * gj_lo + e_hi)
+        E[i] = (max(0, lo), max(0, hi))
         nxt = i
     return AnalyticContext(g, lam, alpha, k, beta, gamma, E, L_lists, ell,
                            bits, tail_bits, p)
@@ -524,55 +530,64 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
         f'(s) <= 2i/(i-6) (g-2) + (z-1)(2i-3) + E_i,   s = beta_i + z.
 
     beta falls as i rises, so the rows read from the top list s = 2, 3,
-    ..., g+1 in order, and one loop steps f' with c_s = i and checks the
-    bound at each s; the report lists by row, then s.  The comparison is
-    against the lower endpoint of E_i's enclosure, so a pass is a proof.
-    f'(s) is an integer ratio fp/fq (the first branch at row i has
-    denominator i-6, so fq never grows), and the test is cross-multiplied
-    by the positive fq (i-6) 2^p into integers.  At s=2 the two sides agree
-    exactly (the anchor row), except for g=2 where the right side's row
-    index degenerates and the anchor is checked directly.
+    ..., g+1 in order (g = 2's row 7 opens at s = 1, passed over).  f'(s)
+    is an integer ratio fp/fq (the first branch at row i has denominator
+    i-6, so fq never grows), and the test num <= E_i (i-6) fq, with num =
+    fp(i-6) - 2i(g-2)fq - (z-1)(2i-3)fq(i-6), is cross-multiplied by 2^p
+    into integers, against E_i's low end, so a pass is a proof.
+
+    One test decides each row, at its first step.  Only that step can take
+    branch 1: after it f' = 2i(g-2)/(i-6), while branch 1 needs f' <=
+    2i(g-2)/(i-6) - (2i-3), and branch 2 only raises f'.  A branch 2 step
+    adds (2i-3)fq to fp and 1 to z, which leaves num as it was, so the
+    verdict holds for every s of the row.  The anchor s = 2 has no step and
+    is tested alone, in its row (row 7 with z = 2 for g = 2).  A failing or
+    undecided row lists each of its s, each failure with its own f' and
+    right side, and the report lists by row, then s.
     """
     ctx = analytic_context(g, precision)
     gm2 = g - 2
     p = ctx.scale_bits
     fp, fq = f_exact_s2(g), 1  # f'(last)
-    last = 2
-    failures = []
-    undecided = []  # (i, s)
-    checked = 0
+    last, checked = 1, 0
+    failures, undecided = [], []  # undecided holds (i, s)
     for i, L in reversed(ctx.L_lists.items()):
+        if not L:
+            continue
         Ei = ctx.E.get(i)
-        for s in L:
-            if s < 2:
+        while L and L[0] < 2:  # g = 2's row 7 opens at s = 1
+            L = L[1:]
+        # the anchor s = 2 takes no step, so it is tested on its own
+        for run in (L[:1], L[1:]) if L[:1] == (2,) else (L,):
+            if not run:
                 continue
-            if s > 2:
-                if s != last + 1:
-                    raise RuntimeError(f"the rows skip or repeat s={last + 1}")
-                num = (2 * i - 3) * fq + fp
-                if 2 * i * gm2 * fq >= num * (i - 6):
-                    fp, fq = 2 * i * gm2, i - 6
-                else:
-                    fp = num
-                last = s
-            checked += 1
-            if g == 2 and s == 2:
-                # degenerate anchor: no valid row index; the anchor is exact
-                continue
+            s, n = run[0], len(run)
+            if s != last + 1:
+                raise RuntimeError(f"the rows skip or repeat s={last + 1}")
             if Ei is None:
                 raise RuntimeError(f"row {i} has no error term but s={s} uses it")
+            want = range(s, s + n)
+            if run != tuple(want):
+                miss = next(t for t, u in zip(want, run) if t != u)
+                raise RuntimeError(f"the rows skip or repeat s={miss}")
+            if s > 2 and 2 * i * gm2 * fq >= ((2 * i - 3) * fq + fp) * (i - 6):
+                fp, fq = 2 * i * gm2, i - 6
+            elif s > 2:
+                fp += (2 * i - 3) * fq
+            d = (2 * i - 3) * fq
             z = s - ctx.beta[i]
             den = fq * (i - 6)
-            num = fp * (i - 6) - 2 * i * gm2 * fq - (z - 1) * (2 * i - 3) * den
-            if num << p <= Ei[0] * den:
-                continue
-            if num << p > Ei[1] * den:
-                rhs_hi = (Fraction(2 * i * gm2, i - 6) + (z - 1) * (2 * i - 3)
-                          + Fraction(Ei[1], 1 << p))
-                failures.append({"s": s, "i": i, "f": str(Fraction(fp, fq)),
-                                 "rhs_hi": str(rhs_hi)})
-            else:
-                undecided.append((i, s))
+            num = (fp * (i - 6) - 2 * i * gm2 * fq - (z - 1) * (2 * i - 3) * den) << p
+            if num > Ei[0] * den and num > Ei[1] * den:
+                head = Fraction(2 * i * gm2, i - 6) + Fraction(Ei[1], 1 << p)
+                failures += ({"s": s + h, "i": i, "f": str(Fraction(fp + h * d, fq)),
+                              "rhs_hi": str(head + (z + h - 1) * (2 * i - 3))}
+                             for h in range(n))
+            elif num > Ei[0] * den:
+                undecided += ((i, t) for t in want)
+            fp += (n - 1) * d
+            checked += n
+            last = s + n - 1
     if last != g + 1:
         raise RuntimeError(f"the rows end at s={last}, not at g+1={g + 1}")
     e7_hi = ctx.E.get(7, (0, 0))[1]

@@ -439,6 +439,14 @@ class TestAnalyticContext:
             ctx = analytic_context(g)
             assert 7 <= ctx.k <= ceil_sqrt(3 * (g - 2), 2) + 7
 
+    @pytest.mark.parametrize("g", [50, 1000, 20000])
+    def test_big_integer_rows_stop_at_k(self, g):
+        ctx = analytic_context(g)
+        assert len(ctx.alpha) == ctx.k - 6
+        assert list(ctx.alpha) == list(ctx.gamma) == list(range(7, ctx.k + 1))
+        rows = list(range(7, 2 * g + 3))
+        assert list(ctx.beta) == list(ctx.ell) == list(ctx.L_lists) == rows
+
     def test_row_lengths_match_lists(self):
         ctx = analytic_context(12)
         for i, L in ctx.L_lists.items():
@@ -499,6 +507,112 @@ class TestClaim1:
             assert rep["indeterminate"] == [s for _, s in rows]
 
 
+def claim1_per_s(ctx):
+    """Claim 1's report on a given integer context, one test per s on
+    Fraction values, and each row's branch at its first step (True for
+    branch 1): the per-s loop that one test per row replaced, an oracle
+    for `claim1_consistency` on doctored contexts."""
+    g, gm2, unit = ctx.g, ctx.g - 2, Fraction(1, 1 << ctx.scale_bits)
+    f, last, checked = Fraction(f_exact_s2(g)), 1, 0
+    failures, undecided, first_branch = [], [], {}
+    for i, L in sorted(ctx.L_lists.items(), reverse=True):
+        for s in L:
+            if s < 2:
+                continue
+            if s != last + 1:
+                raise RuntimeError(f"the rows skip or repeat s={last + 1}")
+            one = Fraction(2 * i * gm2, i - 6)
+            if s > 2:
+                first_branch.setdefault(i, one >= 2 * i - 3 + f)
+                f = max(one, 2 * i - 3 + f)
+            last, checked = s, checked + 1
+            rhs = one + (s - ctx.beta[i] - 1) * (2 * i - 3)
+            lo, hi = ctx.E[i]
+            if f > rhs + lo * unit and f > rhs + hi * unit:
+                failures.append({"s": s, "i": i, "f": str(f),
+                                 "rhs_hi": str(rhs + hi * unit)})
+            elif f > rhs + lo * unit:
+                undecided.append((i, s))
+    e7_hi = ctx.E.get(7, (0, 0))[1]
+    return {
+        "g": g,
+        "ok": not failures and not undecided,
+        "k": ctx.k,
+        "checked": checked,
+        "failures": sorted(failures, key=lambda r: r["i"]),
+        "indeterminate": [s for _, s in sorted(undecided)],
+        "E7_hi": str(e7_hi * unit),
+        "E7_le_2k_minus_3": e7_hi * unit <= 2 * ctx.k - 3,
+    }, first_branch
+
+
+class TestClaim1Rows:
+    """One test per row against `claim1_per_s`."""
+
+    def test_true_contexts(self):
+        for g in list(range(2, 80)) + [1000]:
+            assert claim1_consistency(g) == claim1_per_s(analytic_context(g))[0], g
+
+    @pytest.mark.parametrize("g", [2, 200, 1000])
+    def test_rows_that_pass_fail_and_stay_undecided(self, g, monkeypatch):
+        # the rows that open with a branch 1 step and those that open with
+        # a branch 2 step each take turns: the true E (a pass), E far below
+        # every closed form (a failure) and an enclosure around it (undecided)
+        ctx = analytic_context(g)
+        first_branch = claim1_per_s(ctx)[1]
+        big = 1 << (ctx.scale_bits + 40)
+        E = dict(ctx.E)
+        for branch in (True, False):
+            rows = sorted(i for i, b in first_branch.items() if b is branch)
+            for n, i in enumerate(rows):
+                E[i] = (E[i], (-big, -big), (-big, big))[(n + 1) % 3]
+        doctored = ctx._replace(E=E)
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: doctored)
+        rep, want = claim1_consistency(g), claim1_per_s(doctored)[0]
+        assert rep == want
+        if g == 2:
+            # the anchor s = 2 is tested on its own, in row 7 with z = 2
+            assert [r["s"] for r in rep["failures"]] == [2, 3]
+            return
+        row_of = {s: i for i, L in ctx.L_lists.items() for s in L}
+        failed = {r["i"] for r in rep["failures"]}
+        undecided = {row_of[s] for s in rep["indeterminate"]}
+        for branch in (True, False):
+            rows = {i for i, b in first_branch.items() if b is branch}
+            assert rows & failed and rows & undecided and rows - failed - undecided
+        assert any("/" in r["f"] for r in rep["failures"])
+
+    def test_the_anchor_is_tested_on_its_own(self, monkeypatch):
+        # s = 2 moved to the front of row k, whose first step takes branch 1
+        # at g = 50: with E_k = -1 the anchor passes and every later s fails
+        ctx = analytic_context(50)
+        k, top = ctx.k, 2 * 50 + 2
+        assert ctx.L_lists[top] == (2,) and claim1_per_s(ctx)[1][k] is True
+        L = {**ctx.L_lists, top: (), k: (2,) + ctx.L_lists[k]}
+        E = {**ctx.E, k: (-(1 << ctx.scale_bits),) * 2}
+        doctored = ctx._replace(L_lists=L, E=E)
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: doctored)
+        rep = claim1_consistency(50)
+        assert rep == claim1_per_s(doctored)[0]
+        assert [r["s"] for r in rep["failures"]] == list(ctx.L_lists[k])
+
+    @pytest.mark.parametrize("doctor", ["gap", "repeat"])
+    def test_a_fault_inside_a_row_names_its_first_s(self, doctor, monkeypatch):
+        ctx = analytic_context(200)
+        i, L = next((i, L) for i, L in ctx.L_lists.items() if len(L) >= 4)
+        row = L[:2] + ((L[1],) if doctor == "repeat" else ()) + L[3:]
+        doctored = ctx._replace(L_lists={**ctx.L_lists, i: row})
+        message = f"the rows skip or repeat s={L[2]}"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            claim1_per_s(doctored)
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: doctored)
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            claim1_consistency(200)
+
+
 ORACLE_GENERA = list(range(2, 151)) + [250, 600, 1000]
 DECIDED = ("g", "ok", "k", "checked", "failures", "indeterminate",
            "E7_le_2k_minus_3")
@@ -553,6 +667,8 @@ class TestIntegerEngine:
                 key: want[key] for key in DECIDED}, g
 
     def test_enclosures_contain_the_fraction_ones(self):
+        # alpha and gamma hold rows 7..k only, as no row above k reads them;
+        # the reference keeps every row, so each of ours encloses its row
         for g in ORACLE_GENERA:
             ctx = analytic_context(g)
             ref, want = fraction_engine(g)
@@ -560,9 +676,10 @@ class TestIntegerEngine:
             assert p == ctx.tail_bits + bounds.GRID_GUARD_BITS
             for name in ("alpha", "gamma", "E"):
                 new, old = getattr(ctx, name), getattr(ref, name)
-                assert set(new) == set(old), (g, name)
-                for i, iv in old.items():
-                    assert encloses(new[i], p, iv), (g, name, i)
+                rows = set(old) if name == "E" else set(range(7, ctx.k + 1))
+                assert set(new) == rows, (g, name)
+                for i in rows:
+                    assert encloses(new[i], p, old[i]), (g, name, i)
             assert Fraction(claim1_consistency(g)["E7_hi"]) >= Fraction(want["E7_hi"])
 
     def test_the_ladder_gives_up_where_the_fraction_engine_does(self):

@@ -19,6 +19,7 @@ from emax import (
     GraphError,
     PseudoEmbedding,
     SchemeError,
+    SurfaceInfo,
     check_bipartition,
     complete_bipartite,
     complete_graph,
@@ -210,6 +211,17 @@ class TestK8MinusC5:
             assert E.rotation == tuple(
                 tuple((d >> 1, d & 1) for d in r) for r in darts
             )
+
+    def test_climb_result_audit(self, monkeypatch, capsys):
+        # seed 11 finds 15 faces; a surface_info that disagrees trips the
+        # audit of the built scheme, in the library and through the CLI
+        monkeypatch.setattr(emax.constructions, "surface_info",
+                            lambda E: SurfaceInfo(0, True))
+        message = "hill-climb result is not a 15-face torus scheme"
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            regenerate_k8_c5_fixture(seed=11)
+        assert cli.main(["regen-fixture", "--seed", "11"]) == 1
+        assert capsys.readouterr() == ("", f"verification failed: {message}\n")
 
     def test_regeneration_can_fail_cleanly(self):
         assert regenerate_k8_c5_fixture(seed=0, restarts=1, iters=1) is None

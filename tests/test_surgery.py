@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -795,6 +796,29 @@ class TestPipeline:
         assert rep.apex_set == ()
         assert rep.edges_added_to_triangulate == 0
         assert rep.chorded_scheme.edges == tri.edges
+
+    # the pipeline's closing audits, each tripped through a seam: an apex
+    # star on three corners, no apex for the short fixture, and the planar
+    # C4 let past the maximality guard, whose apexes see 0 and 2 unjoined
+    @pytest.mark.parametrize("seam, scheme, message", [
+        ((emax.surgery, "_first_four_distinct",
+          lambda walk, first=emax.surgery._first_four_distinct: first(walk)[:3]),
+         toroidal_embedding_k8_minus_c5, "some apex does not have degree 4"),
+        ((emax.surgery, "insert_apexes", lambda Gp: (Gp, ())),
+         toroidal_embedding_k8_minus_c5,
+         "no apexes were placed yet the input was short"),
+        ((emax.surgery, "is_edge_maximal_embedding", lambda E: (True, None)),
+         planar_c4_scheme, "apex 4: neighbors 0,2 are not adjacent, N[w] is not a K5"),
+    ], ids=["apex-degree", "no-apexes", "not-k5"])
+    def test_closing_audits(self, monkeypatch, capsys, tmp_path, seam, scheme, message):
+        E = scheme()
+        path = tmp_path / "scheme.json"
+        path.write_text(scheme_json(E))
+        monkeypatch.setattr(*seam)
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            run_lemma5_pipeline(E, "orientable")
+        assert cli.main(["pipeline", str(path), "--mode", "orientable"]) == 1
+        assert capsys.readouterr() == ("", f"verification failed: {message}\n")
 
     def test_rejects_non_maximal_input(self):
         E = planar_c4_scheme()
