@@ -31,9 +31,9 @@ rows with nonempty L_i, certifies how far the closed form
 2i/(i-6) (g-2) + (z-1)(2i-3) can undershoot the recurrence.  All of this
 runs on integer endpoints at one scale 2^-p, rounded outward, in one pass
 up the rows i = 7 .. k, about sqrt(3g/2) of them, and one down them for E;
-above k only the anchor row 2g+2 can be nonempty (see
-`_context_at_precision`).  `claim1_consistency` then checks the
-recurrence with one test per row.  Every reported comparison is a
+above k only the anchor row 2g+2 is stored, each L_i a range (see
+`_context_at_precision`).  `claim1_consistency` then checks the recurrence
+with one test per row, in O(sqrt g).  Every reported comparison is a
 comparison of interval endpoints, never of floats.
 """
 
@@ -296,11 +296,10 @@ class AnalyticContext(namedtuple("AnalyticContext", (
     "lam",  # 25 - 11(48332/114345 + (16/33) log 2)
     "alpha",  # i -> (lo, hi), alpha_i, rows 7..k only
     "k",  # least i >= 7 with alpha_i (g-2) <= 2
-    "beta",  # i -> int, rows 7..2g+2 (7 at g = 2)
+    "beta",  # i -> int, rows 7..k and 2g+2 only (7 at g = 2)
     "gamma",  # i -> (lo, hi), beta_i - alpha_i (g-2), rows 7..k only
     "E",  # i -> (lo, hi), the error recursion
-    "L_lists",  # i -> tuple of s values using c_s = i
-    "ell",  # i -> row length
+    "L_lists",  # i -> range of s values using c_s = i, rows as beta
     "precision_bits",
     "tail_bits",
     "scale_bits",  # p = tail_bits + GRID_GUARD_BITS
@@ -369,19 +368,20 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     the caller widens.
 
     One loop up rows 7..k builds each from the one below: alpha_i, the k
-    test, beta_i = certified ceiling, ell_i and L_i, and the prefix sums
-    of gamma.  The first straddling ceiling is held until k is found, so a
-    straddle of the k test at any row up to k is reported ahead of it.
-    Rows k+1..2g+1 are empty at beta_k, the anchor row 2g+2 has beta 1 and
-    L = (2..beta_k), and none reads alpha or gamma.  As alpha_{k-1} (g-2)
-    > 2 >= alpha_k (g-2), beta_{k-1} >= 3 > beta_k and ell_k >= 1, so every
-    E chain from a row below k ends at or below k: E runs down from k.
+    test, beta_i = certified ceiling, L_i and the prefix sums of gamma.
+    The first straddling ceiling is held until k is found, so a straddle
+    of the k test at any row up to k is reported ahead of it.  Rows
+    k+1..2g+1 would be empty at beta_k and are not stored; the anchor row
+    2g+2 has beta 1 and L = (2..beta_k), and none reads alpha or gamma.
+    As alpha_{k-1} (g-2) > 2 >= alpha_k (g-2), beta_{k-1} >= 3 > beta_k
+    and L_k is nonempty, so every E chain from a row below k ends at or
+    below k: E runs down from k.
     """
     p = tail_bits + GRID_GUARD_BITS
     a7_lo, a7_hi = alpha7_interval(tail_bits).outward(p)
     top = max(7, 2 * g + 2)
     twelve, two, one = 12 << p, 2 << p, 1 << p
-    alpha, beta, gamma, ell, L_lists = {}, {}, {}, {}, {}
+    alpha, beta, gamma, L_lists = {}, {}, {}, {}
     # prefix sums: sum_{7<=j<=i} gamma_j is (c_lo[i-6], c_hi[i-6])
     c_lo, c_hi = [0], [0]
     s_lo = 0
@@ -404,8 +404,7 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
             raise RuntimeError(f"gamma_{i} escaped [0,1) despite certified ceil")
         beta[i] = b
         gamma[i] = g_lo, g_hi = (b << p) - hi, (b << p) - lo
-        ell[i] = b_below - b
-        L_lists[i] = tuple(range(b + 1, b_below + 1))
+        L_lists[i] = range(b + 1, b_below + 1)
         b_below = b
         c_lo.append(c_lo[-1] + g_lo)
         c_hi.append(c_hi[-1] + g_hi)
@@ -415,17 +414,13 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
     else:
         raise RuntimeError("k exceeded 2g+2; series evaluation is broken")
     if k < top:
-        empty = dict.fromkeys(range(k + 1, top), b)
-        beta.update(empty)
-        ell.update(dict.fromkeys(empty, 0))
-        L_lists.update(dict.fromkeys(empty, ()))
-        beta[top], ell[top], L_lists[top] = 1, b - 1, tuple(range(2, b + 1))
+        beta[top], L_lists[top] = 1, range(2, b + 1)
 
     # E_k and the anchor row's E_top are zero (one row when top = k)
     E = dict.fromkeys((k, top), (0, 0))
     nxt = k  # the lowest nonempty row above i
     for i in range(k - 1, 6, -1):
-        if ell[i] <= 0:
+        if not L_lists[i]:
             continue
         (g_lo, g_hi), (gj_lo, gj_hi), (e_lo, e_hi) = gamma[i], gamma[nxt], E[nxt]
         lo = (2 * (c_lo[nxt - 7] - c_lo[i - 6]) + (2 * i - 1) * g_lo
@@ -434,8 +429,8 @@ def _context_at_precision(g, gm2, lam, bits, tail_bits) -> AnalyticContext:
               - (2 * nxt - 3) * gj_lo + e_hi)
         E[i] = (max(0, lo), max(0, hi))
         nxt = i
-    return AnalyticContext(g, lam, alpha, k, beta, gamma, E, L_lists, ell,
-                           bits, tail_bits, p)
+    return AnalyticContext(g, lam, alpha, k, beta, gamma, E, L_lists, bits,
+                           tail_bits, p)
 
 
 def analytic_upper_bound(g: int, precision: int | None = None) -> Fraction:
@@ -530,11 +525,13 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
         f'(s) <= 2i/(i-6) (g-2) + (z-1)(2i-3) + E_i,   s = beta_i + z.
 
     beta falls as i rises, so the rows read from the top list s = 2, 3,
-    ..., g+1 in order (g = 2's row 7 opens at s = 1, passed over).  f'(s)
-    is an integer ratio fp/fq (the first branch at row i has denominator
-    i-6, so fq never grows), and the test num <= E_i (i-6) fq, with num =
-    fp(i-6) - 2i(g-2)fq - (z-1)(2i-3)fq(i-6), is cross-multiplied by 2^p
-    into integers, against E_i's low end, so a pass is a proof.
+    ..., g+1 in order (g = 2's row 7 opens at s = 1, passed over).  A row
+    is a range, so the audit that it runs on from the last s is O(1); a
+    row held otherwise is compared entry by entry.  f'(s) is an integer
+    ratio fp/fq (the first branch at row i has denominator i-6, so fq
+    never grows), and the test num <= E_i (i-6) fq, with num = fp(i-6) -
+    2i(g-2)fq - (z-1)(2i-3)fq(i-6), is cross-multiplied by 2^p into
+    integers, against E_i's low end, so a pass is a proof.
 
     One test decides each row, at its first step.  Only that step can take
     branch 1: after it f' = 2i(g-2)/(i-6), while branch 1 needs f' <=
@@ -558,7 +555,7 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
         while L and L[0] < 2:  # g = 2's row 7 opens at s = 1
             L = L[1:]
         # the anchor s = 2 takes no step, so it is tested on its own
-        for run in (L[:1], L[1:]) if L[:1] == (2,) else (L,):
+        for run in (L[:1], L[1:]) if L and L[0] == 2 else (L,):
             if not run:
                 continue
             s, n = run[0], len(run)
@@ -567,9 +564,10 @@ def claim1_consistency(g: int, precision: int | None = None) -> dict:
             if Ei is None:
                 raise RuntimeError(f"row {i} has no error term but s={s} uses it")
             want = range(s, s + n)
-            if run != tuple(want):
-                miss = next(t for t, u in zip(want, run) if t != u)
-                raise RuntimeError(f"the rows skip or repeat s={miss}")
+            if run != want:  # a row not held as a range: entry by entry
+                for t, u in zip(want, run):
+                    if t != u:
+                        raise RuntimeError(f"the rows skip or repeat s={t}")
             if s > 2 and 2 * i * gm2 * fq >= ((2 * i - 3) * fq + fp) * (i - 6):
                 fp, fq = 2 * i * gm2, i - 6
             elif s > 2:

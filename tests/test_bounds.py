@@ -357,7 +357,7 @@ class TestRecords:
         # its dict fields make it unhashable, as they did the dataclass
         ctx = analytic_context(9)
         fields = ("g", "lam", "alpha", "k", "beta", "gamma", "E", "L_lists",
-                  "ell", "precision_bits", "tail_bits", "scale_bits")
+                  "precision_bits", "tail_bits", "scale_bits")
         text = ", ".join(f"{f}={getattr(ctx, f)!r}" for f in fields)
         assert_frozen_record(ctx, fields, f"AnalyticContext({text})",
                              hashable=False)
@@ -418,7 +418,9 @@ class TestAnalyticContext:
         ctx = analytic_context(3)
         assert ctx.k == 7
         assert ctx.beta[7] == 1  # k rows start at beta_k = 1 here
-        assert set(ctx.L_lists) == set(ctx.ell)
+        # row 7 and the anchor row 8, which is empty as beta_k = 1
+        assert ctx.L_lists == {7: range(2, 5), 8: range(2, 2)}
+        assert ctx.beta == {7: 1, 8: 1}
         covered = sorted(s for L in ctx.L_lists.values() for s in L)
         assert covered == list(range(2, 3 + 2))
 
@@ -439,18 +441,17 @@ class TestAnalyticContext:
             ctx = analytic_context(g)
             assert 7 <= ctx.k <= ceil_sqrt(3 * (g - 2), 2) + 7
 
-    @pytest.mark.parametrize("g", [50, 1000, 20000])
+    @pytest.mark.parametrize("g", [2, 50, 1000, 20000, 10**6, 10**8])
     def test_big_integer_rows_stop_at_k(self, g):
+        # rows 7..k and the anchor row 2g+2 are stored, as ranges; at g = 2
+        # the anchor would sit below row 7, so k = 7 is the only row
         ctx = analytic_context(g)
-        assert len(ctx.alpha) == ctx.k - 6
-        assert list(ctx.alpha) == list(ctx.gamma) == list(range(7, ctx.k + 1))
-        rows = list(range(7, 2 * g + 3))
-        assert list(ctx.beta) == list(ctx.ell) == list(ctx.L_lists) == rows
-
-    def test_row_lengths_match_lists(self):
-        ctx = analytic_context(12)
-        for i, L in ctx.L_lists.items():
-            assert ctx.ell[i] == len(L)
+        k = ctx.k
+        assert len(ctx.alpha) == k - 6
+        assert list(ctx.alpha) == list(ctx.gamma) == list(range(7, k + 1))
+        rows = [*range(7, k + 1), 2 * g + 2] if g > 2 else [7]
+        assert list(ctx.beta) == list(ctx.L_lists) == rows
+        assert all(type(L) is range for L in ctx.L_lists.values())
 
     def test_validation(self):
         with pytest.raises(BoundsError):
@@ -588,8 +589,8 @@ class TestClaim1Rows:
         # at g = 50: with E_k = -1 the anchor passes and every later s fails
         ctx = analytic_context(50)
         k, top = ctx.k, 2 * 50 + 2
-        assert ctx.L_lists[top] == (2,) and claim1_per_s(ctx)[1][k] is True
-        L = {**ctx.L_lists, top: (), k: (2,) + ctx.L_lists[k]}
+        assert ctx.L_lists[top] == range(2, 3) and claim1_per_s(ctx)[1][k] is True
+        L = {**ctx.L_lists, top: (), k: (2, *ctx.L_lists[k])}
         E = {**ctx.E, k: (-(1 << ctx.scale_bits),) * 2}
         doctored = ctx._replace(L_lists=L, E=E)
         monkeypatch.setattr(bounds, "analytic_context",
@@ -598,11 +599,22 @@ class TestClaim1Rows:
         assert rep == claim1_per_s(doctored)[0]
         assert [r["s"] for r in rep["failures"]] == list(ctx.L_lists[k])
 
+    @pytest.mark.parametrize("g", [2, 3, 50, 1000])
+    def test_rows_held_as_tuples_give_the_same_report(self, g, monkeypatch):
+        # a row that is not a range is audited entry by entry, and a right
+        # one passes
+        ctx = analytic_context(g)
+        want = claim1_consistency(g)
+        rows = {i: tuple(L) for i, L in ctx.L_lists.items()}
+        monkeypatch.setattr(bounds, "analytic_context",
+                            lambda g, precision=None: ctx._replace(L_lists=rows))
+        assert claim1_consistency(g) == want
+
     @pytest.mark.parametrize("doctor", ["gap", "repeat"])
     def test_a_fault_inside_a_row_names_its_first_s(self, doctor, monkeypatch):
         ctx = analytic_context(200)
         i, L = next((i, L) for i, L in ctx.L_lists.items() if len(L) >= 4)
-        row = L[:2] + ((L[1],) if doctor == "repeat" else ()) + L[3:]
+        row = (*L[:2], L[1], *L[3:]) if doctor == "repeat" else (*L[:2], *L[3:])
         doctored = ctx._replace(L_lists={**ctx.L_lists, i: row})
         message = f"the rows skip or repeat s={L[2]}"
         with pytest.raises(RuntimeError, match=f"^{message}$"):
@@ -636,6 +648,21 @@ def straddling_at_tail_8() -> dict:
     return failed
 
 
+def assert_rows_equal(ctx, ref):
+    """k, the tail precision and rows 7..k and 2g+2 equal the reference's,
+    which keeps every row, and each reference row left out is empty at
+    beta_k."""
+    g, k = ref.g, ref.k
+    assert (ctx.k, ctx.tail_bits) == (k, ref.tail_bits), g
+    kept = [i for i in ref.L_lists if i <= k or i == 2 * g + 2]
+    assert list(ctx.beta) == list(ctx.L_lists) == kept, g
+    assert all(type(L) is range for L in ctx.L_lists.values()), g
+    assert {i: (ctx.beta[i], tuple(L), len(L)) for i, L in ctx.L_lists.items()} == {
+        i: (ref.beta[i], ref.L_lists[i], ref.ell[i]) for i in kept}, g
+    for i in ref.L_lists.keys() - kept:  # rows k+1..2g+1
+        assert (ref.beta[i], ref.L_lists[i], ref.ell[i]) == (ref.beta[k], (), 0), (g, i)
+
+
 def encloses(pair, p, ref) -> bool:
     """[lo, hi] / 2^p contains the Fraction interval ref."""
     lo, hi = pair
@@ -660,8 +687,7 @@ class TestIntegerEngine:
                 assert str(got.value) == str(err), g
                 continue
             ctx = analytic_context(g, precision)
-            assert (ctx.k, ctx.beta, ctx.L_lists, ctx.ell, ctx.tail_bits) == (
-                ref.k, ref.beta, ref.L_lists, ref.ell, ref.tail_bits), g
+            assert_rows_equal(ctx, ref)
             rep = claim1_consistency(g, precision)
             assert {key: rep[key] for key in DECIDED} == {
                 key: want[key] for key in DECIDED}, g
@@ -714,8 +740,7 @@ class TestIntegerEngine:
         assert all(ctx.tail_bits > 8 for ctx in climbed.values())
         for g in sorted(climbed)[:12]:
             ctx, ref = climbed[g], reference_analytic_context(g)
-            assert (ctx.k, ctx.beta, ctx.L_lists, ctx.ell, ctx.tail_bits) == (
-                ref.k, ref.beta, ref.L_lists, ref.ell, ref.tail_bits), g
+            assert_rows_equal(ctx, ref)
             rep, want = claim1_consistency(g), reference_claim1(g)
             assert {key: rep[key] for key in DECIDED} == {
                 key: want[key] for key in DECIDED}, g
