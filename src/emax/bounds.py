@@ -78,9 +78,9 @@ SCHEDULE_GENUS_CAP = 10**10
 # runs each) to take the column widths first
 TABLE_GENUS_CAP = 3000
 # verify_theorem evaluates the closed form once per run of constant
-# ceil(sqrt(3(g-2)/2)), in constant memory: 367 runs for theorem 84 at this
-# cap and 357 for 67 take 5 and 10-12 ms, most of it the direct range, where
-# one evaluation per genus took 0.42-0.44 s (2-core machine, Python 3.11.7)
+# ceil(sqrt(3(g-2)/2)), 367 times for theorem 84 at this cap and 357 for 67,
+# and the recurrence 22 and 40 times: 2.2 and 2.2-2.5 ms in constant memory,
+# where one evaluation per genus took 0.42-0.44 s (2-core, Python 3.11.7)
 VERIFY_GMAX_CAP = 10**5
 TAIL_BITS_START = 48
 GRID_GUARD_BITS = 40  # the analytic grid is 2^-(tail_bits + 40)
@@ -460,6 +460,17 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     genus.  The least slack is at that genus when the step is >= 0 (ties go
     to the earlier genus), else at the last, and the negatives are a prefix
     or a suffix of the run, each listed with its own slack.
+
+    The direct range is evaluated at g = 1, then walked down from its top
+    in blocks, on two exact lower bounds of the floored recurrence:
+    f'(g, s) >= f'(g, s-1) + 11, as every candidate's branch 2 is 2c - 3 +
+    f'(g, s-1) with c >= 7; and f'(g+1, s) >= f'(g, s) + 2, as the anchor
+    rises by 2, branch 1 by 2c/(c-6) > 2 and branch 2 by what f'(g+1, s-1)
+    rose, and the minimum and the floor keep the rise.  So f'(g, g+1) <=
+    f'(h, h+1) - 13(h - g) for g < h, and the slack at g is at least the
+    slack at h less (per_g - 13 factor)(h - g).  After the exact slack at
+    h, every g below h whose bound is >= 0 and above the least slack so far
+    is skipped: it can be no violation, no least slack and no tie.
     """
     if which not in THEOREMS:
         raise BoundsError(f"unknown theorem {which!r}; use "
@@ -477,18 +488,16 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
     bits = _precision_bits(None) if g_max > dp_top else None
     L, Q = lambda_interval(bits).hi.as_integer_ratio() if bits else (0, 1)
     violations = []
-    min_slack = None
+    least = None  # (numerator, g): the least slack, ties to the earlier genus
 
     def note(g, num):
-        nonlocal min_slack
+        nonlocal least
         if num < 0:
-            violations.append({"g": g, "slack": str(Fraction(num, Q))})
-        if min_slack is None or num < min_slack[1]:
-            min_slack = (g, num)
+            violations.append((g, num))
+        if least is None or (num, g) < least:
+            least = (num, g)
+        return num
 
-    for g in range(1, dp_top + 1):
-        fin = optimal_schedule(g, g + 1).f
-        note(g, (per_g * g - factor * fin + 1) * Q)
     step = per_g * Q - factor * L
     g = dp_top + 1
     while g <= g_max:
@@ -507,14 +516,27 @@ def verify_theorem(which: str, g_max: int = 2000) -> dict:
         for h in negs or (low,):
             note(h, num + (h - g) * step)
         g = end + 1
+
+    def direct(g):
+        return note(g, (per_g * g - factor * optimal_schedule(g, g + 1).f + 1) * Q)
+
+    direct(1)
+    drop = (per_g - 13 * factor) * Q  # the slack at g < h is >= num - drop (h - g)
+    h = dp_top
+    while h > 1:
+        num = direct(h)
+        h -= 1
+        if num >= 0 and num > least[0]:  # skip the g whose bound is >= 0 and > least
+            h = 1 if drop <= 0 else h - min(num // drop, (num - least[0] - 1) // drop)
     return {
         "theorem": f"{kind}-{per_g}",
         "ok": not violations,
         "direct_range": [1, dp_top],
         "analytic_range": [dp_top + 1, g_max] if g_max > dp_top else None,
         "checked": g_max,
-        "min_slack": {"g": min_slack[0], "slack": str(Fraction(min_slack[1], Q))},
-        "violations": violations,
+        "min_slack": {"g": least[1], "slack": str(Fraction(least[0], Q))},
+        "violations": [{"g": g, "slack": str(Fraction(num, Q))}
+                       for g, num in sorted(violations)],
     }
 
 

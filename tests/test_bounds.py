@@ -10,9 +10,11 @@ per-step loop that the run jumps replaced, must match it with the types
 of the values.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
+import conftest
 import pytest
 from conftest import (
     assert_frozen_record,
@@ -265,6 +267,27 @@ class TestRunJump:
                                              anchor_delta=delta).c_schedule
                     assert all(a >= b for a, b in zip(sched, sched[1:])), \
                         (g, floor_steps, delta)
+
+
+class TestRises:
+    """The two lower bounds on the floored recurrence that let
+    `verify_theorem` skip blocks of its direct range: f' rises by at least
+    11 per step and by at least 2 per unit of genus."""
+
+    def test_the_diagonal_rises_by_at_least_13(self):
+        f = [optimal_schedule(g, g + 1).f for g in range(1, 3002)]
+        rises = [b - a for a, b in zip(f, f[1:])]
+        assert min(rises) == 13
+
+    def test_step_and_genus_rises_on_a_seeded_grid(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            g = rng.randint(1, 3000)
+            s = rng.randint(3, 3 * g + 5)
+            here = optimal_schedule(g, s).f
+            assert here - optimal_schedule(g, s - 1).f >= 11, (g, s)
+            assert optimal_schedule(g + 1, s).f - here >= 2, (g, s)
+            assert optimal_schedule(g + 1, 2).f - optimal_schedule(g, 2).f == 2
 
 
 class TestFlooring:
@@ -901,6 +924,78 @@ class TestVerifyRuns:
         ts = {ceil_sqrt(3 * (g - 2), 2) for g in range(dp_top + 1, VERIFY_GMAX_CAP + 1)}
         assert len(seen) == len(ts) == calls
         assert seen[0] == dp_top + 1 and seen == sorted(seen)
+
+
+class TestDirectWalk:
+    """The direct range, walked down from its top in blocks that the rises
+    of `TestRises` bound, against the per-genus oracle `reference_verify`."""
+
+    @staticmethod
+    def sizes(dp_top):
+        return [*range(1, 41), dp_top - 1, dp_top]
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    def test_reports_equal_the_per_genus_oracle(self, which):
+        dp_top = bounds.SURFACES[bounds.THEOREMS[which]][2]
+        for g_max in self.sizes(dp_top):
+            assert verify_theorem(which, g_max) == reference_verify(which, g_max), g_max
+
+    @pytest.mark.parametrize("which", ["84", "67"])
+    @pytest.mark.parametrize("offset", [0, -2])
+    def test_a_bound_that_never_falls_going_down(self, which, offset, monkeypatch):
+        # per_g = 13 factor + offset: the slack's lower bound holds or rises
+        # going down, so the first nonnegative slack above the least skips
+        # every genus below it, here the last few; every larger genus fails
+        kind = bounds.THEOREMS[which]
+        factor, _, dp_top = bounds.SURFACES[kind]
+        monkeypatch.setitem(bounds.SURFACES, kind,
+                            (factor, 13 * factor + offset, dp_top))
+        seen = []
+        real = bounds.optimal_schedule
+        monkeypatch.setattr(bounds, "optimal_schedule",
+                            lambda g, s_max: seen.append(g) or real(g, s_max))
+        for g_max in self.sizes(dp_top):
+            seen.clear()
+            got = verify_theorem(which, g_max)
+            assert got == reference_verify(which, g_max)
+        assert got["violations"] and len(seen) < dp_top
+
+    def test_seeded_profiles_that_meet_the_bound_and_tie(self, monkeypatch):
+        # made-up f'(g, g+1) that rise by 13 to 13 + e per genus, the slack
+        # moving by d - factor e with d = per_g - 13 factor: the lower bound
+        # is often met exactly, slacks often tie and cross zero, and every
+        # report equals the oracle's on the same profile
+        rng = random.Random(37)
+        for _ in range(400):
+            which = rng.choice(("84", "67"))
+            kind = bounds.THEOREMS[which]
+            factor = bounds.SURFACES[kind][0]
+            d = rng.choice((-2, 0, 1, 3, 19))
+            f = [rng.randint(0, 40)]
+            for _ in range(59):
+                f.append(f[-1] + 13 + rng.randrange(max(d, 0) // factor + 2))
+
+            def sched(g, s_max, f=f):
+                return bounds.ScheduleResult((), f[g - 1], ())
+
+            monkeypatch.setitem(bounds.SURFACES, kind, (factor, 13 * factor + d, 60))
+            monkeypatch.setattr(bounds, "optimal_schedule", sched)
+            monkeypatch.setattr(conftest, "optimal_schedule", sched)
+            g_max = rng.randint(1, 60)
+            got = verify_theorem(which, g_max)
+            assert got == reference_verify(which, g_max), (f, d)
+
+    @pytest.mark.parametrize("which, most", [("84", 30), ("67", 50)])
+    def test_few_recurrence_evaluations(self, which, most, monkeypatch):
+        # 22 and 40 here, where one per genus of the direct range made 299
+        # and 670
+        seen = []
+        real = bounds.optimal_schedule
+        monkeypatch.setattr(bounds, "optimal_schedule",
+                            lambda g, s_max: seen.append(g) or real(g, s_max))
+        assert verify_theorem(which, 2000)["ok"] is True
+        assert len(seen) <= most
+        assert seen[:2] == [1, bounds.SURFACES[bounds.THEOREMS[which]][2]]
 
 
 class TestAudits:

@@ -607,18 +607,23 @@ class TestBoundsVerify:
         assert rep["violations"] == []
 
     def test_a_violation_is_reported_and_exits_one(self, capsys, monkeypatch):
-        # a huge f' at g = 5 breaks 5 f' - 1 <= 84 g there, by 84*5 + 1 - 5*10^6
+        # f' raised by 10^6 from g = 5 on breaks 5 f' - 1 <= 84 g at each of
+        # g = 5..10.  The raise keeps f'(g+1, g+2) - f'(g, g+1) >= 13, which
+        # the walk down the direct range relies on: a huge f' at g = 5 alone
+        # would fall by about 10^6 to g = 6, and the walk would skip g = 5
         real = emax.bounds.optimal_schedule
 
         def inflated(g, s_max, **kw):
             res = real(g, s_max, **kw)
-            return res._replace(f=10**6) if g == 5 else res
+            return res._replace(f=res.f + 10**6) if g >= 5 else res
 
         monkeypatch.setattr(emax.bounds, "optimal_schedule", inflated)
         rep = verify_theorem("84", g_max=10)
         assert rep["ok"] is False
-        assert rep["violations"] == [{"g": 5, "slack": "-4999579"}]
-        assert rep["min_slack"] == {"g": 5, "slack": "-4999579"}
+        slacks = [-4999879, -4999880, -4999871, -4999862, -4999863, -4999859]
+        assert rep["violations"] == [{"g": g, "slack": str(x)}
+                                     for g, x in enumerate(slacks, 5)]
+        assert rep["min_slack"] == {"g": 6, "slack": "-4999880"}
         code, out, err = run(capsys, "bounds", "verify", "--theorem", "84",
                              "--gmax", "10")
         assert (code, err) == (1, "")
