@@ -48,14 +48,12 @@ from .constructions import (
     toroidal_embedding_k8_minus_c5,
 )
 from .surgery import (
-    HypothesisViolation,
     SurgeryReport,
     bipartite_extract,
     chord_faces,
     chord_positions,
     complete_to_triangulation,
     face_split_count,
-    find_low_interference_vertex,
     find_ordered_sequence,
     insert_apexes,
     is_ordered_sequence,

@@ -263,11 +263,11 @@ def _cycles(leave: list, neg: list, seen: list, starts, stops=None) -> list:
         # leave[s ^ 1], must be the mirror of the state before s
         for s in cycle:
             t = s ^ (3 - neg[s >> 2])
+            # a t marked before this walk was marked with its mirror s, where
+            # no walk goes, so a marked t lies on this cycle
             if seen[t] == 1:
                 raise RuntimeError(
-                    "self-mirrored facial cycle; scheme invariants violated"
-                    if t in cycle else
-                    "mirror pairing mismatch between facial cycles")
+                    "self-mirrored facial cycle; scheme invariants violated")
             if leave[s ^ 1] != prev:
                 raise RuntimeError("mirror pairing mismatch between facial cycles")
             seen[t], prev = 1, t

@@ -132,7 +132,8 @@ def bipartite_genus_lower_bound(G: Graph, P: Bipartition) -> int:
 # Blank lines and '#' comments are ignored.  A writer may embed the B side
 # of a bipartition as a "# part_b: ..." comment; the parser exposes it
 # separately and plain readers can ignore it.  The parser refuses n above
-# EDGE_LIST_VERTEX_CAP and an edge listed twice (in either orientation).
+# EDGE_LIST_VERTEX_CAP, an edge listed twice (in either orientation), a
+# second part_b comment and a part_b vertex outside 0..n-1.
 
 
 def parse_edge_list(text: str) -> tuple[Graph, frozenset | None]:
@@ -145,10 +146,13 @@ def parse_edge_list(text: str) -> tuple[Graph, frozenset | None]:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("part_b:"):
+                if part_b is not None:
+                    raise GraphError(f"line {lineno}: a second part_b comment")
                 try:
-                    part_b = frozenset(int(t) for t in body[7:].split())
+                    part_b = [int(t) for t in body[7:].split()]
                 except ValueError:
                     raise GraphError(f"line {lineno}: malformed part_b comment")
+                part_b_line = lineno
             continue
         if not line:
             continue
@@ -182,6 +186,12 @@ def parse_edge_list(text: str) -> tuple[Graph, frozenset | None]:
     n, m = header
     if len(edges) != m:
         raise GraphError(f"header promises {m} edges, found {len(edges)}")
+    if part_b is not None:
+        for v in part_b:
+            if not 0 <= v < n:
+                raise GraphError(
+                    f"line {part_b_line}: part_b vertex {v} outside 0..{n - 1}")
+        part_b = frozenset(part_b)
     return Graph(n, edges), part_b
 
 

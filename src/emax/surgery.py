@@ -54,10 +54,6 @@ from .embedding import (
     _SchemeEditor,
 )
 
-class HypothesisViolation(RuntimeError):
-    """No qualifying vertex exists; the genus-size hypothesis was false."""
-
-
 def _period(mode: str) -> int:
     """The chord period of a surgery mode, its surface kind's factor."""
     if mode not in SURFACE_KINDS:
@@ -328,52 +324,24 @@ def is_ordered_sequence(G: Graph, seq: Iterable[int]) -> bool:
     return True
 
 
-def find_low_interference_vertex(
-    G: Graph,
-    P: Bipartition,
-    c: int,
-    *,
-    alive: frozenset | None = None,
-    exclude: Iterable[int] = (),
-) -> int:
-    """Lowest part_b vertex with at most two neighbors of degree >= c.
-
-    Degrees count only vertices in `alive` when given (the greedy shrinks
-    the graph this way without rebuilding it).  Raises HypothesisViolation
-    when no vertex qualifies: with |B| large enough relative to the genus
-    that cannot happen, so a violation signals a false hypothesis rather
-    than bad luck.
-    """
-    if c < 7:
-        raise GraphError("c must be at least 7 for the interference bound")
-    check_bipartition(G, P)
-    live = frozenset(range(G.n)) if alive is None else frozenset(alive)
-    banned = set(exclude)
-
-    def live_degree(u):
-        return len(G.neighbors(u) & live)
-
-    for b in sorted(P.part_b & live - banned):
-        heavy = sum(1 for u in G.neighbors(b) & live if live_degree(u) >= c)
-        if heavy <= 2:
-            return b
-    raise HypothesisViolation(
-        f"every candidate B vertex has 3 or more neighbors of degree >= {c}"
-    )
-
-
 def find_ordered_sequence(
     G: Graph, P: Bipartition, s: int, c_schedule: Iterable[int] | None = None
 ):
     """Greedy search for an ordered sequence of s part_b vertices.
 
-    Level l of the recursion (l vertices still needed) picks a
-    low-interference vertex for c = c_schedule[l-2]; the level-1 pick is
-    just the lowest surviving B vertex.  After a pick, every neighbor
-    except the two of highest degree (ties to the lower index) has its
-    closed neighborhood deleted.  The default schedule is c = 7 for level 2
-    plus the optimal recurrence schedule for the genus lower bound of
-    (G, P).
+    Level l of the recursion (l vertices still needed) picks the lowest
+    live, unpicked part_b vertex with at most two live neighbors of live
+    degree >= c, for c = c_schedule[l-2]; the level-1 pick is just the
+    lowest live, unpicked part_b vertex.  A live degree counts live
+    neighbors only.  After a pick, every live neighbor except the two of
+    highest live degree (ties to the lower index, degrees as before the
+    pick's deletions) has its closed neighborhood deleted.  The default
+    schedule is c = 7 for level 2 plus the optimal recurrence schedule for
+    the genus lower bound of (G, P).
+
+    Live degrees sit in a list, decremented once for each deleted vertex's
+    neighbors, so the upkeep over all levels is O(n + m) and each level
+    adds one scan of part_b, at most four neighbors per vertex.
 
     Returns the sequence v_1..v_s, or None when the greedy runs out of
     vertices or its result fails the ordered-sequence check in the full
@@ -384,7 +352,8 @@ def find_ordered_sequence(
     check_bipartition(G, P)
     if s < 1:
         raise GraphError("sequence length must be at least 1")
-    for b in sorted(P.part_b):
+    order = sorted(P.part_b)
+    for b in order:
         if G.degree(b) > 4:
             raise GraphError(f"part_b vertex {b} has degree {G.degree(b)} > 4")
     if c_schedule is None:
@@ -401,37 +370,27 @@ def find_ordered_sequence(
             )
         if any(c < 7 for c in schedule):
             raise GraphError("every schedule entry must be at least 7")
-    alive = set(range(G.n))
-    chosen = set()
+    adj = [G.neighbors(v) for v in range(G.n)]
+    deg = [len(a) for a in adj]
+    alive = bytearray(b"\1") * G.n
+    picked = bytearray(G.n)
     picks = []
-    for level in range(s, 0, -1):
-        pool = sorted((P.part_b & alive) - chosen)
-        if not pool:
+    # no live degree reaches n, so the level-1 pick has no heavy neighbor
+    for c in [*reversed(schedule[:s - 1]), G.n]:
+        v = next((b for b in order if alive[b] and not picked[b]
+                  and sum(alive[u] and deg[u] >= c for u in adj[b]) <= 2), None)
+        if v is None:
             return None
-        if level == 1:
-            v = pool[0]
-        else:
-            try:
-                v = find_low_interference_vertex(
-                    G,
-                    P,
-                    schedule[level - 2],
-                    alive=frozenset(alive),
-                    exclude=chosen,
-                )
-            except HypothesisViolation:
-                return None
         picks.append(v)
-        chosen.add(v)
-        if level > 1:
-            nb = G.neighbors(v) & alive
-            if len(nb) > 2:
-                by_weight = sorted(
-                    nb, key=lambda u: (-len(G.neighbors(u) & alive), u)
-                )
-                for u in by_weight[2:]:
-                    alive -= closed_neighborhood(G, u)
-    seq = list(reversed(picks))
+        picked[v] = 1
+        nb = sorted((u for u in adj[v] if alive[u]), key=lambda u: (-deg[u], u))
+        for u in nb[2:]:
+            for x in (u, *adj[u]):
+                if alive[x]:
+                    alive[x] = 0
+                    for y in adj[x]:
+                        deg[y] -= 1
+    seq = picks[::-1]
     if not is_ordered_sequence(G, seq):
         return None
     return seq

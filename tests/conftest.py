@@ -25,6 +25,7 @@ from emax import (
     GraphError,
     PseudoEmbedding,
     SchemeError,
+    bipartite_genus_lower_bound,
     closed_neighborhood,
     edges_short,
     f_exact_s2,
@@ -230,6 +231,42 @@ def brute_force_ordered(G: Graph, part_b, s: int):
         return None
 
     return extend([], set())
+
+
+def reference_greedy(G: Graph, P: Bipartition, s: int, c_schedule=None):
+    """The ordered-sequence greedy written plainly on set intersections,
+    for inputs find_ordered_sequence accepts: every level recounts each
+    live degree, the level-s..2 picks take the lowest live, unpicked B
+    vertex with at most two live neighbors of live degree >= c, the
+    level-1 pick the lowest live, unpicked B vertex, and a pick deletes
+    the closed neighborhood of each live neighbor but the two of highest
+    live degree (ties to the lower index)."""
+    if c_schedule is None:
+        g_est = max(1, bipartite_genus_lower_bound(G, P)) if G.n >= 3 else 1
+        c_schedule = [7] + list(optimal_schedule(g_est, max(2, s)).c_schedule)
+    alive = set(range(G.n))
+
+    def live_degree(u):
+        return len(G.neighbors(u) & alive)
+
+    picks = []
+    for level in range(s, 0, -1):
+        pool = sorted((P.part_b & alive) - set(picks))
+        if level > 1:
+            c = c_schedule[level - 2]
+            pool = [b for b in pool if sum(
+                1 for u in G.neighbors(b) & alive if live_degree(u) >= c) <= 2]
+        if not pool:
+            return None
+        v = pool[0]
+        picks.append(v)
+        if level > 1:
+            by_weight = sorted(G.neighbors(v) & alive,
+                               key=lambda u: (-live_degree(u), u))
+            for u in by_weight[2:]:
+                alive -= closed_neighborhood(G, u)
+    seq = picks[::-1]
+    return seq if is_ordered_sequence(G, seq) else None
 
 
 def genus_certificate(G: Graph, seq) -> int:

@@ -362,6 +362,16 @@ class TestOrderedSeq:
         code, _, err = run(capsys, "ordered-seq", str(path), "--s", "1")
         assert code == 2 and "part_b" in err
 
+    @pytest.mark.parametrize("comments, message", [
+        ("# part_b: 1\n# part_b: 2\n", "line 2: a second part_b comment"),
+        ("# part_b: 1 3\n", "line 1: part_b vertex 3 outside 0..2"),
+    ], ids=["second", "outside"])
+    def test_bad_part_b_comment_exits_two(self, tmp_path, capsys, comments, message):
+        path = tmp_path / "g.txt"
+        path.write_text(comments + "3 2\n0 1\n1 2\n")
+        assert run(capsys, "ordered-seq", str(path), "--s", "1") == (
+            2, "", f"error: {message}\n")
+
 
 class TestEnumerate:
     def write_k4(self, tmp_path, capsys):

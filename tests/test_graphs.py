@@ -268,6 +268,17 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError, match="part_b"):
             parse_edge_list("# part_b: 1 x\n2 1\n0 1\n")
 
+    def test_second_part_b_comment(self):
+        with pytest.raises(GraphError, match="^line 3: a second part_b comment$"):
+            parse_edge_list("# part_b: 1\n2 1\n# part_b: 0\n0 1\n")
+
+    @pytest.mark.parametrize("v", [2, -1])
+    def test_part_b_vertex_out_of_range(self, v):
+        # the comment may come before the header that gives n
+        with pytest.raises(GraphError,
+                           match=f"^line 1: part_b vertex {v} outside 0..1$"):
+            parse_edge_list(f"# part_b: 1 {v}\n2 1\n0 1\n")
+
 
 def test_import_leaves_out_dataclasses_and_inspect(tmp_path):
     """A bare `import emax, emax.cli` loads neither `dataclasses` nor

@@ -14,7 +14,6 @@ from emax import (
     Bipartition,
     Graph,
     GraphError,
-    HypothesisViolation,
     PseudoEmbedding,
     SchemeError,
     SurfaceInfo,
@@ -27,7 +26,6 @@ from emax import (
     construct_proposition2,
     edges_short,
     face_split_count,
-    find_low_interference_vertex,
     find_ordered_sequence,
     graph_q,
     insert_apexes,
@@ -52,6 +50,7 @@ from conftest import (
     insert_dart_at_corner,
     random_scheme,
     reference_completion,
+    reference_greedy,
     reference_schemes,
     scheme_json,
     walk_corners,
@@ -596,44 +595,26 @@ class TestIsOrderedSequence:
 
 
 class TestFindLowInterferenceVertex:
+    """The per-level pick of a low-interference B vertex, which
+    find_ordered_sequence makes at each level above the first."""
+
     def test_no_heavy_neighbors_picks_lowest_b(self):
-        G, P = graph_q()
-        assert find_low_interference_vertex(G, P, 7) == 0
-
-    def test_heavy_neighbor_rule(self):
-        # A side: three hubs 0,1,2 (degree 7 each) and a filler 3.
-        # b=4 touches all three hubs; b=5 touches only the filler; 6..23
-        # are degree-1 dummies that give the hubs their weight.
-        edges = [(h, 4) for h in (0, 1, 2)] + [(3, 5)]
-        dummies = []
-        nxt = 6
-        for h in (0, 1, 2):
-            for _ in range(6):
-                edges.append((h, nxt))
-                dummies.append(nxt)
-                nxt += 1
-        G = Graph(nxt, edges)
-        P = Bipartition(frozenset({0, 1, 2, 3}), frozenset(range(4, nxt)))
-        # 4 has three heavy alive-neighbors, one too many
-        assert find_low_interference_vertex(G, P, 7) == 5
-
-        # deadening one hub's dummies drops it below the threshold
-        alive = frozenset(range(nxt)) - frozenset(dummies[:6])
-        assert find_low_interference_vertex(G, P, 7, alive=alive) == 4
-
-    def test_exclusion_is_honored(self):
-        G, P = graph_q()
-        assert find_low_interference_vertex(G, P, 7, exclude=(0,)) == 1
+        # two disjoint copies of Q: no A vertex reaches degree 7, so level 2
+        # takes the lowest b, 0, and its deletions leave level 1 the copy
+        # at 8..15, whose lowest b is 8
+        G1, P1 = graph_q()
+        n = G1.n
+        G = Graph(2 * n, list(G1.edges) + [(u + n, v + n) for u, v in G1.edges])
+        P = Bipartition(P1.part_a | {a + n for a in P1.part_a},
+                        P1.part_b | {b + n for b in P1.part_b})
+        assert find_ordered_sequence(G, P, 2, c_schedule=[7]) == [8, 0]
 
     def test_c_floor(self):
         G, P = graph_q()
-        with pytest.raises(GraphError, match="c"):
-            find_low_interference_vertex(G, P, 6)
-
-    def test_empty_pool_raises_hypothesis_violation(self):
-        G, P = graph_q()
-        with pytest.raises(HypothesisViolation):
-            find_low_interference_vertex(G, P, 7, exclude=P.part_b)
+        with pytest.raises(GraphError, match="at least 7"):
+            find_ordered_sequence(G, P, 2, c_schedule=[6])
+        with pytest.raises(GraphError, match="at least 7"):
+            find_ordered_sequence(G, P, 3, c_schedule=[7, 6])
 
 
 class TestFindOrderedSequence:
@@ -660,6 +641,69 @@ class TestFindOrderedSequence:
         assert is_ordered_sequence(G, seq)
         # one vertex per component
         assert len({v < shift for v in seq}) == 2
+
+    def test_heavy_neighbor_rule(self):
+        # A side: three hubs 0,1,2 (degree 7 each) and a filler 3.
+        # b=4 touches all three hubs; b=5 touches only the filler; 6..23
+        # are degree-1 dummies that give the hubs their weight.
+        edges = [(h, 4) for h in (0, 1, 2)] + [(3, 5)]
+        nxt = 6
+        for h in (0, 1, 2):
+            for _ in range(6):
+                edges.append((h, nxt))
+                nxt += 1
+        G = Graph(nxt, edges)
+        P = Bipartition(frozenset({0, 1, 2, 3}), frozenset(range(4, nxt)))
+        # at level 2, 4 has three heavy live neighbors, one too many, so 5
+        # is picked; level 1 takes the lowest vertex left, 4
+        assert find_ordered_sequence(G, P, 2, c_schedule=[7]) == [4, 5]
+
+    def test_an_earlier_level_lowers_a_live_degree(self):
+        # hubs 0,1,2 have degree 7: 7 touches all three, 0 also touches
+        # 10..15, 1 touches 16..21 and 2 touches 22..27.  Level 3 (c = 20,
+        # no heavy vertex) picks 6, whose neighbors 3,4,5 tie at degree 2,
+        # so N[5] = {5, 6, 10} goes and hub 0 drops to live degree 6.
+        # Level 2 (c = 7) then takes 7, with two heavy neighbors left.
+        edges = [(7, 0), (7, 1), (7, 2), (6, 3), (6, 4), (6, 5), (3, 8), (4, 9)]
+        edges += [(h, 10 + 6 * h + i) for h in (0, 1, 2) for i in range(6)]
+        P = Bipartition(frozenset(range(6)), frozenset(range(6, 28)))
+        G = Graph(28, edges + [(5, 10)])
+        assert find_ordered_sequence(G, P, 3, c_schedule=[7, 20]) == [8, 7, 6]
+        # without the edge 5-10 hub 0 keeps its 7 and 7 waits for level 1
+        G = Graph(28, edges)
+        assert find_ordered_sequence(G, P, 3, c_schedule=[7, 20]) == [7, 8, 6]
+
+    def test_a_picked_vertex_is_never_picked_again(self):
+        # each pick has one neighbor, deletes nothing and stays live
+        G = Graph(4, [(0, 2), (1, 3)])
+        P = Bipartition(frozenset({0, 1}), frozenset({2, 3}))
+        assert find_ordered_sequence(G, P, 2) == [3, 2]
+        assert find_ordered_sequence(G, P, 3) is None
+
+    def test_none_when_no_candidate_qualifies(self):
+        # K_{3,7}: every B vertex has three neighbors of degree 7
+        G, P = complete_bipartite(3, 7)
+        assert find_ordered_sequence(G, P, 2, c_schedule=[7]) is None
+        assert find_ordered_sequence(G, P, 1) == [3]
+
+    def test_equals_the_plain_greedy(self):
+        rng = random.Random(3805)
+        found = 0
+        for _ in range(2000):
+            na, nb = rng.randint(2, 6), rng.randint(1, 24)
+            edges = [(a, b) for b in range(na, na + nb)
+                     for a in rng.sample(range(na), min(rng.randint(0, 4), na))]
+            G = Graph(na + nb, edges)
+            P = Bipartition(frozenset(range(na)), frozenset(range(na, na + nb)))
+            s = rng.randint(1, 6)
+            schedule = None
+            if rng.random() < 0.5:
+                schedule = [rng.randint(7, 9) for _ in range(s - 1 + rng.randint(0, 2))]
+            got = find_ordered_sequence(G, P, s, schedule)
+            assert got == reference_greedy(G, P, s, schedule)
+            found += got is not None
+        # both answers are common: 1716 sequences and 284 None
+        assert found > 200 and 2000 - found > 200
 
     def test_greedy_is_incomplete_on_a_known_instance(self):
         """Five B-vertices where a valid pair exists but the greedy dies.
